@@ -23,7 +23,7 @@ from .linalg import (
     herm_part_at,
     matrix_scale,
 )
-from .numrange import SupportFunction, _golden_min, _local_minima, dichotomy_scan, point_boundary_defect
+from .numrange import SupportFunction, _refined_min, dichotomy_scan, point_boundary_defect
 from .results import METHOD_ARROWHEAD, GauWuResult
 
 
@@ -849,7 +849,7 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
 def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
     """Balanced arrowhead with some fully zero pairs: split off the diagonal
     part and add its boundary eigenvalues to the live sub-arrowhead's share."""
-    from .oracle import SearchParams, restricted_max_set
+    from .oracle import restricted_max_set
 
     n = ah.n
     theta, prof = _balanced_theta(ah, tol, require_all_nonzero=False)
@@ -869,7 +869,7 @@ def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TO
         k1 = 1 if point_boundary_defect(ambient, ah.corner) < btol else 0
         line_rule = k1
     else:
-        k1, _, _ = restricted_max_set(sub_dense, ambient, tol=tol, params=SearchParams(grid_size=512, theta_refine=False))
+        k1, _, _ = restricted_max_set(sub_dense, ambient, tol=tol)
         d1 = np.real(np.exp(-1j * theta) * np.concatenate([sub.diag, [sub.corner]]))
         link = tol.cluster_abs(matrix_scale(sub_dense))
         line_rule = 0
@@ -906,14 +906,10 @@ def _hull_boundary_indices(points, tol: ToleranceConfig):
         g = hmax - proj[:, j]
         best = float(np.min(g))
         if best >= 0:
-            idxs = _local_minima(g)
-            idxs = idxs[np.argsort(g[idxs])][:4]
-            for idx in idxs:
-                def f(t, j=j):
-                    pr = np.real(np.exp(-1j * t) * pts)
-                    return float(np.max(pr) - pr[j])
-                _, val = _golden_min(f, thetas[idx] - step, thetas[idx] + step)
-                best = min(best, val)
+            def f(t, j=j):
+                pr = np.real(np.exp(-1j * t) * pts)
+                return float(np.max(pr) - pr[j])
+            best = min(best, _refined_min(f, thetas, g, step, 4)[1])
         if best <= 10 * tol.eq_abs(scale):
             out.append(j)
     return out
@@ -947,8 +943,6 @@ def gauwu_unbalanced_two(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL
     for j in hull:
         if sign * bc[j] <= atol:
             raise NotApplicableError(f"imbalance not strict on hull index {j}")
-    dense = ah.to_dense()
-    w, v = np.linalg.eigh(herm_part_at(dense, 0.0))
     cert = {
         "route": "unbalanced",
         "hull_indices": [int(j) for j in hull],

@@ -19,7 +19,9 @@ from .linalg import (
     AffineMap,
     DEFAULT_TOL,
     DimensionError,
+    NonInvertibleMapError,
     ToleranceConfig,
+    affine_apply,
     affine_from_planar,
     as_square_matrix,
     herm_part_at,
@@ -176,6 +178,11 @@ def extract_parallel_form(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[dic
     ]
     if max(zeros) > atol:
         return None
+    return _parallel_params(h, k)
+
+
+def _parallel_params(h, k) -> dict:
+    """The free entries of the parallel canonical form, read off H and K."""
     return {
         "h22": float(h[1, 1].real),
         "h24": complex(h[1, 3]),
@@ -365,8 +372,6 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
             notes=notes,
         )
     case, tau, order = norm
-    from .linalg import affine_apply
-
     a_prime = affine_apply(m, tau)
     cols = [x3[:, order[0]], x3[:, order[1]], x3[:, order[2]]]
     # keep the triple exactly; complete with the best-projecting basis vector
@@ -395,17 +400,7 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
             np.max(np.abs(k[1, :])),
         ]
         pattern_residual = float(max(mask_entries))
-        params_d = {
-            "h22": float(h[1, 1].real),
-            "h24": complex(h[1, 3]),
-            "h44": float(h[3, 3].real),
-            "k11": float(k[0, 0].real),
-            "k13": complex(k[0, 2]),
-            "k14": complex(k[0, 3]),
-            "k33": float(k[2, 2].real),
-            "k34": complex(k[2, 3]),
-            "k44": float(k[3, 3].real),
-        }
+        params_d = _parallel_params(h, k)
         hb = np.array([[params_d["h22"], params_d["h24"]], [np.conj(params_d["h24"]), params_d["h44"]]])
         kb = np.array(
             [
@@ -528,8 +523,9 @@ def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = 
                 ka3 = None
                 try:
                     ka3 = ka3_check(m, tol)
-                except Exception:
-                    ka3 = None
+                except (NonInvertibleMapError, np.linalg.LinAlgError) as exc:
+                    # the seed already decides k = 3; only the canonical form is lost
+                    cert["canonical_form_error"] = f"{type(exc).__name__}: {exc}"
                 if ka3 is not None and ka3.form_ok:
                     cert["canonical_form"] = {"case": ka3.case, "params_keys": sorted(ka3.params)}
                 result = GauWuResult(k=3, n=4, method=METHOD_SEED3, certificate=cert)

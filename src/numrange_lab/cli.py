@@ -18,7 +18,7 @@ from .classify import UnsupportedDimensionError, classify_any
 from .generators import ALL_FAMILIES, FamilySpec, InfeasibleSpecError, generate
 from .linalg import ToleranceConfig
 from .matrixio import MatrixParseError, Report, file_digest, load_matrix, save_matrix
-from .numrange import SupportFunction, boundary_generating_curve, detect_seeds
+from .numrange import SupportFunction, _pencil_stack, boundary_generating_curve, detect_seeds
 from .oracle import SearchParams, verify
 from .reduction import decompose
 
@@ -105,11 +105,8 @@ def cmd_classify(args) -> int:
 def _svg_document(a, curve, support_thetas, tol) -> str:
     sf = SupportFunction(a, grid_size=720)
     pts = [z for branch in curve.points for z in branch]
-    boundary = []
-    for i, t in enumerate(sf.thetas):
-        w, v = np.linalg.eigh((np.cos(t) * sf.h + np.sin(t) * sf.k))
-        x = v[:, -1]
-        boundary.append(complex(x.conj() @ a @ x))
+    top = np.linalg.eigh(_pencil_stack(sf.h, sf.k, sf.thetas))[1][:, :, -1]
+    boundary = [complex(x.conj() @ a @ x) for x in top]
     basis_pts = [complex(a[j, j]) for j in range(a.shape[0])]
     allpts = pts + boundary + basis_pts
     re = [z.real for z in allpts]

@@ -41,11 +41,6 @@ def matrix_scale(a) -> float:
     return max(float(np.linalg.norm(a, 2)), ABS_FLOOR)
 
 
-def complex_close(x, y, tol: float = 1e-8) -> bool:
-    """Relative comparison against the larger magnitude, absolute floor 1e-12."""
-    return abs(x - y) <= max(tol * max(abs(x), abs(y)), ABS_FLOOR)
-
-
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Thresholds used throughout; relative ones are scaled at the point of use.
@@ -81,6 +76,13 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def _is_normal(b, tol: ToleranceConfig) -> bool:
+    """||B B* - B* B||_F <= 10 * eq_tol * ||B||^2 * n."""
+    b = as_square_matrix(b)
+    s = matrix_scale(b)
+    return np.linalg.norm(b @ b.conj().T - b.conj().T @ b) <= tol.eq_abs(s * s) * b.shape[0] * 10
 
 
 class HermitianPair(NamedTuple):

@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _is_normal,
     as_square_matrix,
     herm_part_at,
     hermitian_parts,
@@ -59,6 +60,11 @@ def support(a, theta: float, tol: ToleranceConfig = DEFAULT_TOL) -> SupportSampl
     return SupportSample(theta=float(theta), p=p, multiplicity=mult, boundary_points=pts)
 
 
+def _pencil_stack(h, k, thetas) -> np.ndarray:
+    """The pencil members cos(t) H + sin(t) K for every t in ``thetas``, stacked."""
+    return np.cos(thetas)[:, None, None] * h[None] + np.sin(thetas)[:, None, None] * k[None]
+
+
 class SupportFunction:
     """p(theta) precomputed on a uniform grid, with exact evaluation anywhere."""
 
@@ -67,20 +73,14 @@ class SupportFunction:
         self.h, self.k = hermitian_parts(self.a)
         self.grid_size = int(grid_size)
         self.thetas = np.linspace(0.0, TWO_PI, self.grid_size, endpoint=False)
-        cos = np.cos(self.thetas)[:, None, None]
-        sin = np.sin(self.thetas)[:, None, None]
-        stack = cos * self.h[None, :, :] + sin * self.k[None, :, :]
-        self.grid_values = np.linalg.eigvalsh(stack)[:, -1]
+        self.grid_values = np.linalg.eigvalsh(_pencil_stack(self.h, self.k, self.thetas))[:, -1]
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
         if theta.ndim == 0:
             m = np.cos(theta) * self.h + np.sin(theta) * self.k
             return float(np.linalg.eigvalsh(m)[-1])
-        cos = np.cos(theta)[:, None, None]
-        sin = np.sin(theta)[:, None, None]
-        stack = cos * self.h[None, :, :] + sin * self.k[None, :, :]
-        return np.linalg.eigvalsh(stack)[:, -1]
+        return np.linalg.eigvalsh(_pencil_stack(self.h, self.k, theta))[:, -1]
 
     def diameter(self) -> float:
         half = self.grid_size // 2
@@ -119,21 +119,28 @@ def _local_minima(values: np.ndarray) -> np.ndarray:
     return np.nonzero((values <= left) & (values <= right))[0]
 
 
+def _refined_min(f: Callable[[float], float], thetas, values, step: float, count: int, iters: int = 80):
+    """Golden-refine the ``count`` lowest cyclic minima of ``values`` sampled at
+    ``thetas``, each within one ``step``; returns the best (argmin, fmin),
+    (None, inf) when nothing was refined."""
+    idxs = _local_minima(values)
+    best_t, best = None, np.inf
+    for idx in idxs[np.argsort(values[idxs])][:count]:
+        t, val = _golden_min(f, thetas[idx] - step, thetas[idx] + step, iters=iters)
+        if val < best:
+            best_t, best = t, val
+    return best_t, best
+
+
 def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
     """min_theta [ p(theta) - Re(e^{-i theta} z) ]  (0 iff z lies on the boundary)."""
     proj = np.real(np.exp(-1j * support_fn.thetas) * z)
     g = support_fn.grid_values - proj
-    best = np.inf
-    step = TWO_PI / support_fn.grid_size
 
     def f(t):
         return support_fn(t) - np.real(np.exp(-1j * t) * z)
 
-    for idx in _local_minima(g)[np.argsort(g[_local_minima(g)])][:6]:
-        t0 = support_fn.thetas[idx]
-        t, val = _golden_min(f, t0 - step, t0 + step)
-        best = min(best, val)
-    return float(best)
+    return float(_refined_min(f, support_fn.thetas, g, TWO_PI / support_fn.grid_size, 6)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +182,7 @@ def top_gap_events(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024)
     split = tol.split_abs(scale)
     h, k = hermitian_parts(m)
     thetas = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
-    cos = np.cos(thetas)[:, None, None]
-    sin = np.sin(thetas)[:, None, None]
-    w = np.linalg.eigvalsh(cos * h[None] + sin * k[None])
+    w = np.linalg.eigvalsh(_pencil_stack(h, k, thetas))
     gaps = w[:, -1] - w[:, -2]
 
     degenerate = gaps < split
@@ -404,9 +409,7 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024) -
             seeds.append(_seed_from_event(m, ev, diam))
 
     # corner / crossing detector on the top branch
-    cos = np.cos(sf.thetas)[:, None, None]
-    sin = np.sin(sf.thetas)[:, None, None]
-    w, v = np.linalg.eigh(cos * sf.h[None] + sin * sf.k[None])
+    w, v = np.linalg.eigh(_pencil_stack(sf.h, sf.k, sf.thetas))
     top_vecs = v[:, :, -1]
     pts = np.einsum("si,ij,sj->s", top_vecs.conj(), m, top_vecs)
     close = 1e-6 * max(diam, 1e-12)
@@ -444,12 +447,6 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024) -
 # ---------------------------------------------------------------------------
 
 
-def _is_normal(b, tol: ToleranceConfig) -> bool:
-    b = as_square_matrix(b)
-    s = matrix_scale(b)
-    return np.linalg.norm(b @ b.conj().T - b.conj().T @ b) <= tol.eq_abs(s * s) * b.shape[0]
-
-
 def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Max count of orthonormal vectors of the block whose images lie on the
     ambient boundary (the block's share in a direct-sum decomposition).
@@ -481,19 +478,9 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
         def pair_fn(t):
             return max(gap_fn(t), gap_fn(t + np.pi))
 
-        best_pair = np.inf
-        idxs = _local_minima(pair)
-        for idx in idxs[np.argsort(pair[idxs])][:6]:
-            t, val = _golden_min(pair_fn, grid[idx] - step, grid[idx] + step)
-            best_pair = min(best_pair, val)
-        if best_pair < btol:
+        if _refined_min(pair_fn, grid, pair, step, 6)[1] < btol:
             return 2
-        best_single = np.inf
-        idxs = _local_minima(g)
-        for idx in idxs[np.argsort(g[idxs])][:6]:
-            t, val = _golden_min(gap_fn, grid[idx] - step, grid[idx] + step)
-            best_single = min(best_single, val)
-        return 1 if best_single < btol else 0
+        return 1 if _refined_min(gap_fn, grid, g, step, 6)[1] < btol else 0
     raise UnsupportedBlockError(
         f"relative count for a non-normal {n}x{n} block needs the restricted search"
     )
@@ -538,27 +525,17 @@ def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 720):
     accept = tol.eq_abs(scale)
     h, k = hermitian_parts(m)
     thetas = np.linspace(0.0, np.pi, grid_size, endpoint=False)
-    cos = np.cos(thetas)[:, None, None]
-    sin = np.sin(thetas)[:, None, None]
-    w = np.linalg.eigvalsh(cos * h[None] + sin * k[None])
+    w = np.linalg.eigvalsh(_pencil_stack(h, k, thetas))
     defects = np.array([dichotomy_defect(w[s])[0] for s in range(grid_size)])
 
     def defect_at(t):
         ww = np.linalg.eigvalsh(herm_part_at(m, t))
         return dichotomy_defect(ww)[0]
 
-    step = np.pi / grid_size
-    idxs = _local_minima(defects)
-    idxs = idxs[np.argsort(defects[idxs])][:5]
-    best = (np.inf, None)
-    for idx in idxs:
-        t0 = thetas[idx]
-        t, val = _golden_min(defect_at, t0 - step, t0 + step, iters=90)
-        if val < best[0]:
-            best = (val, float(np.mod(t, np.pi)))
-    if best[1] is None or best[0] > accept:
+    t, val = _refined_min(defect_at, thetas, defects, np.pi / grid_size, 5, iters=90)
+    if t is None or val > accept:
         return None
-    theta = best[1]
+    theta = float(np.mod(t, np.pi))
     ww = np.linalg.eigvalsh(herm_part_at(m, theta))
     defect, h0, h1 = dichotomy_defect(ww)
     if defect > accept or abs(h1 - h0) <= 4 * accept:

@@ -14,13 +14,21 @@ Gram and boundary residuals, never by extrapolation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, as_square_matrix, herm_part_at, matrix_scale
-from .numrange import SupportFunction, _golden_min, _local_minima, top_gap_events
+from .numrange import (
+    SupportFunction,
+    _golden_min,
+    _local_minima,
+    _pencil_stack,
+    _top_cluster_basis,
+    top_gap_events,
+)
 
 COARSE_OVERLAP = 0.1
 
@@ -108,18 +116,12 @@ def boundary_vector_field(
     if len(events) < 3 * n:
         for ev in events:
             anti = float(np.mod(ev.theta + np.pi, 2 * np.pi))
-            ww, vv = np.linalg.eigh(herm_part_at(m, anti))
-            d = 1
-            while d < len(ww) and ww[-1] - ww[-d - 1] <= 4 * split:
-                d += 1
-            basis = vv[:, len(ww) - d :]
-            for j in range(d):
-                cands.append(Candidate(theta=anti, vec=basis[:, j].copy(), basis=basis, pinned=d > 1))
+            _, basis, _ = _top_cluster_basis(m, anti, 4 * split)
+            for j in range(basis.shape[1]):
+                cands.append(Candidate(theta=anti, vec=basis[:, j].copy(), basis=basis, pinned=basis.shape[1] > 1))
 
     thetas = sf.thetas
-    cos = np.cos(thetas)[:, None, None]
-    sin = np.sin(thetas)[:, None, None]
-    w, v = np.linalg.eigh(cos * sf.h[None] + sin * sf.k[None])
+    w, v = np.linalg.eigh(_pencil_stack(sf.h, sf.k, thetas))
     keep = np.ones(grid_size, dtype=bool)
 
     if ambient is not None:
@@ -165,20 +167,18 @@ def _dedup(cands: list, thin: float = 0.999) -> list:
     one by more than ``thin`` (smooth arcs collapse to a few representatives,
     which the angle refinement later re-tunes).
     """
+    if not cands:
+        return []
+    vecs = np.column_stack([c.vec for c in cands])
+    overlaps = np.abs(vecs.conj().T @ vecs)
+    thetas = np.array([c.theta for c in cands])
     kept: list = []
-    for c in cands:
-        drop = False
-        for other in kept:
-            ov = abs(np.vdot(c.vec, other.vec))
-            if abs(ov - 1.0) < 1e-10 and abs(c.theta - other.theta) < 1e-9:
-                drop = True
-                break
-            if not c.pinned and ov >= thin:
-                drop = True
-                break
-        if not drop:
-            kept.append(c)
-    return kept
+    for i, c in enumerate(cands):
+        ov = overlaps[i, kept]
+        exact = (np.abs(ov - 1.0) < 1e-10) & (np.abs(c.theta - thetas[kept]) < 1e-9)
+        if not (exact.any() or (not c.pinned and (ov >= thin).any())):
+            kept.append(i)
+    return [cands[i] for i in kept]
 
 
 def _maximal_cliques(adj: np.ndarray, cap: int):
@@ -213,7 +213,14 @@ def _top_eigvec(m_mat, t, ref=None):
     return x
 
 
-def _refine_set(a, members: list, sf: SupportFunction, tol: ToleranceConfig, params: SearchParams):
+def _boundary_residuals(m, X, thetas, sf: SupportFunction) -> np.ndarray:
+    """|p(theta_i) - Re(e^{-i theta_i} x_i* A x_i)| for each column x_i of X."""
+    return np.array(
+        [abs(sf(float(t)) - float(np.real(np.exp(-1j * t) * (x.conj() @ m @ x)))) for x, t in zip(X.T, thetas)]
+    )
+
+
+def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams):
     """Polish a candidate family towards exact orthonormality.
 
     Members sharing a direction are reassigned jointly inside their eigenspace
@@ -222,14 +229,14 @@ def _refine_set(a, members: list, sf: SupportFunction, tol: ToleranceConfig, par
     theta by quadratic coordinate descent to reach the basin, then a
     Gauss-Newton iteration on the complex pairwise overlaps (finite-difference
     Jacobian in the free angles) drives the residual to machine zero whenever
-    an exact orthonormal family exists nearby.
+    an exact orthonormal family exists nearby.  Boundary residuals are taken
+    against ``sf``.
     """
-    m_mat = as_square_matrix(a)
     k = len(members)
-    X = np.column_stack([mb["vec"] for mb in members]).astype(complex)
-    thetas = np.array([float(mb["theta"]) for mb in members])
-    pinned = [mb["pinned"] for mb in members]
-    bases = [mb["basis"] for mb in members]
+    X = np.column_stack([c.vec for c in members]).astype(complex)
+    thetas = np.array([float(c.theta) for c in members])
+    pinned = [c.pinned for c in members]
+    bases = [c.basis for c in members]
 
     groups: dict = {}
     for i, t in enumerate(thetas):
@@ -348,12 +355,7 @@ def _refine_set(a, members: list, sf: SupportFunction, tol: ToleranceConfig, par
             for i in free:
                 descent(i, inner=4)
     align_groups()
-    res = gram_res(X)
-    bres = np.empty(k)
-    for i in range(k):
-        x = X[:, i]
-        bres[i] = abs(sf(float(thetas[i])) - float(np.real(np.exp(-1j * thetas[i]) * (x.conj() @ m_mat @ x))))
-    return res, X, thetas, bres
+    return gram_res(X), X, thetas, _boundary_residuals(m_mat, X, thetas, sf)
 
 
 def _clique_score(clique, overlaps) -> float:
@@ -399,8 +401,6 @@ def _subsets_by_quality(clique, overlaps, size, cap):
     scores = [(sum(overlaps[i][j] for j in clique if j != i), i) for i in clique]
     scores.sort()
     ordered = [i for _, i in scores]
-    import itertools
-
     out = []
     for combo in itertools.combinations(ordered, size):
         out.append(combo)
@@ -426,6 +426,45 @@ def _scored_subsets(cliques, overlaps, size):
     return scored
 
 
+def _search(m, cands: list, support: SupportFunction, tol: ToleranceConfig, params: SearchParams,
+            min_size: int, accept_hook: Optional[Callable] = None) -> OracleResult:
+    """Clique -> refine core shared by the full and the restricted search.
+
+    Candidates are grouped into coarse near-orthogonal cliques
+    (|<v_i, v_j>| < 0.1); starting sets of each size, largest first, are
+    refined, and the first size with a family whose Gram residual beats
+    ``gram_tol`` and whose members lie on the boundary of ``support`` wins.
+    Below ``min_size`` the result has k_lower = 0.
+    """
+    n = m.shape[0]
+    vecs = np.column_stack([c.vec for c in cands]) if cands else np.zeros((n, 0))
+    overlaps = np.abs(vecs.conj().T @ vecs)
+    cliques = _candidate_cliques(overlaps, cap=params.max_cliques)
+    max_size = min(n, max((len(c) for c in cliques), default=1))
+    btol = 10 * tol.boundary_abs(support.diameter())
+
+    floors: dict = {}
+    for size in range(max_size, min_size - 1, -1):
+        best = None
+        for _, combo in _scored_subsets(cliques, overlaps, size)[: params.attempts_per_size]:
+            res, X, thetas, bres = _refine_set(m, [cands[i] for i in combo], support, params)
+            ok = res <= tol.gram_tol and np.all(bres <= btol)
+            if ok and accept_hook is not None:
+                ok = bool(accept_hook(X, thetas))
+            if ok:
+                if best is None or res < best[0]:
+                    best = (res, X, thetas, bres)
+                if res < 1e-12:
+                    break
+            else:
+                floors[size] = min(floors.get(size, np.inf), res)
+        if best is not None:
+            res, X, thetas, bres = best
+            floors.setdefault(size + 1, np.inf)
+            return OracleResult(size, X, thetas, res, bres, floors)
+    return OracleResult(0, np.zeros((n, 0)), np.zeros(0), 0.0, np.zeros(0), floors)
+
+
 def max_orthonormal_boundary_set(
     a,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -444,61 +483,19 @@ def max_orthonormal_boundary_set(
     n = m.shape[0]
     if n == 1:
         return OracleResult(1, np.ones((1, 1), dtype=complex), np.zeros(1), 0.0, np.zeros(1), {})
-    field_ = boundary_vector_field(a, grid_size=params.grid_size, tol=tol)
+    field_ = boundary_vector_field(m, grid_size=params.grid_size, tol=tol)
     sf = field_.support
     if sf.diameter() <= 4 * ABS_FLOOR:
         eye = np.eye(n, dtype=complex)
         return OracleResult(n, eye, np.zeros(n), 0.0, np.zeros(n), {})
-
-    cands = field_.candidates
-    mcount = len(cands)
-    vecs = np.column_stack([c.vec for c in cands]) if mcount else np.zeros((n, 0))
-    overlaps = np.abs(vecs.conj().T @ vecs)
-    cliques = _candidate_cliques(overlaps, cap=params.max_cliques)
-    max_size = min(n, max((len(c) for c in cliques), default=1))
-
-    floors: dict = {}
-    for size in range(max_size, 1, -1):
-        best = None
-        attempts = 0
-        for score, combo in _scored_subsets(cliques, overlaps, size):
-            if attempts >= params.attempts_per_size:
-                break
-            attempts += 1
-            members = [
-                {
-                    "theta": cands[i].theta,
-                    "vec": cands[i].vec,
-                    "basis": cands[i].basis,
-                    "pinned": cands[i].pinned,
-                }
-                for i in combo
-            ]
-            res, X, thetas, bres = _refine_set(m, members, sf, tol, params)
-            ok = res <= tol.gram_tol and np.all(bres <= 10 * tol.boundary_abs(sf.diameter()))
-            if ok and accept_hook is not None:
-                ok = bool(accept_hook(X, thetas))
-            if ok:
-                if best is None or res < best[0]:
-                    best = (res, X, thetas, bres)
-                if res < 1e-12:
-                    break
-            else:
-                prev = floors.get(size, np.inf)
-                floors[size] = min(prev, res)
-        if best is not None:
-            res, X, thetas, bres = best
-            floors.setdefault(size + 1, np.inf)
-            return OracleResult(size, X, thetas, res, bres, floors)
+    found = _search(m, field_.candidates, sf, tol, params, min_size=2, accept_hook=accept_hook)
+    if found.k_lower:
+        return found
     # guaranteed pair: extremal eigenvectors of any one direction are orthogonal
     w, v = np.linalg.eigh(herm_part_at(m, 0.0))
     X = np.column_stack([v[:, -1], v[:, 0]])
     thetas = np.array([0.0, np.pi])
-    bres = np.empty(2)
-    for i in range(2):
-        x = X[:, i]
-        bres[i] = abs(sf(float(thetas[i])) - float(np.real(np.exp(-1j * thetas[i]) * (x.conj() @ m @ x))))
-    return OracleResult(2, X, thetas, 0.0, bres, floors)
+    return OracleResult(2, X, thetas, 0.0, _boundary_residuals(m, X, thetas, sf), found.floors)
 
 
 def restricted_max_set(
@@ -511,46 +508,12 @@ def restricted_max_set(
 
     Candidates are restricted to directions where the block's supporting line
     touches the boundary of the ambient range; may return 0 (blocks buried in
-    the interior contribute nothing).
+    the interior contribute nothing).  Returns (count, vectors, thetas).
     """
     m = as_square_matrix(block)
-    n = m.shape[0]
     field_ = boundary_vector_field(m, grid_size=params.grid_size, tol=tol, ambient=ambient)
-    cands = field_.candidates
-    if not cands:
-        return 0, np.zeros((n, 0)), np.zeros(0)
-    mcount = len(cands)
-    vecs = np.column_stack([c.vec for c in cands])
-    overlaps = np.abs(vecs.conj().T @ vecs)
-    cliques = _candidate_cliques(overlaps, cap=params.max_cliques)
-    max_size = min(n, max((len(c) for c in cliques), default=1))
-    btol = tol.boundary_abs(ambient.diameter())
-    for size in range(max_size, 0, -1):
-        attempts = 0
-        for score, combo in _scored_subsets(cliques, overlaps, size):
-            if attempts >= params.attempts_per_size:
-                break
-            attempts += 1
-            members = [
-                {
-                    "theta": cands[i].theta,
-                    "vec": cands[i].vec,
-                    "basis": cands[i].basis,
-                    "pinned": True,
-                }
-                for i in combo
-            ]
-            res, X, thetas, _ = _refine_set(m, members, field_.support, tol, params)
-            amb_res = np.empty(size)
-            for i in range(size):
-                x = X[:, i]
-                amb_res[i] = abs(
-                    ambient(float(thetas[i]))
-                    - float(np.real(np.exp(-1j * thetas[i]) * (x.conj() @ m @ x)))
-                )
-            if res <= tol.gram_tol and np.all(amb_res <= 10 * btol):
-                return size, X, thetas
-    return 0, np.zeros((n, 0)), np.zeros(0)
+    found = _search(m, field_.candidates, ambient, tol, params, min_size=1)
+    return found.k_lower, found.vectors, found.thetas
 
 
 @dataclass

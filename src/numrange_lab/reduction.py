@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, as_square_matrix, hermitian_parts, matrix_scale
+from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _is_normal, as_square_matrix, hermitian_parts, matrix_scale
 from .numrange import SupportFunction, kprime_relative, point_boundary_defect
 from .results import METHOD_DIRECT_SUM, GauWuResult
 
@@ -92,12 +92,6 @@ class BlockDecomposition:
         return self.unitary @ self.assembled() @ self.unitary.conj().T
 
 
-def _is_normal(b, tol: ToleranceConfig) -> bool:
-    b = as_square_matrix(b)
-    s = matrix_scale(b)
-    return np.linalg.norm(b @ b.conj().T - b.conj().T @ b) <= tol.eq_abs(s * s) * b.shape[0] * 10
-
-
 def _split(m, tol: ToleranceConfig):
     n = m.shape[0]
     if n == 1:
@@ -173,13 +167,13 @@ def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT
     if n == 1:
         defect = point_boundary_defect(ambient, complex(b[0, 0]))
         return (1 if defect < tol.boundary_abs(ambient.diameter()) else 0), "point-contact"
-    if n == 2 and not _is_normal(b, tol):
-        return kprime_relative(b, ambient, tol), "antipodal-contact"
     if _is_normal(b, tol):
         return kprime_relative(b, ambient, tol), "normal-spectrum-contact"
-    from .oracle import SearchParams, restricted_max_set
+    if n == 2:
+        return kprime_relative(b, ambient, tol), "antipodal-contact"
+    from .oracle import restricted_max_set
 
-    k, _, _ = restricted_max_set(b, ambient, tol=tol, params=SearchParams(grid_size=512, theta_refine=False))
+    k, _, _ = restricted_max_set(b, ambient, tol=tol)
     return k, "restricted-search"
 
 

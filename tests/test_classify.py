@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,9 @@ from numrange_lab.results import (
     METHOD_KA3,
     METHOD_SEED3,
 )
+
+# the package re-exports the function `classify`, which hides the module
+classify_mod = importlib.import_module("numrange_lab.classify")
 
 
 class TestK4Check:
@@ -116,6 +121,25 @@ class TestClassifyPipeline:
         res = classify(flat_portion_example())
         assert res.k == 3
         assert res.method == METHOD_SEED3
+
+    def test_seed_route_records_canonical_form_failure(self, monkeypatch):
+        from numrange_lab.linalg import NonInvertibleMapError
+
+        def singular(*args, **kwargs):
+            raise NonInvertibleMapError("affine map needs a*b != 0")
+
+        monkeypatch.setattr(classify_mod, "ka3_check", singular)
+        res = classify(flat_portion_example())
+        assert res.k == 3 and res.method == METHOD_SEED3
+        assert "NonInvertibleMapError" in res.certificate["canonical_form_error"]
+
+    def test_seed_route_propagates_unexpected_errors(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(classify_mod, "ka3_check", broken)
+        with pytest.raises(RuntimeError):
+            classify(flat_portion_example())
 
     def test_direct_sum_square(self):
         res = classify(np.diag([1.0, 1j, -1.0, -1j]))

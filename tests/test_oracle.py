@@ -3,12 +3,15 @@ import pytest
 
 from conftest import balanced_arrowhead, random_matrix, rng_for
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
+from numrange_lab.numrange import SupportFunction
 from numrange_lab.oracle import (
     SearchParams,
     boundary_vector_field,
     max_orthonormal_boundary_set,
+    restricted_max_set,
     verify,
 )
+from numrange_lab.reduction import decompose
 
 
 class TestField:
@@ -130,3 +133,27 @@ class TestVerify:
         rep = verify(a, 3)
         assert not rep.match
         assert rep.status == "oracle-exceeds-claim"
+
+
+class TestRestricted:
+    def _block(self):
+        dec = decompose(generate(FamilySpec("reducible-aligned", seed=0)))
+        block = next(b for b in dec.blocks if b.shape[0] == 3)
+        return dec, block
+
+    def test_block_on_ambient_boundary(self):
+        dec, block = self._block()
+        k, vecs, thetas = restricted_max_set(block, SupportFunction(dec.assembled()))
+        assert k == 3
+        assert vecs.shape == (3, 3) and thetas.shape == (3,)
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(3)) < 1e-6
+
+    def test_buried_block_contributes_nothing(self):
+        _, block = self._block()
+        center = np.trace(block) / 3 * np.eye(3)
+        shrunk = center + (block - center) / 20
+        ambient = np.zeros((6, 6), dtype=complex)
+        ambient[:3, :3], ambient[3:, 3:] = block, shrunk
+        k, vecs, thetas = restricted_max_set(shrunk, SupportFunction(ambient))
+        assert k == 0
+        assert vecs.shape == (3, 0) and thetas.shape == (0,)

@@ -6,6 +6,7 @@ from numrange_lab.generators import FamilySpec, generate, flat_portion_example
 from numrange_lab.numrange import SupportFunction
 from numrange_lab.oracle import max_orthonormal_boundary_set
 from numrange_lab.reduction import (
+    block_kprime,
     commutant_dimension,
     decompose,
     dirsum_gauwu,
@@ -170,6 +171,14 @@ class TestDirsum:
         res = dirsum_gauwu(dec)
         orc = max_orthonormal_boundary_set(m)
         assert res.k == orc.k_lower
+
+    def test_nearly_normal_3x3_block(self):
+        # commutator just above eq_tol * ||B||^2 * n: block_kprime and
+        # kprime_relative must agree that the block is normal
+        block = np.diag([0.0, 1.0, 1j])
+        block[0, 1] = 3e-8
+        ambient = SupportFunction(np.diag([0.0, 1.0, 1j, -1 - 1j, 2.0]))
+        assert block_kprime(block, ambient) == (1, "normal-spectrum-contact")
 
     def test_requires_two_blocks(self):
         with pytest.raises(ValueError):
