@@ -146,6 +146,7 @@ def boundary_vector_field(
                 )
 
     stride = max(1, grid_size // 256)
+    first_grid = len(cands)
     ev_thetas = np.array([ev.theta for ev in events]) if events else np.empty(0)
     for s in range(0, grid_size, stride):
         if not keep[s]:
@@ -156,16 +157,26 @@ def boundary_vector_field(
             continue  # covered by an event (or globally degenerate)
         cands.append(Candidate(theta=float(thetas[s]), vec=v[s, :, -1], basis=v[s, :, -1:], pinned=False))
 
-    return BoundaryVectorField(thetas=thetas, support=sf, candidates=_dedup(cands), events=events)
+    # a candidate may stand in for its near-copies only at a direction the
+    # search accepts: with an ambient range, one where the matrix touches its
+    # boundary (grid directions were filtered above; events and their
+    # antipodes were not)
+    touches = np.ones(len(cands), dtype=bool)
+    if ambient is not None and first_grid:
+        head = cands[:first_grid]
+        own = [np.real(np.exp(-1j * c.theta) * (c.vec.conj() @ m @ c.vec)) for c in head]
+        touches[:first_grid] = ambient(np.array([c.theta for c in head])) - np.array(own) <= btol
+    return BoundaryVectorField(thetas=thetas, support=sf, candidates=_dedup(cands, touches), events=events)
 
 
-def _dedup(cands: list, thin: float = 0.999) -> list:
+def _dedup(cands: list, touches: np.ndarray, thin: float = 0.999) -> list:
     """Drop near-duplicate candidates.
 
     Pinned (event/contact) candidates are only removed against exact
-    duplicates; free grid candidates are thinned whenever they overlap a kept
-    one by more than ``thin`` (smooth arcs collapse to a few representatives,
-    which the angle refinement later re-tunes).
+    duplicates; free candidates are thinned whenever they overlap by more
+    than ``thin`` a kept one whose ``touches`` flag is set (smooth arcs
+    collapse to a few representatives, which the angle refinement later
+    re-tunes).
     """
     if not cands:
         return []
@@ -176,7 +187,7 @@ def _dedup(cands: list, thin: float = 0.999) -> list:
     for i, c in enumerate(cands):
         ov = overlaps[i, kept]
         exact = (np.abs(ov - 1.0) < 1e-10) & (np.abs(c.theta - thetas[kept]) < 1e-9)
-        if not (exact.any() or (not c.pinned and (ov >= thin).any())):
+        if not (exact.any() or (not c.pinned and ((ov >= thin) & touches[kept]).any())):
             kept.append(i)
     return [cands[i] for i in kept]
 

@@ -157,3 +157,13 @@ class TestRestricted:
         k, vecs, thetas = restricted_max_set(shrunk, SupportFunction(ambient))
         assert k == 0
         assert vecs.shape == (3, 0) and thetas.shape == (0,)
+
+    def test_free_vector_not_thinned_by_copy_at_other_direction(self):
+        # e3 maps onto the ambient vertex i for theta near pi/2; its pinned
+        # copies at the block's events (theta = pi/4, pi) touch nothing
+        block = np.diag([0.0, 1.0, 1j])
+        block[0, 1] = 3e-8
+        ambient = SupportFunction(np.diag([0.0, 1.0, 1j, -1 - 1j, 2.0]))
+        k, vecs, _ = restricted_max_set(block, ambient)
+        assert k == 1
+        assert abs(vecs[2, 0]) > 1 - 1e-6

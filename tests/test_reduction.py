@@ -1,8 +1,13 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_matrix, random_unitary, rng_for
-from numrange_lab.generators import FamilySpec, generate, flat_portion_example
+from numrange_lab import reduction
+from numrange_lab.generators import ALL_FAMILIES, FamilySpec, generate, flat_portion_example
+from numrange_lab.linalg import DEFAULT_TOL
 from numrange_lab.numrange import SupportFunction
 from numrange_lab.oracle import max_orthonormal_boundary_set
 from numrange_lab.reduction import (
@@ -12,6 +17,42 @@ from numrange_lab.reduction import (
     dirsum_gauwu,
     reducing_eigenvectors,
 )
+
+SIZED_FAMILIES = (
+    "dichotomous-arrowhead-diag",
+    "dichotomous-arrowhead-coupled",
+    "pure-almost-normal",
+    "unbalanced-arrowhead",
+    "reducible-aligned",
+)
+
+
+def _svd_dimension(a):
+    return reduction._commutant_nullspace(a, DEFAULT_TOL)[0]
+
+
+def _block_sum(blocks):
+    n = sum(b.shape[0] for b in blocks)
+    a = np.zeros((n, n), dtype=complex)
+    pos = 0
+    for b in blocks:
+        a[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
+        pos += b.shape[0]
+    return a
+
+
+def _mixed_blocks(rng, n):
+    """2x2 disc blocks, scalars and random 3x3 blocks filling n rows."""
+    blocks, size = [], 0
+    while size < n:
+        m = min(int(rng.integers(1, 4)), n - size)
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if m == 2:
+            blocks.append(np.array([[c, 2 * rng.uniform(0.2, 1.0)], [0, c]]))
+        else:
+            blocks.append(c * np.eye(1) if m == 1 else random_matrix(rng, 3))
+        size += m
+    return blocks
 
 
 class TestCommutant:
@@ -41,6 +82,80 @@ class TestCommutant:
         for _ in range(5):
             u = random_unitary(rng, 4)
             assert commutant_dimension(u.conj().T @ a @ u) == 2
+
+
+class TestPencilRoute:
+    def test_agrees_with_svd_on_family_corpora(self):
+        cases = [FamilySpec(fam, seed=seed) for fam in ALL_FAMILIES for seed in range(5)]
+        cases += [FamilySpec(fam, n=n, seed=seed) for fam in SIZED_FAMILIES for n in (6, 9, 12) for seed in range(2)]
+        for spec in cases:
+            a = generate(spec)
+            assert commutant_dimension(a) == _svd_dimension(a), spec
+
+    def test_unitarily_equivalent_blocks_fall_back(self):
+        rng = rng_for(21)
+        b = random_matrix(rng, 2)
+        a = _block_sum([b, b])
+        u = random_unitary(rng, 4)
+        m = u.conj().T @ a @ u
+        assert reduction._pencil_components(m) is None
+        assert commutant_dimension(m) == 4
+        dec = decompose(m)
+        assert dec.route == "commutant-svd"
+        assert [blk.shape[0] for blk in dec.blocks] == [2, 2]
+        assert np.linalg.norm(dec.reassemble() - m) < 1e-10 * np.linalg.norm(m)
+
+    def test_scalar_matrix_falls_back(self):
+        assert reduction._pencil_components(np.eye(3)) is None
+        assert commutant_dimension(np.eye(3)) == 9
+        assert decompose(np.eye(3)).route == "commutant-svd"
+
+    @pytest.mark.parametrize("n", [8, 24, 64])
+    def test_conjugated_direct_sums(self, n):
+        rng = rng_for(100 + n)
+        blocks = _mixed_blocks(rng, n)
+        u = random_unitary(rng, n)
+        a = u.conj().T @ _block_sum(blocks) @ u
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            dec = decompose(a)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 2.0
+        # the commutator system alone would take 4n^2 x n^2 doubles (512 MB at n = 64)
+        assert peak < 32 * 2**20
+        assert dec.route == "pencil-eigenbasis"
+        assert sorted(b.shape[0] for b in dec.blocks) == sorted(b.shape[0] for b in blocks)
+        assert np.linalg.norm(dec.reassemble() - a, 2) <= 1e-12 * np.linalg.norm(a, 2)
+        assert commutant_dimension(a) == len(blocks)
+
+    @pytest.mark.parametrize("coupling, dim", [(1e-6, 1), (1e-10, 2)])
+    def test_coupling_on_either_side_of_the_cutoff(self, coupling, dim):
+        for seed in range(5):
+            rng = rng_for(200 + seed)
+            a = _block_sum([random_matrix(rng, 2), random_matrix(rng, 3)])
+            e = np.zeros((5, 5), dtype=complex)
+            e[:2, 2:] = random_matrix(rng, 2)[:, :1] @ random_matrix(rng, 3)[:1, :]
+            a = a + coupling * np.linalg.norm(a, 2) / np.linalg.norm(e, 2) * e
+            u = random_unitary(rng, 5)
+            m = u.conj().T @ a @ u
+            assert commutant_dimension(m) == _svd_dimension(m) == dim, seed
+            dec = decompose(m)
+            assert len(dec.blocks) == dim
+            kept, dropped = dec.margin["kept_min"], dec.margin["dropped_max"]
+            assert kept > reduction.RANK_CUTOFF and (dropped is None or dropped <= reduction.RANK_CUTOFF)
+
+    def test_block_order_is_deterministic(self):
+        rng = rng_for(31)
+        blocks = _mixed_blocks(rng, 12)
+        u = random_unitary(rng, 12)
+        a = u.conj().T @ _block_sum(blocks) @ u
+        first, second = decompose(a), decompose(a.copy())
+        assert np.array_equal(first.unitary, second.unitary)
+        assert all(np.array_equal(x, y) for x, y in zip(first.blocks, second.blocks))
 
 
 class TestDecompose:
@@ -179,6 +294,24 @@ class TestDirsum:
         block[0, 1] = 3e-8
         ambient = SupportFunction(np.diag([0.0, 1.0, 1j, -1 - 1j, 2.0]))
         assert block_kprime(block, ambient) == (1, "normal-spectrum-contact")
+
+    def test_certificate_records_route_and_margin(self):
+        a = generate(FamilySpec("ellipse-with-scalars", seed=1, knobs={"config": "three"}))
+        dec = decompose(a)
+        res = dirsum_gauwu(dec)
+        assert res.certificate["route"] == dec.route == "pencil-eigenbasis"
+        assert res.certificate["margin"] == dec.margin
+        assert dec.margin["gap"] > reduction.GAP_CUTOFF
+        assert "unclamped_total" not in res.certificate
+
+    def test_clamped_total_is_recorded(self, monkeypatch):
+        dec = decompose(generate(FamilySpec("ellipse-pair", seed=0, knobs={"config": "nested"})))
+        monkeypatch.setattr(reduction, "block_kprime", lambda b, ambient, tol: (0, "patched"))
+        res = dirsum_gauwu(dec)
+        assert res.k == 2 and res.certificate["unclamped_total"] == 0
+        monkeypatch.setattr(reduction, "block_kprime", lambda b, ambient, tol: (3, "patched"))
+        res = dirsum_gauwu(dec)
+        assert res.k == 4 and res.certificate["unclamped_total"] == 6
 
     def test_requires_two_blocks(self):
         with pytest.raises(ValueError):
