@@ -19,8 +19,10 @@ from .linalg import (
     DEFAULT_TOL,
     StructureError,
     ToleranceConfig,
+    _pencil_at,
     as_square_matrix,
     herm_part_at,
+    hermitian_parts,
     matrix_scale,
 )
 from .numrange import SupportFunction, _refined_min, dichotomy_scan, point_boundary_defect
@@ -425,9 +427,10 @@ def normal_eigenvalue_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_
         if coincide:
             # essentially Hermitian direction: Im(e^{-i phi} A) is scalar
             phi = phis[0]
-            im_part = (np.exp(-1j * phi) * dense - np.exp(1j * phi) * dense.conj().T) / 2j
+            h, k = hermitian_parts(dense)
+            im_part = _pencil_at(k, -h, phi)
             if np.linalg.norm(im_part - (np.trace(im_part) / n) * np.eye(n)) <= 1e-6 * matrix_scale(dense) * n:
-                w, v = np.linalg.eigh(herm_part_at(dense, phi))
+                w, v = np.linalg.eigh(_pencil_at(h, k, phi))
                 x = v[:, -1]
                 lam = complex(x.conj() @ dense @ x)
                 push("iv", lam, x, tuple(range(nm1)))

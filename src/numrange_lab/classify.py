@@ -21,10 +21,10 @@ from .linalg import (
     DimensionError,
     NonInvertibleMapError,
     ToleranceConfig,
+    _pencil_at,
     affine_apply,
     affine_from_planar,
     as_square_matrix,
-    herm_part_at,
     hermitian_parts,
     matrix_scale,
 )
@@ -62,11 +62,6 @@ class CanonicalK4Form:
     clause: str
 
 
-def _skew_part_at(a, theta):
-    r = np.exp(-1j * theta) * a
-    return (r - r.conj().T) / 2j
-
-
 def k4_check(a, tol: ToleranceConfig = DEFAULT_TOL):
     """Dichotomy test plus canonical-form extraction for irreducible 4x4.
 
@@ -79,15 +74,20 @@ def k4_check(a, tol: ToleranceConfig = DEFAULT_TOL):
         raise DimensionError("k4_check handles 4x4 matrices")
     if commutant_dimension(m, tol) != 1:
         raise PreconditionError("input is unitarily reducible")
+    return _k4_form(m, tol)
+
+
+def _k4_form(m, tol: ToleranceConfig):
+    """k4_check on a 4x4 matrix already known to be irreducible."""
     scan = dichotomy_scan(m, tol=tol)
     if scan is None:
         return False, None
     theta, h0, h1, _ = scan
-    hrot = herm_part_at(m, theta)
-    w, v = np.linalg.eigh(hrot)
+    h, k = hermitian_parts(m)
+    w, v = np.linalg.eigh(_pencil_at(h, k, theta))
     lower = np.nonzero(np.abs(w - h0) < np.abs(w - h1))[0]
     upper = np.nonzero(np.abs(w - h0) >= np.abs(w - h1))[0]
-    krot = _skew_part_at(m, theta)
+    krot = _pencil_at(k, -h, theta)
     if len(lower) == 2:
         v_lo, v_hi = v[:, lower], v[:, upper]
         b = v_lo.conj().T @ krot @ v_hi
@@ -247,10 +247,6 @@ class CanonicalKA3Form:
     notes: list = field(default_factory=list)
 
 
-def _line_data(sf: SupportFunction, theta: float):
-    return float(np.mod(theta, 2 * np.pi)), float(sf(float(theta)))
-
-
 def _distinct_lines(thetas, sf: SupportFunction, diam: float) -> bool:
     for i in range(len(thetas)):
         for j in range(i + 1, len(thetas)):
@@ -265,7 +261,8 @@ def _distinct_lines(thetas, sf: SupportFunction, diam: float) -> bool:
 
 
 def ka3_triple_search(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = SearchParams()):
-    """Orthonormal triple whose images touch three distinct supporting lines."""
+    """Orthonormal triple whose images touch three distinct supporting lines:
+    (vectors, thetas, the support function they were checked against) or None."""
     m = as_square_matrix(a)
     sf = SupportFunction(m, grid_size=256)
     diam = sf.diameter()
@@ -277,7 +274,7 @@ def ka3_triple_search(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParam
 
     res = max_orthonormal_boundary_set(m, tol=tol, params=params, accept_hook=hook)
     if res.k_lower >= 3:
-        return res.vectors[:, :3], res.thetas[:3]
+        return res.vectors[:, :3], res.thetas[:3], sf
     return None
 
 
@@ -352,9 +349,8 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
     found = ka3_triple_search(m, tol=tol, params=params)
     if found is None:
         return None
-    x3, thetas = found
-    sf = SupportFunction(m, grid_size=256)
-    ps = [float(sf(float(t))) for t in thetas]
+    x3, thetas, sf = found
+    ps = [sf(float(t)) for t in thetas]
     notes = []
     norm = _normalizing_affine(thetas, ps)
     if norm is None:
@@ -501,7 +497,7 @@ def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = 
     if len(dec.blocks) > 1:
         result = dirsum_gauwu(dec, tol)
     else:
-        is_k4, form = k4_check(m, tol)
+        is_k4, form = _k4_form(m, tol)
         if is_k4:
             cert = {
                 "theta": form.theta,

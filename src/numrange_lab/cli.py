@@ -18,7 +18,7 @@ from .classify import UnsupportedDimensionError, classify_any
 from .generators import ALL_FAMILIES, FamilySpec, InfeasibleSpecError, generate
 from .linalg import ToleranceConfig
 from .matrixio import MatrixParseError, Report, file_digest, load_matrix, save_matrix
-from .numrange import SupportFunction, _pencil_stack, boundary_generating_curve, detect_seeds
+from .numrange import SupportFunction, boundary_generating_curve, detect_seeds
 from .oracle import SearchParams, verify
 from .reduction import decompose
 
@@ -102,11 +102,10 @@ def cmd_classify(args) -> int:
     return _emit(text, args.out)
 
 
-def _svg_document(a, curve, support_thetas, tol) -> str:
+def _svg_document(a, curve, support_thetas) -> str:
     sf = SupportFunction(a, grid_size=720)
     pts = [z for branch in curve.points for z in branch]
-    top = np.linalg.eigh(_pencil_stack(sf.h, sf.k, sf.thetas))[1][:, :, -1]
-    boundary = [complex(x.conj() @ a @ x) for x in top]
+    boundary = [complex(x.conj() @ a @ x) for x in sf.top_vectors]
     basis_pts = [complex(a[j, j]) for j in range(a.shape[0])]
     allpts = pts + boundary + basis_pts
     re = [z.real for z in allpts]
@@ -167,7 +166,7 @@ def cmd_curve(args) -> int:
     curve = boundary_generating_curve(a, samples=args.samples, tol=tol)
     if args.format == "svg":
         thetas = [float(x) for x in args.support_lines.split(",")] if args.support_lines else []
-        return _emit(_svg_document(a, curve, thetas, tol), args.out)
+        return _emit(_svg_document(a, curve, thetas), args.out)
     lines = ["branch,theta,re,im,on_boundary"]
     for bi in range(curve.points.shape[0]):
         for si, theta in enumerate(curve.thetas):

@@ -7,6 +7,7 @@ in terms of the pencil x*H + y*K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,11 +99,21 @@ def hermitian_parts(a) -> HermitianPair:
     return HermitianPair(h, k)
 
 
+def _pencil_at(h, k, theta):
+    """cos(theta) H + sin(theta) K = Re(e^{-i theta} A) for A = H + iK, stacked
+    on axis 0 for a 1-d array of theta; (K, -H) gives Im(e^{-i theta} A).
+
+    The scalar path has no shape dispatch: every golden-section and
+    refinement step runs it.
+    """
+    if isinstance(theta, np.ndarray) and theta.ndim:
+        return np.cos(theta)[:, None, None] * h + np.sin(theta)[:, None, None] * k
+    return math.cos(theta) * h + math.sin(theta) * k
+
+
 def herm_part_at(a, theta: float) -> np.ndarray:
     """Hermitian part of the rotated matrix e^{-i theta} A."""
-    m = as_square_matrix(a)
-    r = np.exp(-1j * theta) * m
-    return (r + r.conj().T) / 2
+    return _pencil_at(*hermitian_parts(a), theta)
 
 
 @dataclass

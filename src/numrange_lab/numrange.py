@@ -4,12 +4,15 @@ The supporting line of W(A) in direction theta is
     { z : Re(e^{-i theta} z) = p(theta) },   p(theta) = lambda_max(Re(e^{-i theta} A)),
 and every unit vector in the top eigenspace of Re(e^{-i theta} A) maps onto it
 under f_A(x) = x* A x.  All boundary computations below reduce to eigenvalue
-problems for the pencil cos(theta) H + sin(theta) K.
+problems for the pencil member cos(theta) H + sin(theta) K (linalg._pencil_at).
+Each SupportFunction sweeps its grid once; event, seed and candidate scans
+read that sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -18,8 +21,8 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _is_normal,
+    _pencil_at,
     as_square_matrix,
-    herm_part_at,
     hermitian_parts,
     matrix_scale,
 )
@@ -47,7 +50,7 @@ class SupportSample:
 def support(a, theta: float, tol: ToleranceConfig = DEFAULT_TOL) -> SupportSample:
     """Support value and boundary points of W(A) in direction theta."""
     m = as_square_matrix(a)
-    w, v = np.linalg.eigh(herm_part_at(m, theta))
+    w, v = np.linalg.eigh(_pencil_at(*hermitian_parts(m), theta))
     p = float(w[-1])
     link = tol.cluster_abs(matrix_scale(m))
     mult = 1
@@ -60,27 +63,29 @@ def support(a, theta: float, tol: ToleranceConfig = DEFAULT_TOL) -> SupportSampl
     return SupportSample(theta=float(theta), p=p, multiplicity=mult, boundary_points=pts)
 
 
-def _pencil_stack(h, k, thetas) -> np.ndarray:
-    """The pencil members cos(t) H + sin(t) K for every t in ``thetas``, stacked."""
-    return np.cos(thetas)[:, None, None] * h[None] + np.sin(thetas)[:, None, None] * k[None]
-
-
 class SupportFunction:
-    """p(theta) precomputed on a uniform grid, with exact evaluation anywhere."""
+    """p(theta) precomputed on a uniform grid, with exact evaluation anywhere;
+    ``grid_eigvals`` keeps the whole spectrum of each grid member."""
 
     def __init__(self, a, grid_size: int = 1024):
         self.a = as_square_matrix(a)
         self.h, self.k = hermitian_parts(self.a)
         self.grid_size = int(grid_size)
         self.thetas = np.linspace(0.0, TWO_PI, self.grid_size, endpoint=False)
-        self.grid_values = np.linalg.eigvalsh(_pencil_stack(self.h, self.k, self.thetas))[:, -1]
+        self.grid_eigvals = np.linalg.eigvalsh(_pencil_at(self.h, self.k, self.thetas))
+        self.grid_values = self.grid_eigvals[:, -1]
 
     def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 0:
-            m = np.cos(theta) * self.h + np.sin(theta) * self.k
-            return float(np.linalg.eigvalsh(m)[-1])
-        return np.linalg.eigvalsh(_pencil_stack(self.h, self.k, theta))[:, -1]
+        """p(theta): a float for a scalar theta, an array for a 1-d array."""
+        w = np.linalg.eigvalsh(_pencil_at(self.h, self.k, theta))
+        return float(w[-1]) if w.ndim == 1 else w[:, -1]
+
+    @cached_property
+    def top_vectors(self) -> np.ndarray:
+        """(grid_size, n) top eigenvectors of the grid members; lazy, because
+        the batched eigh costs about three eigvalsh sweeps and an ambient
+        range never needs it."""
+        return np.linalg.eigh(_pencil_at(self.h, self.k, self.thetas))[1][:, :, -1]
 
     def diameter(self) -> float:
         half = self.grid_size // 2
@@ -157,15 +162,15 @@ class TopEvent:
     eigvals: np.ndarray
 
 
-def _top_cluster_basis(a, theta: float, link: float):
-    w, v = np.linalg.eigh(herm_part_at(a, theta))
+def _top_cluster_basis(h, k, theta: float, link: float):
+    w, v = np.linalg.eigh(_pencil_at(h, k, theta))
     m = 1
     while m < len(w) and w[-1] - w[-m - 1] <= link:
         m += 1
     return float(w[-1]), v[:, len(w) - m :], w
 
 
-def top_gap_events(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024):
+def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
     """Locate directions where the top two eigenvalues of Re(e^{-i theta}A) meet.
 
     Grid scan of the gap followed by golden-section refinement of each local
@@ -174,16 +179,12 @@ def top_gap_events(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024)
     after a tiny arrowhead perturbation) from being mistaken for true
     multiplicity.
     """
-    m = as_square_matrix(a)
-    n = m.shape[0]
-    if n == 1:
+    if sf.a.shape[0] == 1:
         return []
-    scale = matrix_scale(m)
+    scale = matrix_scale(sf.a)
     split = tol.split_abs(scale)
-    h, k = hermitian_parts(m)
-    thetas = np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
-    w = np.linalg.eigvalsh(_pencil_stack(h, k, thetas))
-    gaps = w[:, -1] - w[:, -2]
+    h, k, thetas, grid_size = sf.h, sf.k, sf.thetas, sf.grid_size
+    gaps = sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2]
 
     degenerate = gaps < split
     if np.count_nonzero(degenerate) > 0.25 * grid_size:
@@ -191,7 +192,7 @@ def top_gap_events(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024)
         events = []
         for idx in range(0, grid_size, max(1, grid_size // 64)):
             t = thetas[idx]
-            p, basis, ww = _top_cluster_basis(m, t, 4 * split + 4 * gaps[idx])
+            p, basis, ww = _top_cluster_basis(h, k, t, 4 * split + 4 * gaps[idx])
             events.append(TopEvent(theta=float(t), p=p, gap=float(gaps[idx]), basis=basis, eigvals=ww))
         return events
 
@@ -201,7 +202,7 @@ def top_gap_events(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024)
     seen = []
 
     def gap_at(t):
-        ww = np.linalg.eigvalsh(herm_part_at(m, t))
+        ww = np.linalg.eigvalsh(_pencil_at(h, k, t))
         return ww[-1] - ww[-2]
 
     order = _local_minima(gaps)
@@ -218,7 +219,7 @@ def top_gap_events(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024)
             continue
         seen.append(t)
         link = 8 * max(g, split)
-        p, basis, ww = _top_cluster_basis(m, t, link)
+        p, basis, ww = _top_cluster_basis(h, k, t, link)
         events.append(TopEvent(theta=t, p=p, gap=float(g), basis=basis, eigvals=ww))
     return events
 
@@ -275,10 +276,8 @@ def base_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> BasePolynomial:
     # sample enough angles for the highest degree, reuse for all of them
     s_count = n + 1
     phis = np.pi * (np.arange(s_count) + 0.31) / s_count
-    esym = np.zeros((s_count, n + 1))
-    for s, phi in enumerate(phis):
-        w = np.linalg.eigvalsh(np.cos(phi) * h + np.sin(phi) * k)
-        esym[s] = np.poly(-w)  # prod(t + mu) coefficients, index d -> e_d
+    # prod(t + mu) coefficients of each member, index d -> e_d
+    esym = np.array([np.poly(-w) for w in np.linalg.eigvalsh(_pencil_at(h, k, phis))])
     for d in range(1, n + 1):
         van = np.array(
             [
@@ -323,8 +322,7 @@ def boundary_generating_curve(a, samples: int = 512, tol: ToleranceConfig = DEFA
     onb = np.zeros((n, samples), dtype=bool)
     link = tol.cluster_abs(matrix_scale(m))
     prev = None
-    for s, t in enumerate(thetas):
-        w, v = np.linalg.eigh(herm_part_at(m, t))
+    for s, (w, v) in enumerate(zip(*np.linalg.eigh(_pencil_at(*hermitian_parts(m), thetas)))):
         if prev is not None:
             overlap = np.abs(prev.conj().T @ v)
             order = np.full(n, -1)
@@ -373,10 +371,8 @@ class Seed:
 def _seed_from_event(a, ev: TopEvent, diameter: float) -> Seed:
     """Flat portion / multiply generated point carried by a top eigenspace."""
     basis = ev.basis
-    comp = basis.conj().T @ a @ basis
-    rot = np.exp(-1j * ev.theta) * comp
-    im = (rot - rot.conj().T) / 2j
-    w, v = np.linalg.eigh(im)
+    hc, kc = hermitian_parts(basis.conj().T @ a @ basis)
+    w, v = np.linalg.eigh(_pencil_at(kc, -hc, ev.theta))
     z_lo = np.exp(1j * ev.theta) * (ev.p + 1j * w[0])
     z_hi = np.exp(1j * ev.theta) * (ev.p + 1j * w[-1])
     length = abs(z_hi - z_lo)
@@ -399,7 +395,7 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024) -
     diam = sf.diameter()
     seeds = []
 
-    events = top_gap_events(m, tol=tol, grid_size=grid_size)
+    events = top_gap_events(sf, tol=tol)
     if len(events) > n * (n - 1) + 2:
         # globally degenerate top eigenspace: the whole range is a point or a
         # segment; report a single exceptional line rather than a grid of them
@@ -409,8 +405,7 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024) -
             seeds.append(_seed_from_event(m, ev, diam))
 
     # corner / crossing detector on the top branch
-    w, v = np.linalg.eigh(_pencil_stack(sf.h, sf.k, sf.thetas))
-    top_vecs = v[:, :, -1]
+    top_vecs = sf.top_vectors
     pts = np.einsum("si,ij,sj->s", top_vecs.conj(), m, top_vecs)
     close = 1e-6 * max(diam, 1e-12)
     used = np.zeros(len(pts), dtype=bool)
@@ -525,22 +520,22 @@ def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 720):
     accept = tol.eq_abs(scale)
     h, k = hermitian_parts(m)
     thetas = np.linspace(0.0, np.pi, grid_size, endpoint=False)
-    w = np.linalg.eigvalsh(_pencil_stack(h, k, thetas))
+    w = np.linalg.eigvalsh(_pencil_at(h, k, thetas))
     defects = np.array([dichotomy_defect(w[s])[0] for s in range(grid_size)])
 
     def defect_at(t):
-        ww = np.linalg.eigvalsh(herm_part_at(m, t))
+        ww = np.linalg.eigvalsh(_pencil_at(h, k, t))
         return dichotomy_defect(ww)[0]
 
     t, val = _refined_min(defect_at, thetas, defects, np.pi / grid_size, 5, iters=90)
     if t is None or val > accept:
         return None
     theta = float(np.mod(t, np.pi))
-    ww = np.linalg.eigvalsh(herm_part_at(m, theta))
-    defect, h0, h1 = dichotomy_defect(ww)
+    member = _pencil_at(h, k, theta)
+    defect, h0, h1 = dichotomy_defect(np.linalg.eigvalsh(member))
     if defect > accept or abs(h1 - h0) <= 4 * accept:
         return None
-    proj = (herm_part_at(m, theta) - h0 * np.eye(n)) / (h1 - h0)
+    proj = (member - h0 * np.eye(n)) / (h1 - h0)
     if np.linalg.norm(proj @ proj - proj) > 1e-5 * n:
         return None
     return theta, h0, h1, proj

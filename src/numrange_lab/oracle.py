@@ -20,15 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, as_square_matrix, herm_part_at, matrix_scale
-from .numrange import (
-    SupportFunction,
-    _golden_min,
-    _local_minima,
-    _pencil_stack,
-    _top_cluster_basis,
-    top_gap_events,
-)
+from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _pencil_at, as_square_matrix, hermitian_parts, matrix_scale
+from .numrange import SupportFunction, _golden_min, _local_minima, _top_cluster_basis, top_gap_events
 
 COARSE_OVERLAP = 0.1
 
@@ -105,7 +98,7 @@ def boundary_vector_field(
     scale = matrix_scale(m)
     split = tol.split_abs(scale)
 
-    events = top_gap_events(m, tol=tol, grid_size=grid_size)
+    events = top_gap_events(sf, tol=tol)
     cands: list = []
     for ev in events:
         basis = ev.basis
@@ -116,12 +109,12 @@ def boundary_vector_field(
     if len(events) < 3 * n:
         for ev in events:
             anti = float(np.mod(ev.theta + np.pi, 2 * np.pi))
-            _, basis, _ = _top_cluster_basis(m, anti, 4 * split)
+            _, basis, _ = _top_cluster_basis(sf.h, sf.k, anti, 4 * split)
             for j in range(basis.shape[1]):
                 cands.append(Candidate(theta=anti, vec=basis[:, j].copy(), basis=basis, pinned=basis.shape[1] > 1))
 
     thetas = sf.thetas
-    w, v = np.linalg.eigh(_pencil_stack(sf.h, sf.k, thetas))
+    w, v = sf.grid_eigvals, sf.top_vectors
     keep = np.ones(grid_size, dtype=bool)
 
     if ambient is not None:
@@ -140,7 +133,7 @@ def boundary_vector_field(
                 continue
             t, val = _golden_min(gap_fn, thetas[idx] - step, thetas[idx] + step)
             if val <= btol:
-                ww, vv = np.linalg.eigh(herm_part_at(m, t))
+                _, vv = np.linalg.eigh(_pencil_at(sf.h, sf.k, t))
                 cands.append(
                     Candidate(theta=float(t), vec=vv[:, -1], basis=vv[:, -1:], pinned=True)
                 )
@@ -155,7 +148,7 @@ def boundary_vector_field(
             continue
         if w[s, -1] - w[s, -2] <= split:
             continue  # covered by an event (or globally degenerate)
-        cands.append(Candidate(theta=float(thetas[s]), vec=v[s, :, -1], basis=v[s, :, -1:], pinned=False))
+        cands.append(Candidate(theta=float(thetas[s]), vec=v[s], basis=v[s, :, None], pinned=False))
 
     # a candidate may stand in for its near-copies only at a direction the
     # search accepts: with an ambient range, one where the matrix touches its
@@ -214,8 +207,8 @@ def _maximal_cliques(adj: np.ndarray, cap: int):
     return out
 
 
-def _top_eigvec(m_mat, t, ref=None):
-    _, vv = np.linalg.eigh(herm_part_at(m_mat, t))
+def _top_eigvec(h, k, t, ref=None):
+    _, vv = np.linalg.eigh(_pencil_at(h, k, t))
     x = vv[:, -1]
     if ref is not None:
         ph = np.vdot(ref, x)
@@ -244,6 +237,7 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
     against ``sf``.
     """
     k = len(members)
+    hm, km = hermitian_parts(m_mat)
     X = np.column_stack([c.vec for c in members]).astype(complex)
     thetas = np.array([float(c.theta) for c in members])
     pinned = [c.pinned for c in members]
@@ -282,7 +276,7 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
         C = X[:, idx] @ X[:, idx].conj().T
 
         def conflict(t):
-            x = _top_eigvec(m_mat, t)
+            x = _top_eigvec(hm, km, t)
             return float(np.real(x.conj() @ C @ x)), x
 
         d = 2 * np.pi / max(params.grid_size, 64)
@@ -329,7 +323,7 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
             jac = np.zeros((len(r), len(free)))
             for col, i in enumerate(free):
                 Xp = X.copy()
-                Xp[:, i] = _top_eigvec(m_mat, thetas[i] + h, ref=X[:, i])
+                Xp[:, i] = _top_eigvec(hm, km, thetas[i] + h, ref=X[:, i])
                 jac[:, col] = (residuals(Xp) - r) / h
             delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
             nrm = float(np.linalg.norm(delta))
@@ -341,7 +335,7 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
             trial_x = X.copy()
             for col, i in enumerate(free):
                 trial_t[i] = thetas[i] + delta[col]
-                trial_x[:, i] = _top_eigvec(m_mat, trial_t[i], ref=X[:, i])
+                trial_x[:, i] = _top_eigvec(hm, km, trial_t[i], ref=X[:, i])
             if np.max(np.abs(residuals(trial_x))) < rmax:
                 for col, i in enumerate(free):
                     thetas[i] = trial_t[i]
@@ -503,7 +497,7 @@ def max_orthonormal_boundary_set(
     if found.k_lower:
         return found
     # guaranteed pair: extremal eigenvectors of any one direction are orthogonal
-    w, v = np.linalg.eigh(herm_part_at(m, 0.0))
+    w, v = np.linalg.eigh(sf.h)
     X = np.column_stack([v[:, -1], v[:, 0]])
     thetas = np.array([0.0, np.pi])
     return OracleResult(2, X, thetas, 0.0, _boundary_residuals(m, X, thetas, sf), found.floors)

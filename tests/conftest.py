@@ -1,6 +1,7 @@
 """Shared helpers: deterministic matrix builders and independent oracles."""
 
 import numpy as np
+import pytest
 
 from numrange_lab.arrowhead import ArrowheadMatrix
 
@@ -17,6 +18,20 @@ def random_unitary(rng, n):
 
 def random_matrix(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+@pytest.fixture
+def batched_calls(monkeypatch):
+    """Counts of batched (stacked-matrix) np.linalg.eigvalsh and eigh calls."""
+    counts = {"eigvalsh": 0, "eigh": 0}
+    for name in counts:
+
+        def counting(a, *args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += np.ndim(a) > 2
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
 
 
 def balanced_arrowhead(seed, n, two_level=False):

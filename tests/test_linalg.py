@@ -11,12 +11,14 @@ from numrange_lab.linalg import (
     NonInvertibleMapError,
     StructureError,
     ToleranceConfig,
+    _pencil_at,
     affine_apply,
     affine_invert,
     eig_hermitian_clustered,
     hermitian_parts,
     rotate,
 )
+from numrange_lab.numrange import SupportFunction
 
 
 class TestHermitianParts:
@@ -49,6 +51,36 @@ class TestHermitianParts:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             hermitian_parts(np.zeros((2, 3)))
+
+
+class TestPencilMember:
+    def test_matches_rotated_parts(self):
+        a = random_matrix(rng_for(12), 5)
+        h, k = hermitian_parts(a)
+        bound = 1e-14 * np.linalg.norm(a, 2)
+        thetas = np.linspace(0.0, 2 * np.pi, 7, endpoint=False) + 0.3
+
+        def rotated(t):
+            r = np.exp(-1j * t) * a
+            return (r + r.conj().T) / 2, (r - r.conj().T) / 2j
+
+        for t in (0.7, np.float64(0.7), np.array(0.7)):
+            re, im = rotated(0.7)
+            assert _pencil_at(h, k, t).shape == (5, 5)
+            assert np.max(np.abs(_pencil_at(h, k, t) - re)) <= bound
+            assert np.max(np.abs(_pencil_at(k, -h, t) - im)) <= bound
+        stacked = _pencil_at(h, k, thetas)
+        assert stacked.shape == (7, 5, 5)
+        for t, member in zip(thetas, stacked):
+            assert np.max(np.abs(member - rotated(t)[0])) <= bound
+
+    def test_support_function_return_types(self):
+        sf = SupportFunction(random_matrix(rng_for(13), 4), grid_size=64)
+        assert type(sf(0.7)) is float
+        assert type(sf(np.array(0.7))) is float
+        values = sf(np.array([0.7, 1.4, 2.1]))
+        assert isinstance(values, np.ndarray) and values.shape == (3,)
+        assert values[0] == pytest.approx(sf(0.7), abs=1e-14)
 
 
 class TestEigClustered:

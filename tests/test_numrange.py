@@ -179,6 +179,11 @@ class TestSeeds:
         assert abs(sd.theta - np.pi / 4) < 1e-6
         assert sd.witnesses.shape[1] == 2 and sd.independent
 
+    def test_one_grid_sweep(self, batched_calls):
+        # the event scan and the corner detector read the support function's sweep
+        detect_seeds(flat_portion_example())
+        assert batched_calls == {"eigvalsh": 1, "eigh": 1}
+
     def test_flat_portion_witness_gram(self):
         a = flat_portion_example()
         for sd in detect_seeds(a):

@@ -25,6 +25,10 @@ class TestField:
             p = field.support(float(c.theta))
             assert abs(np.real(np.exp(-1j * c.theta) * z) - p) < 1e-10
 
+    def test_one_grid_sweep(self, batched_calls):
+        boundary_vector_field(flat_portion_example())
+        assert batched_calls == {"eigvalsh": 1, "eigh": 1}
+
     def test_hermitian_extreme_vectors(self):
         a = np.diag([0.1, 0.4, 0.7, 1.0]).astype(complex)
         field = boundary_vector_field(a, grid_size=128)
