@@ -25,7 +25,7 @@ from .linalg import (
     hermitian_parts,
     matrix_scale,
 )
-from .numrange import SupportFunction, _refined_min, dichotomy_scan, point_boundary_defect
+from .numrange import SupportFunction, dichotomy_scan, point_boundary_defect
 from .results import METHOD_ARROWHEAD, GauWuResult
 
 
@@ -131,16 +131,6 @@ def _secular_derivative(ah: ArrowheadMatrix, lam):
     return -np.sum(cr / (lam - ah.diag) ** 2) - 1.0
 
 
-def _cleared_coefficients(diag, cr, corner):
-    base = np.poly(diag)
-    p = np.polymul(np.array([-1.0, corner]), base)
-    for j in range(len(diag)):
-        if cr[j] == 0:
-            continue
-        p = np.polyadd(p, cr[j] * np.poly(np.delete(diag, j)))
-    return p
-
-
 def _aberth_secular_roots(ah: ArrowheadMatrix, max_iter: int = 200):
     """Simultaneous root iteration on the cleared secular polynomial.
 
@@ -186,6 +176,12 @@ def _aberth_secular_roots(ah: ArrowheadMatrix, max_iter: int = 200):
         if np.max(np.abs(step)) < 1e-16 * s:
             break
     return z
+
+
+def _distinct_entries(values, atol: float) -> bool:
+    """True when every two entries differ by more than atol."""
+    gaps = np.abs(values[:, None] - values[None, :])[~np.eye(len(values), dtype=bool)]
+    return bool(np.min(gaps, initial=np.inf) > atol)
 
 
 def _is_hermitian_arrowhead(ah: ArrowheadMatrix, tol: ToleranceConfig) -> bool:
@@ -259,9 +255,10 @@ def _hermitian_secular_roots(ah: ArrowheadMatrix, tol: ToleranceConfig):
 def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> SecularResult:
     """All eigenvalues of the arrowhead via its rational secular equation.
 
-    Roots of the cleared-denominator polynomial are located (companion matrix
-    for the general case, interlaced bisection for Hermitian arrowheads) and
-    polished by Newton iteration on the rational function.  Roots colliding
+    Roots are located by interlaced bisection for Hermitian arrowheads with
+    distinct poles and nonzero couplings, and otherwise by Aberth iteration
+    on the product form of the cleared-denominator polynomial, then polished
+    by Newton iteration on the rational function.  Roots colliding
     with a diagonal pole have no secular eigenvector formula; they are set
     aside as degenerate with a nullspace-derived eigenvector when they are
     genuine eigenvalues.
@@ -274,23 +271,10 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
     s = ah.scale()
     cr = ah.col * ah.row
 
-    hermitian = _is_hermitian_arrowhead(ah, tol)
-    pole_gap_ok = (
-        len(ah.diag) < 2
-        or np.min(np.abs(ah.diag[:, None] - ah.diag[None, :])[~np.eye(len(ah.diag), dtype=bool)])
-        > tol.eq_abs(s)
-    )
     couplings_ok = np.min(np.abs(cr), initial=np.inf) > tol.eq_abs(s) ** 2
-    if hermitian and pole_gap_ok and couplings_ok and n >= 2:
+    if _is_hermitian_arrowhead(ah, tol) and _distinct_entries(ah.diag, tol.eq_abs(s)) and couplings_ok:
         roots = _hermitian_secular_roots(ah, tol)
-    elif n <= 40:
-        # companion roots of the cleared polynomial are fine at low degree
-        scaled = ArrowheadMatrix(ah.diag / s, ah.col / s, ah.row / s, ah.corner / s)
-        coeffs = _cleared_coefficients(scaled.diag, scaled.col * scaled.row, scaled.corner)
-        roots = np.roots(coeffs) * s
     else:
-        # the coefficient expansion is hopeless at high degree; iterate on the
-        # structured product form instead
         roots = _aberth_secular_roots(ah)
 
     # Newton polish on the rational secular function
@@ -738,10 +722,8 @@ def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificat
     atol = tol.eq_abs(s)
     prof = pair_profile(ah, tol)
 
-    if len(ah.diag) >= 2:
-        gaps = np.abs(ah.diag[:, None] - ah.diag[None, :])[~np.eye(len(ah.diag), dtype=bool)]
-        if np.min(gaps) <= atol:
-            return False, "repeated diagonal entry"
+    if not _distinct_entries(ah.diag, atol):
+        return False, "repeated diagonal entry"
     live = [j for j in range(n - 1) if cert.exceptional_index is None or j != cert.exceptional_index]
     for j in live:
         if prof.zero[j]:
@@ -894,28 +876,37 @@ def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TO
 
 
 def _hull_boundary_indices(points, tol: ToleranceConfig):
-    """Indices of points on the boundary of their planar convex hull."""
+    """Indices of points on the boundary of their planar convex hull.
+
+    The hull comes from Andrew's monotone chain.  A point counts when its
+    distance to the nearest edge line, which is the minimum over directions
+    of its support gap, is at most 10 eq_tol times the diameter; every point
+    of a collinear set (a segment) counts.
+    """
     pts = np.asarray(points, dtype=complex)
     m = len(pts)
     if m <= 2:
         return list(range(m))
     scale = max(np.max(np.abs(pts[:, None] - pts[None, :])), ABS_FLOOR)
-    thetas = np.linspace(0, 2 * np.pi, 720, endpoint=False)
-    proj = np.real(np.exp(-1j * thetas)[:, None] * pts[None, :])
-    hmax = np.max(proj, axis=1)
-    out = []
-    step = 2 * np.pi / len(thetas)
-    for j in range(m):
-        g = hmax - proj[:, j]
-        best = float(np.min(g))
-        if best >= 0:
-            def f(t, j=j):
-                pr = np.real(np.exp(-1j * t) * pts)
-                return float(np.max(pr) - pr[j])
-            best = min(best, _refined_min(f, thetas, g, step, 4)[1])
-        if best <= 10 * tol.eq_abs(scale):
-            out.append(j)
-    return out
+
+    def cross(o, a, b):
+        return (np.conj(a - o) * (b - o)).imag
+
+    def chain(order):
+        out = []
+        for i in order:
+            while len(out) >= 2 and cross(pts[out[-2]], pts[out[-1]], pts[i]) <= 0:
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    order = list(np.lexsort((pts.imag, pts.real)))
+    hull = pts[chain(order) + chain(order[::-1])]
+    if len(hull) < 3:
+        return list(range(m))
+    ends = np.roll(hull, -1)
+    dist = cross(hull[:, None], ends[:, None], pts[None, :]) / np.abs(ends - hull)[:, None]
+    return np.nonzero(np.min(dist, axis=0) <= 10 * tol.eq_abs(scale))[0].tolist()
 
 
 def gauwu_unbalanced_two(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
@@ -931,10 +922,8 @@ def gauwu_unbalanced_two(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL
         raise NotApplicableError("route needs n >= 3")
     s = ah.scale()
     atol = tol.eq_abs(s)
-    if len(ah.diag) >= 2:
-        gaps = np.abs(ah.diag[:, None] - ah.diag[None, :])[~np.eye(len(ah.diag), dtype=bool)]
-        if np.min(gaps) <= atol:
-            raise NotApplicableError("diagonal entries must be distinct")
+    if not _distinct_entries(ah.diag, atol):
+        raise NotApplicableError("diagonal entries must be distinct")
     hull = _hull_boundary_indices(ah.diag, tol)
     bc = np.abs(ah.col) - np.abs(ah.row)
     col_dom = np.all(bc >= -atol)

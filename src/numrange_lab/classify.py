@@ -488,6 +488,13 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
 # ---------------------------------------------------------------------------
 
 
+def _confirm_with_oracle(m, result: GauWuResult, tol: ToleranceConfig) -> None:
+    """Record whether the search reaches result.k, with its certificate."""
+    rep = verify(m, result.k, tol=tol)
+    result.oracle_confirmed = rep.match
+    result.certificate["oracle"] = rep.oracle.to_dict()
+
+
 def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = False) -> GauWuResult:
     """k(A) for a 4x4 matrix with a certificate of the deciding route."""
     m = as_square_matrix(a)
@@ -546,9 +553,7 @@ def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = 
                 else:
                     result = GauWuResult(k=2, n=4, method=METHOD_FALLBACK2, certificate={})
     if confirm_with_oracle:
-        rep = verify(m, result.k, tol=tol)
-        result.oracle_confirmed = rep.match
-        result.certificate["oracle"] = rep.oracle.to_dict()
+        _confirm_with_oracle(m, result, tol)
     return result
 
 
@@ -635,7 +640,5 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
             certificate={"note": "constructive lower bound", "oracle": res.to_dict()},
         )
     if confirm_with_oracle and result.oracle_confirmed is None:
-        rep = verify(m, result.k, tol=tol)
-        result.oracle_confirmed = rep.match
-        result.certificate["oracle"] = rep.oracle.to_dict()
+        _confirm_with_oracle(m, result, tol)
     return result

@@ -117,24 +117,22 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 
     return x2, f2
 
 
-def _local_minima(values: np.ndarray) -> np.ndarray:
-    """Indices of cyclic local minima of a sampled function."""
-    left = np.roll(values, 1)
-    right = np.roll(values, -1)
-    return np.nonzero((values <= left) & (values <= right))[0]
+def _refined_minima(f: Callable[[float], float], thetas, values, step: float, count=None, iters: int = 80,
+                    eligible=None):
+    """Golden-refine, each within one ``step``, the ``count`` lowest cyclic
+    local minima of ``values`` sampled at ``thetas`` (all minima when
+    ``count`` is None), skipping those where the grid mask ``eligible`` is
+    False; returns the refined (argmin, fmin) pairs in order of grid value."""
+    idxs = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
+    idxs = idxs[np.argsort(values[idxs])][:count]
+    if eligible is not None:
+        idxs = idxs[eligible[idxs]]
+    return [_golden_min(f, thetas[i] - step, thetas[i] + step, iters=iters) for i in idxs]
 
 
 def _refined_min(f: Callable[[float], float], thetas, values, step: float, count: int, iters: int = 80):
-    """Golden-refine the ``count`` lowest cyclic minima of ``values`` sampled at
-    ``thetas``, each within one ``step``; returns the best (argmin, fmin),
-    (None, inf) when nothing was refined."""
-    idxs = _local_minima(values)
-    best_t, best = None, np.inf
-    for idx in idxs[np.argsort(values[idxs])][:count]:
-        t, val = _golden_min(f, thetas[idx] - step, thetas[idx] + step, iters=iters)
-        if val < best:
-            best_t, best = t, val
-    return best_t, best
+    """The best pair of ``_refined_minima``; (None, inf) when nothing was refined."""
+    return min(_refined_minima(f, thetas, values, step, count, iters), key=lambda r: r[1], default=(None, np.inf))
 
 
 def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
@@ -205,13 +203,7 @@ def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
         ww = np.linalg.eigvalsh(_pencil_at(h, k, t))
         return ww[-1] - ww[-2]
 
-    order = _local_minima(gaps)
-    order = order[np.argsort(gaps[order])]
-    for idx in order:
-        if gaps[idx] > thresh:
-            continue
-        t0 = thetas[idx]
-        t, g = _golden_min(gap_at, t0 - step, t0 + step, iters=90)
+    for t, g in _refined_minima(gap_at, thetas, gaps, step, iters=90, eligible=gaps <= thresh):
         if g > split:
             continue
         t = float(np.mod(t, TWO_PI))
@@ -486,22 +478,17 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
 # ---------------------------------------------------------------------------
 
 
-def dichotomy_defect(w: np.ndarray):
-    """Best two-cluster defect of an ascending eigenvalue list.
+def _dichotomy_split(w: np.ndarray):
+    """Best two-cluster split of each row of ascending eigenvalues.
 
-    Returns (defect, h0, h1): the split minimizing the larger within-cluster
-    spread, with h0/h1 the cluster means.
+    A split s (clusters w[:s] and w[s:]) qualifies when its gap exceeds twice
+    its defect, the larger within-cluster spread.  Returns, per row of ``w``
+    (scalars for a 1-d ``w``), the smallest qualifying defect (inf when no
+    split qualifies) and its split index.
     """
-    n = len(w)
-    best = (np.inf, float(w[0]), float(w[-1]))
-    for s in range(1, n):
-        d = max(w[s - 1] - w[0], w[-1] - w[s])
-        gap = w[s] - w[s - 1]
-        if gap <= 2 * d:
-            continue
-        if d < best[0]:
-            best = (float(d), float(np.mean(w[:s])), float(np.mean(w[s:])))
-    return best
+    d = np.maximum(w[..., :-1] - w[..., :1], w[..., -1:] - w[..., 1:])
+    d[w[..., 1:] - w[..., :-1] <= 2 * d] = np.inf
+    return d.min(axis=-1), d.argmin(axis=-1) + 1
 
 
 def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 720):
@@ -520,19 +507,19 @@ def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 720):
     accept = tol.eq_abs(scale)
     h, k = hermitian_parts(m)
     thetas = np.linspace(0.0, np.pi, grid_size, endpoint=False)
-    w = np.linalg.eigvalsh(_pencil_at(h, k, thetas))
-    defects = np.array([dichotomy_defect(w[s])[0] for s in range(grid_size)])
+    defects = _dichotomy_split(np.linalg.eigvalsh(_pencil_at(h, k, thetas)))[0]
 
     def defect_at(t):
-        ww = np.linalg.eigvalsh(_pencil_at(h, k, t))
-        return dichotomy_defect(ww)[0]
+        return _dichotomy_split(np.linalg.eigvalsh(_pencil_at(h, k, t)))[0]
 
     t, val = _refined_min(defect_at, thetas, defects, np.pi / grid_size, 5, iters=90)
     if t is None or val > accept:
         return None
     theta = float(np.mod(t, np.pi))
     member = _pencil_at(h, k, theta)
-    defect, h0, h1 = dichotomy_defect(np.linalg.eigvalsh(member))
+    w = np.linalg.eigvalsh(member)
+    defect, s = _dichotomy_split(w)
+    h0, h1 = float(np.mean(w[:s])), float(np.mean(w[s:]))
     if defect > accept or abs(h1 - h0) <= 4 * accept:
         return None
     proj = (member - h0 * np.eye(n)) / (h1 - h0)

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _pencil_at, as_square_matrix, hermitian_parts, matrix_scale
-from .numrange import SupportFunction, _golden_min, _local_minima, _top_cluster_basis, top_gap_events
+from .numrange import SupportFunction, _refined_minima, _top_cluster_basis, top_gap_events
 
 COARSE_OVERLAP = 0.1
 
@@ -127,11 +127,8 @@ def boundary_vector_field(
         def gap_fn(t):
             return ambient(float(t)) - sf(float(t))
 
-        idxs = _local_minima(g)
-        for idx in idxs[np.argsort(g[idxs])][:8]:
-            if keep[idx] or g[idx] > max(0.05 * scale, 100 * btol):
-                continue
-            t, val = _golden_min(gap_fn, thetas[idx] - step, thetas[idx] + step)
+        near = ~keep & (g <= max(0.05 * scale, 100 * btol))
+        for t, val in _refined_minima(gap_fn, thetas, g, step, 8, eligible=near):
             if val <= btol:
                 _, vv = np.linalg.eigh(_pencil_at(sf.h, sf.k, t))
                 cands.append(

@@ -4,6 +4,7 @@ import pytest
 from conftest import balanced_arrowhead, random_matrix, rng_for
 from numrange_lab.arrowhead import (
     ArrowheadMatrix,
+    _hull_boundary_indices,
     NotApplicableError,
     NotArrowheadError,
     arrowhead_from_dense,
@@ -18,7 +19,7 @@ from numrange_lab.arrowhead import (
     secular_function,
 )
 from numrange_lab.generators import FamilySpec, generate
-from numrange_lab.linalg import herm_part_at, matrix_scale
+from numrange_lab.linalg import DEFAULT_TOL, herm_part_at, matrix_scale
 from numrange_lab.oracle import max_orthonormal_boundary_set
 from numrange_lab.reduction import commutant_dimension
 
@@ -411,3 +412,78 @@ class TestGauwuUnbalanced:
         res = gauwu_unbalanced_two(arrowhead_from_dense(a))
         assert res.k == 2
         assert res.certificate["direction"] == "row"
+
+
+def _hull_reference(points, atol):
+    """Support-gap minimum over 4096 uniform directions plus the normals of
+    every pair of points (which include every hull edge normal, where the
+    minimum is attained); indices within atol of zero."""
+    pts = np.asarray(points, dtype=complex)
+    diffs = (pts[:, None] - pts[None, :])[~np.eye(len(pts), dtype=bool)]
+    normals = np.angle(diffs[np.abs(diffs) > 0]) + np.pi / 2
+    thetas = np.concatenate([np.linspace(0, 2 * np.pi, 4096, endpoint=False), normals])
+    proj = np.real(np.exp(-1j * thetas)[:, None] * pts[None, :])
+    gap = np.min(np.max(proj, axis=1)[:, None] - proj, axis=0)
+    return np.nonzero(gap <= atol)[0].tolist()
+
+
+class TestHullBoundary:
+    def atol(self, pts):
+        pts = np.asarray(pts)
+        return 10 * DEFAULT_TOL.eq_abs(np.max(np.abs(pts[:, None] - pts[None, :])))
+
+    def test_random_sets_match_dense_reference(self):
+        rng = rng_for(21)
+        for trial in range(200):
+            m = int(rng.integers(3, 25))
+            pts = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            if trial % 4 == 0:
+                # a convex polygon with a repeated vertex, two edge midpoints
+                # and interior points
+                poly = np.exp(1j * np.sort(rng.uniform(0, 2 * np.pi, m))) * (2 + 0.5j)
+                pts = np.concatenate([poly, poly[:1], (poly[:2] + poly[1:3]) / 2, 0.3 * pts])
+            assert _hull_boundary_indices(pts, DEFAULT_TOL) == _hull_reference(pts, self.atol(pts))
+
+    def test_collinear_set_is_all_boundary(self):
+        rng = rng_for(22)
+        for _ in range(20):
+            t = rng.uniform(-1, 1, 9)
+            pts = (0.3 - 2j) + t * np.exp(1j * rng.uniform(0, 7))
+            assert _hull_boundary_indices(pts, DEFAULT_TOL) == list(range(9))
+            assert _hull_reference(pts, self.atol(pts)) == list(range(9))
+        assert _hull_boundary_indices(np.full(4, 1 + 1j), DEFAULT_TOL) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("depth, counts", [(1e-10, True), (1e-6, False)])
+    def test_point_inside_an_edge(self, depth, counts):
+        square = np.array([0, 1, 1 + 1j, 1j]) * np.exp(0.4j) + (2 - 1j)
+        diam = np.sqrt(2)
+        inward = 1j * (square[1] - square[0]) / abs(square[1] - square[0])
+        probe = square[0] + 0.37 * (square[1] - square[0]) + depth * diam * inward
+        pts = np.concatenate([square, [probe, np.mean(square)]])
+        expect = [0, 1, 2, 3, 4] if counts else [0, 1, 2, 3]
+        assert _hull_boundary_indices(pts, DEFAULT_TOL) == expect
+        assert _hull_reference(pts, self.atol(pts)) == expect
+
+
+class TestSecularZeroPair:
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_values_match_dense(self, n, hermitian):
+        rng = rng_for(100 + n)
+        d = rng.uniform(-1, 1, n - 1) + (0 if hermitian else 1j * rng.uniform(-1, 1, n - 1))
+        col = rng.uniform(0.2, 1, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1))
+        row = np.conj(col) if hermitian else rng.uniform(0.2, 1, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1))
+        zero = int(rng.integers(0, n - 1))
+        col[zero] = row[zero] = 0.0
+        ah = ArrowheadMatrix(d, col, row, 0.3 if hermitian else 0.3 - 0.2j)
+        res = secular_eigen(ah)
+        got = res.values()
+        dense = np.linalg.eigvals(ah.to_dense())
+        assert len(got) == n
+        scale = matrix_scale(ah.to_dense())
+        # a one-to-one pairing: each dense eigenvalue is matched once
+        for lam in got:
+            j = int(np.argmin(np.abs(dense - lam)))
+            assert abs(dense[j] - lam) < 1e-8 * scale
+            dense = np.delete(dense, j)
+        assert any(abs(p.value - d[zero]) < 1e-10 for p in res.eigen + res.degenerate)

@@ -9,6 +9,8 @@ from numrange_lab.numrange import (
     SINGULAR_POINT,
     SupportFunction,
     UnsupportedBlockError,
+    _dichotomy_split,
+    _refined_minima,
     base_polynomial,
     boundary_generating_curve,
     detect_seeds,
@@ -277,3 +279,90 @@ class TestDichotomyScan:
         assert got is not None
         dt = abs((got[0] - info["theta"] + np.pi / 2) % np.pi - np.pi / 2)
         assert dt < 1e-6
+
+
+class TestRefinedMinima:
+    # three cyclic wells at known directions with distinct depths; the one at
+    # 6.2 straddles the wrap of the grid
+    WELLS = ((1.0, 0.3), (4.0, -0.5), (6.2, 0.1))
+
+    def f(self, t):
+        return min(a + (np.angle(np.exp(1j * (t - c)))) ** 2 for c, a in self.WELLS)
+
+    def grid(self, size=64):
+        thetas = np.linspace(0.0, 2 * np.pi, size, endpoint=False)
+        return thetas, np.array([self.f(t) for t in thetas]), 2 * np.pi / size
+
+    def test_known_minima_in_grid_order(self):
+        thetas, values, step = self.grid()
+        got = _refined_minima(self.f, thetas, values, step)
+        assert len(got) == 3
+        for (t, val), (c, a) in zip(got, sorted(self.WELLS, key=lambda w: w[1])):
+            assert abs(np.angle(np.exp(1j * (t - c)))) < 1e-7
+            assert abs(val - a) < 1e-13
+
+    def test_count_then_eligible(self):
+        thetas, values, step = self.grid()
+        lowest_two = _refined_minima(self.f, thetas, values, step, count=2)
+        assert [round(v, 9) for _, v in lowest_two] == [-0.5, 0.1]
+        # the mask filters the count lowest minima; it does not reach past them
+        eligible = np.abs(np.angle(np.exp(1j * (thetas - 4.0)))) > 0.5
+        got = _refined_minima(self.f, thetas, values, step, count=2, eligible=eligible)
+        assert [round(v, 9) for _, v in got] == [0.1]
+        assert _refined_minima(self.f, thetas, values, step, eligible=np.zeros(64, dtype=bool)) == []
+
+
+def _split_reference(w):
+    """Per-split loop: the qualifying split with the smallest defect (first on
+    ties) as (defect, h0, h1), (inf, None, None) when none qualifies."""
+    best = (np.inf, None, None)
+    for s in range(1, len(w)):
+        d = max(w[s - 1] - w[0], w[-1] - w[s])
+        if w[s] - w[s - 1] > 2 * d and d < best[0]:
+            best = (d, np.mean(w[:s]), np.mean(w[s:]))
+    return best
+
+
+class TestDichotomySplit:
+    def rows(self):
+        rng = rng_for(11)
+        rows = [np.sort(rng.standard_normal(n)) for n in (2, 3, 4, 7) for _ in range(200)]
+        # two tight levels: a qualifying split exists
+        for n in (3, 4, 6):
+            for _ in range(200):
+                s = rng.integers(1, n)
+                lo = rng.uniform(-1, 0) + 1e-3 * rng.standard_normal(s)
+                hi = rng.uniform(1, 2) + 1e-3 * rng.standard_normal(n - s)
+                rows.append(np.sort(np.concatenate([lo, hi])))
+        # repeated values (ties in the row and between splits), evenly spaced
+        # and constant rows, where no split qualifies
+        rows += [np.sort(rng.choice([0.0, 1.0, 3.0], size=5)) for _ in range(200)]
+        rows += [np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, 5.0, 6.0]), np.array([0.0, 1.0, 2.0, 3.0]),
+                 np.zeros(4), np.array([2.0, 2.0])]
+        return rows
+
+    def test_matches_per_split_reference(self):
+        rows = self.rows()
+        by_size = {}
+        for w in rows:
+            by_size.setdefault(len(w), []).append(w)
+        seen_none = seen_split = 0
+        for n, group in by_size.items():
+            defects, splits = _dichotomy_split(np.array(group))
+            for w, d, s in zip(group, defects, splits):
+                ref = _split_reference(w)
+                assert d == ref[0]
+                if ref[1] is None:
+                    seen_none += 1
+                    continue
+                seen_split += 1
+                assert (np.mean(w[:s]), np.mean(w[s:])) == (ref[1], ref[2])
+        assert seen_none > 50 and seen_split > 500
+
+    def test_one_row_matches_grid(self):
+        rows = np.array([[0.0, 0.001, 1.0, 1.002], [0.0, 1.0, 2.0, 3.0]])
+        grid = _dichotomy_split(rows)
+        for i, w in enumerate(rows):
+            d, s = _dichotomy_split(w)
+            assert d == grid[0][i] and s == grid[1][i]
+        assert grid[1][0] == 2 and grid[0][1] == np.inf
