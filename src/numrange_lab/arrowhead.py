@@ -25,7 +25,7 @@ from .linalg import (
     hermitian_parts,
     matrix_scale,
 )
-from .numrange import SupportFunction, dichotomy_scan, point_boundary_defect
+from .numrange import SupportFunction, _two_level_form, dichotomy_scan, point_boundary_defect
 from .results import METHOD_ARROWHEAD, GauWuResult
 
 
@@ -563,28 +563,6 @@ def _theta_from_psi(psi_mean: float) -> float:
     return float(np.mod((psi_mean - np.pi) / 2.0, np.pi))
 
 
-def _two_cluster(values, atol):
-    """Split reals into two clusters if the in-cluster spreads stay below atol."""
-    v = np.sort(np.asarray(values, dtype=float))
-    if len(v) < 2:
-        return None
-    gaps = np.diff(v)
-    s = int(np.argmax(gaps)) + 1
-    lo, hi = v[:s], v[s:]
-    if np.ptp(lo) > atol or np.ptp(hi) > atol:
-        return None
-    h0, h1 = float(np.mean(lo)), float(np.mean(hi))
-    if h1 - h0 <= 4 * atol:
-        return None
-    return h0, h1
-
-
-def _projection_residual(dense, theta, h0, h1):
-    n = dense.shape[0]
-    p = (herm_part_at(dense, theta) - h0 * np.eye(n)) / (h1 - h0)
-    return p, float(np.linalg.norm(p @ p - p))
-
-
 def dichotomy_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[DichotomyCertificate]:
     """Certificate that some rotation makes the Hermitian part two-valued.
 
@@ -604,14 +582,10 @@ def dichotomy_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> 
     all_vals = np.concatenate([ah.diag, [ah.corner]])
 
     def try_case_a(theta):
-        r = np.real(np.exp(-1j * theta) * all_vals)
-        split = _two_cluster(r, atol)
-        if split is None:
+        form = _two_level_form(herm_part_at(dense, theta), np.real(np.exp(-1j * theta) * all_vals), atol)
+        if form is None:
             return None
-        h0, h1 = split
-        proj, res = _projection_residual(dense, theta, h0, h1)
-        if res > 1e-6 * n:
-            return None
+        h0, h1, _ = form
         p_values = {
             j: int(round((np.real(np.exp(-1j * theta) * ah.diag[j]) - h0) / (h1 - h0)))
             for j in range(n - 1)
@@ -646,52 +620,36 @@ def dichotomy_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> 
         others = [j for j in range(n - 1) if j != i and not prof.zero[j]]
         if others and not np.all(prof.balanced[others]):
             continue
-        thetas = []
         if others:
             mean, dev = _circular_consensus(prof.psi[others])
             if mean is None or dev > ARG_SPREAD_TOL:
                 continue
-            thetas = [_theta_from_psi(mean)]
+            theta = _theta_from_psi(mean)
         else:
             scan = dichotomy_scan(dense, tol=tol)
             if scan is None:
                 continue
-            thetas = [scan[0]]
-        for theta in thetas:
-            rot = np.exp(-1j * theta)
-            w_i = (rot * ah.col[i] + np.conj(rot) * np.conj(ah.row[i])) / 2.0
-            if abs(w_i) <= atol:
-                continue
-            r_i = float(np.real(rot * ah.diag[i]))
-            r_n = float(np.real(rot * ah.corner))
-            mid = (r_i + r_n) / 2.0
-            half = np.hypot((r_i - r_n) / 2.0, abs(w_i))
-            h0, h1 = mid - half, mid + half
-            ok = True
-            p_values = {}
-            for j in range(n - 1):
-                if j == i:
-                    continue
-                r_j = float(np.real(rot * ah.diag[j]))
-                if abs(r_j - h0) <= 4 * atol:
-                    p_values[j] = 0
-                elif abs(r_j - h1) <= 4 * atol:
-                    p_values[j] = 1
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            t = (r_i - h0) / (h1 - h0)
-            if not (0 < t < 1):
-                continue
-            alpha = w_i / (h1 - h0)
-            proj, res = _projection_residual(dense, theta, h0, h1)
-            if res > 1e-6 * n:
-                continue
-            return DichotomyCertificate(
-                "b", float(theta), h0, h1, exceptional_index=i, t=float(t), alpha=complex(alpha), p_values=p_values
-            )
+            theta = scan[0]
+        rot = np.exp(-1j * theta)
+        w_i = (rot * ah.col[i] + np.conj(rot) * np.conj(ah.row[i])) / 2.0
+        if abs(w_i) <= atol:
+            continue
+        r = np.real(rot * ah.diag)
+        r_n = float(np.real(rot * ah.corner))
+        mid = (r[i] + r_n) / 2.0
+        half = np.hypot((r[i] - r_n) / 2.0, abs(w_i))
+        h0, h1 = mid - half, mid + half
+        # every other slot sits on a level (the lower one when both are near)
+        p_values = {j: int(abs(r[j] - h0) > 4 * atol) for j in range(n - 1) if j != i}
+        if any(min(abs(r[j] - h0), abs(r[j] - h1)) > 4 * atol for j in p_values):
+            continue
+        t = (r[i] - h0) / (h1 - h0)
+        if not (0 < t < 1) or _two_level_form(herm_part_at(dense, theta), [h0, h1], atol) is None:
+            continue
+        alpha = w_i / (h1 - h0)
+        return DichotomyCertificate(
+            "b", float(theta), h0, h1, exceptional_index=i, t=float(t), alpha=complex(alpha), p_values=p_values
+        )
     return None
 
 
@@ -715,11 +673,9 @@ def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificat
     """
     n = ah.n
     dense = ah.to_dense()
-    s = matrix_scale(dense)
-    proj, res = _projection_residual(dense, cert.theta, cert.h0, cert.h1)
-    if res > 1e-5 * n:
+    atol = tol.eq_abs(matrix_scale(dense))
+    if _two_level_form(herm_part_at(dense, cert.theta), [cert.h0, cert.h1], atol) is None:
         raise CertificateMismatchError("certificate fails to reconstruct the projection")
-    atol = tol.eq_abs(s)
     prof = pair_profile(ah, tol)
 
     if not _distinct_entries(ah.diag, atol):

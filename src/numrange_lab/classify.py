@@ -609,10 +609,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         except NotApplicableError:
             result = None
         if result is None:
-            try:
-                cert = dichotomy_check(ah, tol)
-            except NotApplicableError:
-                cert = None
+            cert = dichotomy_check(ah, tol)  # n >= 3 here, so the check applies
             if cert is not None:
                 irr, reason = irreducible_dichotomous_check(ah, cert, tol)
                 if irr:

@@ -13,13 +13,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .arrowhead import NotArrowheadError, arrowhead_from_dense
+from .arrowhead import NotArrowheadError, arrowhead_from_dense, dichotomy_check
 from .classify import UnsupportedDimensionError, classify_any
 from .generators import ALL_FAMILIES, FamilySpec, InfeasibleSpecError, generate
 from .linalg import ToleranceConfig
 from .matrixio import MatrixParseError, Report, file_digest, load_matrix, save_matrix
-from .numrange import SupportFunction, boundary_generating_curve, detect_seeds
-from .oracle import SearchParams, verify
+from .numrange import MIN_CURVE_SAMPLES, SupportFunction, boundary_generating_curve, detect_seeds
+from .oracle import MIN_GRID_SIZE, SearchParams, verify
 from .reduction import decompose
 
 EXIT_OK = 0
@@ -30,15 +30,22 @@ EXIT_IO = 4
 EXIT_INFEASIBLE = 5
 
 
+class UsageError(ValueError):
+    """A command-line value out of range; reported as a parse error."""
+
+
 def _tolerances(args) -> ToleranceConfig:
-    eq = args.tol if getattr(args, "tol", None) else None
-    if eq is None:
-        env = os.environ.get("NUMRANGE_TOL")
-        if env:
-            eq = float(env)
-    if eq is None:
-        return ToleranceConfig()
-    return ToleranceConfig(eq_tol=eq)
+    raw = args.tol if args.tol is not None else os.environ.get("NUMRANGE_TOL") or None
+    try:
+        return ToleranceConfig() if raw is None else ToleranceConfig(eq_tol=float(raw))
+    except ValueError as exc:
+        raise UsageError(f"tolerance {raw!r}: {exc}") from None
+
+
+def _samples(value: int, minimum: int) -> int:
+    if value < minimum:
+        raise UsageError(f"--samples must be at least {minimum}, got {value}")
+    return value
 
 
 def _emit(text: str, out_path):
@@ -68,20 +75,13 @@ def cmd_classify(args) -> int:
         print(f"error: {exc} (pass --oracle for a search-only bound)", file=sys.stderr)
         return EXIT_UNSUPPORTED
 
-    dich = None
+    cert = None
     if n >= 3:
         try:
-            ah = arrowhead_from_dense(a, tol)
-            from .arrowhead import NotApplicableError, dichotomy_check
-
-            try:
-                cert = dichotomy_check(ah, tol)
-                if cert is not None:
-                    dich = {"case": cert.case, "theta": cert.theta, "h0": cert.h0, "h1": cert.h1}
-            except NotApplicableError:
-                pass
+            cert = dichotomy_check(arrowhead_from_dense(a, tol), tol)
         except NotArrowheadError:
             pass
+    dich = None if cert is None else {"case": cert.case, "theta": cert.theta, "h0": cert.h0, "h1": cert.h1}
     seeds = [
         {"kind": s.kind, "theta": float(s.theta), "segment": [[z.real, z.imag] for z in s.segment]}
         for s in detect_seeds(a, tol)
@@ -163,7 +163,7 @@ def cmd_curve(args) -> int:
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    curve = boundary_generating_curve(a, samples=args.samples, tol=tol)
+    curve = boundary_generating_curve(a, samples=_samples(args.samples, MIN_CURVE_SAMPLES), tol=tol)
     if args.format == "svg":
         thetas = [float(x) for x in args.support_lines.split(",")] if args.support_lines else []
         return _emit(_svg_document(a, curve, thetas), args.out)
@@ -209,7 +209,7 @@ def cmd_verify(args) -> int:
     if claim is None:
         print("error: --claim K is required", file=sys.stderr)
         return EXIT_PARSE
-    params = SearchParams(grid_size=args.samples if args.samples else 1024)
+    params = SearchParams(grid_size=1024 if args.samples is None else _samples(args.samples, MIN_GRID_SIZE))
     rep = verify(a, claim, tol=tol, params=params)
     text = (
         f"claimed k = {claim}; search found {rep.oracle.k_lower} "
@@ -265,7 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

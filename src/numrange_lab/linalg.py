@@ -60,8 +60,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("eq_tol", "cluster_tol", "gram_tol", "boundary_tol", "split_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def eq_abs(self, scale: float) -> float:
         return self.eq_tol * max(scale, ABS_FLOOR)

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    ABS_FLOOR,
     DEFAULT_TOL,
     ToleranceConfig,
     _is_normal,
@@ -28,6 +29,7 @@ from .linalg import (
 )
 
 TWO_PI = 2 * np.pi
+MIN_CURVE_SAMPLES = 8
 
 
 class UnsupportedBlockError(ValueError):
@@ -130,9 +132,10 @@ def _refined_minima(f: Callable[[float], float], thetas, values, step: float, co
     return [_golden_min(f, thetas[i] - step, thetas[i] + step, iters=iters) for i in idxs]
 
 
-def _refined_min(f: Callable[[float], float], thetas, values, step: float, count: int, iters: int = 80):
-    """The best pair of ``_refined_minima``; (None, inf) when nothing was refined."""
-    return min(_refined_minima(f, thetas, values, step, count, iters), key=lambda r: r[1], default=(None, np.inf))
+def _refined_min(f: Callable[[float], float], thetas, values, step: float):
+    """The best pair of ``_refined_minima`` over the 6 lowest grid minima;
+    (None, inf) when nothing was refined."""
+    return min(_refined_minima(f, thetas, values, step, 6), key=lambda r: r[1], default=(None, np.inf))
 
 
 def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
@@ -143,7 +146,7 @@ def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
     def f(t):
         return support_fn(t) - np.real(np.exp(-1j * t) * z)
 
-    return float(_refined_min(f, support_fn.thetas, g, TWO_PI / support_fn.grid_size, 6)[1])
+    return float(_refined_min(f, support_fn.thetas, g, TWO_PI / support_fn.grid_size)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +307,8 @@ def boundary_generating_curve(a, samples: int = 512, tol: ToleranceConfig = DEFA
     overlap with the previous direction, so each row traces one smooth branch
     of the curve rather than the always-sorted eigenvalue ordering.
     """
-    if samples < 8:
-        raise ValueError("need at least 8 samples")
+    if samples < MIN_CURVE_SAMPLES:
+        raise ValueError(f"need at least {MIN_CURVE_SAMPLES} samples")
     m = as_square_matrix(a)
     n = m.shape[0]
     thetas = np.linspace(0.0, TWO_PI, samples, endpoint=False)
@@ -465,17 +468,19 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
         def pair_fn(t):
             return max(gap_fn(t), gap_fn(t + np.pi))
 
-        if _refined_min(pair_fn, grid, pair, step, 6)[1] < btol:
+        if _refined_min(pair_fn, grid, pair, step)[1] < btol:
             return 2
-        return 1 if _refined_min(gap_fn, grid, g, step, 6)[1] < btol else 0
+        return 1 if _refined_min(gap_fn, grid, g, step)[1] < btol else 0
     raise UnsupportedBlockError(
         f"relative count for a non-normal {n}x{n} block needs the restricted search"
     )
 
 
 # ---------------------------------------------------------------------------
-# dichotomy defect scan (dense matrices)
+# dichotomy: a direction where Re(e^{-i theta} A) has exactly two eigenvalues
 # ---------------------------------------------------------------------------
+
+IDEMPOTENT_TOL = 1e-5  # bound on ||P^2 - P||_F / n for an accepted two-level form
 
 
 def _dichotomy_split(w: np.ndarray):
@@ -491,38 +496,69 @@ def _dichotomy_split(w: np.ndarray):
     return d.min(axis=-1), d.argmin(axis=-1) + 1
 
 
-def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 720):
-    """Search for a direction where Re(e^{-i theta} A) has exactly two
-    distinct eigenvalues.
+def _two_level_form(member: np.ndarray, values, accept: float):
+    """The one two-level rule: (h0, h1, P) with member = h0 I + (h1 - h0) P, or None.
 
-    Returns (theta, h0, h1, P) with P the induced idempotent, or None.  The
-    scan covers [0, pi) (the defect is invariant under theta -> theta + pi)
-    with golden-section refinement of the best grid minima.
+    ``values`` (the member's eigenvalues, or levels already known) must split
+    by ``_dichotomy_split`` with defect at most ``accept`` into clusters whose
+    means h0 < h1 lie more than 4 accept apart, and P must be idempotent within
+    IDEMPOTENT_TOL * n.  Such a split is also the largest-gap split: its gap
+    exceeds 2 accept and every other gap is at most accept.
+    """
+    w = np.sort(np.asarray(values, dtype=float))
+    defect, s = _dichotomy_split(w)
+    if defect > accept:
+        return None
+    h0, h1 = float(np.mean(w[:s])), float(np.mean(w[s:]))
+    proj = (member - h0 * np.eye(len(member))) / (h1 - h0)
+    if h1 - h0 <= 4 * accept or np.linalg.norm(proj @ proj - proj) > IDEMPOTENT_TOL * len(member):
+        return None
+    return h0, h1, proj
+
+
+def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL):
+    """Find a direction where Re(e^{-i theta} A) has exactly two distinct
+    eigenvalues: (theta, h0, h1, P) with theta in [0, pi) and P the induced
+    idempotent, or None.
+
+    M = cH + sK (c = cos theta, s = sin theta) has at most two eigenvalues
+    exactly when M^2 - alpha M + beta I = 0, i.e. when (c^2, cs, s^2, -alpha c,
+    -alpha s, beta) lies in the nullspace N of x -> x1 H^2 + x2 (HK + KH) +
+    x3 K^2 + x4 H + x5 K + x6 I: the right singular vectors of one SVD below
+    eq_tol * sigma_max, and always the last one.  Off span(N, e6) the parts
+    (c^2, cs, s^2) and (c, s) are then parallel, so every 2x2 minor, a cubic
+    in tan(theta), vanishes.  The roots of the largest minor and pi/2 ({0, pi/2}
+    when every minor vanishes) are the only candidates; ``_two_level_form``
+    decides each on its member's eigenvalues with the bound eq_tol * ||A||.
     """
     m = as_square_matrix(a)
     n = m.shape[0]
     if n < 2:
         return None
-    scale = matrix_scale(m)
-    accept = tol.eq_abs(scale)
+    accept = tol.eq_abs(matrix_scale(m))
     h, k = hermitian_parts(m)
-    thetas = np.linspace(0.0, np.pi, grid_size, endpoint=False)
-    defects = _dichotomy_split(np.linalg.eigvalsh(_pencil_at(h, k, thetas)))[0]
-
-    def defect_at(t):
-        return _dichotomy_split(np.linalg.eigvalsh(_pencil_at(h, k, t)))[0]
-
-    t, val = _refined_min(defect_at, thetas, defects, np.pi / grid_size, 5, iters=90)
-    if t is None or val > accept:
-        return None
-    theta = float(np.mod(t, np.pi))
-    member = _pencil_at(h, k, theta)
-    w = np.linalg.eigvalsh(member)
-    defect, s = _dichotomy_split(w)
-    h0, h1 = float(np.mean(w[:s])), float(np.mean(w[s:]))
-    if defect > accept or abs(h1 - h0) <= 4 * accept:
-        return None
-    proj = (member - h0 * np.eye(n)) / (h1 - h0)
-    if np.linalg.norm(proj @ proj - proj) > 1e-5 * n:
-        return None
-    return theta, h0, h1, proj
+    # centred and scaled, the pair has the same relations and a well-scaled SVD
+    eye = np.eye(n)
+    hs, ks = h - np.trace(h).real / n * eye, k - np.trace(k).real / n * eye
+    hs, ks = np.array([hs, ks]) / max(np.linalg.norm(hs), np.linalg.norm(ks), ABS_FLOOR)
+    terms = np.stack([hs @ hs, hs @ ks + ks @ hs, ks @ ks, hs, ks, eye]).reshape(6, -1)
+    sv, vt = np.linalg.svd(np.concatenate([terms.real, terms.imag], axis=1).T, full_matrices=False)[1:]
+    null = vt[min(np.count_nonzero(sv > tol.eq_tol * sv[0]), 5) :]
+    r = np.eye(6)[5] - null.T @ null[:, 5]
+    span = np.vstack([null, r / max(np.linalg.norm(r), ABS_FLOOR)])
+    q = np.eye(6) - span.T @ span
+    # minor (i, j) of (Qu, Qv): coefficients of tan^0..tan^3 after dividing by cos^3
+    minors = [np.convolve(q[i, :3], q[j, 3:5]) - np.convolve(q[j, :3], q[i, 3:5]) for i, j in zip(*np.triu_indices(6, 1))]
+    poly = max(minors, key=np.linalg.norm)
+    thetas = [0.0, np.pi / 2]
+    if np.max(np.abs(poly)) > tol.eq_tol:
+        # rounding-level coefficients are structural zeros (a leading one throws
+        # the companion matrix off); a double real root may come back complex
+        poly[np.abs(poly) <= 1e-13 * np.max(np.abs(poly))] = 0.0
+        thetas = [float(t) for t in np.mod(np.arctan(np.roots(poly[::-1]).real), np.pi)] + [np.pi / 2]
+    for theta in thetas:
+        member = _pencil_at(h, k, theta)
+        form = _two_level_form(member, np.linalg.eigvalsh(member), accept)
+        if form is not None:
+            return (theta, *form)
+    return None

@@ -24,6 +24,7 @@ from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _pencil_at, as_squa
 from .numrange import SupportFunction, _refined_minima, _top_cluster_basis, top_gap_events
 
 COARSE_OVERLAP = 0.1
+MIN_GRID_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ def boundary_vector_field(
     line touches the ambient boundary are kept (the restricted search used
     for blocks of a direct sum).
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
+    if grid_size < MIN_GRID_SIZE:
+        raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
     m = as_square_matrix(a)
     n = m.shape[0]
     sf = SupportFunction(m, grid_size=grid_size)

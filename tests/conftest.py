@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from numrange_lab.arrowhead import ArrowheadMatrix
+
+# property tests replay the same examples on every run and have no per-example
+# deadline: a slow phase of a shared host must not fail or change them
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def rng_for(seed):
@@ -20,18 +26,28 @@ def random_matrix(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
-@pytest.fixture
-def batched_calls(monkeypatch):
-    """Counts of batched (stacked-matrix) np.linalg.eigvalsh and eigh calls."""
-    counts = {"eigvalsh": 0, "eigh": 0}
-    for name in counts:
+def _count_calls(monkeypatch, names, counted):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
 
         def counting(a, *args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
-            counts[_name] += np.ndim(a) > 2
+            counts[_name] += counted(a)
             return _orig(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
     return counts
+
+
+@pytest.fixture
+def batched_calls(monkeypatch):
+    """Counts of batched (stacked-matrix) np.linalg.eigvalsh and eigh calls."""
+    return _count_calls(monkeypatch, ("eigvalsh", "eigh"), lambda a: np.ndim(a) > 2)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of all np.linalg.eigvalsh, eigh and svd calls, batched or not."""
+    return _count_calls(monkeypatch, ("eigvalsh", "eigh", "svd"), lambda a: 1)
 
 
 def balanced_arrowhead(seed, n, two_level=False):

@@ -16,7 +16,8 @@ from numrange_lab.classify import (
 )
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import AffineMap, DimensionError, affine_apply, rotate
-from numrange_lab.oracle import max_orthonormal_boundary_set
+from numrange_lab.numrange import dichotomy_scan
+from numrange_lab.oracle import max_orthonormal_boundary_set, verify
 from numrange_lab.results import (
     METHOD_DICHOTOMY4,
     METHOD_DIRECT_SUM,
@@ -57,6 +58,43 @@ class TestK4Check:
     def test_wrong_size_rejected(self):
         with pytest.raises(DimensionError):
             k4_check(np.eye(3))
+
+
+def narrow_dichotomous(seed, lower, gap):
+    """Irreducible 4x4 A = e^{i theta} U (H + iK) U* with H two-valued, ``lower``
+    eigenvalues at the lower level, the levels gap * ||K|| apart; returns
+    (A, theta)."""
+    rng = rng_for(seed)
+    z = random_matrix(rng, 4)
+    k = (z + z.conj().T) / 2
+    levels = rng.uniform(-1, 1) + gap * np.linalg.norm(k, 2) * (np.arange(4) >= lower)
+    u = random_unitary(rng, 4)
+    theta = rng.uniform(0, 2 * np.pi)
+    return np.exp(1j * theta) * (u @ (np.diag(levels) + 1j * k) @ u.conj().T), theta
+
+
+# 2+2 and 3+1 levels, 1e-3 and 1e-4 ||K|| apart, five seeds of their own each
+NARROW_CASES = [
+    (5 * i + j, lower, gap) for i, (lower, gap) in enumerate([(2, 1e-3), (2, 1e-4), (3, 1e-3), (3, 1e-4)]) for j in range(5)
+]
+
+
+class TestNarrowDichotomyWindow:
+    """Levels much closer than ||K||: the dichotomy direction is a window far
+    narrower than any fixed sampling of directions."""
+
+    @pytest.mark.parametrize("seed,lower,gap", NARROW_CASES)
+    def test_found_and_classified(self, seed, lower, gap):
+        a, theta = narrow_dichotomous(seed, lower, gap)
+        got = dichotomy_scan(a)
+        assert got is not None
+        assert abs(np.angle(np.exp(2j * (got[0] - theta)))) / 2 < 1e-8
+        res = classify(a)
+        assert (res.k, res.method) == (4, METHOD_DICHOTOMY4)
+
+    @pytest.mark.parametrize("seed,lower,gap", NARROW_CASES[::7])
+    def test_search_confirms_four(self, seed, lower, gap):
+        assert verify(narrow_dichotomous(seed, lower, gap)[0], 4).match
 
 
 class TestParallelForm:

@@ -192,3 +192,31 @@ class TestGenerateAndVerify:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerances"]["eq_tol"] == 1e-9
+
+
+class TestOutOfRangeInput:
+    """Values the library cannot use are parse errors (exit 2 with an error
+    line), never the default in disguise or a traceback with the mismatch code."""
+
+    def check(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_zero_tolerance(self, worked_example_path, capsys):
+        self.check(["classify", worked_example_path, "--tol", "0"], capsys)
+
+    def test_negative_tolerance(self, worked_example_path, capsys):
+        self.check(["classify", worked_example_path, "--tol=-1e-8"], capsys)
+
+    def test_tolerance_env_not_a_number(self, worked_example_path, monkeypatch, capsys):
+        monkeypatch.setenv("NUMRANGE_TOL", "abc")
+        self.check(["classify", worked_example_path], capsys)
+
+    def test_verify_negative_samples(self, worked_example_path, capsys):
+        self.check(["verify", worked_example_path, "--claim", "3", "--samples", "-5"], capsys)
+
+    def test_verify_zero_samples(self, worked_example_path, capsys):
+        self.check(["verify", worked_example_path, "--claim", "3", "--samples", "0"], capsys)
+
+    def test_curve_zero_samples(self, worked_example_path, capsys):
+        self.check(["curve", worked_example_path, "--samples", "0"], capsys)

@@ -139,7 +139,7 @@ class TestRotate:
         assert abs(np.linalg.eigvalsh(re)[-1] - 1.0) < 1e-14
 
     @given(theta=st.floats(min_value=-6.0, max_value=6.0))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_round_trip(self, theta):
         a = np.array([[1 + 1j, 2], [0.5j, -1]], dtype=complex)
         assert np.allclose(rotate(rotate(a, theta), -theta), a, atol=1e-12)
@@ -218,6 +218,11 @@ class TestToleranceConfig:
     def test_requires_positive(self):
         with pytest.raises(ValueError):
             ToleranceConfig(eq_tol=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_requires_finite(self, value):
+        with pytest.raises(ValueError):
+            ToleranceConfig(split_tol=value)
 
     def test_scaling_helpers(self):
         t = ToleranceConfig()

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_matrix, random_unitary, rng_for
+from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import rotate
 from numrange_lab.numrange import (
     FLAT_PORTION,
+    IDEMPOTENT_TOL,
     SINGULAR_POINT,
     SupportFunction,
     UnsupportedBlockError,
     _dichotomy_split,
     _refined_minima,
+    _two_level_form,
     base_polynomial,
     boundary_generating_curve,
     detect_seeds,
@@ -279,6 +283,110 @@ class TestDichotomyScan:
         assert got is not None
         dt = abs((got[0] - info["theta"] + np.pi / 2) % np.pi - np.pi / 2)
         assert dt < 1e-6
+
+
+DICHOTOMOUS_4X4 = ("k4-split-22", "k4-split-31", "dichotomous-arrowhead-diag", "dichotomous-arrowhead-coupled")
+
+
+@st.composite
+def dichotomous_matrices(draw):
+    """A member of a dichotomous 4x4 family or a two-level balanced arrowhead, n = 3-6."""
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(DICHOTOMOUS_4X4 + (3, 4, 5, 6)))
+    if isinstance(kind, str):
+        return generate(FamilySpec(kind, seed=seed))
+    return balanced_arrowhead(seed, kind, two_level=True).to_dense()
+
+
+def _mod_pi_distance(t1, t2):
+    return abs(np.angle(np.exp(2j * (t1 - t2)))) / 2
+
+
+class TestDichotomyExact:
+    @given(
+        a=dichotomous_matrices(),
+        unitary_seed=st.integers(0, 10_000),
+        gain=st.floats(0.1, 10.0),
+        shift=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+        phi=st.floats(0.0, 2 * np.pi),
+    )
+    @settings(max_examples=100)
+    def test_invariant_under_similarity_affine_and_rotation(self, a, unitary_seed, gain, shift, phi):
+        theta, h0, h1, _ = dichotomy_scan(a)
+        u = random_unitary(rng_for(unitary_seed), a.shape[0])
+        # (transformed matrix, expected turn of theta, factor on the level gap)
+        cases = [
+            (u @ a @ u.conj().T, 0.0, 1.0),
+            (gain * a + shift * np.eye(len(a)), 0.0, gain),
+            (np.exp(1j * phi) * a, phi, 1.0),
+        ]
+        for b, turn, factor in cases:
+            got = dichotomy_scan(b)
+            assert got is not None
+            assert _mod_pi_distance(got[0], theta + turn) < 1e-8
+            assert abs((got[2] - got[1]) - factor * (h1 - h0)) < 1e-8 * np.linalg.norm(b, 2)
+
+    @pytest.mark.parametrize("family", ["k4-split-31", "k3-parallel-lines"])
+    def test_one_svd_and_at_most_four_eigvalsh(self, family, batched_calls, linalg_calls):
+        dichotomy_scan(generate(FamilySpec(family, seed=0)))
+        assert batched_calls["eigvalsh"] == 0
+        assert linalg_calls["eigvalsh"] <= 4
+        assert linalg_calls["svd"] == 1
+
+    def test_every_direction_dichotomous(self):
+        # a normal matrix with two eigenvalues is two-valued in every direction
+        # but the one where both eigenvalues share a real part
+        a = np.diag([1j, 1j, 2 + 1j, 2 + 1j])
+        theta, h0, h1, proj = dichotomy_scan(a)
+        assert _mod_pi_distance(theta, np.pi / 2) > 1e-3
+        assert abs((h1 - h0) - 2 * abs(np.cos(theta))) < 1e-12
+
+
+def _largest_gap_reference(values, member, accept):
+    """Split at the largest gap; both spreads at most accept, levels more than
+    4 accept apart, (member - h0) / (h1 - h0) idempotent."""
+    v = np.sort(values)
+    s = int(np.argmax(np.diff(v))) + 1
+    if np.ptp(v[:s]) > accept or np.ptp(v[s:]) > accept:
+        return None
+    h0, h1 = float(np.mean(v[:s])), float(np.mean(v[s:]))
+    if h1 - h0 <= 4 * accept:
+        return None
+    proj = (member - h0 * np.eye(len(v))) / (h1 - h0)
+    if np.linalg.norm(proj @ proj - proj) > IDEMPOTENT_TOL * len(v):
+        return None
+    return h0, h1
+
+
+class TestTwoLevelForm:
+    def test_same_split_as_largest_gap(self):
+        rng = rng_for(5)
+        accept = 1e-9
+        seen = {True: 0, False: 0}
+        for gap in (1.0, 3e-9, 5e-9, 1e-6):
+            for jitter in (0.0, 1e-13, 4e-10, 1.5e-9):
+                for n in (2, 3, 4, 6):
+                    for _ in range(25):
+                        s = rng.integers(1, n)
+                        values = rng.permutation(np.concatenate([np.zeros(s), np.full(n - s, gap)])
+                                                 + jitter * rng.uniform(-1, 1, n))
+                        member = np.diag(values)
+                        form = _two_level_form(member, values, accept)
+                        ref = _largest_gap_reference(values, member, accept)
+                        assert (form is None) == (ref is None)
+                        seen[form is None] += 1
+                        if form is not None:
+                            assert form[:2] == ref
+                            assert np.array_equal(form[2], (member - ref[0] * np.eye(n)) / (ref[1] - ref[0]))
+        assert min(seen.values()) > 300
+
+    def test_known_levels(self):
+        member = np.diag([0.5, 2.0, 0.5])
+        h0, h1, proj = _two_level_form(member, [2.0, 0.5], 1e-9)
+        assert (h0, h1) == (0.5, 2.0)
+        assert np.array_equal(proj, np.diag([0.0, 1.0, 0.0]))
+        # levels that do not fit the member fail the idempotency bound
+        assert _two_level_form(member, [0.5, 1.0], 1e-9) is None
 
 
 class TestRefinedMinima:
