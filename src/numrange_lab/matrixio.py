@@ -25,7 +25,7 @@ class MatrixParseError(ValueError):
 
 def _component(value):
     """One real component: number, or exact decimal / fraction string."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value), 0.0
     if isinstance(value, str):
         try:
@@ -46,9 +46,12 @@ def load_matrix(path):
         raise MatrixParseError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise MatrixParseError("matrix file needs 'n' and 'entries'")
-    n = int(doc["n"])
-    entries = doc["entries"]
-    if n < 1 or len(entries) != n * n:
+    n, entries = doc["n"], doc["entries"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise MatrixParseError(f"'n' must be a positive integer, got {n!r}")
+    if not isinstance(entries, list):
+        raise MatrixParseError(f"'entries' must be a list, got {entries!r}")
+    if len(entries) != n * n:
         raise MatrixParseError(f"expected {n * n} entries, found {len(entries)}")
     a = np.zeros((n, n), dtype=complex)
     err = 0.0

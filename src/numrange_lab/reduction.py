@@ -3,18 +3,30 @@ eigenvectors, and Gau-Wu values of direct sums.
 
 A matrix is unitarily irreducible exactly when the only Hermitian matrices
 commuting with both H = Re A and K = Im A are multiples of the identity.
-When a real member M = H + cK of the pencil has well-separated eigenvalues,
-every such X is diagonal in the eigenbasis V of M, and X commutes with K
-(hence with H = M - cK) exactly when it is constant on each connected
-component of the graph {(i, j) : |(V*KV)_ij| > RANK_CUTOFF * scale}.  The
-components are the irreducible blocks and their number is the commutant
-dimension, at the cost of one batched n x n eigendecomposition (the
-block-diagonalisation of Murota, Kanno, Kojima & Kojima, JJIAM 2010).
+Every such X commutes with each real pencil member M = H + cK, so in an
+eigenbasis V of M it is block-diagonal over the clusters of nearly equal
+eigenvalues of M, and it commutes with A exactly when it also commutes with
+K' = V*KV / scale and with V*MV / scale = diag(d).  The commutant is found
+in one solve (the block-diagonalisation of Murota, Kanno, Kojima & Kojima,
+JJIAM 2010, and Maehara & Murota, 2011):
 
-When no tried member separates its eigenvalues, as for a direct sum of two
-unitarily equivalent blocks or a scalar matrix, the commutant is computed as
-the real nullspace of the stacked commutator system instead (an SVD of a
-4n^2 x n^2 matrix).
+- of the members tried, the one whose eigenvalue clusters have the smallest
+  sum of squared sizes gives V;
+- a cluster on which K' and d are scalar and which K' couples to no other
+  cluster is a scalar part of A: all its m^2 Hermitian matrices commute,
+  and each of its m dimensions is a block of size 1;
+- the other clusters give the system [X, K'] = [X, diag(d)] = 0 over
+  block-diagonal X, so that clustering sets only the size of the system,
+  never its answer.  Its nullspace, from one SVD, is the rest of the
+  commutant: a *-algebra, so its complex dimension is the real dimension of
+  its Hermitian part, and the singular values are those of the real system
+  over Hermitian X.
+
+The system has n^2 + sum m_c^2 rows and sum m_c^2 unknowns over the
+clusters of sizes m_c, so even a member that separates all its eigenvalues
+costs O(n^4) time and O(n^3) memory.  The irreducible blocks are eigenspaces
+of a generic Hermitian element of the commutant, cut only where A couples
+them by at most RANK_CUTOFF * scale.
 """
 
 from __future__ import annotations
@@ -27,147 +39,116 @@ from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _is_normal, as_squa
 from .numrange import SupportFunction, kprime_relative, point_boundary_defect
 from .results import METHOD_DIRECT_SUM, GauWuResult
 
+# Largest singular value of the commutator system, largest deviation of K'
+# or of the member's eigenvalues from their mean on a scalar cluster, and
+# largest coupling across a block cut that count as zero (all relative to
+# the scale).
 RANK_CUTOFF = 1e-8
-# Real constants c of the pencil members H + cK tried for a separated spectrum.
+# Real constants c of the pencil members H + cK tried.
 PENCIL_CONSTANTS = (0.5772156649, -1.4142135624, 2.7182818285, -0.3183098862)
 # Smallest eigenvalue gap, relative to the scale, at which a member's
-# eigenbasis is used: rounding moves V*KV by about 1e-16 * scale / gap, which
-# stays far below RANK_CUTOFF * scale.
+# spectrum is cut into clusters: rounding moves V*KV by about
+# 1e-16 * scale / gap, which stays far below RANK_CUTOFF * scale.
 GAP_CUTOFF = 1e-5
 
-ROUTE_PENCIL = "pencil-eigenbasis"
-ROUTE_SVD = "commutant-svd"
 
-
-def _scaled_parts(m):
+def _best_member(m):
+    """(scale, V, w / scale, cluster sizes, smallest cut gap or None,
+    K' = V*KV / scale) for the member, with eigenvalues w, whose clusters, cut
+    at gaps above GAP_CUTOFF * scale, have the smallest sum of squared sizes;
+    ties go to the largest smallest cut gap, then to the first member."""
     h, k = hermitian_parts(m)
-    return h, k, max(matrix_scale(h), matrix_scale(k), ABS_FLOOR)
-
-
-def _components(adj: np.ndarray) -> list:
-    """Connected components of a symmetric boolean adjacency matrix, each
-    sorted and listed in order of its smallest vertex."""
-    label = np.full(adj.shape[0], -1)
-    comps = []
-    for start in range(adj.shape[0]):
-        if label[start] >= 0:
-            continue
-        label[start] = len(comps)
-        members, frontier = [start], np.array([start])
-        while frontier.size:
-            frontier = np.nonzero(adj[frontier].any(axis=0) & (label < 0))[0]
-            label[frontier] = len(comps)
-            members.extend(frontier.tolist())
-        comps.append(sorted(members))
-    return comps
-
-
-def _pencil_components(m):
-    """Irreducible blocks from the eigenbasis of the best-separated member.
-
-    Returns (V, components, margin), or None when no member H + cK has its
-    eigenvalues more than GAP_CUTOFF * scale apart.
-    """
-    n = m.shape[0]
-    h, k, s = _scaled_parts(m)
+    s = max(matrix_scale(h), matrix_scale(k), ABS_FLOOR)
     w, v = np.linalg.eigh(h + np.reshape(PENCIL_CONSTANTS, (-1, 1, 1)) * k)
-    gaps = np.diff(w, axis=1).min(axis=1, initial=np.inf) / s
-    best = int(np.argmax(gaps))
-    if gaps[best] <= GAP_CUTOFF:
-        return None
+    gaps = np.diff(w, axis=1) / s
+    cut = gaps > GAP_CUTOFF
+    label = np.cumsum(np.pad(cut, ((0, 0), (1, 0))), axis=1)
+    square_sum = np.sum(label[:, :, None] == label[:, None, :], axis=(1, 2))
+    smallest_cut = np.where(cut, gaps, np.inf).min(axis=1, initial=np.inf)
+    best = np.lexsort((-smallest_cut, square_sum))[0]
+    gap = smallest_cut[best]
     vb = v[best]
-    coupling = np.abs(vb.conj().T @ k @ vb) / s
-    coupling = np.maximum(coupling, coupling.T)
-    off = coupling[np.triu_indices(n, 1)]
-    kept, dropped = off[off > RANK_CUTOFF], off[off <= RANK_CUTOFF]
+    kp = vb.conj().T @ k @ vb / s
+    return s, vb, w[best] / s, np.bincount(label[best]), (float(gap) if np.isfinite(gap) else None), kp
+
+
+def _commutant_nullspace(m):
+    """The commutant of m in one solve.
+
+    Returns (dimension, V, element, margin, scale): ``element`` is one
+    generic Hermitian element of the commutant written in the eigenbasis V
+    of the chosen pencil member, with distinct eigenvalues above the rest on
+    the scalar parts; ``margin`` is as in BlockDecomposition.
+    """
+    s, v, d, sizes, gap, kp = _best_member(m)
+    n = m.shape[0]
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    k_mean = np.add.reduceat(kp.diagonal().real, starts) / sizes
+    d_mean = np.add.reduceat(d, starts) / sizes
+    deviation = np.maximum(np.abs(kp - np.diag(k_mean[label])).max(axis=1), np.abs(d - d_mean[label]))
+    resid = np.maximum.reduceat(deviation, starts)
+    scalar = resid <= RANK_CUTOFF
+    active = np.flatnonzero(~scalar[label])
+    element = np.zeros((n, n), dtype=complex)
+    sv = np.zeros(0)
+    if len(active):
+        # Row u is the unknown x_ij of X for (i, j) = (i[u], j[u]) in one
+        # cluster.  Its entries are vec [e_i e_j^T, K'] (row i of the
+        # commutator is row j of K', column j is minus column i) and then,
+        # for i != j, (d_j - d_i): the entry of [X, V*MV / scale] =
+        # [X, diag(d)], which a cluster's eigenvalue spread keeps nonzero.
+        ka, la, da = kp[np.ix_(active, active)], label[active], d[active]
+        na, at = len(active), np.arange(len(active))
+        i, j = np.nonzero(la[:, None] == la[None, :])
+        u = np.arange(len(i))[:, None]
+        off = np.flatnonzero(i != j)
+        system = np.zeros((len(i), na * na + len(off)), dtype=complex)
+        system[u, i[:, None] * na + at] = ka[j, :]
+        system[u, at * na + j[:, None]] -= ka[:, i].T
+        system[off, na * na + np.arange(len(off))] = da[j[off]] - da[i[off]]
+        # the triangular factor has the system's singular values and right
+        # singular vectors, without the SVD's tall left factor
+        _, sv, vh = np.linalg.svd(np.linalg.qr(system.T, mode="r"))
+        null = vh[sv <= RANK_CUTOFF].conj()
+        gen = np.zeros((na, na), dtype=complex)
+        gen[i, j] = (2 + np.exp(1j * np.arange(1, len(null) + 1))) @ null
+        gen += gen.conj().T
+        element[np.ix_(active, active)] = gen / np.linalg.norm(gen)
+    lone = np.flatnonzero(scalar[label])
+    element[lone, lone] = 2.0 + np.arange(len(lone))
+    kept, dropped = sv[sv > RANK_CUTOFF], np.concatenate([sv[sv <= RANK_CUTOFF], resid[scalar]])
     margin = {
-        "gap": float(gaps[best]) if n > 1 else None,
+        "gap": gap,
         "kept_min": float(kept.min()) if kept.size else None,
         "dropped_max": float(dropped.max()) if dropped.size else None,
     }
-    return vb, _components(coupling > RANK_CUTOFF), margin
-
-
-def _hermitian_basis(n: int):
-    """Real basis of the n^2-dimensional space of Hermitian matrices."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = 1 / np.sqrt(2)
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j / np.sqrt(2)
-            e[j, i] = -1j / np.sqrt(2)
-            basis.append(e)
-    return basis
-
-
-def _commutant_nullspace(a, tol: ToleranceConfig):
-    """Commutant as the real nullspace of the stacked commutator system.
-
-    Returns (dimension, Hermitian basis elements, margin); the margin holds
-    the smallest singular value kept and the largest one dropped, relative to
-    the largest.
-    """
-    m = as_square_matrix(a)
-    h, k, s = _scaled_parts(m)
-    basis = _hermitian_basis(m.shape[0])
-    rows = []
-    for e in basis:
-        ch = (h @ e - e @ h).ravel() / s
-        ck = (k @ e - e @ k).ravel() / s
-        rows.append(np.concatenate([ch.real, ch.imag, ck.real, ck.imag]))
-    mat = np.array(rows).T  # (4n^2) x (n^2)
-    _, sv, vh = np.linalg.svd(mat, full_matrices=False)
-    top = max(sv[0], ABS_FLOOR)
-    null = sv <= RANK_CUTOFF * top
-    null_dim = int(np.sum(null))
-    elements = []
-    for idx in range(len(sv) - null_dim, len(sv)):
-        coeffs = vh[idx]
-        x = sum(c * e for c, e in zip(coeffs, basis))
-        elements.append((x + x.conj().T) / 2)
-    margin = {
-        "gap": None,
-        "kept_min": float(sv[~null].min() / top) if (~null).any() else None,
-        "dropped_max": float(sv[null].max() / top) if null.any() else None,
-    }
-    return null_dim, elements, margin
+    return len(sv) - len(kept) + int(np.sum(sizes[scalar] ** 2)), v, element, margin, s
 
 
 def commutant_dimension(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Real dimension of { X Hermitian : XH = HX, XK = KX }; 1 iff unitarily
     irreducible, n^2 for scalar matrices."""
-    m = as_square_matrix(a)
-    found = _pencil_components(m)
-    if found is not None:
-        return len(found[1])
-    return _commutant_nullspace(m, tol)[0]
+    return _commutant_nullspace(as_square_matrix(a))[0]
 
 
 @dataclass
 class BlockDecomposition:
     """A = U (B_1 + ... + B_r) U* with unitarily irreducible blocks B_i.
 
-    ``route`` names how the split was decided: ``"pencil-eigenbasis"`` or,
-    when some step needed the commutator nullspace, ``"commutant-svd"``.
-    ``margin`` holds the deciding quantities nearest their thresholds over
-    all steps: ``gap``, the smallest relative eigenvalue gap of a pencil
-    member used (against GAP_CUTOFF), and ``kept_min`` / ``dropped_max``,
-    the smallest coupling kept and the largest one dropped (relative
-    |(V*KV)_ij| or singular values, against RANK_CUTOFF); None where no
-    such quantity occurred.
+    The blocks are eigenspaces of one generic commutant element, in
+    ascending order of its eigenvalues.  ``margin`` holds the deciding
+    quantities nearest their thresholds: ``gap``, the smallest relative
+    eigenvalue gap at which the chosen pencil member's spectrum was cut
+    (against GAP_CUTOFF), and ``kept_min`` / ``dropped_max``, the smallest
+    singular value of the commutator system kept and the largest one (or
+    scalar-part deviation of K' or d) dropped, relative to the scale (against
+    RANK_CUTOFF); None where no such quantity occurred.
     """
 
     unitary: np.ndarray
     blocks: list
     normal_flags: list
-    route: str
     margin: dict
 
     @property
@@ -188,70 +169,26 @@ class BlockDecomposition:
         return self.unitary @ self.assembled() @ self.unitary.conj().T
 
 
-def _split(m, tol: ToleranceConfig, margins: list):
-    """(unitary, blocks, route) for m; appends each step's margin to margins."""
-    n = m.shape[0]
-    if n == 1:
-        return np.eye(1, dtype=complex), [m], ROUTE_PENCIL
-    found = _pencil_components(m)
-    if found is not None:
-        v, comps, margin = found
-        margins.append(margin)
-        if len(comps) == 1:
-            return np.eye(n, dtype=complex), [m], ROUTE_PENCIL
-        blocks = [v[:, c].conj().T @ m @ v[:, c] for c in comps]
-        return v[:, np.concatenate(comps)], blocks, ROUTE_PENCIL
-    dim, elements, margin = _commutant_nullspace(m, tol)
-    margins.append(margin)
-    if dim <= 1:
-        return np.eye(n, dtype=complex), [m], ROUTE_SVD
-    x = None
-    for e in elements:
-        dev = e - (np.trace(e) / n) * np.eye(n)
-        if np.linalg.norm(dev) > 1e-6 * max(np.linalg.norm(e), ABS_FLOOR):
-            x = e
-            break
-    if x is None:
-        return np.eye(n, dtype=complex), [m], ROUTE_SVD
-    # split along the eigenspaces of a non-scalar commutant element at its
-    # largest eigenvalue gap, then split each side again
-    w, v = np.linalg.eigh(x)
-    gaps = np.diff(w)
-    s = int(np.argmax(gaps)) + 1
-    v1, v2 = v[:, :s], v[:, s:]
-    u1, b1, _ = _split(v1.conj().T @ m @ v1, tol, margins)
-    u2, b2, _ = _split(v2.conj().T @ m @ v2, tol, margins)
-    u = np.zeros((n, n), dtype=complex)
-    u[:, :s] = v1 @ u1
-    u[:, s:] = v2 @ u2
-    return u, b1 + b2, ROUTE_SVD
-
-
-def _merge_margins(margins: list) -> dict:
-    def pick(key, fn):
-        vals = [mg[key] for mg in margins if mg[key] is not None]
-        return fn(vals) if vals else None
-
-    return {"gap": pick("gap", min), "kept_min": pick("kept_min", min), "dropped_max": pick("dropped_max", max)}
-
-
 def decompose(a, tol: ToleranceConfig = DEFAULT_TOL) -> BlockDecomposition:
     """Split into unitarily irreducible diagonal blocks.
 
-    The blocks are the connected components of the coupling graph in the
-    eigenbasis of the best-separated pencil member H + cK, in one step and
-    ordered by their first eigenvector.  Only when no member separates its
-    eigenvalues does the split fall back to the commutator nullspace, whose
-    non-scalar element splits the matrix in two before each side is split
-    again.  The result is deterministic for a given input.
+    The blocks are runs of eigenvectors of a generic element of the
+    commutant, in ascending order of its eigenvalues, cut wherever the part
+    of A coupling the vectors before the cut to those after it has Frobenius
+    norm at most RANK_CUTOFF * scale.  A cut is thus never made inside an
+    irreducible block.  The result is deterministic for a given input.
     """
     m = as_square_matrix(a)
-    margins: list = []
-    u, blocks, route = _split(m, tol, margins)
+    _, v, element, margin, s = _commutant_nullspace(m)
+    u = v @ np.linalg.eigh(element)[1]
+    t = np.abs(u.conj().T @ m @ u) ** 2
+    # across[i, j]: squared weight of t over rows <= i and columns >= j, both ways round
+    across = np.cumsum(np.cumsum((t + t.T)[:, ::-1], axis=1)[:, ::-1], axis=0)
+    cuts = np.flatnonzero(np.sqrt(np.diagonal(across, 1)) <= RANK_CUTOFF * s) + 1
+    groups = np.split(np.arange(m.shape[0]), cuts)
+    blocks = [u[:, g].conj().T @ m @ u[:, g] for g in groups]
     flags = [_is_normal(b, tol) for b in blocks]
-    return BlockDecomposition(
-        unitary=u, blocks=blocks, normal_flags=flags, route=route, margin=_merge_margins(margins)
-    )
+    return BlockDecomposition(unitary=u, blocks=blocks, normal_flags=flags, margin=margin)
 
 
 def reducing_eigenvectors(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -318,7 +255,6 @@ def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
     cert = {
         "blocks": contributions,
         "block_sizes": [b.shape[0] for b in dec.blocks],
-        "route": dec.route,
         "margin": dec.margin,
     }
     if not 2 <= total <= n:

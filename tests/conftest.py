@@ -1,5 +1,8 @@
 """Shared helpers: deterministic matrix builders and independent oracles."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -24,6 +27,19 @@ def random_unitary(rng, n):
 
 def random_matrix(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def bounded(fn, *args):
+    """(fn(*args), wall seconds, peak bytes traced by tracemalloc)."""
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        out = fn(*args)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, elapsed, peak
 
 
 def _count_calls(monkeypatch, names, counted):
@@ -109,3 +125,33 @@ def hermitian_eigenvalues_by_bisection(h, tol=1e-12):
                     hi = mid
             roots.append(0.5 * (lo + hi))
     return np.array(sorted(roots))
+
+
+def commutant_dimension_by_commutators(a, cutoff=1e-8):
+    """Independent commutant oracle: the real nullspace dimension of the
+    stacked system [X, H] = [X, K] = 0 over all n x n Hermitian X.
+
+    One SVD of a 4n^2 x n^2 matrix, with H and K divided by the larger of
+    their spectral norms, so that the cutoff is absolute; only for small n.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    h, k = (a + a.conj().T) / 2, (a - a.conj().T) / 2j
+    s = max(np.linalg.norm(h, 2), np.linalg.norm(k, 2), 1e-12)
+    h, k = h / s, k / s
+    basis = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+        for j in range(i + 1, n):
+            for w in (1.0, 1j):
+                e = np.zeros((n, n), dtype=complex)
+                e[i, j], e[j, i] = w / np.sqrt(2), np.conj(w) / np.sqrt(2)
+                basis.append(e)
+    rows = []
+    for e in basis:
+        ch, ck = (h @ e - e @ h).ravel(), (k @ e - e @ k).ravel()
+        rows.append(np.concatenate([ch.real, ch.imag, ck.real, ck.imag]))
+    sv = np.linalg.svd(np.array(rows).T, compute_uv=False)
+    return int(np.sum(sv <= cutoff))

@@ -47,6 +47,27 @@ class TestMatrixIO:
         with pytest.raises(MatrixParseError):
             load_matrix(short)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": "abc", "entries": [[1, 0]]},
+            {"n": 1, "entries": 5},
+            {"n": 2.5, "entries": [[1, 0]] * 4},
+            {"n": True, "entries": [[1, 0]]},
+            {"n": 1, "entries": [[True, 0]]},
+        ],
+        ids=["n-not-a-number", "entries-not-a-list", "n-fractional", "n-boolean", "entry-boolean"],
+    )
+    def test_malformed_fields_are_parse_errors(self, tmp_path, doc, capsys):
+        from numrange_lab.matrixio import MatrixParseError
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MatrixParseError):
+            load_matrix(path)
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestClassifyCommand:
     def test_worked_example_text(self, worked_example_path, capsys):
