@@ -26,6 +26,7 @@ from .linalg import (
     matrix_scale,
 )
 from .numrange import SupportFunction, _two_level_form, dichotomy_scan, point_boundary_defect
+from .oracle import restricted_max_set
 from .results import METHOD_ARROWHEAD, GauWuResult
 
 
@@ -790,8 +791,6 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
 def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
     """Balanced arrowhead with some fully zero pairs: split off the diagonal
     part and add its boundary eigenvalues to the live sub-arrowhead's share."""
-    from .oracle import restricted_max_set
-
     n = ah.n
     theta, prof = _balanced_theta(ah, tol, require_all_nonzero=False)
     dense = ah.to_dense()

@@ -4,7 +4,8 @@ Pipeline: split off unitarily reducible matrices (block additivity), then
 for irreducible ones k = 4 exactly when some rotation makes the Hermitian
 part two-valued; otherwise k = 3 when the boundary carries an exceptional
 supporting line (seed) or an orthonormal triple touching three distinct
-supporting lines; else k = 2.
+supporting lines; else k = 2.  Each stage runs at most once and keeps what it
+found in ``GauWuResult.work``; seeds, triple search and check share one sweep.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ from .linalg import (
     hermitian_parts,
     matrix_scale,
 )
-from .numrange import SupportFunction, detect_seeds, dichotomy_scan
+from .arrowhead import (NotApplicableError, NotArrowheadError, arrowhead_from_dense, dichotomy_check, gauwu_balanced,
+                        gauwu_unbalanced_two, gauwu_with_zero_pairs, irreducible_dichotomous_check, pair_profile)
+from .numrange import SupportFunction, detect_seeds, dichotomy_scan, support_function
 from .oracle import SearchParams, max_orthonormal_boundary_set, verify
 from .reduction import commutant_dimension, decompose, dirsum_gauwu
 from .results import (
+    METHOD_ARROWHEAD,
     METHOD_DICHOTOMY4,
     METHOD_FALLBACK2,
     METHOD_KA3,
@@ -260,24 +264,6 @@ def _distinct_lines(thetas, sf: SupportFunction, diam: float) -> bool:
     return True
 
 
-def ka3_triple_search(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = SearchParams()):
-    """Orthonormal triple whose images touch three distinct supporting lines:
-    (vectors, thetas, the support function they were checked against) or None."""
-    m = as_square_matrix(a)
-    sf = SupportFunction(m, grid_size=256)
-    diam = sf.diameter()
-
-    def hook(x, thetas):
-        if x.shape[1] != 3:
-            return False
-        return _distinct_lines(thetas, sf, diam)
-
-    res = max_orthonormal_boundary_set(m, tol=tol, params=params, accept_hook=hook)
-    if res.k_lower >= 3:
-        return res.vectors[:, :3], res.thetas[:3], sf
-    return None
-
-
 def _normalizing_affine(thetas, ps):
     """Affine map sending the three supporting lines to canonical position.
 
@@ -336,20 +322,27 @@ def _eig_margin(mat) -> float:
 
 
 def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = SearchParams()) -> Optional[CanonicalKA3Form]:
-    """Search for a three-line orthonormal triple and normalize to canonical
-    coordinates (tangent lines x=0, y=0 and either x=1 or x+y=1).
+    """Search for an orthonormal triple whose images touch three distinct
+    supporting lines and normalize to canonical coordinates (tangent lines
+    x=0, y=0 and either x=1 or x+y=1).
 
     Returns None when no qualifying triple exists; a form with
     ``form_ok=False`` when the triple exists but the canonical patterns or
     strict sign conditions fail (the value k=3 stands either way).
     """
-    m = as_square_matrix(a)
+    sf = support_function(a, params.grid_size)
+    m = sf.a
     if m.shape[0] != 4:
         raise DimensionError("ka3_check handles 4x4 matrices")
-    found = ka3_triple_search(m, tol=tol, params=params)
-    if found is None:
+    diam = sf.diameter()
+
+    def hook(x, thetas):
+        return x.shape[1] == 3 and _distinct_lines(thetas, sf, diam)
+
+    res = max_orthonormal_boundary_set(sf, tol=tol, params=params, accept_hook=hook)
+    if res.k_lower < 3:
         return None
-    x3, thetas, sf = found
+    x3, thetas = res.vectors[:, :3], res.thetas[:3]
     ps = [sf(float(t)) for t in thetas]
     notes = []
     norm = _normalizing_affine(thetas, ps)
@@ -488,24 +481,29 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
 # ---------------------------------------------------------------------------
 
 
-def _confirm_with_oracle(m, result: GauWuResult, tol: ToleranceConfig) -> None:
+def _confirm_with_oracle(a, result: GauWuResult, tol: ToleranceConfig) -> None:
     """Record whether the search reaches result.k, with its certificate."""
-    rep = verify(m, result.k, tol=tol)
+    rep = verify(a, result.k, tol=tol)
     result.oracle_confirmed = rep.match
     result.certificate["oracle"] = rep.oracle.to_dict()
 
 
 def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = False) -> GauWuResult:
-    """k(A) for a 4x4 matrix with a certificate of the deciding route."""
+    """k(A) for a 4x4 matrix with a certificate of the deciding route; each
+    stage runs at most once and keeps what it found in ``result.work``."""
     m = as_square_matrix(a)
     if m.shape[0] != 4:
         raise DimensionError("classify handles 4x4 matrices; other sizes go through classify_any")
     dec = decompose(m, tol)
+    work = {"decomposition": dec}
+    pencil = m  # becomes the SupportFunction of m once a stage needs one
     if len(dec.blocks) > 1:
         result = dirsum_gauwu(dec, tol)
     else:
         is_k4, form = _k4_form(m, tol)
         if is_k4:
+            work["dichotomy"] = {"case": form.case, "theta": form.theta, "h0": min(form.h_values),
+                                 "h1": max(form.h_values)}
             cert = {
                 "theta": form.theta,
                 "case": form.case,
@@ -514,7 +512,8 @@ def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = 
             }
             result = GauWuResult(k=4, n=4, method=METHOD_DICHOTOMY4, certificate=cert)
         else:
-            seeds = detect_seeds(m, tol)
+            pencil = SupportFunction(m)
+            seeds = work["seeds"] = detect_seeds(pencil, tol)
             strong = [sd for sd in seeds if sd.witnesses.shape[1] >= 2 and sd.independent]
             if strong:
                 cert = {
@@ -525,7 +524,7 @@ def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = 
                 }
                 ka3 = None
                 try:
-                    ka3 = ka3_check(m, tol)
+                    ka3 = ka3_check(pencil, tol)
                 except (NonInvertibleMapError, np.linalg.LinAlgError) as exc:
                     # the seed already decides k = 3; only the canonical form is lost
                     cert["canonical_form_error"] = f"{type(exc).__name__}: {exc}"
@@ -533,7 +532,7 @@ def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = 
                     cert["canonical_form"] = {"case": ka3.case, "params_keys": sorted(ka3.params)}
                 result = GauWuResult(k=3, n=4, method=METHOD_SEED3, certificate=cert)
             else:
-                ka3 = ka3_check(m, tol)
+                ka3 = ka3_check(pencil, tol)
                 if ka3 is not None and ka3.form_ok:
                     cert = {
                         "case": ka3.case,
@@ -552,8 +551,9 @@ def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = 
                     result = GauWuResult(k=3, n=4, method=METHOD_ORACLE, certificate=cert)
                 else:
                     result = GauWuResult(k=2, n=4, method=METHOD_FALLBACK2, certificate={})
+    result.work = work
     if confirm_with_oracle:
-        _confirm_with_oracle(m, result, tol)
+        _confirm_with_oracle(pencil, result, tol)
     return result
 
 
@@ -570,19 +570,6 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
     through the structured routes; anything else is either unitarily
     reducible (block additivity) or requires the constructive search.
     """
-    from .arrowhead import (
-        NotApplicableError,
-        NotArrowheadError,
-        arrowhead_from_dense,
-        dichotomy_check,
-        gauwu_balanced,
-        gauwu_unbalanced_two,
-        gauwu_with_zero_pairs,
-        irreducible_dichotomous_check,
-        pair_profile,
-    )
-    from .results import METHOD_ARROWHEAD
-
     m = as_square_matrix(a)
     n = m.shape[0]
     if n == 1:
@@ -593,6 +580,8 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         return classify(m, tol, confirm_with_oracle=confirm_with_oracle)
 
     result = None
+    work = {}
+    pencil = m  # becomes the SupportFunction of m if the search runs
     try:
         ah = arrowhead_from_dense(m, tol)
     except NotArrowheadError:
@@ -611,6 +600,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         if result is None:
             cert = dichotomy_check(ah, tol)  # n >= 3 here, so the check applies
             if cert is not None:
+                work["dichotomy"] = {"case": cert.case, "theta": cert.theta, "h0": cert.h0, "h1": cert.h1}
                 irr, reason = irreducible_dichotomous_check(ah, cert, tol)
                 if irr:
                     result = GauWuResult(
@@ -623,7 +613,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
             except NotApplicableError:
                 result = None
     if result is None:
-        dec = decompose(m, tol)
+        dec = work["decomposition"] = decompose(m, tol)
         if len(dec.blocks) > 1:
             result = dirsum_gauwu(dec, tol)
     if result is None:
@@ -631,11 +621,13 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
             raise UnsupportedDimensionError(
                 f"no exact route for this {n}x{n} matrix; rerun with the search enabled"
             )
-        res = max_orthonormal_boundary_set(m, tol=tol)
+        pencil = SupportFunction(m)
+        res = max_orthonormal_boundary_set(pencil, tol=tol)
         result = GauWuResult(
             k=res.k_lower, n=n, method=METHOD_ORACLE,
             certificate={"note": "constructive lower bound", "oracle": res.to_dict()},
         )
-    if confirm_with_oracle and result.oracle_confirmed is None:
-        _confirm_with_oracle(m, result, tol)
+    result.work = work
+    if confirm_with_oracle:
+        _confirm_with_oracle(pencil, result, tol)
     return result

@@ -13,14 +13,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .arrowhead import NotArrowheadError, arrowhead_from_dense, dichotomy_check
 from .classify import UnsupportedDimensionError, classify_any
 from .generators import ALL_FAMILIES, FamilySpec, InfeasibleSpecError, generate
 from .linalg import ToleranceConfig
 from .matrixio import MatrixParseError, Report, file_digest, load_matrix, save_matrix
-from .numrange import MIN_CURVE_SAMPLES, SupportFunction, boundary_generating_curve, detect_seeds
+from .numrange import MIN_CURVE_SAMPLES, SupportFunction, boundary_generating_curve
 from .oracle import MIN_GRID_SIZE, SearchParams, verify
-from .reduction import decompose
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -46,6 +44,16 @@ def _samples(value: int, minimum: int) -> int:
     if value < minimum:
         raise UsageError(f"--samples must be at least {minimum}, got {value}")
     return value
+
+
+def _angles(text: str) -> list:
+    try:
+        thetas = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--support-lines needs comma-separated angles, got {text!r}") from None
+    if not np.all(np.isfinite(thetas)):
+        raise UsageError(f"--support-lines angles must be finite, got {text!r}")
+    return thetas
 
 
 def _emit(text: str, out_path):
@@ -74,26 +82,18 @@ def cmd_classify(args) -> int:
     except UnsupportedDimensionError as exc:
         print(f"error: {exc} (pass --oracle for a search-only bound)", file=sys.stderr)
         return EXIT_UNSUPPORTED
-
-    cert = None
-    if n >= 3:
-        try:
-            cert = dichotomy_check(arrowhead_from_dense(a, tol), tol)
-        except NotArrowheadError:
-            pass
-    dich = None if cert is None else {"case": cert.case, "theta": cert.theta, "h0": cert.h0, "h1": cert.h1}
-    seeds = [
-        {"kind": s.kind, "theta": float(s.theta), "segment": [[z.real, z.imag] for z in s.segment]}
-        for s in detect_seeds(a, tol)
-    ]
-    dec = decompose(a, tol)
+    work = result.work
+    seeds = work.get("seeds")
+    dec = work.get("decomposition")
     report = Report(
         digest=file_digest(args.matrix),
         n=n,
         result=result.to_dict(),
-        dichotomy=dich,
-        seeds=seeds,
-        decomposition={"block_sizes": [b.shape[0] for b in dec.blocks]},
+        dichotomy=work.get("dichotomy"),
+        seeds=None if seeds is None else [
+            {"kind": s.kind, "theta": float(s.theta), "segment": [[z.real, z.imag] for z in s.segment]} for s in seeds
+        ],
+        decomposition=None if dec is None else {"block_sizes": [b.shape[0] for b in dec.blocks]},
         oracle=result.certificate.get("oracle"),
         tolerances={"eq_tol": tol.eq_tol, "cluster_tol": tol.cluster_tol, "gram_tol": tol.gram_tol, "boundary_tol": tol.boundary_tol},
         conversion_error=conv_err,
@@ -165,7 +165,7 @@ def cmd_curve(args) -> int:
         return EXIT_PARSE
     curve = boundary_generating_curve(a, samples=_samples(args.samples, MIN_CURVE_SAMPLES), tol=tol)
     if args.format == "svg":
-        thetas = [float(x) for x in args.support_lines.split(",")] if args.support_lines else []
+        thetas = _angles(args.support_lines) if args.support_lines else []
         return _emit(_svg_document(a, curve, thetas), args.out)
     lines = ["branch,theta,re,im,on_boundary"]
     for bi in range(curve.points.shape[0]):

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrowhead import ArrowheadMatrix
-from .linalg import ABS_FLOOR
+from .arrowhead import ArrowheadMatrix, _hull_boundary_indices
+from .linalg import ABS_FLOOR, DEFAULT_TOL
 
 REJECTION_CAP = 10_000
 
@@ -548,9 +548,6 @@ def perturb_unbalance(ah: ArrowheadMatrix, eps: float) -> ArrowheadMatrix:
     the convex-hull indices for any eps != 0 (outward for eps > 0, inward for
     eps < 0), which collapses the Gau-Wu number to 2.
     """
-    from .arrowhead import _hull_boundary_indices
-    from .linalg import DEFAULT_TOL
-
     if eps == 0:
         warnings.warn("eps = 0 leaves the matrix unchanged")
         return ArrowheadMatrix(ah.diag.copy(), ah.col.copy(), ah.row.copy(), ah.corner)

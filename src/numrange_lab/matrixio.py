@@ -94,7 +94,7 @@ class Report:
     n: int
     result: dict
     dichotomy: Optional[dict] = None
-    seeds: list = field(default_factory=list)
+    seeds: Optional[list] = None
     decomposition: Optional[dict] = None
     oracle: Optional[dict] = None
     tolerances: dict = field(default_factory=dict)
@@ -130,7 +130,7 @@ class Report:
             lines.append(
                 "dichotomy: case {case} at theta = {theta:.12g} (levels {h0:.12g}, {h1:.12g})".format(**self.dichotomy)
             )
-        if self.seeds:
+        if self.seeds is not None:
             lines.append(f"seeds: {len(self.seeds)}")
             for s in self.seeds:
                 lines.append(f"  - {s['kind']} at theta = {s['theta']:.6g}")

@@ -6,7 +6,8 @@ and every unit vector in the top eigenspace of Re(e^{-i theta} A) maps onto it
 under f_A(x) = x* A x.  All boundary computations below reduce to eigenvalue
 problems for the pencil member cos(theta) H + sin(theta) K (linalg._pencil_at).
 Each SupportFunction sweeps its grid once; event, seed and candidate scans
-read that sweep.
+read that sweep, and the functions here and in ``oracle`` that take a matrix
+also take its SupportFunction (``support_function``).
 """
 
 from __future__ import annotations
@@ -93,6 +94,14 @@ class SupportFunction:
         half = self.grid_size // 2
         widths = self.grid_values[:half] + self.grid_values[half : 2 * half]
         return max(float(np.max(widths)), 0.0)
+
+
+def support_function(a, grid_size: int = 1024) -> SupportFunction:
+    """The SupportFunction of ``a`` (a matrix or a SupportFunction of one) on
+    ``grid_size`` directions: ``a`` itself when its grid matches."""
+    if isinstance(a, SupportFunction) and a.grid_size == grid_size:
+        return a
+    return SupportFunction(a.a if isinstance(a, SupportFunction) else a, grid_size)
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 80):
@@ -376,7 +385,7 @@ def _seed_from_event(a, ev: TopEvent, diameter: float) -> Seed:
     return Seed(kind=kind, theta=ev.theta, segment=(complex(z_lo), complex(z_hi)), witnesses=witnesses)
 
 
-def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024) -> list:
+def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Find flat portions and singular points of the boundary.
 
     Two detectors: (i) directions where the top eigenvalue of the rotated
@@ -384,9 +393,9 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL, grid_size: int = 1024) -
     (ii) clusters of boundary contact points that stay put while the
     direction sweeps (corners / branch crossings on the boundary).
     """
-    m = as_square_matrix(a)
+    sf = support_function(a)
+    m = sf.a
     n = m.shape[0]
-    sf = SupportFunction(m, grid_size=grid_size)
     diam = sf.diameter()
     seeds = []
 

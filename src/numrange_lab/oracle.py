@@ -9,7 +9,8 @@ eigenvalue becomes multiple), finds near-orthogonal cliques, and polishes
 each clique by alternating exact eigenspace steps and local angle descent.
 
 Results are constructive lower bounds: sets are reported only with their
-Gram and boundary residuals, never by extrapolation.
+Gram and boundary residuals, never by extrapolation.  The searches take a
+matrix or its SupportFunction, whose sweep they reuse when the grid matches.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _pencil_at, as_square_matrix, hermitian_parts, matrix_scale
-from .numrange import SupportFunction, _refined_minima, _top_cluster_basis, top_gap_events
+from .numrange import SupportFunction, _refined_minima, _top_cluster_basis, support_function, top_gap_events
 
 COARSE_OVERLAP = 0.1
 MIN_GRID_SIZE = 64
@@ -93,9 +94,9 @@ def boundary_vector_field(
     """
     if grid_size < MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
-    m = as_square_matrix(a)
+    sf = support_function(a, grid_size)
+    m = sf.a
     n = m.shape[0]
-    sf = SupportFunction(m, grid_size=grid_size)
     scale = matrix_scale(m)
     split = tol.split_abs(scale)
 
@@ -482,12 +483,12 @@ def max_orthonormal_boundary_set(
     ``accept_hook(vectors, thetas)`` can impose extra structure (used by the
     three-line search of the 4x4 classifier).
     """
-    m = as_square_matrix(a)
+    sf = support_function(a, params.grid_size)
+    m = sf.a
     n = m.shape[0]
     if n == 1:
         return OracleResult(1, np.ones((1, 1), dtype=complex), np.zeros(1), 0.0, np.zeros(1), {})
-    field_ = boundary_vector_field(m, grid_size=params.grid_size, tol=tol)
-    sf = field_.support
+    field_ = boundary_vector_field(sf, grid_size=params.grid_size, tol=tol)
     if sf.diameter() <= 4 * ABS_FLOOR:
         eye = np.eye(n, dtype=complex)
         return OracleResult(n, eye, np.zeros(n), 0.0, np.zeros(n), {})

@@ -37,6 +37,7 @@ import numpy as np
 
 from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _is_normal, as_square_matrix, hermitian_parts, matrix_scale
 from .numrange import SupportFunction, kprime_relative, point_boundary_defect
+from .oracle import restricted_max_set
 from .results import METHOD_DIRECT_SUM, GauWuResult
 
 # Largest singular value of the commutator system, largest deviation of K'
@@ -228,8 +229,6 @@ def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT
         return kprime_relative(b, ambient, tol), "normal-spectrum-contact"
     if n == 2:
         return kprime_relative(b, ambient, tol), "antipodal-contact"
-    from .oracle import restricted_max_set
-
     k, _, _ = restricted_max_set(b, ambient, tol=tol)
     return k, "restricted-search"
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 METHOD_DICHOTOMY4 = "Dichotomy4"
 METHOD_SEED3 = "SeedPresent3"
 METHOD_KA3 = "KA3Form3"
@@ -30,7 +32,8 @@ class GauWuResult:
 
     ``certificate`` is a method-specific payload (angles, cluster index sets,
     canonical-form parameters, per-block contributions, ...) sufficient to
-    re-validate the claim against the matrix.
+    re-validate the claim against the matrix.  ``work`` keeps, for reports and
+    not in ``to_dict``, what the stages that ran computed on the way.
     """
 
     k: int
@@ -38,6 +41,7 @@ class GauWuResult:
     method: str
     certificate: dict = field(default_factory=dict)
     oracle_confirmed: Optional[bool] = None
+    work: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in ALL_METHODS:
@@ -57,8 +61,6 @@ class GauWuResult:
 
 
 def _jsonable(obj):
-    import numpy as np
-
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -2,12 +2,14 @@
 
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from numrange_lab.arrowhead import ArrowheadMatrix
+from numrange_lab.numrange import SupportFunction
 
 # property tests replay the same examples on every run and have no per-example
 # deadline: a slow phase of a shared host must not fail or change them
@@ -64,6 +66,19 @@ def batched_calls(monkeypatch):
 def linalg_calls(monkeypatch):
     """Counts of all np.linalg.eigvalsh, eigh and svd calls, batched or not."""
     return _count_calls(monkeypatch, ("eigvalsh", "eigh", "svd"), lambda a: 1)
+
+
+@pytest.fixture
+def support_builds(monkeypatch):
+    """Counts of SupportFunction constructions, by grid size."""
+    counts = Counter()
+
+    def counting(self, a, grid_size=1024, _orig=SupportFunction.__init__):
+        counts[int(grid_size)] += 1
+        _orig(self, a, grid_size)
+
+    monkeypatch.setattr(SupportFunction, "__init__", counting)
+    return counts
 
 
 def balanced_arrowhead(seed, n, two_level=False):

@@ -214,6 +214,27 @@ class TestClassifyPipeline:
             classify(np.eye(3))
 
 
+class TestOneSupportFunction:
+    """One classification sweeps the pencil once: the seeds, the three-line
+    search and the oracle confirmation share one SupportFunction."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: generate(FamilySpec("k3-parallel-lines", seed=4000)), flat_portion_example],
+        ids=["k3-parallel-lines", "worked-example"],
+    )
+    def test_classify_builds_one(self, make, support_builds):
+        a = make()
+        classify(a)
+        assert support_builds == {1024: 1}
+
+    def test_confirmation_reuses_it(self, support_builds):
+        # verify matches the worked example's k = 3 without escalating
+        res = classify(flat_portion_example(), confirm_with_oracle=True)
+        assert res.oracle_confirmed is True
+        assert support_builds == {1024: 1}
+
+
 class TestInvariance:
     @pytest.mark.parametrize(
         "fam",

@@ -1,10 +1,15 @@
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import balanced_arrowhead, random_matrix, rng_for
+from numrange_lab import arrowhead, numrange, reduction
+from numrange_lab.classify import classify_any
 from numrange_lab.cli import main
-from numrange_lab.generators import flat_portion_example
+from numrange_lab.generators import FamilySpec, flat_portion_example, generate
 from numrange_lab.matrixio import load_matrix, save_matrix
 
 
@@ -241,3 +246,104 @@ class TestOutOfRangeInput:
 
     def test_curve_zero_samples(self, worked_example_path, capsys):
         self.check(["curve", worked_example_path, "--samples", "0"], capsys)
+
+    @pytest.mark.parametrize("lines", ["0,abc", "1,,2", "nan"], ids=["not-a-number", "empty-item", "not-finite"])
+    def test_curve_bad_support_lines(self, worked_example_path, lines, capsys):
+        argv = ["curve", worked_example_path, "--samples", "64", "--format", "svg", "--support-lines", lines]
+        self.check(argv, capsys)
+
+
+# the classification stages, wherever the package binds them
+STAGES = {
+    "detect_seeds": numrange.detect_seeds,
+    "decompose": reduction.decompose,
+    "dichotomy_check": arrowhead.dichotomy_check,
+}
+
+
+@pytest.fixture
+def stage_counts(monkeypatch, support_builds):
+    """``take()`` returns the stage calls and SupportFunction builds since the
+    previous ``take()``."""
+    calls = Counter()
+    for mod in [m for name, m in list(sys.modules.items()) if name.startswith("numrange_lab")]:
+        for name, fn in STAGES.items():
+            if getattr(mod, name, None) is fn:
+
+                def counting(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counting)
+
+    def take():
+        out = (dict(calls), dict(support_builds))
+        calls.clear()
+        support_builds.clear()
+        return out
+
+    return take
+
+
+def _report(tmp_path, a, capsys, *extra, fmt="json"):
+    path = tmp_path / "m.json"
+    save_matrix(path, a)
+    assert main(["classify", str(path), "--format", fmt, *extra]) == 0
+    out = capsys.readouterr().out
+    return json.loads(out) if fmt == "json" else out
+
+
+class TestReportReadsTheRoute:
+    """The report is built from what classify_any computed: the CLI runs no
+    stage of its own, and a section is null when the route skipped its stage."""
+
+    @pytest.mark.parametrize(
+        "make, extra",
+        [
+            (flat_portion_example, ()),
+            (lambda: balanced_arrowhead(21, 5).to_dense(), ()),
+            (lambda: random_matrix(rng_for(1), 5), ("--oracle",)),
+        ],
+        ids=["worked-example", "balanced-arrowhead-5", "dense-5-oracle"],
+    )
+    def test_no_stage_of_its_own(self, make, extra, tmp_path, stage_counts, capsys):
+        a = make()
+        classify_any(a, allow_oracle_only=bool(extra))
+        bare = stage_counts()
+        _report(tmp_path, a, capsys, *extra)
+        assert stage_counts() == bare
+
+    def test_seed_route(self, tmp_path, capsys):
+        a = flat_portion_example()
+        doc = _report(tmp_path, a, capsys)
+        seeds = classify_any(a).work["seeds"]
+        assert doc["result"]["method"] == "SeedPresent3" and seeds
+        assert doc["seeds"] == [
+            {"kind": s.kind, "theta": s.theta, "segment": [[z.real, z.imag] for z in s.segment]} for s in seeds
+        ]
+        assert doc["decomposition"] == {"block_sizes": [4]}
+        assert doc["dichotomy"] is None
+
+    def test_direct_sum_route(self, tmp_path, capsys):
+        doc = _report(tmp_path, np.diag([1.0, 1j, -1.0, -1j]), capsys)
+        assert doc["result"]["method"] == "DirectSum"
+        assert doc["decomposition"] == {"block_sizes": [1, 1, 1, 1]}
+        assert doc["dichotomy"] is None and doc["seeds"] is None
+
+    def test_dichotomy_route(self, tmp_path, capsys):
+        doc = _report(tmp_path, generate(FamilySpec("k4-split-22", seed=3000)), capsys)
+        assert doc["result"]["method"] == "Dichotomy4"
+        dich = doc["dichotomy"]
+        assert dich["case"] == "2+2" and dich["theta"] == doc["result"]["certificate"]["theta"]
+        assert dich["h0"] < dich["h1"]
+        assert doc["decomposition"] == {"block_sizes": [4]}
+        assert doc["seeds"] is None
+
+    def test_balanced_arrowhead_route(self, tmp_path, capsys):
+        a = balanced_arrowhead(21, 5).to_dense()
+        doc = _report(tmp_path, a, capsys)
+        assert doc["result"]["method"] == "ArrowheadTheorem"
+        assert doc["dichotomy"] is None and doc["seeds"] is None and doc["decomposition"] is None
+        text = _report(tmp_path, a, capsys, fmt="text")
+        assert "k(A) = " in text
+        assert not any(word in text for word in ("dichotomy", "seeds", "blocks"))
