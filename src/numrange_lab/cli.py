@@ -206,9 +206,8 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     claim = args.claim
-    if claim is None:
-        print("error: --claim K is required", file=sys.stderr)
-        return EXIT_PARSE
+    if claim is None or not 1 <= claim <= a.shape[0]:
+        raise UsageError(f"--claim K with 1 <= K <= {a.shape[0]} is required, got {claim}")
     params = SearchParams(grid_size=1024 if args.samples is None else _samples(args.samples, MIN_GRID_SIZE))
     rep = verify(a, claim, tol=tol, params=params)
     text = (

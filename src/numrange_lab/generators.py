@@ -433,6 +433,8 @@ def _disk_block(center: complex, radius: float) -> np.ndarray:
 
 
 def _gen_ellipse_pair(spec: FamilySpec, rng):
+    if spec.n != 4:
+        raise InfeasibleSpecError("the ellipse-pair family lives at n = 4")
     config = spec.knobs.get("config", "nested")
     jit = 0.02 * rng.uniform(-1, 1, size=4)
     if config == "nested":
@@ -456,6 +458,8 @@ def _gen_ellipse_pair(spec: FamilySpec, rng):
 
 
 def _gen_ellipse_scalars(spec: FamilySpec, rng):
+    if spec.n != 4:
+        raise InfeasibleSpecError("the ellipse-with-scalars family lives at n = 4")
     config = spec.knobs.get("config", "three")
     jit = 0.03 * rng.uniform(-1, 1, size=3)
     disk = _disk_block(0, 1.0)

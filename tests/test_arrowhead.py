@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import balanced_arrowhead, random_matrix, rng_for
+from conftest import balanced_arrowhead, bounded, random_matrix, rng_for
 from numrange_lab.arrowhead import (
     ArrowheadMatrix,
     _hull_boundary_indices,
@@ -124,6 +124,67 @@ class TestSecular:
         assert len(roots) == n
         for i, pole in enumerate(np.sort(d)):
             assert roots[i] < pole < roots[i + 1]
+
+    def test_repeated_pole_gets_orthonormal_vectors(self):
+        # the eigenvalue 0.5 is double; its two nullspace vectors span e_1, e_2
+        ah = ArrowheadMatrix([0.5, 0.5, -0.3], [0, 0, 1], [0, 0, 0.7], 0.2)
+        res = secular_eigen(ah)
+        dense = ah.to_dense()
+        assert len(res.degenerate) == 2
+        vecs = np.array([p.vector for p in res.degenerate]).T
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-12)
+        for p in res.degenerate:
+            assert np.linalg.norm(dense @ p.vector - p.value * p.vector) <= 1e-9 * matrix_scale(dense)
+
+    @pytest.mark.parametrize("n", [10, 60, 250])
+    @pytest.mark.parametrize("kind", ["clustered", "weak"])
+    def test_hermitian_hard_poles(self, kind, n):
+        """Poles in pairs 1e-7 apart, or couplings from 1e-6 to 1: every value
+        is found once, with a small residual, strictly interlacing the poles."""
+        rng = rng_for(600 + n)
+        if kind == "clustered":
+            centres = np.linspace(-1, 1, n // 2) + rng.uniform(-0.2, 0.2, n // 2) / n
+            d = np.sort(np.concatenate([centres, centres + 1e-7]))[: n - 1]
+            moduli = rng.uniform(0.1, 1, n - 1)
+        else:
+            d = np.sort(np.linspace(-1, 1, n - 1) + rng.uniform(-0.3, 0.3, n - 1) / n)
+            moduli = 10.0 ** rng.uniform(-6, 0, n - 1)
+        b = moduli * np.exp(1j * rng.uniform(0, 7, n - 1))
+        ah = ArrowheadMatrix(d, b, np.conj(b), rng.uniform(-1, 1))
+        res = secular_eigen(ah)
+        scale = matrix_scale(ah.to_dense())
+        got = res.values()
+        assert len(got) == n
+        assert all(p.residual < 1e-9 * scale for p in res.eigen + res.degenerate)
+        roots = np.sort(got.real)
+        assert np.all(roots[:-1] < d) and np.all(d < roots[1:])
+        dense = np.linalg.eigvals(ah.to_dense())
+        for lam in got:
+            j = int(np.argmin(np.abs(dense - lam)))
+            assert abs(dense[j] - lam) < 1e-8 * scale
+            dense = np.delete(dense, j)
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_cost_at_n_400(self, hermitian):
+        """Built as in acceptance criterion 10; a sweep over the live roots
+        only keeps the time and the traced memory bounded."""
+        rng = rng_for(4000 + hermitian)
+        n = 400
+        if hermitian:
+            d = np.sort(np.linspace(-1, 1, n - 1) + rng.uniform(-0.3, 0.3, n - 1) / n)
+            b = rng.uniform(0.1, 1, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1))
+            ah = ArrowheadMatrix(d, b, np.conj(b), rng.uniform(-1, 1))
+        else:
+            ah = ArrowheadMatrix(
+                rng.uniform(-1, 1, n - 1) + 1j * rng.uniform(-1, 1, n - 1),
+                rng.uniform(0.2, 1, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1)),
+                rng.uniform(0.2, 1, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1)),
+                rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1),
+            )
+        res, elapsed, peak = bounded(secular_eigen, ah)
+        assert len(res.values()) == n
+        assert elapsed < 1.0, elapsed
+        assert peak < 32 * 2**20, peak
 
 
 class TestNormalEigenvalue:

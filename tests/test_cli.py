@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import balanced_arrowhead, random_matrix, rng_for
-from numrange_lab import arrowhead, numrange, reduction
+from numrange_lab import arrowhead, numrange, oracle, reduction
 from numrange_lab.classify import classify_any
 from numrange_lab.cli import main
 from numrange_lab.generators import FamilySpec, flat_portion_example, generate
@@ -212,6 +212,11 @@ class TestGenerateAndVerify:
         rc = main(["generate", "--family", "reducible-mixed", "--n", "5", "--out", str(tmp_path / "x.json")])
         assert rc == 5
 
+    def test_generate_ellipse_family_off_size_exit_5(self, tmp_path):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--family", "ellipse-pair", "--n", "7", "--out", str(out)]) == 5
+        assert not out.exists()
+
     def test_tolerance_env_override(self, worked_example_path, monkeypatch, capsys):
         monkeypatch.setenv("NUMRANGE_TOL", "1e-9")
         rc = main(["classify", worked_example_path, "--format", "json"])
@@ -244,6 +249,10 @@ class TestOutOfRangeInput:
     def test_verify_zero_samples(self, worked_example_path, capsys):
         self.check(["verify", worked_example_path, "--claim", "3", "--samples", "0"], capsys)
 
+    @pytest.mark.parametrize("claim", ["0", "5"])
+    def test_verify_claim_outside_one_to_n(self, worked_example_path, claim, capsys):
+        self.check(["verify", worked_example_path, "--claim", claim], capsys)
+
     def test_curve_zero_samples(self, worked_example_path, capsys):
         self.check(["curve", worked_example_path, "--samples", "0"], capsys)
 
@@ -258,6 +267,7 @@ STAGES = {
     "detect_seeds": numrange.detect_seeds,
     "decompose": reduction.decompose,
     "dichotomy_check": arrowhead.dichotomy_check,
+    "max_orthonormal_boundary_set": oracle.max_orthonormal_boundary_set,
 }
 
 
@@ -303,8 +313,9 @@ class TestReportReadsTheRoute:
             (flat_portion_example, ()),
             (lambda: balanced_arrowhead(21, 5).to_dense(), ()),
             (lambda: random_matrix(rng_for(1), 5), ("--oracle",)),
+            (lambda: random_matrix(rng_for(1), 5), ("--oracle", "--verify")),
         ],
-        ids=["worked-example", "balanced-arrowhead-5", "dense-5-oracle"],
+        ids=["worked-example", "balanced-arrowhead-5", "dense-5-oracle", "dense-5-oracle-verify"],
     )
     def test_no_stage_of_its_own(self, make, extra, tmp_path, stage_counts, capsys):
         a = make()

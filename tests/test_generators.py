@@ -132,6 +132,12 @@ class TestInfeasible:
         with pytest.raises(InfeasibleSpecError):
             generate(FamilySpec("reducible-mixed", n=5, seed=0))
 
+    @pytest.mark.parametrize("fam", ["ellipse-pair", "ellipse-with-scalars"])
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 5])
+    def test_ellipse_families_need_n4(self, fam, n):
+        with pytest.raises(InfeasibleSpecError):
+            generate(FamilySpec(fam, n=n, seed=0))
+
     def test_small_n_rejected(self):
         with pytest.raises(InfeasibleSpecError):
             generate(FamilySpec("dichotomous-arrowhead-diag", n=2, seed=0))
