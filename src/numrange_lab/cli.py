@@ -177,6 +177,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     knobs = {}
     if args.config:
         knobs["config"] = args.config

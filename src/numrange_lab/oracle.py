@@ -6,7 +6,8 @@ is a top eigenvector of Re(e^{-i theta} A) for some theta, so the search
 space is the union of top eigenspaces over all directions.  The engine
 harvests candidates on a theta grid (refining directions where the top
 eigenvalue becomes multiple), finds near-orthogonal cliques, and polishes
-each clique by alternating exact eigenspace steps and local angle descent.
+each clique by alternating exact eigenspace steps with Levenberg-Marquardt
+steps in the free directions, on analytic top-eigenvector derivatives.
 
 Results are constructive lower bounds: sets are reported only with their
 Gram and boundary residuals, never by extrapolation.  The searches take a
@@ -33,7 +34,7 @@ class SearchParams:
     grid_size: int = 1024
     max_cliques: int = 4000
     attempts_per_size: int = 24
-    sweeps: int = 60
+    sweeps: int = 60  # iteration budget of one starting set's Levenberg-Marquardt loop
     theta_refine: bool = True
 
     def escalate(self) -> "SearchParams":
@@ -206,14 +207,26 @@ def _maximal_cliques(adj: np.ndarray, cap: int):
     return out
 
 
-def _top_eigvec(h, k, t, ref=None):
-    _, vv = np.linalg.eigh(_pencil_at(h, k, t))
-    x = vv[:, -1]
-    if ref is not None:
-        ph = np.vdot(ref, x)
-        if abs(ph) > 1e-12:
-            x = x * (np.conj(ph) / abs(ph))
-    return x
+def _top_vectors(h, k, thetas, ref, floor):
+    """Top eigenvectors of the pencil members at ``thetas`` and their
+    derivatives in theta, both n x len(thetas), from one stacked ``eigh``.
+
+    Column i is phased to column i of ``ref``.  For a simple top eigenpair
+    (lam, x) of B = cos(t) H + sin(t) K, first-order perturbation theory gives
+    x' = sum_j v_j (v_j* B' x) / (lam - lam_j) over the other eigenpairs, with
+    B' = -sin(t) H + cos(t) K; this x' is orthogonal to x, the gauge that the
+    phasing to the previous vector follows.  Gaps below ``floor`` are raised
+    to it, so near a multiple top eigenvalue x' is large but finite.
+    """
+    w, v = np.linalg.eigh(_pencil_at(h, k, thetas))
+    x = v[:, :, -1]
+    ph = np.einsum("ji,ij->i", ref.conj(), x)
+    mag = np.abs(ph)
+    x = x * np.where(mag > 1e-12, ph.conj() / np.maximum(mag, 1e-12), 1.0)[:, None]
+    bx = np.einsum("fij,fj->fi", _pencil_at(k, -h, thetas), x)
+    c = np.einsum("fji,fj->fi", v[:, :, :-1].conj(), bx)
+    dx = np.einsum("fij,fj->fi", v[:, :, :-1], c / np.maximum(w[:, -1:] - w[:, :-1], floor))
+    return x.T, dx.T
 
 
 def _boundary_residuals(m, X, thetas, sf: SupportFunction) -> np.ndarray:
@@ -226,140 +239,83 @@ def _boundary_residuals(m, X, thetas, sf: SupportFunction) -> np.ndarray:
 def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams):
     """Polish a candidate family towards exact orthonormality.
 
-    Members sharing a direction are reassigned jointly inside their eigenspace
-    (smallest eigenvectors of the projected conflict operator), which keeps
-    them exactly orthonormal among themselves.  Free members first slide along
-    theta by quadratic coordinate descent to reach the basin, then a
-    Gauss-Newton iteration on the complex pairwise overlaps (finite-difference
-    Jacobian in the free angles) drives the residual to machine zero whenever
-    an exact orthonormal family exists nearby.  Boundary residuals are taken
-    against ``sf``.
+    Members sharing a direction, or pinned to a multiple top eigenvalue, are
+    reassigned jointly inside their eigenspace (smallest eigenvectors of the
+    projected conflict operator), which keeps them exactly orthonormal among
+    themselves.  The other (free) members move along theta: each pass of one
+    loop makes that exact eigenspace step and then one Levenberg-Marquardt
+    step on the real and imaginary parts of the pairwise overlaps, with the
+    Jacobian in the free angles taken from the analytic top-eigenvector
+    derivatives of ``_top_vectors``.  A step is kept only when it lowers the
+    sum of squared overlaps; otherwise the damping grows, which also rejects
+    the huge steps that a nearly multiple top eigenvalue produces.  The loop
+    stops when every overlap is below 5e-15, when a step no longer moves any
+    angle, when alignment alone stops lowering the overlaps (no free
+    members), or after ``params.sweeps`` passes.  Boundary residuals are
+    taken against ``sf``.
     """
     k = len(members)
     hm, km = hermitian_parts(m_mat)
     X = np.column_stack([c.vec for c in members]).astype(complex)
     thetas = np.array([float(c.theta) for c in members])
-    pinned = [c.pinned for c in members]
-    bases = [c.basis for c in members]
 
     groups: dict = {}
     for i, t in enumerate(thetas):
         groups.setdefault(round(t, 12), []).append(i)
     group_list = list(groups.values())
-    free = [g[0] for g in group_list if len(g) == 1 and not pinned[g[0]] and params.theta_refine]
+    free = [g[0] for g in group_list if len(g) == 1 and not members[g[0]].pinned and params.theta_refine]
+    # a one-dimensional eigenspace leaves nothing to choose
+    spans = [(g, members[g[0]].basis) for g in group_list if members[g[0]].basis.shape[1] >= max(len(g), 2)]
+    upper = np.triu_indices(k, 1)
+    pairs = np.arange(len(upper[0]))
 
-    def gram_res(Xc):
-        G = Xc.conj().T @ Xc
-        off = G - np.diag(np.diag(G))
-        return float(np.max(np.abs(off))) if k > 1 else 0.0
+    def overlaps(Y):
+        return (Y.conj().T @ Y)[upper]
 
     def align_groups():
-        for g in group_list:
+        for g, B in spans:
             idx = [i for i in range(k) if i not in g]
-            B = bases[g[0]]
-            if B.shape[1] < len(g):
-                continue
-            if idx:
-                Xo = X[:, idx]
-                M = B.conj().T @ (Xo @ Xo.conj().T) @ B
-            else:
-                M = np.zeros((B.shape[1], B.shape[1]))
-            ww, vv = np.linalg.eigh((M + M.conj().T) / 2)
-            for slot, i in enumerate(g):
-                X[:, i] = B @ vv[:, slot]
+            Xo = X[:, idx]
+            M = B.conj().T @ (Xo @ Xo.conj().T) @ B
+            X[:, g] = B @ np.linalg.eigh((M + M.conj().T) / 2)[1][:, : len(g)]
 
-    def descent(i, inner):
-        idx = [j for j in range(k) if j != i]
-        if not idx:
-            return
-        C = X[:, idx] @ X[:, idx].conj().T
-
-        def conflict(t):
-            x = _top_eigvec(hm, km, t)
-            return float(np.real(x.conj() @ C @ x)), x
-
-        d = 2 * np.pi / max(params.grid_size, 64)
-        t0 = thetas[i]
-        f0, x0 = conflict(t0)
-        for _ in range(inner):
-            fm, xm = conflict(t0 - d)
-            fp, xp = conflict(t0 + d)
-            bt, bf, bx = t0, f0, x0
-            if fm < bf:
-                bt, bf, bx = t0 - d, fm, xm
-            if fp < bf:
-                bt, bf, bx = t0 + d, fp, xp
-            denom = fm - 2 * f0 + fp
-            if denom > 1e-300:
-                step = float(np.clip(0.5 * d * (fm - fp) / denom, -4 * d, 4 * d))
-                ft, xt = conflict(t0 + step)
-                if ft < bf:
-                    bt, bf, bx = t0 + step, ft, xt
-            moved = abs(bt - t0)
-            t0, f0, x0 = bt, bf, bx
-            d = min(d * 2.5, 0.25) if moved >= 1.5 * d else max(d * 0.25, 1e-13)
-            if d <= 1e-12:
-                break
-        thetas[i] = t0
-        X[:, i] = x0
-        bases[i] = x0[:, None]
-
-    def residuals(Xc):
-        out = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                z = np.vdot(Xc[:, i], Xc[:, j])
-                out.extend([z.real, z.imag])
-        return np.array(out)
-
-    def gauss_newton(iters):
-        h = 1e-7
-        for _ in range(iters):
-            r = residuals(X)
-            rmax = np.max(np.abs(r)) if len(r) else 0.0
-            if rmax < 5e-15:
-                return
-            jac = np.zeros((len(r), len(free)))
-            for col, i in enumerate(free):
-                Xp = X.copy()
-                Xp[:, i] = _top_eigvec(hm, km, thetas[i] + h, ref=X[:, i])
-                jac[:, col] = (residuals(Xp) - r) / h
-            delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            nrm = float(np.linalg.norm(delta))
-            if not np.isfinite(nrm) or nrm == 0.0:
-                return
-            if nrm > 0.1:
-                delta = delta * (0.1 / nrm)
-            trial_t = thetas.copy()
-            trial_x = X.copy()
-            for col, i in enumerate(free):
-                trial_t[i] = thetas[i] + delta[col]
-                trial_x[:, i] = _top_eigvec(hm, km, trial_t[i], ref=X[:, i])
-            if np.max(np.abs(residuals(trial_x))) < rmax:
-                for col, i in enumerate(free):
-                    thetas[i] = trial_t[i]
-                    X[:, i] = trial_x[:, i]
-                    bases[i] = X[:, i][:, None]
-            else:
-                return
-
-    warmup = max(2, params.sweeps // 15)
-    for _ in range(warmup):
+    floor = ABS_FLOOR * matrix_scale(m_mat)
+    D = np.zeros_like(X)  # d x_i / d theta_i, zero for members that do not move
+    if free:
+        X[:, free], D[:, free] = _top_vectors(hm, km, thetas[free], X[:, free], floor)
+    damping = 1e-3
+    cost = np.inf
+    for _ in range(params.sweeps):
         align_groups()
-        for i in free:
-            descent(i, inner=8)
-        if gram_res(X) < 5e-15:
+        z = overlaps(X)
+        now = float(np.vdot(z, z).real)
+        if np.max(np.abs(z), initial=0.0) < 5e-15 or (not free and now >= cost):
             break
-    if free and gram_res(X) >= 5e-15:
-        for _ in range(3):
-            gauss_newton(iters=max(8, params.sweeps // 4))
-            if gram_res(X) < 5e-15:
-                break
-            align_groups()
-            for i in free:
-                descent(i, inner=4)
-    align_groups()
-    return gram_res(X), X, thetas, _boundary_residuals(m_mat, X, thetas, sf)
+        cost = now
+        if not free:
+            continue
+        # d<x_p, x_q>/d theta_p = <x_p', x_q>, d<x_p, x_q>/d theta_q = <x_p, x_q'>
+        jac = np.zeros((len(pairs), k), dtype=complex)
+        jac[pairs, upper[0]] = (D.conj().T @ X)[upper]
+        jac[pairs, upper[1]] = (X.conj().T @ D)[upper]
+        jac = np.vstack([jac.real, jac.imag])[:, free]
+        scale = np.sqrt(damping * np.sum(jac * jac, axis=0))
+        lhs = np.vstack([jac, np.diag(scale)])
+        rhs = np.concatenate([-z.real, -z.imag, np.zeros(len(free))])
+        trial = thetas[free] + np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        if np.array_equal(trial, thetas[free]):
+            break
+        xt, dt = _top_vectors(hm, km, trial, X[:, free], floor)
+        Xt = X.copy()
+        Xt[:, free] = xt
+        zt = overlaps(Xt)
+        if float(np.vdot(zt, zt).real) < now:
+            X, thetas[free], D[:, free] = Xt, trial, dt
+            damping /= 3
+        else:
+            damping *= 4
+    res = float(np.max(np.abs(overlaps(X)), initial=0.0))
+    return res, X, thetas, _boundary_residuals(m_mat, X, thetas, sf)
 
 
 def _clique_score(clique, overlaps) -> float:

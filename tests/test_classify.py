@@ -204,6 +204,19 @@ class TestClassifyPipeline:
             res = classify(generate(FamilySpec(fam, seed=7)))
             assert (res.k, res.method) == (expect, method), (fam, res.k, res.method)
 
+    def test_parallel_lines_seed_once_misread_as_two(self):
+        # k = 3 by construction; the search refines only the first 24 size-3
+        # starting sets (of 1,194), so the refiner must reach the triple from one
+        res = classify(generate(FamilySpec("k3-parallel-lines", n=4, seed=347341074)))
+        assert (res.k, res.method) == (3, METHOD_KA3)
+
+    @pytest.mark.parametrize("fam", ["pure-almost-normal", "k3-parallel-lines"])
+    def test_search_cost(self, fam, linalg_calls):
+        # the three-line search refines each starting set with one stacked
+        # eigh per Levenberg-Marquardt step
+        classify(generate(FamilySpec(fam, seed=7001)))
+        assert linalg_calls["eigh"] <= 4000
+
     def test_oracle_confirmation_flag(self):
         res = classify(flat_portion_example(), confirm_with_oracle=True)
         assert res.oracle_confirmed is True

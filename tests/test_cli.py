@@ -212,6 +212,13 @@ class TestGenerateAndVerify:
         rc = main(["generate", "--family", "reducible-mixed", "--n", "5", "--out", str(tmp_path / "x.json")])
         assert rc == 5
 
+    def test_generate_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        rc = main(["generate", "--family", "k3-parallel-lines", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_generate_ellipse_family_off_size_exit_5(self, tmp_path):
         out = tmp_path / "x.json"
         assert main(["generate", "--family", "ellipse-pair", "--n", "7", "--out", str(out)]) == 5

@@ -3,9 +3,11 @@ import pytest
 
 from conftest import balanced_arrowhead, random_matrix, rng_for
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
+from numrange_lab.linalg import ABS_FLOOR, hermitian_parts
 from numrange_lab.numrange import SupportFunction
 from numrange_lab.oracle import (
     SearchParams,
+    _top_vectors,
     boundary_vector_field,
     max_orthonormal_boundary_set,
     restricted_max_set,
@@ -48,6 +50,37 @@ class TestField:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             boundary_vector_field(np.eye(2), grid_size=32)
+
+
+class TestTopVectorDerivative:
+    def test_matches_central_difference(self):
+        a = random_matrix(rng_for(11), 5)
+        h, k = hermitian_parts(a)
+        scale = np.linalg.norm(a, 2)
+
+        def top(t):
+            return np.linalg.eigh(np.cos(t) * h + np.sin(t) * k)[1][:, -1]
+
+        def phased(v, ref):
+            ph = np.vdot(ref, v)
+            return v * np.conj(ph) / abs(ph)
+
+        thetas = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        w = np.array([np.linalg.eigvalsh(np.cos(t) * h + np.sin(t) * k) for t in thetas])
+        thetas = thetas[w[:, -1] - w[:, -2] > 1e-3 * scale]
+        assert len(thetas) >= 8
+        x, dx = _top_vectors(h, k, thetas, np.ones((5, len(thetas))), ABS_FLOOR * scale)
+        step = 1e-6
+        for i, t in enumerate(thetas):
+            assert np.allclose(phased(top(t), x[:, i]), x[:, i], atol=1e-12)
+            fd = (phased(top(t + step), x[:, i]) - phased(top(t - step), x[:, i])) / (2 * step)
+            assert np.linalg.norm(fd - dx[:, i]) <= 1e-6 * np.linalg.norm(dx[:, i])
+
+    def test_multiple_top_eigenvalue_stays_finite(self):
+        h, k = np.diag([1.0, 1.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 2.0]).astype(complex)
+        x, dx = _top_vectors(h, k, np.array([0.0]), np.ones((3, 1)), ABS_FLOOR)
+        assert np.all(np.isfinite(dx))
+        assert abs(np.linalg.norm(x) - 1) < 1e-12
 
 
 class TestMaxSet:
