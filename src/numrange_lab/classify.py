@@ -343,7 +343,7 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
     if res.k_lower < 3:
         return None
     x3, thetas = res.vectors[:, :3], res.thetas[:3]
-    ps = [sf(float(t)) for t in thetas]
+    ps = sf(thetas)
     notes = []
     norm = _normalizing_affine(thetas, ps)
     if norm is None:

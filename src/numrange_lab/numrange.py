@@ -7,7 +7,9 @@ under f_A(x) = x* A x.  All boundary computations below reduce to eigenvalue
 problems for the pencil member cos(theta) H + sin(theta) K (linalg._pencil_at).
 Each SupportFunction sweeps its grid once; event, seed and candidate scans
 read that sweep, and the functions here and in ``oracle`` that take a matrix
-also take its SupportFunction (``support_function``).
+also take its SupportFunction (``support_function``).  Every minimum in
+theta of a function of these eigenvalues is refined off the grid by one
+lockstep Newton solver (``_refined_minima``) on their analytic derivatives.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .linalg import (
 
 TWO_PI = 2 * np.pi
 MIN_CURVE_SAMPLES = 8
+REFINE_STEPS = 8  # cap on the lockstep steps of one refinement, each one or two stacked eighs
+MIXED_GAP = 1e-8  # relative eigenvalue gap below which the coupling of a pair is rounding noise
 
 
 class UnsupportedBlockError(ValueError):
@@ -68,7 +72,8 @@ def support(a, theta: float, tol: ToleranceConfig = DEFAULT_TOL) -> SupportSampl
 
 class SupportFunction:
     """p(theta) precomputed on a uniform grid, with exact evaluation anywhere;
-    ``grid_eigvals`` keeps the whole spectrum of each grid member."""
+    ``grid_eigvals`` keeps the whole spectrum of each grid member, and its
+    largest magnitude ``radius`` is the scale of every pencil eigenvalue."""
 
     def __init__(self, a, grid_size: int = 1024):
         self.a = as_square_matrix(a)
@@ -77,6 +82,7 @@ class SupportFunction:
         self.thetas = np.linspace(0.0, TWO_PI, self.grid_size, endpoint=False)
         self.grid_eigvals = np.linalg.eigvalsh(_pencil_at(self.h, self.k, self.thetas))
         self.grid_values = self.grid_eigvals[:, -1]
+        self.radius = max(float(np.max(np.abs(self.grid_eigvals))), ABS_FLOOR)
 
     def __call__(self, theta):
         """p(theta): a float for a scalar theta, an array for a 1-d array."""
@@ -89,6 +95,17 @@ class SupportFunction:
         the batched eigh costs about three eigvalsh sweeps and an ambient
         range never needs it."""
         return np.linalg.eigh(_pencil_at(self.h, self.k, self.thetas))[1][:, :, -1]
+
+    def branches(self, thetas) -> np.ndarray:
+        """Ascending eigenvalues of the pencil members at the 1-d ``thetas`` and
+        their first and second derivatives, one (3, len(thetas), n) array: by
+        ``_pencil_derivatives``, lam_i' = C_ii and, as B'' = -B, lam_i'' =
+        -lam_i + 2 sum_j |C_ij|^2 R_ij over the pairs at least MIXED_GAP *
+        radius apart; rounding mixes closer pairs, which cross like blocks."""
+        floor = MIXED_GAP * self.radius
+        w, _, c, r = _pencil_derivatives(self.h, self.k, thetas, floor)
+        r[np.abs(r) >= 1 / floor] = 0.0
+        return np.stack([w, np.diagonal(c, axis1=1, axis2=2).real, 2 * np.sum(np.abs(c) ** 2 * r, axis=2) - w])
 
     def diameter(self) -> float:
         half = self.grid_size // 2
@@ -104,47 +121,68 @@ def support_function(a, grid_size: int = 1024) -> SupportFunction:
     return SupportFunction(a.a if isinstance(a, SupportFunction) else a, grid_size)
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 80):
-    """Golden-section minimum of f on [lo, hi]; returns (argmin, fmin)."""
-    invphi = (np.sqrt(5.0) - 1) / 2
-    invphi2 = (3 - np.sqrt(5.0)) / 2
-    h = hi - lo
-    x1 = lo + invphi2 * h
-    x2 = lo + invphi * h
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            h = hi - lo
-            x1 = lo + invphi2 * h
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            h = hi - lo
-            x2 = lo + invphi * h
-            f2 = f(x2)
-    if f1 < f2:
-        return x1, f1
-    return x2, f2
+def _pencil_derivatives(h, k, thetas, floor):
+    """(w, V, C, R) for the pencil members B at the 1-d ``thetas``, from one
+    stacked eigh: the eigenpairs, C = V* B' V with B' = -sin(t) H + cos(t) K,
+    and R_ij = 1 / (w_i - w_j) (0 for i = j), each gap raised to ``floor`` in
+    size; the perturbation theory (Kato) of both derivatives needs them."""
+    w, v = np.linalg.eigh(_pencil_at(h, k, thetas))
+    c = v.conj().swapaxes(1, 2) @ _pencil_at(k, -h, thetas) @ v
+    below = np.tri(w.shape[1], k=-1)  # w ascends, so w_i >= w_j below the diagonal
+    return w, v, c, (below - below.T) / np.maximum(np.abs(w[:, :, None] - w[:, None, :]), floor)
 
 
-def _refined_minima(f: Callable[[float], float], thetas, values, step: float, count=None, iters: int = 80,
-                    eligible=None):
-    """Golden-refine, each within one ``step``, the ``count`` lowest cyclic
-    local minima of ``values`` sampled at ``thetas`` (all minima when
-    ``count`` is None), skipping those where the grid mask ``eligible`` is
-    False; returns the refined (argmin, fmin) pairs in order of grid value."""
+def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float, count=None, eligible=None):
+    """Refine, each within one ``step``, the ``count`` lowest cyclic local
+    minima of ``values`` sampled at ``thetas`` (all when ``count`` is None),
+    skipping those where the grid mask ``eligible`` is False; returns the
+    refined (argmin, fmin) pairs in order of grid value.
+
+    The objective is the largest of smooth pieces, whose values and first and
+    second derivatives ``pieces(t)`` gives as one (3, len(t), P) array.  All
+    brackets step together to a candidate, clipped to the bracket, among the
+    active piece's Newton step and each pair of pieces' crossing (a kink),
+    judged by the largest piece's Taylor model.  A candidate on the edge
+    bisects; the active slope shrinks the bracket.  A bracket stops once the
+    predicted decrease is at most 8 eps * ``scale``, which ends flat arcs.
+    """
     idxs = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
     idxs = idxs[np.argsort(values[idxs])][:count]
     if eligible is not None:
         idxs = idxs[eligible[idxs]]
-    return [_golden_min(f, thetas[i] - step, thetas[i] + step, iters=iters) for i in idxs]
+    t = np.array(thetas[idxs], dtype=float)
+    lo, hi = t - step, t + step
+    best_t, best_f = t.copy(), np.full(len(t), np.inf)
+    live = np.arange(len(t))
+    for _ in range(REFINE_STEPS):
+        if not len(live):
+            break
+        tl, (f, d1, d2) = t[live], pieces(t[live])
+        rows, act = np.arange(len(live)), np.argmax(f, axis=1)
+        top, slope, curv = f[rows, act], d1[rows, act], d2[rows, act]
+        best_t[live], best_f[live] = np.where(top < best_f[live], tl, best_t[live]), np.minimum(top, best_f[live])
+        lo[live], hi[live] = np.where(slope < 0, tl, lo[live]), np.where(slope > 0, tl, hi[live])
+        i, j = np.triu_indices(f.shape[1], 1)
+        df, d1f, d2f = f[:, i] - f[:, j], d1[:, i] - d1[:, j], d2[:, i] - d2[:, j]
+        with np.errstate(all="ignore"):
+            # the nearer root of each pair's model difference, stable as d2f -> 0
+            steps = np.column_stack([np.where(curv > 0, -slope / curv, -4 * step * np.sign(slope)),
+                                     -2 * df / (d1f + np.copysign(np.sqrt(d1f * d1f - 2 * d2f * df), d1f))])
+        cand = np.clip(tl[:, None] + np.nan_to_num(steps), lo[live, None], hi[live, None])
+        dt = cand[:, :, None] - tl[:, None, None]
+        gain = top[:, None] - np.max(f[:, None] + (d1[:, None] + d2[:, None] * dt / 2) * dt, axis=2)
+        best = np.max(gain, axis=1)
+        # the models are local: the shortest step with half the best predicted gain
+        nxt = cand[rows, np.argmin(np.where(gain >= best[:, None] / 2, np.abs(dt[:, :, 0]), np.inf), axis=1)]
+        t[live] = np.where((nxt <= lo[live]) | (nxt >= hi[live]), (lo[live] + hi[live]) / 2, nxt)
+        live = live[best > 8 * np.finfo(float).eps * scale]
+    return list(zip(best_t.tolist(), best_f.tolist()))
 
 
-def _refined_min(f: Callable[[float], float], thetas, values, step: float):
+def _refined_min(pieces: Callable, thetas, values, step: float, scale: float):
     """The best pair of ``_refined_minima`` over the 6 lowest grid minima;
     (None, inf) when nothing was refined."""
-    return min(_refined_minima(f, thetas, values, step, 6), key=lambda r: r[1], default=(None, np.inf))
+    return min(_refined_minima(pieces, thetas, values, step, scale, 6), key=lambda r: r[1], default=(None, np.inf))
 
 
 def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
@@ -152,10 +190,13 @@ def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
     proj = np.real(np.exp(-1j * support_fn.thetas) * z)
     g = support_fn.grid_values - proj
 
-    def f(t):
-        return support_fn(t) - np.real(np.exp(-1j * t) * z)
+    def pieces(t):
+        # p is the largest branch; more than two may cross at a kink of a direct sum's p
+        line = np.real((-1j) ** np.arange(3)[:, None] * np.exp(-1j * t) * z)
+        return support_fn.branches(t) - line[:, :, None]
 
-    return float(_refined_min(f, support_fn.thetas, g, TWO_PI / support_fn.grid_size)[1])
+    step, scale = TWO_PI / support_fn.grid_size, max(support_fn.radius, abs(z))
+    return float(_refined_min(pieces, support_fn.thetas, g, step, scale)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +224,11 @@ def _top_cluster_basis(h, k, theta: float, link: float):
 def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
     """Locate directions where the top two eigenvalues of Re(e^{-i theta}A) meet.
 
-    Grid scan of the gap followed by golden-section refinement of each local
-    minimum; a direction qualifies as an event only if the refined gap falls
-    below split_tol * ||A||, which keeps merely-close eigenvalues (for example
-    after a tiny arrowhead perturbation) from being mistaken for true
-    multiplicity.
+    Grid scan of the gap, the larger of the pieces +-(lam_n - lam_{n-1}),
+    then Newton refinement of each local minimum; a direction qualifies as an
+    event only if the refined gap falls below split_tol * ||A||, which keeps
+    merely-close eigenvalues (for example after a tiny arrowhead perturbation)
+    from being mistaken for true multiplicity.
     """
     if sf.a.shape[0] == 1:
         return []
@@ -211,11 +252,11 @@ def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
     events = []
     seen = []
 
-    def gap_at(t):
-        ww = np.linalg.eigvalsh(_pencil_at(h, k, t))
-        return ww[-1] - ww[-2]
+    def pieces(t):
+        gap = np.diff(sf.branches(t)[:, :, -2:], axis=2)
+        return np.concatenate([gap, -gap], axis=2)
 
-    for t, g in _refined_minima(gap_at, thetas, gaps, step, iters=90, eligible=gaps <= thresh):
+    for t, g in _refined_minima(pieces, thetas, gaps, step, scale, eligible=gaps <= thresh):
         if g > split:
             continue
         t = float(np.mod(t, TWO_PI))
@@ -469,17 +510,18 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
         g = amb - own.grid_values
         half = len(grid) // 2
         pair = np.maximum(g[:half], g[half : 2 * half])
-        step = TWO_PI / len(grid)
+        step, scale = TWO_PI / len(grid), ambient_support.radius
 
-        def gap_fn(t):
-            return ambient_support(float(t)) - own(float(t))
+        def pieces(t, antipodal=True):
+            # p_ambient is its largest branch, kinked where branches cross; the
+            # gap at t + pi comes from the bottom branches at t, as B(t + pi) = -B(t)
+            amb, mine = ambient_support.branches(t), own.branches(t)
+            gap = amb - mine[:, :, -1:]
+            return np.concatenate([gap, mine[:, :, :1] - amb], axis=2) if antipodal else gap
 
-        def pair_fn(t):
-            return max(gap_fn(t), gap_fn(t + np.pi))
-
-        if _refined_min(pair_fn, grid, pair, step)[1] < btol:
+        if _refined_min(pieces, grid, pair, step, scale)[1] < btol:
             return 2
-        return 1 if _refined_min(gap_fn, grid, g, step)[1] < btol else 0
+        return 1 if _refined_min(lambda t: pieces(t, antipodal=False), grid, g, step, scale)[1] < btol else 0
     raise UnsupportedBlockError(
         f"relative count for a non-normal {n}x{n} block needs the restricted search"
     )

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _pencil_at, as_square_matrix, hermitian_parts, matrix_scale
-from .numrange import SupportFunction, _refined_minima, _top_cluster_basis, support_function, top_gap_events
+from .numrange import SupportFunction, _pencil_derivatives, _refined_minima, _top_cluster_basis, support_function, top_gap_events
 
 COARSE_OVERLAP = 0.1
 MIN_GRID_SIZE = 64
@@ -127,11 +127,12 @@ def boundary_vector_field(
         # refine tangency contacts that the grid straddles
         step = 2 * np.pi / grid_size
 
-        def gap_fn(t):
-            return ambient(float(t)) - sf(float(t))
+        def pieces(t):
+            # p of the ambient is its largest branch, kinked where branches cross
+            return ambient.branches(t) - sf.branches(t)[:, :, -1:]
 
         near = ~keep & (g <= max(0.05 * scale, 100 * btol))
-        for t, val in _refined_minima(gap_fn, thetas, g, step, 8, eligible=near):
+        for t, val in _refined_minima(pieces, thetas, g, step, ambient.radius, 8, eligible=near):
             if val <= btol:
                 _, vv = np.linalg.eigh(_pencil_at(sf.h, sf.k, t))
                 cands.append(
@@ -214,26 +215,23 @@ def _top_vectors(h, k, thetas, ref, floor):
     Column i is phased to column i of ``ref``.  For a simple top eigenpair
     (lam, x) of B = cos(t) H + sin(t) K, first-order perturbation theory gives
     x' = sum_j v_j (v_j* B' x) / (lam - lam_j) over the other eigenpairs, with
-    B' = -sin(t) H + cos(t) K; this x' is orthogonal to x, the gauge that the
-    phasing to the previous vector follows.  Gaps below ``floor`` are raised
-    to it, so near a multiple top eigenvalue x' is large but finite.
+    B' = -sin(t) H + cos(t) K (``_pencil_derivatives``); this x' is orthogonal
+    to x, the gauge that the phasing to the previous vector follows.  Gaps
+    below ``floor`` are raised to it, so near a multiple top eigenvalue x' is
+    large but finite.
     """
-    w, v = np.linalg.eigh(_pencil_at(h, k, thetas))
-    x = v[:, :, -1]
+    _, v, c, r = _pencil_derivatives(h, k, thetas, floor)
+    x, dx = v[:, :, -1], np.einsum("fij,fj->fi", v, c[:, :, -1] * r[:, -1])
     ph = np.einsum("ji,ij->i", ref.conj(), x)
     mag = np.abs(ph)
-    x = x * np.where(mag > 1e-12, ph.conj() / np.maximum(mag, 1e-12), 1.0)[:, None]
-    bx = np.einsum("fij,fj->fi", _pencil_at(k, -h, thetas), x)
-    c = np.einsum("fji,fj->fi", v[:, :, :-1].conj(), bx)
-    dx = np.einsum("fij,fj->fi", v[:, :, :-1], c / np.maximum(w[:, -1:] - w[:, :-1], floor))
-    return x.T, dx.T
+    phase = np.where(mag > 1e-12, ph.conj() / np.maximum(mag, 1e-12), 1.0)[:, None]
+    return (x * phase).T, (dx * phase).T
 
 
 def _boundary_residuals(m, X, thetas, sf: SupportFunction) -> np.ndarray:
     """|p(theta_i) - Re(e^{-i theta_i} x_i* A x_i)| for each column x_i of X."""
-    return np.array(
-        [abs(sf(float(t)) - float(np.real(np.exp(-1j * t) * (x.conj() @ m @ x)))) for x, t in zip(X.T, thetas)]
-    )
+    thetas = np.asarray(thetas, dtype=float)
+    return np.abs(sf(thetas) - np.real(np.exp(-1j * thetas) * np.einsum("ji,jk,ki->i", X.conj(), m, X)))
 
 
 def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams):

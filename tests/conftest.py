@@ -63,6 +63,23 @@ def batched_calls(monkeypatch):
 
 
 @pytest.fixture
+def stack_sizes(monkeypatch):
+    """Per function, a Counter of the stack lengths of batched np.linalg.eigvalsh
+    and eigh calls: a grid sweep has the grid's length, a refinement step one
+    matrix per bracket."""
+    sizes = {"eigvalsh": Counter(), "eigh": Counter()}
+    for name, counter in sizes.items():
+
+        def counting(a, *args, _orig=getattr(np.linalg, name), _counter=counter, **kwargs):
+            if np.ndim(a) > 2:
+                _counter[len(a)] += 1
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return sizes
+
+
+@pytest.fixture
 def linalg_calls(monkeypatch):
     """Counts of all np.linalg.eigvalsh, eigh and svd calls, batched or not."""
     return _count_calls(monkeypatch, ("eigvalsh", "eigh", "svd"), lambda a: 1)

@@ -1,14 +1,19 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
+from numrange_lab import numrange, oracle
+from numrange_lab.classify import classify_any
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import rotate
 from numrange_lab.numrange import (
     FLAT_PORTION,
     IDEMPOTENT_TOL,
+    REFINE_STEPS,
     SINGULAR_POINT,
     SupportFunction,
     UnsupportedBlockError,
@@ -185,10 +190,13 @@ class TestSeeds:
         assert abs(sd.theta - np.pi / 4) < 1e-6
         assert sd.witnesses.shape[1] == 2 and sd.independent
 
-    def test_one_grid_sweep(self, batched_calls):
-        # the event scan and the corner detector read the support function's sweep
+    def test_one_grid_sweep(self, stack_sizes):
+        # the event scan and the corner detector read the support function's
+        # sweep; only the event refinement adds stacks, one per Newton step
         detect_seeds(flat_portion_example())
-        assert batched_calls == {"eigvalsh": 1, "eigh": 1}
+        assert {name: sizes[1024] for name, sizes in stack_sizes.items()} == {"eigvalsh": 1, "eigh": 1}
+        assert set(stack_sizes["eigvalsh"]) == {1024}
+        assert sum(stack_sizes["eigh"].values()) - 1 <= REFINE_STEPS
 
     def test_flat_portion_witness_gram(self):
         a = flat_portion_example()
@@ -397,13 +405,21 @@ class TestRefinedMinima:
     def f(self, t):
         return min(a + (np.angle(np.exp(1j * (t - c)))) ** 2 for c, a in self.WELLS)
 
+    def pieces(self, t):
+        # the lowest well as the one piece, with its derivatives
+        d = np.angle(np.exp(1j * (t[:, None] - np.array([c for c, _ in self.WELLS]))))
+        vals = np.array([a for _, a in self.WELLS]) + d**2
+        low = np.argmin(vals, axis=1)
+        rows = np.arange(len(t))
+        return np.stack([vals[rows, low], 2 * d[rows, low], np.full(len(t), 2.0)])[:, :, None]
+
     def grid(self, size=64):
         thetas = np.linspace(0.0, 2 * np.pi, size, endpoint=False)
         return thetas, np.array([self.f(t) for t in thetas]), 2 * np.pi / size
 
     def test_known_minima_in_grid_order(self):
         thetas, values, step = self.grid()
-        got = _refined_minima(self.f, thetas, values, step)
+        got = _refined_minima(self.pieces, thetas, values, step, 1.0)
         assert len(got) == 3
         for (t, val), (c, a) in zip(got, sorted(self.WELLS, key=lambda w: w[1])):
             assert abs(np.angle(np.exp(1j * (t - c)))) < 1e-7
@@ -411,13 +427,159 @@ class TestRefinedMinima:
 
     def test_count_then_eligible(self):
         thetas, values, step = self.grid()
-        lowest_two = _refined_minima(self.f, thetas, values, step, count=2)
+        lowest_two = _refined_minima(self.pieces, thetas, values, step, 1.0, count=2)
         assert [round(v, 9) for _, v in lowest_two] == [-0.5, 0.1]
         # the mask filters the count lowest minima; it does not reach past them
         eligible = np.abs(np.angle(np.exp(1j * (thetas - 4.0)))) > 0.5
-        got = _refined_minima(self.f, thetas, values, step, count=2, eligible=eligible)
+        got = _refined_minima(self.pieces, thetas, values, step, 1.0, count=2, eligible=eligible)
         assert [round(v, 9) for _, v in got] == [0.1]
-        assert _refined_minima(self.f, thetas, values, step, eligible=np.zeros(64, dtype=bool)) == []
+        assert _refined_minima(self.pieces, thetas, values, step, 1.0, eligible=np.zeros(64, dtype=bool)) == []
+
+
+def _conjugated_sum(seed, *blocks):
+    """U* (B_1 + ... + B_r) U for a seeded random unitary U."""
+    n = sum(len(b) for b in blocks)
+    a = np.zeros((n, n), dtype=complex)
+    pos = 0
+    for b in blocks:
+        a[pos : pos + len(b), pos : pos + len(b)] = b
+        pos += len(b)
+    u = random_unitary(rng_for(seed), n)
+    return u.conj().T @ a @ u
+
+
+class TestBranches:
+    def test_match_central_differences(self):
+        a = random_matrix(rng_for(11), 5)
+        sf = SupportFunction(a, grid_size=64)
+        scale = np.linalg.norm(a, 2)
+
+        def eig(t):
+            return np.linalg.eigvalsh(np.cos(t) * sf.h + np.sin(t) * sf.k)
+
+        thetas = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        gaps = np.array([np.min(np.diff(eig(t))) for t in thetas])
+        thetas = thetas[gaps > 1e-3 * scale]
+        assert len(thetas) >= 8
+        lam, d1, d2 = sf.branches(thetas)
+        for i, t in enumerate(thetas):
+            assert np.allclose(lam[i], eig(t), rtol=0, atol=1e-13 * scale)
+            fd1 = (eig(t + 1e-6) - eig(t - 1e-6)) / 2e-6
+            fd2 = (eig(t + 1e-4) - 2 * eig(t) + eig(t - 1e-4)) / 1e-8
+            assert np.max(np.abs(fd1 - d1[i])) <= 1e-7 * scale
+            assert np.max(np.abs(fd2 - d2[i])) <= 1e-5 * scale
+
+    def test_exact_crossing_stays_finite(self):
+        # the disc |z| <= 1 has p = 1 in every direction and the point 1 + i has
+        # p(t) = cos t + sin t: the two top branches cross at t = 0, where
+        # rounding mixes their eigenvectors in the conjugated sum
+        a = _conjugated_sum(3, np.array([[0, 2], [0, 0]]), np.array([[1 + 1j]]), np.array([[-2j]]))
+        lam, d1, d2 = SupportFunction(a, grid_size=64).branches(np.array([0.0, 1e-14, -1e-14]))
+        assert np.all(np.abs(lam[:, -1] - 1) < 1e-14)
+        assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
+        # each top branch keeps its own modest curvature (0 and -1)
+        assert np.max(np.abs(d2[:, -2:])) <= 4
+
+
+def _golden(f, lo, hi, iters=80):
+    """Golden-section minimum of a scalar f on [lo, hi]; (argmin, fmin)."""
+    r = (np.sqrt(5.0) - 1) / 2
+    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - r * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + r * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
+def _reference_minima(objective, thetas, values, step, fine=65536):
+    """Per grid minimum, in ``_refined_minima``'s order: the best of ``fine``
+    uniform directions inside its bracket, golden-refined within one sample
+    step.  ``objective`` maps a 1-d array of directions to values."""
+    grid = np.linspace(0, 2 * np.pi, fine, endpoint=False)
+    sampled = objective(grid)
+    idxs = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
+    out = []
+    for i in idxs[np.argsort(values[idxs])]:
+        d = np.angle(np.exp(1j * (grid - thetas[i])))
+        t0 = thetas[i] + d[np.argmin(np.where(np.abs(d) <= step, sampled, np.inf))]
+        lo, hi = max(t0 - 2 * np.pi / fine, thetas[i] - step), min(t0 + 2 * np.pi / fine, thetas[i] + step)
+        out.append(_golden(lambda t: float(objective(np.array([t]))[0]), lo, hi))
+    return out
+
+
+class TestRefinerAgainstGolden:
+    """Every refined minimum matches a 65,536-direction sample of its grid
+    bracket followed by golden-section search, to 1e-12 ||A||."""
+
+    INPUTS = {
+        # kinks where the blocks' support functions cross
+        "direct-sum": lambda: _conjugated_sum(
+            5, np.array([[0, 2], [0, 0]]), np.array([[0.8 + 0.5j, 1.2], [0, 0.8 + 0.5j]]), np.array([[1.5 - 0.3j]])
+        ),
+        # flat arcs: p - Re(e^{-it} z) vanishes on the normal cone of a vertex z
+        "square": lambda: np.diag([1, 1j, -1, -1j]).astype(complex),
+        # a smooth boundary
+        "k3-parallel-lines": lambda: generate(FamilySpec("k3-parallel-lines", seed=0)),
+    }
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_support_gap_and_point_defects(self, name):
+        a = self.INPUTS[name]()
+        sf = SupportFunction(a, grid_size=256)
+        step, scale = 2 * np.pi / sf.grid_size, np.linalg.norm(a, 2)
+
+        def eigs(t):
+            return np.linalg.eigvalsh(np.cos(t)[:, None, None] * sf.h + np.sin(t)[:, None, None] * sf.k)
+
+        def line(t, z):
+            return np.real((-1j) ** np.arange(3)[:, None] * np.exp(-1j * t) * z)
+
+        def gap_pieces(t):
+            gap = np.diff(sf.branches(t)[:, :, -2:], axis=2)
+            return np.concatenate([gap, -gap], axis=2)
+
+        x = np.linalg.eigh(np.cos(0.7) * sf.h + np.sin(0.7) * sf.k)[1][:, -1]
+        points = [*np.linalg.eigvals(a), np.trace(a) / len(a), complex(x.conj() @ a @ x), (1 + 1j) / 2]
+        cases = [(gap_pieces, lambda t: np.diff(eigs(t)[:, -2:], axis=1)[:, 0], np.diff(sf.grid_eigvals[:, -2:], axis=1)[:, 0])]
+        for z in points:
+            cases.append((lambda t, z=z: sf.branches(t) - line(t, z)[:, :, None],
+                          lambda t, z=z: eigs(t)[:, -1] - line(t, z)[0], sf.grid_values - line(sf.thetas, z)[0]))
+        for pieces, objective, values in cases:
+            got = _refined_minima(pieces, sf.thetas, values, step, sf.radius)
+            want = _reference_minima(objective, sf.thetas, values, step)
+            assert len(got) == len(want) > 0
+            for (_, f_got), (_, f_want) in zip(got, want):
+                assert abs(f_got - f_want) <= 1e-12 * scale
+
+
+class TestRefinerCost:
+    def test_at_most_sixteen_stacked_eighs_per_call(self, monkeypatch, stack_sizes):
+        # a direct sum whose blocks reach the refiner by every route: the event
+        # scan, the ambient contacts of a restricted search (3x3), an antipodal
+        # pair (2x2, two matrices per step) and a point contact (1x1)
+        b3 = np.array([[0.3, 1.0, 0.4], [0, -0.2 + 0.4j, 0.9], [0, 0, 0.5 - 0.3j]])
+        a = _conjugated_sum(7, b3, np.array([[0.8 + 0.5j, 1.2], [0, 0.8 + 0.5j]]), np.array([[1.5 - 0.3j]]))
+        worst = {}
+
+        def counting(*args, **kwargs):
+            before = sum(stack_sizes["eigh"].values())
+            out = _refined_minima(*args, **kwargs)
+            caller = sys._getframe(1).f_code.co_name
+            worst[caller] = max(worst.get(caller, 0), sum(stack_sizes["eigh"].values()) - before)
+            return out
+
+        for module in (numrange, oracle):
+            monkeypatch.setattr(module, "_refined_minima", counting)
+        assert classify_any(a).k == 3
+        assert set(worst) == {"top_gap_events", "boundary_vector_field", "_refined_min"}
+        assert max(worst.values()) <= 16
 
 
 def _split_reference(w):

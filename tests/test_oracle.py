@@ -4,7 +4,7 @@ import pytest
 from conftest import balanced_arrowhead, random_matrix, rng_for
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import ABS_FLOOR, hermitian_parts
-from numrange_lab.numrange import SupportFunction
+from numrange_lab.numrange import REFINE_STEPS, SupportFunction
 from numrange_lab.oracle import (
     SearchParams,
     _top_vectors,
@@ -27,9 +27,12 @@ class TestField:
             p = field.support(float(c.theta))
             assert abs(np.real(np.exp(-1j * c.theta) * z) - p) < 1e-10
 
-    def test_one_grid_sweep(self, batched_calls):
+    def test_one_grid_sweep(self, stack_sizes):
+        # beyond the two sweeps, only the event refinement's Newton steps
         boundary_vector_field(flat_portion_example())
-        assert batched_calls == {"eigvalsh": 1, "eigh": 1}
+        assert {name: sizes[1024] for name, sizes in stack_sizes.items()} == {"eigvalsh": 1, "eigh": 1}
+        assert set(stack_sizes["eigvalsh"]) == {1024}
+        assert sum(stack_sizes["eigh"].values()) - 1 <= REFINE_STEPS
 
     def test_hermitian_extreme_vectors(self):
         a = np.diag([0.1, 0.4, 0.7, 1.0]).astype(complex)
