@@ -3,11 +3,16 @@
 The Gau-Wu number is the size of the largest orthonormal set whose image
 under f_A(x) = x* A x lies on the boundary of W(A).  Every admissible vector
 is a top eigenvector of Re(e^{-i theta} A) for some theta, so the search
-space is the union of top eigenspaces over all directions.  The engine
-harvests candidates on a theta grid (refining directions where the top
-eigenvalue becomes multiple), finds near-orthogonal cliques, and polishes
-each clique by alternating exact eigenspace steps with Levenberg-Marquardt
-steps in the free directions, on analytic top-eigenvector derivatives.
+space is the curve x(theta) of top eigenvectors plus the multiple top
+eigenspaces at events.  Nodes spaced evenly in arc length stand for the
+curve within their radii, and overlaps are 1-Lipschitz in arc length
+(Piyavskii, Shubert), so an orthonormal boundary family on the covered arcs
+lies within the radii of a clique of one orthogonality graph.  The arcs
+leave out the event directions and the turns of avoided crossings narrower
+than the bisection resolution, which no node covers.  Node-disjoint cliques
+of each size, best largest overlap first, are polished by alternating exact
+eigenspace steps with Levenberg-Marquardt steps in the free directions, on
+analytic top-eigenvector derivatives.
 
 Results are constructive lower bounds: sets are reported only with their
 Gram and boundary residuals, never by extrapolation.  The searches take a
@@ -16,8 +21,7 @@ matrix or its SupportFunction, whose sweep they reuse when the grid matches.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,17 +29,18 @@ import numpy as np
 from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _pencil_at, as_square_matrix, hermitian_parts, matrix_scale
 from .numrange import SupportFunction, _pencil_derivatives, _refined_minima, _top_cluster_basis, support_function, top_gap_events
 
-COARSE_OVERLAP = 0.1
 MIN_GRID_SIZE = 64
+ARC_ROUNDS = 8  # cap on the bisection rounds of the arc-length grid, one stacked eigh each
+MAX_ARC_NODES = 1024  # bounds the graph's n_nodes^2 arrays on escalated and user-set grids
+CLIQUE_CHUNK = 1 << 20  # graph cells one clique-extension step holds at a time
 
 
 @dataclass(frozen=True)
 class SearchParams:
     grid_size: int = 1024
-    max_cliques: int = 4000
+    max_cliques: int = 32768  # cliques kept per size; the largest level measured, on a 6x6 near-normal input, has 29,064
     attempts_per_size: int = 24
     sweeps: int = 60  # iteration budget of one starting set's Levenberg-Marquardt loop
-    theta_refine: bool = True
 
     def escalate(self) -> "SearchParams":
         return replace(
@@ -52,14 +57,15 @@ class Candidate:
     vec: np.ndarray
     basis: np.ndarray  # n x d top-cluster basis at theta
     pinned: bool  # True for multiplicity events: theta stays fixed
+    radius: float = 0.0  # arc of x(theta) this candidate stands for (free arc nodes)
 
 
 @dataclass
 class BoundaryVectorField:
-    thetas: np.ndarray
     support: SupportFunction
     candidates: list
     events: list
+    turns: list  # (theta_lo, theta_hi) of the turns that the arc nodes leave uncovered
 
 
 @dataclass
@@ -70,6 +76,7 @@ class OracleResult:
     gram_residual: float
     boundary_residuals: np.ndarray
     floors: dict  # size -> best (failed) gram residual seen at that size
+    capped: list = field(default_factory=list)  # sizes whose clique list was cut to max_cliques
 
     def to_dict(self) -> dict:
         return {
@@ -78,6 +85,7 @@ class OracleResult:
             "boundary_residuals": [float(b) for b in self.boundary_residuals],
             "thetas": [float(t) for t in self.thetas],
             "floors": {str(k): (None if not np.isfinite(v) else float(v)) for k, v in self.floors.items()},
+            "capped": [int(s) for s in self.capped],
         }
 
 
@@ -87,11 +95,16 @@ def boundary_vector_field(
     tol: ToleranceConfig = DEFAULT_TOL,
     ambient: Optional[SupportFunction] = None,
 ) -> BoundaryVectorField:
-    """Harvest top-eigenspace candidates over a direction grid.
+    """Candidates of the search: pinned top eigenspaces and free arc nodes.
 
-    With ``ambient`` given, only directions where the matrix's own supporting
-    line touches the ambient boundary are kept (the restricted search used
-    for blocks of a direct sum).
+    Pinned are the columns of each event's top eigenspace, the top vectors
+    opposite each event and, with ``ambient``, the refined contacts with the
+    ambient boundary that the grid straddles.  Free are ``grid_size // 4``
+    arc nodes, at most MAX_ARC_NODES (``_arc_nodes``); with ``ambient``,
+    only on directions where the matrix's supporting line touches the
+    ambient boundary (the restricted search used for blocks of a direct sum).
+    The nodes' radii cover x(theta) except at the events and inside
+    ``turns``, the avoided crossings too narrow for the bisection.
     """
     if grid_size < MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
@@ -116,96 +129,149 @@ def boundary_vector_field(
             for j in range(basis.shape[1]):
                 cands.append(Candidate(theta=anti, vec=basis[:, j].copy(), basis=basis, pinned=basis.shape[1] > 1))
 
-    thetas = sf.thetas
-    w, v = sf.grid_eigvals, sf.top_vectors
-    keep = np.ones(grid_size, dtype=bool)
-
+    usable = sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2] > split  # a multiple top eigenvalue is an event's
     if ambient is not None:
         btol = tol.boundary_abs(ambient.diameter())
-        g = ambient(thetas) - sf.grid_values
-        keep = g <= btol
-        # refine tangency contacts that the grid straddles
-        step = 2 * np.pi / grid_size
+        g = ambient(sf.thetas) - sf.grid_values
+        usable &= g <= btol
 
         def pieces(t):
             # p of the ambient is its largest branch, kinked where branches cross
             return ambient.branches(t) - sf.branches(t)[:, :, -1:]
 
-        near = ~keep & (g <= max(0.05 * scale, 100 * btol))
-        for t, val in _refined_minima(pieces, thetas, g, step, ambient.radius, 8, eligible=near):
+        # refine tangency contacts that the grid straddles
+        step = 2 * np.pi / grid_size
+        near = (g > btol) & (g <= max(0.05 * scale, 100 * btol))
+        for t, val in _refined_minima(pieces, sf.thetas, g, step, ambient.radius, 8, eligible=near):
             if val <= btol:
                 _, vv = np.linalg.eigh(_pencil_at(sf.h, sf.k, t))
                 cands.append(
                     Candidate(theta=float(t), vec=vv[:, -1], basis=vv[:, -1:], pinned=True)
                 )
-
-    stride = max(1, grid_size // 256)
-    first_grid = len(cands)
-    ev_thetas = np.array([ev.theta for ev in events]) if events else np.empty(0)
-    for s in range(0, grid_size, stride):
-        if not keep[s]:
-            continue
-        if len(ev_thetas) and np.min(np.abs(np.angle(np.exp(1j * (thetas[s] - ev_thetas))))) < 1e-9:
-            continue
-        if w[s, -1] - w[s, -2] <= split:
-            continue  # covered by an event (or globally degenerate)
-        cands.append(Candidate(theta=float(thetas[s]), vec=v[s], basis=v[s, :, None], pinned=False))
-
-    # a candidate may stand in for its near-copies only at a direction the
-    # search accepts: with an ambient range, one where the matrix touches its
-    # boundary (grid directions were filtered above; events and their
-    # antipodes were not)
-    touches = np.ones(len(cands), dtype=bool)
-    if ambient is not None and first_grid:
-        head = cands[:first_grid]
-        own = [np.real(np.exp(-1j * c.theta) * (c.vec.conj() @ m @ c.vec)) for c in head]
-        touches[:first_grid] = ambient(np.array([c.theta for c in head])) - np.array(own) <= btol
-    return BoundaryVectorField(thetas=thetas, support=sf, candidates=_dedup(cands, touches), events=events)
+    nodes, turns = _arc_nodes(sf, usable, events, min(grid_size // 4, MAX_ARC_NODES), tol.gram_tol)
+    return BoundaryVectorField(support=sf, candidates=cands + nodes, events=events, turns=turns)
 
 
-def _dedup(cands: list, touches: np.ndarray, thin: float = 0.999) -> list:
-    """Drop near-duplicate candidates.
+def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int, floor: float):
+    """``count`` top vectors spaced evenly in arc length along x(theta), at
+    least ``floor`` apart (closer nodes are interchangeable to the edges),
+    and the (theta_lo, theta_hi) steps left as turns.
 
-    Pinned (event/contact) candidates are only removed against exact
-    duplicates; free candidates are thinned whenever they overlap by more
-    than ``thin`` a kept one whose ``touches`` flag is set (smooth arcs
-    collapse to a few representatives, which the angle refinement later
-    re-tunes).
+    Arc length sums the phase-free chords sqrt(2 - 2|<x_s, x_s+1>|) between
+    neighbouring samples, from the grid of ``sf``.  A step is a jump, not
+    arc, when an end is not ``usable`` or it holds the direction of one of
+    the ``events``.  Each of at most ARC_ROUNDS rounds bisects every arc
+    step whose chord exceeds the node spacing, with one stacked ``eigh``; a
+    step still wider after them, narrower than 2 pi / (grid_size 2^ARC_ROUNDS),
+    is the turn of an avoided crossing, a jump like an event.  Each arc gets
+    evenly spaced nodes, at least one, snapped to samples; a node's radius is
+    half the arc to its farther neighbour node (an arc end counts at twice
+    its distance), so the radii cover the arcs, and only the arcs.
     """
-    if not cands:
-        return []
+    t, x, ok = sf.thetas, sf.top_vectors, usable
+    jump = ~usable | ~np.roll(usable, -1)
+    near_cuts = np.mod([ev.theta for ev in events], 2 * np.pi)[:, None] + np.array([-1e-9, 1e-9])
+    jump[np.floor(near_cuts * sf.grid_size / (2 * np.pi)).astype(int).ravel() % sf.grid_size] = True
+    for rnd in range(ARC_ROUNDS + 1):
+        chord = np.sqrt(np.maximum(2 - 2 * np.abs(np.sum(x.conj() * np.roll(x, -1, axis=0), axis=1)), 0.0))
+        chord[jump] = 0.0
+        spacing = max(chord.sum() / count, floor)
+        wide = np.nonzero(chord > spacing)[0]
+        if rnd == ARC_ROUNDS or not len(wide):
+            break
+        mids = t[wide] + np.mod(np.roll(t, -1)[wide] - t[wide], 2 * np.pi) / 2
+        xm = np.linalg.eigh(_pencil_at(sf.h, sf.k, mids))[1][:, :, -1]
+        t, x = np.insert(t, wide + 1, mids), np.insert(x, wide + 1, xm, axis=0)
+        ok, jump = np.insert(ok, wide + 1, True), np.insert(jump, wide + 1, False)
+    turns = [(float(np.mod(t[i], 2 * np.pi)), float(np.mod(t[(i + 1) % len(t)], 2 * np.pi))) for i in wide]
+    jump[wide], chord[wide] = True, 0.0
+    spacing = max(chord.sum() / count, floor)
+    if not jump.any():  # a closed curve: cut it at sample 0, repeated at the end
+        t, x, ok, chord = np.append(t, t[0]), np.vstack([x, x[:1]]), np.append(ok, True), np.append(chord, 0.0)
+        jump = np.append(jump, True)
+    # roll so that the last step is a jump: every arc is then a run of samples
+    r = (np.argmax(jump) + 1) % len(t)
+    t, x, ok, chord, jump = (np.roll(v, -r, axis=0) for v in (t, x, ok, chord, jump))
+    arc = np.concatenate([[0.0], np.cumsum(chord)])
+    first, last = np.nonzero(np.concatenate([[True], jump[:-1]]))[0], np.nonzero(jump)[0]
+    first, last = first[ok[first]], last[ok[first]]
+    start, length = arc[first], arc[last] - arc[first]
+    per = np.maximum(1, np.ceil(length / spacing)).astype(int)
+    seg = np.repeat(np.arange(len(first)), per)
+    target = start[seg] + (np.arange(len(seg)) - np.repeat(np.cumsum(per) - per, per) + 0.5) * (length / per)[seg]
+    hi = np.clip(np.searchsorted(arc[:-1], target), first[seg], last[seg])
+    lo = np.clip(hi - 1, first[seg], last[seg])
+    idx = np.where(target - arc[lo] <= arc[hi] - target, lo, hi)
+    fresh = np.diff(idx, prepend=-1) != 0
+    idx, seg = idx[fresh], seg[fresh]
+    pos = arc[idx]
+    head, tail = np.diff(seg, prepend=-1) != 0, np.diff(seg, append=-1) != 0
+    before = np.where(head, 2 * (pos - start[seg]), pos - np.roll(pos, 1))
+    after = np.where(tail, 2 * (start[seg] + length[seg] - pos), np.roll(pos, -1) - pos)
+    radius = np.maximum(before, after) / 2
+    nodes = [Candidate(float(np.mod(t[i], 2 * np.pi)), x[i], x[i, :, None], False, float(rad)) for i, rad in zip(idx, radius)]
+    return nodes, turns
+
+
+def _cliques(cands: list, floor: float, largest: int, cap: int):
+    """The candidates' orthogonality graph and its cliques.
+
+    Returns, per size 1, 2, ... up to ``largest`` while any exist, the
+    cliques as rows of ascending indices, sorted by their largest pair
+    measure, every size above 1 cut to the best ``cap``; and the sizes that
+    were cut.
+
+    A pair's measure is its overlap |<x_i, x_j>|, or ||P_E x|| for a column
+    of a multi-dimensional pinned eigenspace E (columns of one E are
+    adjacent).  A pair is adjacent when its measure is at most the sum of
+    the radii plus ``floor``.  Each size extends the kept cliques of the size
+    below by their common neighbours of larger index, one AND per member, on
+    chunks of at most CLIQUE_CHUNK graph cells, cutting as it goes.  Since a
+    clique's measure is at least that of each of its subcliques, every
+    clique whose measure is below that of all cut cliques is kept.
+    """
     vecs = np.column_stack([c.vec for c in cands])
-    overlaps = np.abs(vecs.conj().T @ vecs)
-    thetas = np.array([c.theta for c in cands])
-    kept: list = []
+    overlap = np.abs(vecs.conj().T @ vecs)
+    measure, group, spaces = overlap.copy(), np.arange(len(cands)), {}
     for i, c in enumerate(cands):
-        ov = overlaps[i, kept]
-        exact = (np.abs(ov - 1.0) < 1e-10) & (np.abs(c.theta - thetas[kept]) < 1e-9)
-        if not (exact.any() or (not c.pinned and ((ov >= thin) & touches[kept]).any())):
-            kept.append(i)
-    return [cands[i] for i in kept]
+        if c.pinned and c.basis.shape[1] > 1:
+            group[i] = len(cands) + spaces.setdefault(id(c.basis), len(spaces))
+            measure[i] = np.maximum(measure[i], np.linalg.norm(c.basis.conj().T @ vecs, axis=0))
+    measure = np.maximum(measure, measure.T)
+    same = group[:, None] == group[None, :]
+    measure[same] = overlap[same]
+    radius = np.array([c.radius for c in cands])
+    upper = np.triu((measure <= radius[:, None] + radius[None, :] + floor) | same, 1)
 
+    def best(parts):
+        level, worst = (np.concatenate(v) for v in zip(*parts))
+        order = np.argsort(worst, kind="stable")[:cap]
+        return level[order], worst[order]
 
-def _maximal_cliques(adj: np.ndarray, cap: int):
-    """Bron-Kerbosch with pivoting; yields vertex tuples, at most ``cap``."""
-    m = adj.shape[0]
-    neighbors = [set(np.nonzero(adj[i])[0].tolist()) for i in range(m)]
-    out: list = []
-
-    def expand(r, p, x):
-        if len(out) >= cap:
-            return
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        pivot = max(p | x, key=lambda u: len(neighbors[u] & p))
-        for vtx in list(p - neighbors[pivot]):
-            expand(r | {vtx}, p & neighbors[vtx], x & neighbors[vtx])
-            p.discard(vtx)
-            x.add(vtx)
-
-    expand(set(), set(range(m)), set())
-    return out
+    level, worst = np.arange(len(cands))[:, None], np.zeros(len(cands))
+    levels, capped, chunk = [level], [], max(1, CLIQUE_CHUNK // len(cands))
+    while level.shape[1] < largest:
+        parts, found = [], 0
+        for lo in range(0, len(level), chunk):
+            part = level[lo:lo + chunk]
+            common = upper[part[:, 0]]
+            for col in part.T[1:]:
+                common &= upper[col]
+            rows, cols = np.nonzero(common)
+            w = worst[lo + rows]
+            for col in part.T:
+                w = np.maximum(w, measure[col[rows], cols])
+            parts.append((np.column_stack([part[rows], cols]), w))
+            found += len(rows)
+            if sum(len(p[1]) for p in parts) > 2 * cap:
+                parts = [best(parts)]
+        if not found:
+            break
+        if found > cap:
+            capped.append(level.shape[1] + 1)
+        level, worst = best(parts)
+        levels.append(level)
+    return levels, capped
 
 
 def _top_vectors(h, k, thetas, ref, floor):
@@ -261,7 +327,7 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
     for i, t in enumerate(thetas):
         groups.setdefault(round(t, 12), []).append(i)
     group_list = list(groups.values())
-    free = [g[0] for g in group_list if len(g) == 1 and not members[g[0]].pinned and params.theta_refine]
+    free = [g[0] for g in group_list if len(g) == 1 and not members[g[0]].pinned]
     # a one-dimensional eigenspace leaves nothing to choose
     spans = [(g, members[g[0]].basis) for g in group_list if members[g[0]].basis.shape[1] >= max(len(g), 2)]
     upper = np.triu_indices(k, 1)
@@ -316,102 +382,40 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
     return res, X, thetas, _boundary_residuals(m_mat, X, thetas, sf)
 
 
-def _clique_score(clique, overlaps) -> float:
-    """Total pairwise overlap; near-orthogonal starting sets score lowest."""
-    total = 0.0
-    cl = list(clique)
-    for a_i in range(len(cl)):
-        for b_i in range(a_i + 1, len(cl)):
-            total += overlaps[cl[a_i], cl[b_i]]
-    return float(total)
-
-
-def _candidate_cliques(overlaps: np.ndarray, cap: int) -> list:
-    """Coarse near-orthogonal cliques, sorted largest and cleanest first.
-
-    Exact Bron-Kerbosch enumeration (capped) is supplemented with a greedy
-    clique grown from every single candidate, so each harvested direction is
-    guaranteed to seed at least one refinement attempt.
-    """
-    mcount = overlaps.shape[0]
-    adj = (overlaps < COARSE_OVERLAP) & ~np.eye(mcount, dtype=bool)
-    pool = {}
-    for start in range(mcount):
-        members = [start]
-        compatible = set(np.nonzero(adj[start])[0].tolist())
-        while compatible:
-            best = min(compatible, key=lambda j: (float(np.max(overlaps[j, members])), j))
-            members.append(best)
-            compatible = {j for j in compatible if adj[j, best] and j != best}
-        pool[tuple(sorted(members))] = None
-    for cl in _maximal_cliques(adj, cap=cap):
-        pool[tuple(sorted(cl))] = None
-    cliques = list(pool)
-    cliques.sort(key=lambda c: (-len(c), _clique_score(c, overlaps)))
-    return cliques
-
-
-def _subsets_by_quality(clique, overlaps, size, cap):
-    """A few size-``size`` subsets of a clique, dropping worst-overlap members first."""
-    clique = list(clique)
-    if len(clique) == size:
-        return [tuple(clique)]
-    scores = [(sum(overlaps[i][j] for j in clique if j != i), i) for i in clique]
-    scores.sort()
-    ordered = [i for _, i in scores]
-    out = []
-    for combo in itertools.combinations(ordered, size):
-        out.append(combo)
-        if len(out) >= cap:
-            break
-    return out
-
-
-def _scored_subsets(cliques, overlaps, size):
-    """Distinct size-``size`` starting sets from the clique pool, cleanest first."""
-    seen = set()
-    scored = []
-    for clique in cliques:
-        if len(clique) < size:
-            continue
-        for combo in _subsets_by_quality(clique, overlaps, size, cap=3):
-            key = tuple(sorted(combo))
-            if key in seen:
-                continue
-            seen.add(key)
-            scored.append((_clique_score(key, overlaps), key))
-    scored.sort()
-    return scored
-
-
 def _search(m, cands: list, support: SupportFunction, tol: ToleranceConfig, params: SearchParams,
             min_size: int, accept_hook: Optional[Callable] = None) -> OracleResult:
-    """Clique -> refine core shared by the full and the restricted search.
+    """Graph -> clique -> refine core shared by the full and the restricted search.
 
-    Candidates are grouped into coarse near-orthogonal cliques
-    (|<v_i, v_j>| < 0.1); starting sets of each size, largest first, are
-    refined, and the first size with a family whose Gram residual beats
-    ``gram_tol`` and whose members lie on the boundary of ``support`` wins.
+    The starting sets of each size are the cliques of the candidates'
+    orthogonality graph (``_cliques``).  Largest size first, up to
+    ``attempts_per_size`` cliques of each size are refined in their order,
+    each passing over the cliques that share a node with it: a node stands
+    for its stretch of the curve, so the starts are node-disjoint.  The
+    first size with a family whose Gram residual beats ``gram_tol`` and
+    whose members lie on the boundary of ``support`` wins; its attempts stop
+    at the first refinement that does not improve on its best family.
     Below ``min_size`` the result has k_lower = 0.
     """
     n = m.shape[0]
-    vecs = np.column_stack([c.vec for c in cands]) if cands else np.zeros((n, 0))
-    overlaps = np.abs(vecs.conj().T @ vecs)
-    cliques = _candidate_cliques(overlaps, cap=params.max_cliques)
-    max_size = min(n, max((len(c) for c in cliques), default=1))
+    levels, capped = _cliques(cands, tol.gram_tol, n, params.max_cliques) if cands else ([], [])
     btol = 10 * tol.boundary_abs(support.diameter())
 
     floors: dict = {}
-    for size in range(max_size, min_size - 1, -1):
-        best = None
-        for _, combo in _scored_subsets(cliques, overlaps, size)[: params.attempts_per_size]:
+    for size in range(len(levels), min_size - 1, -1):
+        level, best = levels[size - 1], None
+        for _ in range(params.attempts_per_size):
+            if not len(level):
+                break
+            combo, level = level[0], level[1:]
+            level = level[~np.isin(level, combo).any(axis=1)]  # one start per node and size
             res, X, thetas, bres = _refine_set(m, [cands[i] for i in combo], support, params)
+            if best is not None and res >= best[0]:
+                break  # a family is found and a further start no longer improves on it
             ok = res <= tol.gram_tol and np.all(bres <= btol)
             if ok and accept_hook is not None:
                 ok = bool(accept_hook(X, thetas))
             if ok:
-                if best is None or res < best[0]:
-                    best = (res, X, thetas, bres)
+                best = (res, X, thetas, bres)
                 if res < 1e-12:
                     break
             else:
@@ -419,8 +423,8 @@ def _search(m, cands: list, support: SupportFunction, tol: ToleranceConfig, para
         if best is not None:
             res, X, thetas, bres = best
             floors.setdefault(size + 1, np.inf)
-            return OracleResult(size, X, thetas, res, bres, floors)
-    return OracleResult(0, np.zeros((n, 0)), np.zeros(0), 0.0, np.zeros(0), floors)
+            return OracleResult(size, X, thetas, res, bres, floors, capped)
+    return OracleResult(0, np.zeros((n, 0)), np.zeros(0), 0.0, np.zeros(0), floors, capped)
 
 
 def max_orthonormal_boundary_set(
@@ -431,9 +435,11 @@ def max_orthonormal_boundary_set(
 ) -> OracleResult:
     """Constructive lower bound for the Gau-Wu number.
 
-    Candidates from the boundary vector field are grouped into coarse
-    near-orthogonal cliques (|<v_i, v_j>| < 0.1), each clique is refined, and
-    the largest family whose final Gram residual beats ``gram_tol`` wins.
+    The cliques of the orthogonality graph of the boundary vector field are
+    the starting sets (``_search``); up to ``params.attempts_per_size``
+    node-disjoint ones of each size are refined, and the largest family
+    whose final Gram residual beats ``gram_tol`` wins.  ``capped`` in the
+    result lists the clique sizes that ``params.max_cliques`` cut.
     ``accept_hook(vectors, thetas)`` can impose extra structure (used by the
     three-line search of the 4x4 classifier).
     """
@@ -453,20 +459,21 @@ def max_orthonormal_boundary_set(
     w, v = np.linalg.eigh(sf.h)
     X = np.column_stack([v[:, -1], v[:, 0]])
     thetas = np.array([0.0, np.pi])
-    return OracleResult(2, X, thetas, 0.0, _boundary_residuals(m, X, thetas, sf), found.floors)
+    return OracleResult(2, X, thetas, 0.0, _boundary_residuals(m, X, thetas, sf), found.floors, found.capped)
 
 
 def restricted_max_set(
     block,
     ambient: SupportFunction,
     tol: ToleranceConfig = DEFAULT_TOL,
-    params: SearchParams = SearchParams(grid_size=512, theta_refine=False),
+    params: SearchParams = SearchParams(grid_size=512),
 ):
     """Largest orthonormal family of the block landing on the ambient boundary.
 
-    Candidates are restricted to directions where the block's supporting line
-    touches the boundary of the ambient range; may return 0 (blocks buried in
-    the interior contribute nothing).  Returns (count, vectors, thetas).
+    The arc nodes are restricted to directions where the block's supporting
+    line touches the boundary of the ambient range, and refined members are
+    checked against the ambient boundary; may return 0 (blocks buried in the
+    interior contribute nothing).  Returns (count, vectors, thetas).
     """
     m = as_square_matrix(block)
     field_ = boundary_vector_field(m, grid_size=params.grid_size, tol=tol, ambient=ambient)

@@ -205,9 +205,15 @@ class TestClassifyPipeline:
             assert (res.k, res.method) == (expect, method), (fam, res.k, res.method)
 
     def test_parallel_lines_seed_once_misread_as_two(self):
-        # k = 3 by construction; the search refines only the first 24 size-3
-        # starting sets (of 1,194), so the refiner must reach the triple from one
+        # k = 3 by construction; the search refines at most 24 node-disjoint
+        # triangles of the 680 of its arc graph, and the fourth reaches the triple
         res = classify(generate(FamilySpec("k3-parallel-lines", n=4, seed=347341074)))
+        assert (res.k, res.method) == (3, METHOD_KA3)
+
+    def test_parallel_lines_triple_where_top_vector_turns_fast(self):
+        # k = 3 by construction; the triple sits where the top gap is about 0.3% of
+        # the scale, and 256 evenly spaced directions missed it (Fallback2)
+        res = classify(generate(FamilySpec("k3-parallel-lines", n=4, seed=3683100870)))
         assert (res.k, res.method) == (3, METHOD_KA3)
 
     @pytest.mark.parametrize("fam", ["pure-almost-normal", "k3-parallel-lines"])

@@ -577,9 +577,13 @@ class TestRefinerCost:
 
         for module in (numrange, oracle):
             monkeypatch.setattr(module, "_refined_minima", counting)
-        assert classify_any(a).k == 3
+        # the 3x3 block's contact arc spans more than pi, so x(theta) and
+        # x(theta + pi) both land on the boundary: its share is 2
+        k = classify_any(a).k
+        assert k == 4
         assert set(worst) == {"top_gap_events", "boundary_vector_field", "_refined_min"}
         assert max(worst.values()) <= 16
+        assert k == oracle.max_orthonormal_boundary_set(a).k_lower
 
 
 def _split_reference(w):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import balanced_arrowhead, random_matrix, rng_for
+from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import ABS_FLOOR, hermitian_parts
 from numrange_lab.numrange import REFINE_STEPS, SupportFunction
+from numrange_lab import oracle
 from numrange_lab.oracle import (
+    ARC_ROUNDS,
     SearchParams,
+    _cliques,
     _top_vectors,
     boundary_vector_field,
     max_orthonormal_boundary_set,
@@ -53,6 +56,112 @@ class TestField:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             boundary_vector_field(np.eye(2), grid_size=32)
+
+
+def near_normal(seed):
+    # U* diag(d) U plus a 1e-6..1e-9 perturbation; seed 5011 has the double
+    # eigenvalue 3 at a vertex of W, split by the perturbation
+    rng = rng_for(seed)
+    n = 4 + (seed - 5000) % 3
+    if (seed - 5000) % 4 == 0:
+        d = np.exp(1j * np.sort(rng.uniform(0, 2 * np.pi, n)))
+    elif (seed - 5000) % 4 == 1:
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    elif (seed - 5000) % 4 == 2:
+        d = rng.standard_normal(n).astype(complex)
+    else:
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d[1] = d[0] = 3
+    u = random_unitary(rng, n)
+    return u.conj().T @ np.diag(d) @ u + 10.0 ** -rng.integers(6, 10) * random_matrix(rng, n)
+
+
+class TestArcGraph:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_matrix(rng_for(5), 5),
+            lambda: generate(FamilySpec("k3-parallel-lines", seed=4000)),
+            lambda: near_normal(5011),
+        ],
+        ids=["dense-5", "k3-parallel-lines-4000", "near-normal-5011"],
+    )
+    def test_free_nodes_cover_the_curve(self, make):
+        # the edges rest on it: every point of x(theta) outside an event's
+        # grid step and outside the turns too narrow for the bisection lies
+        # within the radius of some free node
+        a = make()
+        field = boundary_vector_field(a)
+        free = [c for c in field.candidates if not c.pinned]
+        assert len(free) >= 256 or field.turns
+        nodes, radii = np.column_stack([c.vec for c in free]), np.array([c.radius for c in free])
+        h, k = hermitian_parts(a)
+        thetas = np.linspace(0, 2 * np.pi, 65536, endpoint=False)
+        event_steps = [np.floor(ev.theta * 1024 / (2 * np.pi)) for ev in field.events]
+        thetas = thetas[~np.isin(np.floor(thetas * 1024 / (2 * np.pi)), event_steps)]
+        for lo, hi in field.turns:
+            assert 0 < np.mod(hi - lo, 2 * np.pi) <= (1 + 1e-9) * 2 * np.pi / (1024 * 2**ARC_ROUNDS)
+            thetas = thetas[np.mod(thetas - lo, 2 * np.pi) > np.mod(hi - lo, 2 * np.pi)]
+        for chunk in np.array_split(thetas, 16):
+            x = np.linalg.eigh(np.cos(chunk)[:, None, None] * h + np.sin(chunk)[:, None, None] * k)[1][:, :, -1]
+            chord = np.sqrt(np.maximum(2 - 2 * np.abs(x.conj() @ nodes), 0.0))
+            assert np.all(np.min(chord - radii, axis=1) <= 1e-12)
+
+    def test_reports_capped_sizes(self):
+        a = generate(FamilySpec("k3-parallel-lines", seed=4000))
+        assert max_orthonormal_boundary_set(a).capped == []
+        res = max_orthonormal_boundary_set(a, params=SearchParams(max_cliques=8))
+        assert res.capped == [2]
+        assert res.to_dict()["capped"] == [2]
+        assert res.k_lower >= 2 and res.gram_residual <= 1e-6
+        # the nodes themselves are never cut
+        cands = boundary_vector_field(a).candidates
+        levels, capped = _cliques(cands, 1e-6, 4, 8)
+        assert len(levels[0]) == len(cands) and capped == [2]
+
+    def test_cap_keeps_every_clique_below_the_cut(self, monkeypatch):
+        # a clique's measure bounds its subcliques', so every clique below the
+        # largest measure kept at each cut size survives, in order, at the head
+        # of its size (here more than the 24 attempts)
+        cands = boundary_vector_field(near_normal(5032)).candidates
+        vecs = np.column_stack([c.vec for c in cands])
+        overlap = np.abs(vecs.conj().T @ vecs)
+
+        def measure(level):
+            i, j = np.triu_indices(level.shape[1], 1)
+            return overlap[level[:, i], level[:, j]].max(axis=1, initial=0.0)
+
+        full, _ = _cliques(cands, 1e-6, 6, 10**6)
+        cut, capped = _cliques(cands, 1e-6, 6, 4000)
+        assert capped == [3, 4] and len(cut) == len(full)
+        below = np.inf
+        for size, (a, b) in enumerate(zip(full, cut), start=1):
+            if size in capped:
+                below = min(below, measure(b).max())
+            head = a[measure(a) < below]
+            assert len(head) >= 24 and np.array_equal(b[: len(head)], head)
+        # extension in chunks of a few rows, merged and cut as it goes
+        monkeypatch.setattr(oracle, "CLIQUE_CHUNK", 500)
+        chunked, capped_chunked = _cliques(cands, 1e-6, 6, 4000)
+        assert capped_chunked == capped
+        assert all(np.array_equal(a, b) for a, b in zip(chunked, cut))
+
+    def test_split_double_vertex_keeps_five(self):
+        # the family needs 5-cliques built from triangles that a cap of 4,000
+        # per size cut (k_lower fell to 4)
+        res = max_orthonormal_boundary_set(near_normal(5011))
+        assert res.k_lower >= 5 and res.capped == []
+
+    @pytest.mark.parametrize("seed", [5009, 5021, 5029, 5032])
+    def test_near_normal_refinement_count(self, seed, monkeypatch):
+        # the top sizes fail on these, and every clique of a size holds the
+        # same plateau vectors: node-disjoint starts keep the search to fewer
+        # refinements than one size's attempts (48-72 when every clique was tried)
+        calls = []
+        refine = oracle._refine_set
+        monkeypatch.setattr(oracle, "_refine_set", lambda *args: calls.append(1) or refine(*args))
+        res = max_orthonormal_boundary_set(near_normal(seed))
+        assert res.k_lower >= 2 and len(calls) <= SearchParams().attempts_per_size
 
 
 class TestTopVectorDerivative:
@@ -168,6 +277,18 @@ class TestVerify:
         assert rep.status == "search-below-claim"
         assert rep.escalations >= 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vertex_eigenspace_plus_block_claim_four(self, seed):
+        # U*(c I_2 + B)U with c = 2||B|| a vertex of W: two orthonormal
+        # vectors at the vertex and an antipodal pair of B give k = 4
+        rng = rng_for(300 + seed)
+        b = random_matrix(rng, 2)
+        u = random_unitary(rng, 4)
+        m = np.zeros((4, 4), dtype=complex)
+        m[:2, :2], m[2:, 2:] = 2 * np.linalg.norm(b, 2) * np.eye(2), b
+        rep = verify(u.conj().T @ m @ u, 4)
+        assert rep.match, rep.status
+
     def test_wrong_low_claim_is_soundness_flag(self):
         a = generate(FamilySpec("k4-split-31", seed=1))
         rep = verify(a, 3)
@@ -197,6 +318,19 @@ class TestRestricted:
         k, vecs, thetas = restricted_max_set(shrunk, SupportFunction(ambient))
         assert k == 0
         assert vecs.shape == (3, 0) and thetas.shape == (0,)
+
+    @pytest.mark.parametrize("grid_size", [128, 512])
+    def test_contact_arc_wider_than_pi_gives_a_pair(self, grid_size):
+        # the 3x3 block touches the ambient boundary for theta in about
+        # [1.87, 5.07], so x(theta) and x(theta + pi) both land on it; the
+        # refiner moves two arc nodes onto such a pair on any grid
+        b3 = np.array([[0.3, 1.0, 0.4], [0, -0.2 + 0.4j, 0.9], [0, 0, 0.5 - 0.3j]])
+        ambient = np.zeros((6, 6), dtype=complex)
+        ambient[:3, :3], ambient[3:5, 3:5], ambient[5, 5] = b3, [[0.8 + 0.5j, 1.2], [0, 0.8 + 0.5j]], 1.5 - 0.3j
+        u = random_unitary(rng_for(0), 3)
+        k, vecs, _ = restricted_max_set(u.conj().T @ b3 @ u, SupportFunction(ambient), params=SearchParams(grid_size))
+        assert k == 2
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(2)) < 1e-6
 
     def test_free_vector_not_thinned_by_copy_at_other_direction(self):
         # e3 maps onto the ambient vertex i for theta near pi/2; its pinned
