@@ -1,8 +1,9 @@
-"""Complete Gau-Wu classification of 4x4 matrices.
+"""Complete Gau-Wu classification of 4x4 matrices, and the routes of other sizes.
 
-Pipeline: split off unitarily reducible matrices (block additivity), then
-for irreducible ones k = 4 exactly when some rotation makes the Hermitian
-part two-valued; otherwise k = 3 when the boundary carries an exceptional
+``classify_any`` is the one route table; ``classify`` is its 4x4 entry.  A
+4x4 matrix is split when unitarily reducible (block additivity); for an
+irreducible one k = 4 exactly when some rotation makes the Hermitian part
+two-valued; otherwise k = 3 when the boundary carries an exceptional
 supporting line (seed) or an orthonormal triple touching three distinct
 supporting lines; else k = 2.  Each stage runs at most once and keeps what it
 found in ``GauWuResult.work``; seeds, triple search and check share one sweep.
@@ -32,7 +33,7 @@ from .linalg import (
 from .arrowhead import (NotApplicableError, NotArrowheadError, arrowhead_from_dense, dichotomy_check, gauwu_balanced,
                         gauwu_unbalanced_two, gauwu_with_zero_pairs, irreducible_dichotomous_check, pair_profile)
 from .numrange import SupportFunction, detect_seeds, dichotomy_scan, support_function
-from .oracle import SearchParams, max_orthonormal_boundary_set, verify
+from .oracle import SearchParams, _search, boundary_vector_field, max_orthonormal_boundary_set, verify
 from .reduction import commutant_dimension, decompose, dirsum_gauwu
 from .results import (
     METHOD_ARROWHEAD,
@@ -326,6 +327,9 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
     supporting lines and normalize to canonical coordinates (tangent lines
     x=0, y=0 and either x=1 or x+y=1).
 
+    The oracle's search is asked for triples only, so an orthogonality graph
+    without a triangle costs no refinement.
+
     Returns None when no qualifying triple exists; a form with
     ``form_ok=False`` when the triple exists but the canonical patterns or
     strict sign conditions fail (the value k=3 stands either way).
@@ -335,14 +339,11 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
     if m.shape[0] != 4:
         raise DimensionError("ka3_check handles 4x4 matrices")
     diam = sf.diameter()
-
-    def hook(x, thetas):
-        return x.shape[1] == 3 and _distinct_lines(thetas, sf, diam)
-
-    res = max_orthonormal_boundary_set(sf, tol=tol, params=params, accept_hook=hook)
-    if res.k_lower < 3:
+    cands = boundary_vector_field(sf, grid_size=params.grid_size, tol=tol).candidates
+    res = _search(m, cands, sf, tol, params, (3,), accept=lambda x, thetas: _distinct_lines(thetas, sf, diam))
+    if not res.k_lower:
         return None
-    x3, thetas = res.vectors[:, :3], res.thetas[:3]
+    x3, thetas = res.vectors, res.thetas
     ps = sf(thetas)
     notes = []
     norm = _normalizing_affine(thetas, ps)
@@ -488,73 +489,63 @@ def _confirm_with_oracle(a, result: GauWuResult, tol: ToleranceConfig) -> None:
     result.certificate["oracle"] = rep.oracle.to_dict()
 
 
+def _irreducible4(m, tol: ToleranceConfig, work: dict):
+    """(result, pencil) of an irreducible 4x4 matrix: the dichotomy gives
+    k = 4, else a seed or a three-line triple gives k = 3, else k = 2.  The
+    stages keep what they found in ``work``; ``pencil`` is the SupportFunction
+    of m once a stage needed one, else m."""
+    is_k4, form = _k4_form(m, tol)
+    if is_k4:
+        work["dichotomy"] = {"case": form.case, "theta": form.theta, "h0": min(form.h_values),
+                             "h1": max(form.h_values)}
+        cert = {"theta": form.theta, "case": form.case, "clause": form.clause, "h_values": list(form.h_values)}
+        return GauWuResult(k=4, n=4, method=METHOD_DICHOTOMY4, certificate=cert), m
+    pencil = SupportFunction(m)
+    seeds = work["seeds"] = detect_seeds(pencil, tol)
+    strong = [sd for sd in seeds if sd.witnesses.shape[1] >= 2 and sd.independent]
+    if strong:
+        cert = {
+            "seeds": [
+                {"kind": sd.kind, "theta": sd.theta, "segment": [str(z) for z in sd.segment]}
+                for sd in strong
+            ]
+        }
+        ka3 = None
+        try:
+            ka3 = ka3_check(pencil, tol)
+        except (NonInvertibleMapError, np.linalg.LinAlgError) as exc:
+            # the seed already decides k = 3; only the canonical form is lost
+            cert["canonical_form_error"] = f"{type(exc).__name__}: {exc}"
+        if ka3 is not None and ka3.form_ok:
+            cert["canonical_form"] = {"case": ka3.case, "params_keys": sorted(ka3.params)}
+        return GauWuResult(k=3, n=4, method=METHOD_SEED3, certificate=cert), pencil
+    ka3 = ka3_check(pencil, tol)
+    if ka3 is None:
+        return GauWuResult(k=2, n=4, method=METHOD_FALLBACK2, certificate={}), pencil
+    if not ka3.form_ok:
+        cert = {"note": "triple on three distinct lines found; canonical form unavailable", "notes": ka3.notes}
+        return GauWuResult(k=3, n=4, method=METHOD_ORACLE, certificate=cert), pencil
+    cert = {
+        "case": ka3.case,
+        "pattern_residual": ka3.pattern_residual,
+        "thetas": [float(t) for t in ka3.triple_thetas],
+    }
+    if ka3.seed_condition is not None:
+        cert["seed_condition"] = {
+            "applies": ka3.seed_condition.applies,
+            "t": ka3.seed_condition.t,
+            "lambda": ka3.seed_condition.lam,
+        }
+    return GauWuResult(k=3, n=4, method=METHOD_KA3, certificate=cert), pencil
+
+
 def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = False) -> GauWuResult:
-    """k(A) for a 4x4 matrix with a certificate of the deciding route; each
-    stage runs at most once and keeps what it found in ``result.work``."""
+    """k(A) for a 4x4 matrix with a certificate of the deciding route: the
+    4x4 entry of ``classify_any``."""
     m = as_square_matrix(a)
     if m.shape[0] != 4:
         raise DimensionError("classify handles 4x4 matrices; other sizes go through classify_any")
-    dec = decompose(m, tol)
-    work = {"decomposition": dec}
-    pencil = m  # becomes the SupportFunction of m once a stage needs one
-    if len(dec.blocks) > 1:
-        result = dirsum_gauwu(dec, tol)
-    else:
-        is_k4, form = _k4_form(m, tol)
-        if is_k4:
-            work["dichotomy"] = {"case": form.case, "theta": form.theta, "h0": min(form.h_values),
-                                 "h1": max(form.h_values)}
-            cert = {
-                "theta": form.theta,
-                "case": form.case,
-                "clause": form.clause,
-                "h_values": list(form.h_values),
-            }
-            result = GauWuResult(k=4, n=4, method=METHOD_DICHOTOMY4, certificate=cert)
-        else:
-            pencil = SupportFunction(m)
-            seeds = work["seeds"] = detect_seeds(pencil, tol)
-            strong = [sd for sd in seeds if sd.witnesses.shape[1] >= 2 and sd.independent]
-            if strong:
-                cert = {
-                    "seeds": [
-                        {"kind": sd.kind, "theta": sd.theta, "segment": [str(z) for z in sd.segment]}
-                        for sd in strong
-                    ]
-                }
-                ka3 = None
-                try:
-                    ka3 = ka3_check(pencil, tol)
-                except (NonInvertibleMapError, np.linalg.LinAlgError) as exc:
-                    # the seed already decides k = 3; only the canonical form is lost
-                    cert["canonical_form_error"] = f"{type(exc).__name__}: {exc}"
-                if ka3 is not None and ka3.form_ok:
-                    cert["canonical_form"] = {"case": ka3.case, "params_keys": sorted(ka3.params)}
-                result = GauWuResult(k=3, n=4, method=METHOD_SEED3, certificate=cert)
-            else:
-                ka3 = ka3_check(pencil, tol)
-                if ka3 is not None and ka3.form_ok:
-                    cert = {
-                        "case": ka3.case,
-                        "pattern_residual": ka3.pattern_residual,
-                        "thetas": [float(t) for t in ka3.triple_thetas],
-                    }
-                    if ka3.seed_condition is not None:
-                        cert["seed_condition"] = {
-                            "applies": ka3.seed_condition.applies,
-                            "t": ka3.seed_condition.t,
-                            "lambda": ka3.seed_condition.lam,
-                        }
-                    result = GauWuResult(k=3, n=4, method=METHOD_KA3, certificate=cert)
-                elif ka3 is not None:
-                    cert = {"note": "triple on three distinct lines found; canonical form unavailable", "notes": ka3.notes}
-                    result = GauWuResult(k=3, n=4, method=METHOD_ORACLE, certificate=cert)
-                else:
-                    result = GauWuResult(k=2, n=4, method=METHOD_FALLBACK2, certificate={})
-    result.work = work
-    if confirm_with_oracle:
-        _confirm_with_oracle(pencil, result, tol)
-    return result
+    return classify_any(m, tol, confirm_with_oracle=confirm_with_oracle)
 
 
 class UnsupportedDimensionError(ValueError):
@@ -566,9 +557,11 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
                  confirm_with_oracle: bool = False) -> GauWuResult:
     """Route a matrix of any size to an exact classification when one exists.
 
-    4x4 goes through the full pipeline; arrowhead matrices of any size go
-    through the structured routes; anything else is either unitarily
-    reducible (block additivity) or requires the constructive search.
+    Arrowhead matrices other than 4x4 go through the structured routes; then
+    unitarily reducible matrices through block additivity and irreducible
+    4x4 ones through the stages of the paper (``_irreducible4``); anything
+    else requires the constructive search.  Each stage runs at most once and
+    keeps what it found in ``result.work``.
     """
     m = as_square_matrix(a)
     n = m.shape[0]
@@ -576,13 +569,10 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         return GauWuResult(k=1, n=1, method=METHOD_ORACLE, certificate={"note": "numerical range is a point"})
     if n == 2:
         return GauWuResult(k=2, n=2, method=METHOD_FALLBACK2, certificate={"note": "every 2x2 matrix has k = 2"})
-    if n == 4:
-        return classify(m, tol, confirm_with_oracle=confirm_with_oracle)
 
-    result = None
-    work = {}
+    result, pencil, work = None, m, {}
     try:
-        ah = arrowhead_from_dense(m, tol)
+        ah = arrowhead_from_dense(m, tol) if n != 4 else None
     except NotArrowheadError:
         ah = None
     if ah is not None:
@@ -615,6 +605,8 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         dec = work["decomposition"] = decompose(m, tol)
         if len(dec.blocks) > 1:
             result = dirsum_gauwu(dec, tol)
+        elif n == 4:
+            result, pencil = _irreducible4(m, tol, work)
     if result is None:
         if not allow_oracle_only:
             raise UnsupportedDimensionError(
@@ -629,5 +621,5 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
             result.oracle_confirmed = True
     result.work = work
     if confirm_with_oracle and result.oracle_confirmed is None:
-        _confirm_with_oracle(m, result, tol)
+        _confirm_with_oracle(pencil, result, tol)
     return result

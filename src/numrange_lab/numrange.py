@@ -108,9 +108,9 @@ class SupportFunction:
         return np.stack([w, np.diagonal(c, axis1=1, axis2=2).real, 2 * np.sum(np.abs(c) ** 2 * r, axis=2) - w])
 
     def diameter(self) -> float:
-        half = self.grid_size // 2
-        widths = self.grid_values[:half] + self.grid_values[half : 2 * half]
-        return max(float(np.max(widths)), 0.0)
+        """Largest width over the grid: p(theta) + p(theta + pi) is the spread
+        of the pencil member at theta, as p(theta + pi) = -lambda_min(theta)."""
+        return float(np.max(self.grid_eigvals[:, -1] - self.grid_eigvals[:, 0]))
 
 
 def support_function(a, grid_size: int = 1024) -> SupportFunction:

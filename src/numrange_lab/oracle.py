@@ -383,7 +383,7 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
 
 
 def _search(m, cands: list, support: SupportFunction, tol: ToleranceConfig, params: SearchParams,
-            min_size: int, accept_hook: Optional[Callable] = None) -> OracleResult:
+            sizes, accept: Optional[Callable] = None) -> OracleResult:
     """Graph -> clique -> refine core shared by the full and the restricted search.
 
     The starting sets of each size are the cliques of the candidates'
@@ -394,14 +394,16 @@ def _search(m, cands: list, support: SupportFunction, tol: ToleranceConfig, para
     first size with a family whose Gram residual beats ``gram_tol`` and
     whose members lie on the boundary of ``support`` wins; its attempts stop
     at the first refinement that does not improve on its best family.
-    Below ``min_size`` the result has k_lower = 0.
+    Only the descending ``sizes`` are tried, so cliques are built up to the
+    first of them; ``accept(vectors, thetas)`` can reject a family that
+    passes.  With no family of these sizes the result has k_lower = 0.
     """
     n = m.shape[0]
-    levels, capped = _cliques(cands, tol.gram_tol, n, params.max_cliques) if cands else ([], [])
+    levels, capped = _cliques(cands, tol.gram_tol, sizes[0], params.max_cliques) if cands else ([], [])
     btol = 10 * tol.boundary_abs(support.diameter())
 
     floors: dict = {}
-    for size in range(len(levels), min_size - 1, -1):
+    for size in [s for s in sizes if s <= len(levels)]:
         level, best = levels[size - 1], None
         for _ in range(params.attempts_per_size):
             if not len(level):
@@ -412,8 +414,8 @@ def _search(m, cands: list, support: SupportFunction, tol: ToleranceConfig, para
             if best is not None and res >= best[0]:
                 break  # a family is found and a further start no longer improves on it
             ok = res <= tol.gram_tol and np.all(bres <= btol)
-            if ok and accept_hook is not None:
-                ok = bool(accept_hook(X, thetas))
+            if ok and accept is not None:
+                ok = bool(accept(X, thetas))
             if ok:
                 best = (res, X, thetas, bres)
                 if res < 1e-12:
@@ -431,7 +433,6 @@ def max_orthonormal_boundary_set(
     a,
     tol: ToleranceConfig = DEFAULT_TOL,
     params: SearchParams = SearchParams(),
-    accept_hook: Optional[Callable] = None,
 ) -> OracleResult:
     """Constructive lower bound for the Gau-Wu number.
 
@@ -440,8 +441,6 @@ def max_orthonormal_boundary_set(
     node-disjoint ones of each size are refined, and the largest family
     whose final Gram residual beats ``gram_tol`` wins.  ``capped`` in the
     result lists the clique sizes that ``params.max_cliques`` cut.
-    ``accept_hook(vectors, thetas)`` can impose extra structure (used by the
-    three-line search of the 4x4 classifier).
     """
     sf = support_function(a, params.grid_size)
     m = sf.a
@@ -452,7 +451,7 @@ def max_orthonormal_boundary_set(
     if sf.diameter() <= 4 * ABS_FLOOR:
         eye = np.eye(n, dtype=complex)
         return OracleResult(n, eye, np.zeros(n), 0.0, np.zeros(n), {})
-    found = _search(m, field_.candidates, sf, tol, params, min_size=2, accept_hook=accept_hook)
+    found = _search(m, field_.candidates, sf, tol, params, range(n, 1, -1))
     if found.k_lower:
         return found
     # guaranteed pair: extremal eigenvectors of any one direction are orthogonal
@@ -477,7 +476,7 @@ def restricted_max_set(
     """
     m = as_square_matrix(block)
     field_ = boundary_vector_field(m, grid_size=params.grid_size, tol=tol, ambient=ambient)
-    found = _search(m, field_.candidates, ambient, tol, params, min_size=1)
+    found = _search(m, field_.candidates, ambient, tol, params, range(m.shape[0], 0, -1))
     return found.k_lower, found.vectors, found.thetas
 
 

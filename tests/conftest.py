@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from numrange_lab import oracle
 from numrange_lab.arrowhead import ArrowheadMatrix
 from numrange_lab.numrange import SupportFunction
 
@@ -95,6 +96,20 @@ def support_builds(monkeypatch):
         _orig(self, a, grid_size)
 
     monkeypatch.setattr(SupportFunction, "__init__", counting)
+    return counts
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """Counts of the oracle's refinements (``_refine_set`` calls), by the size
+    of the starting set."""
+    counts = Counter()
+
+    def counting(m, members, *args, _orig=oracle._refine_set):
+        counts[len(members)] += 1
+        return _orig(m, members, *args)
+
+    monkeypatch.setattr(oracle, "_refine_set", counting)
     return counts
 
 

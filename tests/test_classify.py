@@ -19,6 +19,7 @@ from numrange_lab.linalg import AffineMap, DimensionError, affine_apply, rotate
 from numrange_lab.numrange import dichotomy_scan
 from numrange_lab.oracle import max_orthonormal_boundary_set, verify
 from numrange_lab.results import (
+    METHOD_ARROWHEAD,
     METHOD_DICHOTOMY4,
     METHOD_DIRECT_SUM,
     METHOD_FALLBACK2,
@@ -142,6 +143,17 @@ class TestKA3Check:
     def test_pure_almost_normal_absent(self):
         a = generate(FamilySpec("pure-almost-normal", seed=1))
         assert ka3_check(a) is None
+
+    @pytest.mark.parametrize("fam, seed", [("pure-almost-normal", 1), ("unbalanced-arrowhead", 2030)])
+    def test_no_triangle_no_refinement(self, fam, seed, refinements):
+        # the orthogonality graph has no triangle, so the search for triples
+        # starts no refinement (a search over every size refined 24 pairs)
+        assert ka3_check(generate(FamilySpec(fam, seed=seed))) is None
+        assert refinements == {}
+
+    def test_scalar_matrix_has_no_triple(self):
+        # every vector lands on the one point, so no three lines are distinct
+        assert ka3_check(2 * np.eye(4)) is None
 
     def test_canonical_pattern_reconstruction(self):
         a = generate(FamilySpec("k3-nonparallel-lines", seed=4))
@@ -283,6 +295,13 @@ class TestInvariance:
         assert form.case == "parallel"
 
 
+def zero_pair_arrowhead(seed, n):
+    """A balanced arrowhead with its third coupling pair zeroed."""
+    ah = balanced_arrowhead(seed, n)
+    ah.col[2] = ah.row[2] = 0
+    return ah
+
+
 class TestClassifyAny:
     def test_one_by_one(self):
         assert classify_any(np.array([[2.0 + 1j]])).k == 1
@@ -313,3 +332,21 @@ class TestClassifyAny:
         res = classify_any(a, allow_oracle_only=True)
         assert 2 <= res.k <= 5
         assert res.method == "OracleOnly"
+
+    @pytest.mark.parametrize(
+        "make, k, method, route, work",
+        [
+            (lambda: generate(FamilySpec("dichotomous-arrowhead-coupled", n=5, seed=0)),
+             5, METHOD_ARROWHEAD, "dichotomous-irreducible", ["dichotomy"]),
+            (lambda: generate(FamilySpec("pure-almost-normal", n=6, seed=0)), 2, METHOD_ARROWHEAD, "unbalanced", []),
+            (lambda: generate(FamilySpec("unbalanced-arrowhead", n=6, seed=0)), 2, METHOD_ARROWHEAD, "unbalanced", []),
+            (lambda: generate(FamilySpec("reducible-aligned", n=8, seed=0)),
+             8, METHOD_DIRECT_SUM, None, ["decomposition", "dichotomy"]),
+            (lambda: zero_pair_arrowhead(0, 6).to_dense(), None, METHOD_ARROWHEAD, "balanced-with-zero-pairs", []),
+        ],
+        ids=["dichotomous-coupled-5", "pure-almost-normal-6", "unbalanced-6", "reducible-aligned-8", "zero-pair-6"],
+    )
+    def test_route_table(self, make, k, method, route, work):
+        res = classify_any(make())
+        assert (res.method, res.certificate.get("route"), sorted(res.work)) == (method, route, work)
+        assert k is None or res.k == k

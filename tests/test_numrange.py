@@ -76,6 +76,14 @@ class TestSupport:
             rhs = p[i] * np.sin(t[2] - t[1]) + p[l] * np.sin(t[1] - t[0])
             assert lhs <= rhs + 1e-9
 
+    @pytest.mark.parametrize("grid_size", [65, 101, 1025])
+    def test_diameter_on_odd_grids(self, grid_size):
+        # the triangle 0, 1, i has diameter sqrt(2), its width in direction
+        # 3 pi / 4; widths are pi-periodic, and an odd grid puts a sample
+        # within pi / (2 grid_size) of that direction or of its opposite
+        d = SupportFunction(np.diag([0.0, 1.0, 1j]), grid_size).diameter()
+        assert np.sqrt(2) * np.cos(np.pi / (2 * grid_size)) <= d <= np.sqrt(2) + 1e-12
+
 
 class TestBasePolynomial:
     def test_diag_two_by_two(self):

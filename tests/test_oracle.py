@@ -16,7 +16,8 @@ from numrange_lab.oracle import (
     restricted_max_set,
     verify,
 )
-from numrange_lab.reduction import decompose
+from numrange_lab.classify import classify_any
+from numrange_lab.reduction import block_kprime, decompose
 
 
 class TestField:
@@ -153,15 +154,12 @@ class TestArcGraph:
         assert res.k_lower >= 5 and res.capped == []
 
     @pytest.mark.parametrize("seed", [5009, 5021, 5029, 5032])
-    def test_near_normal_refinement_count(self, seed, monkeypatch):
+    def test_near_normal_refinement_count(self, seed, refinements):
         # the top sizes fail on these, and every clique of a size holds the
         # same plateau vectors: node-disjoint starts keep the search to fewer
         # refinements than one size's attempts (48-72 when every clique was tried)
-        calls = []
-        refine = oracle._refine_set
-        monkeypatch.setattr(oracle, "_refine_set", lambda *args: calls.append(1) or refine(*args))
         res = max_orthonormal_boundary_set(near_normal(seed))
-        assert res.k_lower >= 2 and len(calls) <= SearchParams().attempts_per_size
+        assert res.k_lower >= 2 and sum(refinements.values()) <= SearchParams().attempts_per_size
 
 
 class TestTopVectorDerivative:
@@ -341,3 +339,40 @@ class TestRestricted:
         k, vecs, _ = restricted_max_set(block, ambient)
         assert k == 1
         assert abs(vecs[2, 0]) > 1 - 1e-6
+
+
+def tangent_contact(seed, theta0=0.7371):
+    """(B, A): a random 3x3 B and A = B + diag(z0 + 3r iu, z0 - 3r iu, z0 - 8r u)
+    with u = e^{i theta0}, z0 the boundary point of W(B) in direction theta0
+    and r = ||B||.  Two far points on B's supporting line there and one far
+    behind it make W(A) touch W(B) at z0 alone, in a direction off the grid."""
+    b = random_matrix(rng_for(seed), 3)
+    u = np.exp(1j * theta0)
+    x = np.linalg.eigh((b / u + u * b.conj().T) / 2)[1][:, -1]
+    z0, r = x.conj() @ b @ x, np.linalg.norm(b, 2)
+    a = np.zeros((6, 6), dtype=complex)
+    a[:3, :3] = b
+    a[3:, 3:] = np.diag([z0 + 3j * r * u, z0 - 3j * r * u, z0 - 8 * r * u])
+    return b, a
+
+
+class TestAmbientContact:
+    """The field refines the contacts with the ambient boundary that the grid
+    straddles and pins the block's top vector there."""
+
+    def test_contact_pinned_off_the_grid(self):
+        b, a = tangent_contact(0)
+        field_ = boundary_vector_field(b, 512, ambient=SupportFunction(a))
+        pinned = [c.theta for c in field_.candidates if c.pinned]
+        assert len(pinned) == 1 and abs(pinned[0] - 0.7371) < 1e-9
+
+    def test_contact_counts_for_the_block(self):
+        b, a = tangent_contact(0)
+        assert block_kprime(b, SupportFunction(a)) == (1, "restricted-search")
+        assert classify_any(a).k == 4 == max_orthonormal_boundary_set(a).k_lower
+
+    def test_grid_alone_misses_the_contact(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_refined_minima", lambda *args, **kwargs: [])
+        b, a = tangent_contact(0)
+        assert block_kprime(b, SupportFunction(a)) == (0, "restricted-search")
+        assert classify_any(a).k == 3
