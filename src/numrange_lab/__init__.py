@@ -23,6 +23,7 @@ from .linalg import (
     affine_invert,
     eig_hermitian_clustered,
     hermitian_parts,
+    reducing_eigenvectors,
     rotate,
 )
 from .numrange import (
@@ -35,5 +36,5 @@ from .numrange import (
     support,
 )
 from .oracle import SearchParams, boundary_vector_field, max_orthonormal_boundary_set, verify
-from .reduction import commutant_dimension, decompose, dirsum_gauwu, reducing_eigenvectors
+from .reduction import commutant_dimension, decompose, dirsum_gauwu
 from .results import GauWuResult

@@ -723,18 +723,15 @@ def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TO
 
     sub = ArrowheadMatrix(ah.diag[live_idx], ah.col[live_idx], ah.row[live_idx], ah.corner)
     sub_dense = sub.to_dense()
-    if sub.n == 1:
-        k1 = 1 if point_boundary_defect(ambient, ah.corner) < btol else 0
-        line_rule = k1
-    else:
-        k1, _, _ = restricted_max_set(sub_dense, ambient, tol=tol)
-        d1 = np.real(np.exp(-1j * theta) * np.concatenate([sub.diag, [sub.corner]]))
-        link = tol.cluster_abs(matrix_scale(sub_dense))
-        line_rule = 0
-        if abs(ambient(theta) - np.max(d1)) < btol:
-            line_rule += int(np.sum(d1 >= np.max(d1) - link))
-        if abs(ambient(float(theta + np.pi)) + np.min(d1)) < btol:
-            line_rule += int(np.sum(d1 <= np.min(d1) + link))
+    # _balanced_theta needs a nonzero pair, so the sub-arrowhead has n >= 2
+    k1, _, _ = restricted_max_set(sub_dense, ambient, tol=tol)
+    d1 = np.real(np.exp(-1j * theta) * np.concatenate([sub.diag, [sub.corner]]))
+    link = tol.cluster_abs(matrix_scale(sub_dense))
+    line_rule = 0
+    if abs(ambient(theta) - np.max(d1)) < btol:
+        line_rule += int(np.sum(d1 >= np.max(d1) - link))
+    if abs(ambient(float(theta + np.pi)) + np.min(d1)) < btol:
+        line_rule += int(np.sum(d1 <= np.min(d1) + link))
     k = k1 + len(scalars_on_boundary)
     cert = {
         "route": "balanced-with-zero-pairs",

@@ -86,6 +86,32 @@ def _is_normal(b, tol: ToleranceConfig) -> bool:
     return np.linalg.norm(b @ b.conj().T - b.conj().T @ b) <= tol.eq_abs(s * s) * b.shape[0] * 10
 
 
+def reducing_eigenvectors(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """All joint eigenvectors of A and A* as (eigenvalue, vector) pairs.
+
+    For each eigenvalue lambda of A the intersection ker(A - lambda) with
+    ker(A* - conj(lambda)) is computed from the stacked matrix's nullspace;
+    a basis of every nontrivial intersection is returned.
+    """
+    m = as_square_matrix(a)
+    n = m.shape[0]
+    s = matrix_scale(m)
+    vals = np.linalg.eigvals(m)
+    reps = []
+    for lam in vals:
+        if not any(abs(lam - r) <= 100 * tol.eq_abs(s) for r in reps):
+            reps.append(lam)
+    out = []
+    for lam in reps:
+        stacked = np.vstack([m - lam * np.eye(n), m.conj().T - np.conj(lam) * np.eye(n)])
+        u, sv, vh = np.linalg.svd(stacked)
+        null = int(np.sum(sv <= 1e-8 * max(sv[0], ABS_FLOOR)))
+        for idx in range(n - null, n):
+            vec = vh.conj().T[:, idx]
+            out.append((complex(lam), vec))
+    return out
+
+
 class HermitianPair(NamedTuple):
     h: np.ndarray
     k: np.ndarray

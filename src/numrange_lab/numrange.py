@@ -29,6 +29,7 @@ from .linalg import (
     as_square_matrix,
     hermitian_parts,
     matrix_scale,
+    reducing_eigenvectors,
 )
 
 TWO_PI = 2 * np.pi
@@ -54,20 +55,24 @@ class SupportSample:
     boundary_points: list
 
 
+def _top_cluster_basis(h, k, theta: float, link: float):
+    """(p, basis, w) at theta: the top eigenvalue p, an orthonormal basis of
+    the eigenvectors of the eigenvalues within ``link`` of p, and the whole
+    ascending spectrum w."""
+    w, v = np.linalg.eigh(_pencil_at(h, k, theta))
+    m = 1
+    while m < len(w) and w[-1] - w[-m - 1] <= link:
+        m += 1
+    return float(w[-1]), v[:, len(w) - m :], w
+
+
 def support(a, theta: float, tol: ToleranceConfig = DEFAULT_TOL) -> SupportSample:
-    """Support value and boundary points of W(A) in direction theta."""
+    """Support value and boundary points of W(A) in direction theta: the
+    images of the top cluster's basis, linked within cluster_abs of p."""
     m = as_square_matrix(a)
-    w, v = np.linalg.eigh(_pencil_at(*hermitian_parts(m), theta))
-    p = float(w[-1])
-    link = tol.cluster_abs(matrix_scale(m))
-    mult = 1
-    while mult < len(w) and w[-mult] - w[-mult - 1] <= link:
-        mult += 1
-    pts = []
-    for j in range(len(w) - mult, len(w)):
-        x = v[:, j]
-        pts.append(complex(x.conj() @ m @ x))
-    return SupportSample(theta=float(theta), p=p, multiplicity=mult, boundary_points=pts)
+    p, basis, _ = _top_cluster_basis(*hermitian_parts(m), theta, tol.cluster_abs(matrix_scale(m)))
+    pts = [complex(x.conj() @ m @ x) for x in basis.T]
+    return SupportSample(theta=float(theta), p=p, multiplicity=basis.shape[1], boundary_points=pts)
 
 
 class SupportFunction:
@@ -211,14 +216,6 @@ class TopEvent:
     gap: float
     basis: np.ndarray  # n x m orthonormal columns spanning the top cluster
     eigvals: np.ndarray
-
-
-def _top_cluster_basis(h, k, theta: float, link: float):
-    w, v = np.linalg.eigh(_pencil_at(h, k, theta))
-    m = 1
-    while m < len(w) and w[-1] - w[-m - 1] <= link:
-        m += 1
-    return float(w[-1]), v[:, len(w) - m :], w
 
 
 def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
@@ -396,6 +393,7 @@ def boundary_generating_curve(a, samples: int = 512, tol: ToleranceConfig = DEFA
 
 FLAT_PORTION = "FlatPortion"
 SINGULAR_POINT = "SingularPoint"
+POINT_LENGTH = 1e-6  # relative to the diameter: a shorter boundary segment is a point
 
 
 @dataclass
@@ -421,7 +419,7 @@ def _seed_from_event(a, ev: TopEvent, diameter: float) -> Seed:
     z_lo = np.exp(1j * ev.theta) * (ev.p + 1j * w[0])
     z_hi = np.exp(1j * ev.theta) * (ev.p + 1j * w[-1])
     length = abs(z_hi - z_lo)
-    kind = FLAT_PORTION if length > 1e-6 * max(diameter, 1e-12) else SINGULAR_POINT
+    kind = FLAT_PORTION if length > POINT_LENGTH * max(diameter, ABS_FLOOR) else SINGULAR_POINT
     witnesses = basis @ v[:, [0, -1]] if basis.shape[1] >= 2 else basis
     return Seed(kind=kind, theta=ev.theta, segment=(complex(z_lo), complex(z_hi)), witnesses=witnesses)
 
@@ -429,10 +427,15 @@ def _seed_from_event(a, ev: TopEvent, diameter: float) -> Seed:
 def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Find flat portions and singular points of the boundary.
 
-    Two detectors: (i) directions where the top eigenvalue of the rotated
-    Hermitian part is genuinely multiple (exceptional supporting lines), and
-    (ii) clusters of boundary contact points that stay put while the
-    direction sweeps (corners / branch crossings on the boundary).
+    Flat portions, and points generated by a multiple top eigenvalue, come
+    from the directions where the top eigenvalue of the rotated Hermitian
+    part is genuinely multiple (``top_gap_events``).  Corners come from
+    Donoghue's theorem (Michigan Math. J. 4, 1957): every corner of W(A) is a
+    normal eigenvalue.  A normal eigenvalue lambda is a corner when the
+    supporting lines of at least three grid directions pass within
+    boundary_abs of it, and its witnesses are its joint eigenvectors of A and
+    A* (``reducing_eigenvectors``).  So an irreducible matrix has no corner,
+    and a corner whose normal cone is narrower than two grid steps is missed.
     """
     sf = support_function(a)
     m = sf.a
@@ -449,36 +452,18 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
         if ev.basis.shape[1] >= 2:
             seeds.append(_seed_from_event(m, ev, diam))
 
-    # corner / crossing detector on the top branch
-    top_vecs = sf.top_vectors
-    pts = np.einsum("si,ij,sj->s", top_vecs.conj(), m, top_vecs)
-    close = 1e-6 * max(diam, 1e-12)
-    used = np.zeros(len(pts), dtype=bool)
-    for s in range(len(pts)):
-        if used[s]:
+    event_points = [complex(np.mean(sd.segment)) for sd in seeds if sd.kind == SINGULAR_POINT]
+    witnesses = {}
+    for lam, vec in reducing_eigenvectors(m, tol):
+        witnesses.setdefault(lam, []).append(vec)
+    for lam, vecs in witnesses.items():
+        g = sf.grid_values - np.real(np.exp(-1j * sf.thetas) * lam)
+        if np.count_nonzero(g <= tol.boundary_abs(diam)) < 3:
             continue
-        group = np.nonzero(np.abs(pts - pts[s]) < close)[0]
-        if len(group) < 3:
+        if any(abs(z - lam) < 4 * POINT_LENGTH * max(diam, ABS_FLOOR) for z in event_points):
             continue
-        spread = np.ptp(sf.thetas[group])
-        if spread < 1e-3:
-            continue
-        used[group] = True
-        vecs = top_vecs[group].T  # n x g
-        # orthonormalize the span of the generating vectors
-        q, r = np.linalg.qr(vecs)
-        rank = int(np.sum(np.abs(np.diag(r)) > 1e-6 * max(np.abs(np.diag(r)).max(), 1e-300)))
-        witnesses = q[:, :rank]
-        z0 = complex(np.mean(pts[group]))
-        theta0 = float(sf.thetas[group[len(group) // 2]])
-        dup = any(
-            sd.kind == SINGULAR_POINT and abs(complex(np.mean(sd.segment)) - z0) < 4 * close
-            for sd in seeds
-        )
-        if not dup:
-            seeds.append(
-                Seed(kind=SINGULAR_POINT, theta=theta0, segment=(z0, z0), witnesses=witnesses)
-            )
+        seeds.append(Seed(kind=SINGULAR_POINT, theta=float(sf.thetas[np.argmin(g)]), segment=(lam, lam),
+                          witnesses=np.column_stack(vecs)))
     return seeds
 
 

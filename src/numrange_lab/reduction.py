@@ -1,5 +1,5 @@
-"""Unitary reducibility: commutant dimension, block splitting, reducing
-eigenvectors, and Gau-Wu values of direct sums.
+"""Unitary reducibility: commutant dimension, block splitting and Gau-Wu
+values of direct sums.
 
 A matrix is unitarily irreducible exactly when the only Hermitian matrices
 commuting with both H = Re A and K = Im A are multiples of the identity.
@@ -149,7 +149,6 @@ class BlockDecomposition:
 
     unitary: np.ndarray
     blocks: list
-    normal_flags: list
     margin: dict
 
     @property
@@ -188,34 +187,7 @@ def decompose(a, tol: ToleranceConfig = DEFAULT_TOL) -> BlockDecomposition:
     cuts = np.flatnonzero(np.sqrt(np.diagonal(across, 1)) <= RANK_CUTOFF * s) + 1
     groups = np.split(np.arange(m.shape[0]), cuts)
     blocks = [u[:, g].conj().T @ m @ u[:, g] for g in groups]
-    flags = [_is_normal(b, tol) for b in blocks]
-    return BlockDecomposition(unitary=u, blocks=blocks, normal_flags=flags, margin=margin)
-
-
-def reducing_eigenvectors(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """All joint eigenvectors of A and A* as (eigenvalue, vector) pairs.
-
-    For each eigenvalue lambda of A the intersection ker(A - lambda) with
-    ker(A* - conj(lambda)) is computed from the stacked matrix's nullspace;
-    a basis of every nontrivial intersection is returned.
-    """
-    m = as_square_matrix(a)
-    n = m.shape[0]
-    s = matrix_scale(m)
-    vals = np.linalg.eigvals(m)
-    reps = []
-    for lam in vals:
-        if not any(abs(lam - r) <= 100 * tol.eq_abs(s) for r in reps):
-            reps.append(lam)
-    out = []
-    for lam in reps:
-        stacked = np.vstack([m - lam * np.eye(n), m.conj().T - np.conj(lam) * np.eye(n)])
-        u, sv, vh = np.linalg.svd(stacked)
-        null = int(np.sum(sv <= 1e-8 * max(sv[0], ABS_FLOOR)))
-        for idx in range(n - null, n):
-            vec = vh.conj().T[:, idx]
-            out.append((complex(lam), vec))
-    return out
+    return BlockDecomposition(unitary=u, blocks=blocks, margin=margin)
 
 
 def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):

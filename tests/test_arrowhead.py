@@ -19,7 +19,7 @@ from numrange_lab.arrowhead import (
     secular_function,
 )
 from numrange_lab.generators import FamilySpec, generate
-from numrange_lab.linalg import DEFAULT_TOL, herm_part_at, matrix_scale
+from numrange_lab.linalg import DEFAULT_TOL, herm_part_at, matrix_scale, reducing_eigenvectors
 from numrange_lab.oracle import max_orthonormal_boundary_set
 from numrange_lab.reduction import commutant_dimension
 
@@ -343,8 +343,6 @@ class TestIrreducibleDichotomous:
         # the reducing eigenvector pairs the projection's kernel direction
         # with a full secular eigenvector of the skew part
         a = generate(FamilySpec("reducible-aligned", seed=1))
-        from numrange_lab.reduction import reducing_eigenvectors
-
         red = reducing_eigenvectors(a)
         assert red, "expected a reducing eigenvector"
 

@@ -31,6 +31,15 @@ from numrange_lab.results import (
 classify_mod = importlib.import_module("numrange_lab.classify")
 
 
+def near_normal4(seed, eps):
+    """U (diag(d) + eps N) U* with N strictly upper triangular: near-normal
+    and, for generic data, irreducible."""
+    rng = rng_for(seed)
+    d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    u = random_unitary(rng, 4)
+    return u @ (np.diag(d) + eps * np.triu(random_matrix(rng, 4), 1)) @ u.conj().T
+
+
 class TestK4Check:
     def test_split_31_instance(self):
         a = generate(FamilySpec("k4-split-31", seed=0))
@@ -215,6 +224,14 @@ class TestClassifyPipeline:
         for fam, expect, method in cases:
             res = classify(generate(FamilySpec(fam, seed=7)))
             assert (res.k, res.method) == (expect, method), (fam, res.k, res.method)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-4, 1e-3])
+    @pytest.mark.parametrize("seed", range(7100, 7110))
+    def test_near_normal_has_no_corner(self, seed, eps):
+        # irreducible, so no normal eigenvalue and no corner, although W(A) is
+        # eps-close to the quadrilateral of d; the grid once clustered into corners
+        res = classify(near_normal4(seed, eps))
+        assert (res.k, res.method) == (2, METHOD_FALLBACK2)
 
     def test_parallel_lines_seed_once_misread_as_two(self):
         # k = 3 by construction; the search refines at most 24 node-disjoint

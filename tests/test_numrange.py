@@ -198,13 +198,19 @@ class TestSeeds:
         assert abs(sd.theta - np.pi / 4) < 1e-6
         assert sd.witnesses.shape[1] == 2 and sd.independent
 
+    def test_normal_eigenvalue_inside_an_edge_is_not_a_corner(self):
+        # 0.5 is a normal eigenvalue on the edge [0, 1], touched by one supporting line
+        seeds = detect_seeds(np.diag([0.0, 0.5, 1.0, 1j]))
+        corners = sorted((sd.segment[0] for sd in seeds if sd.kind == SINGULAR_POINT), key=lambda z: (z.real, z.imag))
+        assert corners == [0, 1j, 1]
+
     def test_one_grid_sweep(self, stack_sizes):
-        # the event scan and the corner detector read the support function's
+        # the event scan and the corner rule read the support function's
         # sweep; only the event refinement adds stacks, one per Newton step
         detect_seeds(flat_portion_example())
-        assert {name: sizes[1024] for name, sizes in stack_sizes.items()} == {"eigvalsh": 1, "eigh": 1}
+        assert {name: sizes[1024] for name, sizes in stack_sizes.items()} == {"eigvalsh": 1, "eigh": 0}
         assert set(stack_sizes["eigvalsh"]) == {1024}
-        assert sum(stack_sizes["eigh"].values()) - 1 <= REFINE_STEPS
+        assert sum(stack_sizes["eigh"].values()) <= REFINE_STEPS
 
     def test_flat_portion_witness_gram(self):
         a = flat_portion_example()

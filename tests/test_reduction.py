@@ -7,6 +7,7 @@ from conftest import bounded, commutant_dimension_by_commutators, random_matrix,
 from numrange_lab import reduction
 from numrange_lab.classify import classify
 from numrange_lab.generators import ALL_FAMILIES, FamilySpec, generate, flat_portion_example
+from numrange_lab.linalg import reducing_eigenvectors
 from numrange_lab.numrange import SupportFunction
 from numrange_lab.oracle import max_orthonormal_boundary_set, verify
 from numrange_lab.reduction import (
@@ -14,7 +15,6 @@ from numrange_lab.reduction import (
     commutant_dimension,
     decompose,
     dirsum_gauwu,
-    reducing_eigenvectors,
 )
 
 SIZED_FAMILIES = (
