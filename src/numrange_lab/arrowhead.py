@@ -25,7 +25,7 @@ from .linalg import (
     hermitian_parts,
     matrix_scale,
 )
-from .numrange import SupportFunction, _two_level_form, dichotomy_scan, point_boundary_defect
+from .numrange import IDEMPOTENT_TOL, SupportFunction, _two_level_form, dichotomy_scan, point_boundary_defect
 from .oracle import restricted_max_set
 from .results import METHOD_ARROWHEAD, GauWuResult
 
@@ -485,91 +485,30 @@ def _theta_from_psi(psi_mean: float) -> float:
 def dichotomy_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[DichotomyCertificate]:
     """Certificate that some rotation makes the Hermitian part two-valued.
 
-    Case (a): every off-diagonal pair is balanced with a common coupling
-    angle and the rotated diagonal takes exactly two values.  Case (b): one
-    exceptional pair survives the rotation and couples two diagonal slots
-    into a 2x2 block whose eigenvalues supply the two levels.
+    The direction and the levels are ``dichotomy_scan``'s, the test used at
+    every size; the case is read off its idempotent P, a Hermitian idempotent
+    arrowhead and so coupled at one index at most.  Case (a): no coupling of
+    P exceeds IDEMPOTENT_TOL, so P is diagonal.  Case (b): the largest
+    coupling, at the exceptional index i, joins slot i and the corner into a
+    rank-one 2x2 block with t = P[i, i] and alpha = P[i, n-1].  ``p_values``
+    holds P's rounded 0/1 diagonal at every other index.
     """
     n = ah.n
     if n < 3:
         raise NotApplicableError("dichotomy certificates need n >= 3")
-    dense = ah.to_dense()
-    s = matrix_scale(dense)
-    atol = tol.eq_abs(s)
-    prof = pair_profile(ah, tol)
-    nz = ~prof.zero
-    all_vals = np.concatenate([ah.diag, [ah.corner]])
-
-    def try_case_a(theta):
-        form = _two_level_form(herm_part_at(dense, theta), np.real(np.exp(-1j * theta) * all_vals), atol)
-        if form is None:
-            return None
-        h0, h1, _ = form
-        p_values = {
-            j: int(round((np.real(np.exp(-1j * theta) * ah.diag[j]) - h0) / (h1 - h0)))
-            for j in range(n - 1)
-        }
-        return DichotomyCertificate("a", float(theta), h0, h1, p_values=p_values)
-
-    # case (a)
-    if np.all(prof.balanced[nz]) if nz.any() else True:
-        if nz.any():
-            mean, dev = _circular_consensus(prof.psi[nz])
-            if mean is not None and dev <= ARG_SPREAD_TOL:
-                cert = try_case_a(_theta_from_psi(mean))
-                if cert is not None:
-                    return cert
-        else:
-            # diagonal matrix: candidate angles come from pairs of entries
-            cands = set()
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d = all_vals[i] - all_vals[j]
-                    if abs(d) > atol:
-                        cands.add(float(np.mod(np.angle(d) + np.pi / 2, np.pi)))
-            for theta in sorted(cands):
-                cert = try_case_a(theta)
-                if cert is not None:
-                    return cert
-
-    # case (b)
-    for i in range(n - 1):
-        if prof.zero[i]:
-            continue
-        others = [j for j in range(n - 1) if j != i and not prof.zero[j]]
-        if others and not np.all(prof.balanced[others]):
-            continue
-        if others:
-            mean, dev = _circular_consensus(prof.psi[others])
-            if mean is None or dev > ARG_SPREAD_TOL:
-                continue
-            theta = _theta_from_psi(mean)
-        else:
-            scan = dichotomy_scan(dense, tol=tol)
-            if scan is None:
-                continue
-            theta = scan[0]
-        rot = np.exp(-1j * theta)
-        w_i = (rot * ah.col[i] + np.conj(rot) * np.conj(ah.row[i])) / 2.0
-        if abs(w_i) <= atol:
-            continue
-        r = np.real(rot * ah.diag)
-        r_n = float(np.real(rot * ah.corner))
-        mid = (r[i] + r_n) / 2.0
-        half = np.hypot((r[i] - r_n) / 2.0, abs(w_i))
-        h0, h1 = mid - half, mid + half
-        # every other slot sits on a level (the lower one when both are near)
-        p_values = {j: int(abs(r[j] - h0) > 4 * atol) for j in range(n - 1) if j != i}
-        if any(min(abs(r[j] - h0), abs(r[j] - h1)) > 4 * atol for j in p_values):
-            continue
-        t = (r[i] - h0) / (h1 - h0)
-        if not (0 < t < 1) or _two_level_form(herm_part_at(dense, theta), [h0, h1], atol) is None:
-            continue
-        alpha = w_i / (h1 - h0)
-        return DichotomyCertificate(
-            "b", float(theta), h0, h1, exceptional_index=i, t=float(t), alpha=complex(alpha), p_values=p_values
-        )
-    return None
+    scan = dichotomy_scan(ah.to_dense(), tol=tol)
+    if scan is None:
+        return None
+    theta, h0, h1, proj = scan
+    p_values = {j: int(round(proj[j, j].real)) for j in range(n - 1)}
+    i = int(np.argmax(np.abs(proj[: n - 1, n - 1])))
+    if abs(proj[i, n - 1]) <= IDEMPOTENT_TOL:
+        return DichotomyCertificate("a", theta, h0, h1, p_values=p_values)
+    del p_values[i]
+    return DichotomyCertificate(
+        "b", theta, h0, h1, exceptional_index=i, t=float(proj[i, i].real), alpha=complex(proj[i, n - 1]),
+        p_values=p_values,
+    )
 
 
 def _skew_data(ah: ArrowheadMatrix, theta: float):

@@ -30,8 +30,8 @@ from .linalg import (
     hermitian_parts,
     matrix_scale,
 )
-from .arrowhead import (NotApplicableError, NotArrowheadError, arrowhead_from_dense, dichotomy_check, gauwu_balanced,
-                        gauwu_unbalanced_two, gauwu_with_zero_pairs, irreducible_dichotomous_check, pair_profile)
+from .arrowhead import (NotApplicableError, NotArrowheadError, arrowhead_from_dense, dichotomy_check,
+                        gauwu_unbalanced_two, gauwu_with_zero_pairs, irreducible_dichotomous_check)
 from .numrange import SupportFunction, detect_seeds, dichotomy_scan, support_function
 from .oracle import SearchParams, _search, boundary_vector_field, max_orthonormal_boundary_set, verify
 from .reduction import commutant_dimension, decompose, dirsum_gauwu
@@ -576,16 +576,14 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
     except NotArrowheadError:
         ah = None
     if ah is not None:
-        prof = pair_profile(ah, tol)
-        nz = ~prof.zero
-        balanced_all = bool(np.all(prof.balanced[nz])) if nz.any() else False
-        try:
-            if balanced_all and nz.all():
-                result = gauwu_balanced(ah, tol)
-            elif balanced_all and nz.any():
-                result = gauwu_with_zero_pairs(ah, tol)
-        except NotApplicableError:
-            result = None
+        # two strictly unbalanced pairs rule a dichotomy out (its idempotent
+        # couples one pair at most), so the cheaper routes go first
+        for route in (gauwu_with_zero_pairs, gauwu_unbalanced_two):
+            try:
+                result = route(ah, tol)
+                break
+            except NotApplicableError:
+                pass
         if result is None:
             cert = dichotomy_check(ah, tol)  # n >= 3 here, so the check applies
             if cert is not None:
@@ -596,11 +594,6 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
                         k=n, n=n, method=METHOD_ARROWHEAD,
                         certificate={"route": "dichotomous-irreducible", "theta": cert.theta, "reason": reason},
                     )
-        if result is None:
-            try:
-                result = gauwu_unbalanced_two(ah, tol)
-            except NotApplicableError:
-                result = None
     if result is None:
         dec = work["decomposition"] = decompose(m, tol)
         if len(dec.blocks) > 1:

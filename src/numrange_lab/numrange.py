@@ -552,10 +552,26 @@ def _two_level_form(member: np.ndarray, values, accept: float):
     return h0, h1, proj
 
 
+def _polished(h, k, theta: float, floor: float) -> float:
+    """theta moved by one least-squares step that flattens, to first order,
+    the two clusters of ``_dichotomy_split`` at theta: each eigenvalue moves
+    by its derivative lam_i' = C_ii (``_pencil_derivatives``) times the step.
+    A step out of [0, pi) is dropped, so theta keeps its representative."""
+    w, _, c, _ = _pencil_derivatives(h, k, np.array([theta]), floor)
+    w, d = w[0], np.diagonal(c[0]).real
+    s = _dichotomy_split(w)[1]
+    spread = np.concatenate([w[:s] - np.mean(w[:s]), w[s:] - np.mean(w[s:])])
+    slope = np.concatenate([d[:s] - np.mean(d[:s]), d[s:] - np.mean(d[s:])])
+    norm = float(slope @ slope)
+    polished = theta - float(spread @ slope) / norm if norm > 0 else theta
+    return polished if 0 <= polished < np.pi else theta
+
+
 def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL):
-    """Find a direction where Re(e^{-i theta} A) has exactly two distinct
-    eigenvalues: (theta, h0, h1, P) with theta in [0, pi) and P the induced
-    idempotent, or None.
+    """The one dichotomy test, for every size: a direction where
+    Re(e^{-i theta} A) has exactly two distinct eigenvalues, as
+    (theta, h0, h1, P) with theta in [0, pi), h0 < h1 and P the Hermitian
+    idempotent with Re(e^{-i theta} A) = h0 I + (h1 - h0) P; else None.
 
     M = cH + sK (c = cos theta, s = sin theta) has at most two eigenvalues
     exactly when M^2 - alpha M + beta I = 0, i.e. when (c^2, cs, s^2, -alpha c,
@@ -564,8 +580,10 @@ def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL):
     eq_tol * sigma_max, and always the last one.  Off span(N, e6) the parts
     (c^2, cs, s^2) and (c, s) are then parallel, so every 2x2 minor, a cubic
     in tan(theta), vanishes.  The roots of the largest minor and pi/2 ({0, pi/2}
-    when every minor vanishes) are the only candidates; ``_two_level_form``
-    decides each on its member's eigenvalues with the bound eq_tol * ||A||.
+    when every minor vanishes) are the only candidates.  The SVD fixes a root
+    only to about eps / (h1 - h0), so each candidate is first ``_polished``;
+    ``_two_level_form`` decides the polished direction and then the candidate
+    itself on the member's eigenvalues with the bound eq_tol * ||A||.
     """
     m = as_square_matrix(a)
     n = m.shape[0]
@@ -593,8 +611,9 @@ def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL):
         poly[np.abs(poly) <= 1e-13 * np.max(np.abs(poly))] = 0.0
         thetas = [float(t) for t in np.mod(np.arctan(np.roots(poly[::-1]).real), np.pi)] + [np.pi / 2]
     for theta in thetas:
-        member = _pencil_at(h, k, theta)
-        form = _two_level_form(member, np.linalg.eigvalsh(member), accept)
-        if form is not None:
-            return (theta, *form)
+        for t in dict.fromkeys((_polished(h, k, theta, accept), theta)):
+            member = _pencil_at(h, k, t)
+            form = _two_level_form(member, np.linalg.eigvalsh(member), accept)
+            if form is not None:
+                return (t, *form)
     return None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
+from numrange_lab.arrowhead import ArrowheadMatrix
 from numrange_lab.classify import (
     PreconditionError,
     UnsupportedDimensionError,
@@ -83,10 +84,12 @@ def narrow_dichotomous(seed, lower, gap):
     return np.exp(1j * theta) * (u @ (np.diag(levels) + 1j * k) @ u.conj().T), theta
 
 
-# 2+2 and 3+1 levels, 1e-3 and 1e-4 ||K|| apart, five seeds of their own each
+# 2+2 and 3+1 levels, 1e-3 and 1e-4 ||K|| apart, five seeds of their own each;
+# then both splits with levels 1e-6 ||K|| apart, seeds 100-119, where the SVD's
+# direction alone is too coarse and the scan needs its polish
 NARROW_CASES = [
     (5 * i + j, lower, gap) for i, (lower, gap) in enumerate([(2, 1e-3), (2, 1e-4), (3, 1e-3), (3, 1e-4)]) for j in range(5)
-]
+] + [(100 + j, lower, 1e-6) for lower in (2, 3) for j in range(20)]
 
 
 class TestNarrowDichotomyWindow:
@@ -102,7 +105,7 @@ class TestNarrowDichotomyWindow:
         res = classify(a)
         assert (res.k, res.method) == (4, METHOD_DICHOTOMY4)
 
-    @pytest.mark.parametrize("seed,lower,gap", NARROW_CASES[::7])
+    @pytest.mark.parametrize("seed,lower,gap", NARROW_CASES[:20:7])
     def test_search_confirms_four(self, seed, lower, gap):
         assert verify(narrow_dichotomous(seed, lower, gap)[0], 4).match
 
@@ -367,3 +370,82 @@ class TestClassifyAny:
         res = classify_any(make())
         assert (res.method, res.certificate.get("route"), sorted(res.work)) == (method, route, work)
         assert k is None or res.k == k
+
+
+def narrow_coupled_arrowhead(seed, n, gap):
+    """Irreducible dichotomous n x n arrowhead e^{i theta} (h0 I + gap ||K|| P + iK)
+    with levels gap ||K|| apart: K a Hermitian arrowhead with distinct diagonal,
+    P a Hermitian idempotent arrowhead coupled at one index i by its (t, alpha)
+    block, and K's coupling at i off the real line through alpha, which keeps
+    the reducible branches out of reach."""
+    rng = rng_for(seed)
+    i, t = int(rng.integers(0, n - 1)), rng.uniform(0.15, 0.85)
+    alpha = np.sqrt(t * (1 - t)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    p = np.diag(np.append(rng.integers(0, 2, n - 1), 1 - t)).astype(complex)
+    p[i, i], p[i, n - 1], p[n - 1, i] = t, alpha, np.conj(alpha)
+    m = rng.uniform(0.25, 1.0, n - 1) * np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
+    m[i] = abs(m[i]) * alpha / abs(alpha) * np.exp(1j * rng.choice([-1, 1]) * rng.uniform(0.3, 1.2))
+    kdiag = np.linspace(-1, 1, n - 1) + rng.uniform(-0.05, 0.05, n - 1)
+    k = ArrowheadMatrix(kdiag, m, np.conj(m), rng.uniform(-1, 1)).to_dense()
+    levels = rng.uniform(-1, 1) * np.eye(n) + gap * np.linalg.norm(k, 2) * p
+    return np.exp(1j * rng.uniform(0, 2 * np.pi)) * (levels + 1j * k)
+
+
+def bumped_dichotomous(fam, n, seed, factor):
+    """A dichotomous arrowhead family member with its first two last-column
+    couplings scaled by ``factor``: near the scan's accept bound."""
+    a = generate(FamilySpec(fam, n=n, seed=seed))
+    a[:2, n - 1] *= factor
+    return a
+
+
+class TestOneDichotomyRule:
+    """Every size decides a dichotomy by ``dichotomy_scan``; arrowheads read
+    the case off its idempotent."""
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_narrow_coupled_arrowhead_reaches_n(self, n):
+        for seed in range(10):
+            res = classify_any(narrow_coupled_arrowhead(100 * n + seed, n, 1e-6))
+            assert (res.k, res.method) == (n, METHOD_ARROWHEAD), seed
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_k_is_n_exactly_when_the_scan_accepts(self, n):
+        for fam in ("dichotomous-arrowhead-diag", "dichotomous-arrowhead-coupled"):
+            for seed in range(6):
+                for factor in (1 + 3e-8, 1 - 1e-8):
+                    a = bumped_dichotomous(fam, n, seed, factor)
+                    try:
+                        k = classify_any(a).k
+                    except UnsupportedDimensionError:
+                        k = None
+                    assert (k == n) == (dichotomy_scan(a) is not None), (fam, seed, factor)
+
+
+class TestInvarianceBeyondFour:
+    """k and method of the arrowhead routes at n = 5-8 do not move under a
+    rotation, an affine map of criterion 8 or a positive scale plus a shift."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize(
+        "fam", ["dichotomous-arrowhead-diag", "dichotomous-arrowhead-coupled", "pure-almost-normal", "unbalanced-arrowhead"]
+    )
+    def test_rotation_affine_scale(self, fam, n):
+        rng = rng_for(8000 + n)
+        for seed in range(8):
+            a = generate(FamilySpec(fam, n=n, seed=seed))
+            base = classify_any(a)
+            tau = AffineMap(
+                complex(rng.uniform(0.8, 1.3), rng.uniform(-0.3, 0.3)),
+                complex(rng.uniform(0.8, 1.3), rng.uniform(-0.3, 0.3)),
+                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            )
+            shift = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * np.eye(n)
+            images = {
+                "rotation": rotate(a, rng.uniform(0, 2 * np.pi)),
+                "affine": affine_apply(a, tau),
+                "scale": rng.uniform(0.5, 2.0) * a + shift,
+            }
+            for name, b in images.items():
+                res = classify_any(b)
+                assert (res.k, res.method) == (base.k, base.method), (seed, name)
