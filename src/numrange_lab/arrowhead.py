@@ -389,7 +389,7 @@ def projection_recognize(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL
     a 0/1 diagonal, or a 0/1 diagonal plus one coupled 2x2 rank-one block."""
     dense = ah.to_dense()
     n = ah.n
-    scale = max(matrix_scale(dense), 1.0)
+    scale = matrix_scale(dense)
     if np.linalg.norm(dense - dense.conj().T) > tol.eq_abs(scale) * n:
         return ProjectionForm("NotProjection")
     if np.linalg.norm(dense @ dense - dense) > 1e-6 * scale * n:
@@ -572,7 +572,7 @@ def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificat
         if abs(m[i]) > atol:
             total += float(np.real(np.abs(m[i]) ** 2 / ((p0 - t) * ratio)))
         rhs = lam - total
-        if abs(k_corner - rhs) <= 1e-6 * max(kscale, 1.0):
+        if abs(k_corner - rhs) <= 1e-6 * kscale:
             return False, "aligned-diagonal resonance produces a reducing eigenvector"
         return True, "aligned diagonal, no resonance"
 
@@ -581,18 +581,18 @@ def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificat
     sigma1 = others[pvals.index(0)]
     sigma2 = others[pvals.index(1)]
     k1, k2, ki = k_diag[sigma1], k_diag[sigma2], k_diag[i]
-    cond_level = abs(ki - ((1 - t) * k1 + t * k2)) <= 1e-6 * max(kscale, 1.0)
+    cond_level = abs(ki - ((1 - t) * k1 + t * k2)) <= 1e-6 * kscale
     if not cond_level:
         return True, "mixed case: level interpolation fails"
     m_comb = m[i] + (k1 - k2) * alpha
-    if abs(m_comb) <= 1e-6 * max(kscale, 1.0):
-        if abs((1 - t) * abs(m[sigma1]) ** 2 - t * abs(m[sigma2]) ** 2) > 1e-6 * max(kscale, 1.0) ** 2:
+    if abs(m_comb) <= 1e-6 * kscale:
+        if abs((1 - t) * abs(m[sigma1]) ** 2 - t * abs(m[sigma2]) ** 2) > 1e-6 * kscale ** 2:
             return True, "mixed case: degenerate branch balance fails"
     d1 = k1 - ki + t * ratio
     d2 = k2 - ki - (1 - t) * ratio
     d3 = k_corner - ki - (1 - 2 * t) * ratio
     det = d1 * d2 * d3 - d1 * abs(m[sigma2]) ** 2 - d2 * abs(m[sigma1]) ** 2
-    if abs(det) <= tol.eq_tol * max(kscale, 1.0) ** 3 * 100:
+    if abs(det) <= tol.eq_tol * kscale ** 3 * 100:
         return False, "mixed case: bordered block is singular (2-dim reducing subspace)"
     return True, "mixed case: bordered block nonsingular"
 

@@ -11,7 +11,7 @@ found in ``GauWuResult.work``; seeds, triple search and check share one sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionError,
     NonInvertibleMapError,
+    Normalisation,
     ToleranceConfig,
     _pencil_at,
     affine_apply,
@@ -29,11 +30,12 @@ from .linalg import (
     as_square_matrix,
     hermitian_parts,
     matrix_scale,
+    normalise,
 )
 from .arrowhead import (NotApplicableError, NotArrowheadError, arrowhead_from_dense, dichotomy_check,
                         gauwu_unbalanced_two, gauwu_with_zero_pairs, irreducible_dichotomous_check)
 from .numrange import SupportFunction, detect_seeds, dichotomy_scan, support_function
-from .oracle import SearchParams, _search, boundary_vector_field, max_orthonormal_boundary_set, verify
+from .oracle import SearchParams, _search, boundary_vector_field, in_caller_units, max_orthonormal_boundary_set, verify
 from .reduction import commutant_dimension, decompose, dirsum_gauwu
 from .results import (
     METHOD_ARROWHEAD,
@@ -170,8 +172,7 @@ def extract_parallel_form(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[dic
     if m.shape[0] != 4:
         return None
     h, k = hermitian_parts(m)
-    s = matrix_scale(m)
-    atol = 100 * tol.eq_abs(max(s, 1.0))
+    atol = 100 * tol.eq_abs(matrix_scale(m))
     zeros = [
         np.max(np.abs(h[0, :])),
         np.max(np.abs(h[:, 0])),
@@ -210,7 +211,7 @@ def parallel_seed_condition(params: dict, tol: ToleranceConfig = DEFAULT_TOL) ->
     share a sign, and the 2x2 determinant identity holds.
     """
     k13, k14, k34 = params["k13"], params["k14"], params["k34"]
-    scale = max(abs(k13), abs(k14), abs(k34), abs(params["k11"]), 1.0)
+    scale = max(abs(k13), abs(k14), abs(k34), abs(params["k11"]))
     r = k13 * np.conj(k14) * k34
     if abs(r) <= (tol.eq_tol * scale) ** 3 * 1e3:
         return SeedConditionReport(False, warning="coupling product vanishes")
@@ -379,7 +380,7 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
     qmat = np.column_stack(cols + [filler])
     b = qmat.conj().T @ a_prime @ qmat
     h, k = hermitian_parts(b)
-    s = max(matrix_scale(b), 1.0)
+    s = matrix_scale(b)
 
     if case == "parallel":
         mask_entries = [
@@ -482,26 +483,34 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
 # ---------------------------------------------------------------------------
 
 
-def _confirm_with_oracle(a, result: GauWuResult, tol: ToleranceConfig) -> None:
+def _confirm_with_oracle(pencil: SupportFunction, norm: Normalisation, result: GauWuResult,
+                         tol: ToleranceConfig) -> None:
     """Record whether the search reaches result.k, with its certificate."""
-    rep = verify(a, result.k, tol=tol)
+    rep = verify(pencil, result.k, tol=tol)
     result.oracle_confirmed = rep.match
-    result.certificate["oracle"] = rep.oracle.to_dict()
+    result.certificate["oracle"] = in_caller_units(rep.oracle, norm).to_dict()
 
 
-def _irreducible4(m, tol: ToleranceConfig, work: dict):
+def _dichotomy_work(norm: Normalisation, case: str, theta: float, h0: float, h1: float) -> dict:
+    """work["dichotomy"]: the two levels in the coordinates of A."""
+    return {"case": case, "theta": theta, "h0": norm.level(h0, theta), "h1": norm.level(h1, theta)}
+
+
+def _irreducible4(norm: Normalisation, tol: ToleranceConfig, work: dict):
     """(result, pencil) of an irreducible 4x4 matrix: the dichotomy gives
     k = 4, else a seed or a three-line triple gives k = 3, else k = 2.  The
-    stages keep what they found in ``work``; ``pencil`` is the SupportFunction
-    of m once a stage needed one, else m."""
+    stages run on m = norm.m and keep what they found in ``work``; ``pencil``
+    is the SupportFunction of m once a stage needed one, else m."""
+    m = norm.m
     is_k4, form = _k4_form(m, tol)
     if is_k4:
-        work["dichotomy"] = {"case": form.case, "theta": form.theta, "h0": min(form.h_values),
-                             "h1": max(form.h_values)}
-        cert = {"theta": form.theta, "case": form.case, "clause": form.clause, "h_values": list(form.h_values)}
+        work["dichotomy"] = _dichotomy_work(norm, form.case, form.theta, min(form.h_values), max(form.h_values))
+        cert = {"theta": form.theta, "case": form.case, "clause": form.clause,
+                "h_values": [norm.level(h, form.theta) for h in form.h_values]}
         return GauWuResult(k=4, n=4, method=METHOD_DICHOTOMY4, certificate=cert), m
     pencil = SupportFunction(m)
-    seeds = work["seeds"] = detect_seeds(pencil, tol)
+    seeds = work["seeds"] = [replace(sd, segment=tuple(norm.shift + norm.scale * z for z in sd.segment))
+                             for sd in detect_seeds(pencil, tol)]
     strong = [sd for sd in seeds if sd.witnesses.shape[1] >= 2 and sd.independent]
     if strong:
         cert = {
@@ -557,18 +566,26 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
                  confirm_with_oracle: bool = False) -> GauWuResult:
     """Route a matrix of any size to an exact classification when one exists.
 
+    k(alpha A + beta I) = k(A) for alpha > 0, so every stage runs on
+    m = (A - (tr A / n) I) / s from ``normalise``, and the certificate
+    records {"shift", "scale"} as "normalisation".  Dichotomy levels, seed
+    segments, the balanced route's diagonal and the search's boundary
+    residuals are reported in the coordinates of A; the blocks in
+    ``work["decomposition"]`` are those of m.
+
     Arrowhead matrices other than 4x4 go through the structured routes; then
     unitarily reducible matrices through block additivity and irreducible
     4x4 ones through the stages of the paper (``_irreducible4``); anything
     else requires the constructive search.  Each stage runs at most once and
     keeps what it found in ``result.work``.
     """
-    m = as_square_matrix(a)
+    norm = normalise(a)
+    m = norm.m
     n = m.shape[0]
-    if n == 1:
-        return GauWuResult(k=1, n=1, method=METHOD_ORACLE, certificate={"note": "numerical range is a point"})
-    if n == 2:
-        return GauWuResult(k=2, n=2, method=METHOD_FALLBACK2, certificate={"note": "every 2x2 matrix has k = 2"})
+    if n <= 2:
+        note = "numerical range is a point" if n == 1 else "every 2x2 matrix has k = 2"
+        return GauWuResult(k=n, n=n, method=METHOD_ORACLE if n == 1 else METHOD_FALLBACK2,
+                           certificate={"note": note, "normalisation": norm.to_dict()})
 
     result, pencil, work = None, m, {}
     try:
@@ -581,13 +598,16 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         for route in (gauwu_with_zero_pairs, gauwu_unbalanced_two):
             try:
                 result = route(ah, tol)
+                if "diagonal" in result.certificate:  # the balanced route's rotated diagonal
+                    result.certificate["diagonal"] = [norm.level(h, result.certificate["theta"])
+                                                      for h in result.certificate["diagonal"]]
                 break
             except NotApplicableError:
                 pass
         if result is None:
             cert = dichotomy_check(ah, tol)  # n >= 3 here, so the check applies
             if cert is not None:
-                work["dichotomy"] = {"case": cert.case, "theta": cert.theta, "h0": cert.h0, "h1": cert.h1}
+                work["dichotomy"] = _dichotomy_work(norm, cert.case, cert.theta, cert.h0, cert.h1)
                 irr, reason = irreducible_dichotomous_check(ah, cert, tol)
                 if irr:
                     result = GauWuResult(
@@ -599,13 +619,13 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         if len(dec.blocks) > 1:
             result = dirsum_gauwu(dec, tol)
         elif n == 4:
-            result, pencil = _irreducible4(m, tol, work)
+            result, pencil = _irreducible4(norm, tol, work)
     if result is None:
         if not allow_oracle_only:
             raise UnsupportedDimensionError(
                 f"no exact route for this {n}x{n} matrix; rerun with the search enabled"
             )
-        res = max_orthonormal_boundary_set(SupportFunction(m), tol=tol)
+        res = in_caller_units(max_orthonormal_boundary_set(SupportFunction(m), tol=tol), norm)
         result = GauWuResult(
             k=res.k_lower, n=n, method=METHOD_ORACLE,
             certificate={"note": "constructive lower bound", "oracle": res.to_dict()},
@@ -613,6 +633,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         if confirm_with_oracle:  # verify's first pass is this same search, so it matches
             result.oracle_confirmed = True
     result.work = work
+    result.certificate["normalisation"] = norm.to_dict()
     if confirm_with_oracle and result.oracle_confirmed is None:
-        _confirm_with_oracle(pencil, result, tol)
+        _confirm_with_oracle(support_function(pencil), norm, result, tol)
     return result

@@ -7,6 +7,7 @@ input, 4 output I/O error, 5 infeasible generation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -85,17 +86,19 @@ def cmd_classify(args) -> int:
     work = result.work
     seeds = work.get("seeds")
     dec = work.get("decomposition")
+    summary = result.to_dict()
     report = Report(
         digest=file_digest(args.matrix),
         n=n,
-        result=result.to_dict(),
+        result=summary,
         dichotomy=work.get("dichotomy"),
         seeds=None if seeds is None else [
             {"kind": s.kind, "theta": float(s.theta), "segment": [[z.real, z.imag] for z in s.segment]} for s in seeds
         ],
         decomposition=None if dec is None else {"block_sizes": [b.shape[0] for b in dec.blocks]},
-        oracle=result.certificate.get("oracle"),
-        tolerances={"eq_tol": tol.eq_tol, "cluster_tol": tol.cluster_tol, "gram_tol": tol.gram_tol, "boundary_tol": tol.boundary_tol},
+        oracle=summary["certificate"].get("oracle"),
+        normalisation=summary["certificate"]["normalisation"],
+        tolerances=dataclasses.asdict(tol),
         conversion_error=conv_err,
     )
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()

@@ -42,13 +42,53 @@ def matrix_scale(a) -> float:
     return max(float(np.linalg.norm(a, 2)), ABS_FLOOR)
 
 
+# A matrix whose traceless part has Frobenius norm at most SCALAR_GUARD * n *
+# eps times its own is scalar up to rounding: U* (c I) U leaves at most
+# 4 eps ||c I||_F (random unitaries U, n = 2 to 64).
+SCALAR_GUARD = 16
+
+
+class Normalisation(NamedTuple):
+    """A = shift I + scale m, m traceless with ||m||_F = 1, or m = 0 and
+    scale = 0 for A scalar up to rounding."""
+
+    m: np.ndarray
+    shift: complex
+    scale: float
+
+    def to_dict(self) -> dict:
+        return {"shift": self.shift, "scale": self.scale}
+
+    def level(self, h: float, theta: float) -> float:
+        """A support level h of m in direction theta, in the coordinates of A."""
+        return math.cos(theta) * self.shift.real + math.sin(theta) * self.shift.imag + self.scale * float(h)
+
+
+def normalise(a) -> Normalisation:
+    """The one normalisation of the entries: m = (A - (tr A / n) I) / s with
+    s = ||A - (tr A / n) I||_F.  s is summed over the matrix divided by its
+    largest entry, so it neither overflows at 1e200 nor underflows at 1e-200."""
+    a = as_square_matrix(a)
+    n = a.shape[0]
+    shift = complex(np.trace(a) / n)
+    a0 = a - shift * np.eye(n)
+    top = float(np.abs(a0).max())
+    s = top * float(np.linalg.norm(a0 / top)) if top else 0.0
+    if s <= SCALAR_GUARD * n * np.finfo(float).eps * math.hypot(s, math.sqrt(n) * abs(shift)):
+        return Normalisation(np.zeros((n, n), dtype=complex), shift, 0.0)
+    return Normalisation(a0 / s, shift, s)
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Thresholds used throughout; relative ones are scaled at the point of use.
+    """Thresholds used throughout; all are relative, scaled at the point of use.
 
-    cluster_tol is relative to the spectral norm of the matrix being
-    clustered, boundary_tol is relative to the diameter of the numerical
-    range, split_tol is the (much tighter) relative threshold used when a
+    One unit per call: the entries (``classify_any``, ``verify`` and
+    ``max_orthonormal_boundary_set`` on a matrix) run on ``normalise``'s m,
+    so every tolerance is relative to ||A - (tr A / n) I||; an exported stage
+    function called on its own measures against ||input||_2
+    (``matrix_scale``).  boundary_tol is relative to the diameter of the
+    numerical range, split_tol is the (much tighter) threshold used when a
     decision hinges on an eigenvalue being *exactly* multiple.
     """
 
@@ -190,7 +230,8 @@ class AffineMap:
     """Planar affine map z = x + iy  ->  a x + i b y + c, acting on matrices
     as A = H + iK  ->  a H + i b K + c I.
 
-    Invertible iff a*b != 0 and b/a is not purely imaginary.
+    Invertible iff a*b != 0 and b/a is not purely imaginary: the cosine
+    Re(a conj(b)) / |a||b|, which no scale moves, exceeds split_tol.
     """
 
     a: complex
@@ -198,10 +239,9 @@ class AffineMap:
     c: complex = 0j
 
     def validate(self):
-        mag = abs(self.a) * abs(self.b)
-        if mag <= ABS_FLOOR:
+        if self.a == 0 or self.b == 0:
             raise NonInvertibleMapError("affine map needs a*b != 0")
-        if abs((self.a * np.conj(self.b)).real) <= ABS_FLOOR * mag:
+        if abs((self.a / abs(self.a) * np.conj(self.b / abs(self.b))).real) <= DEFAULT_TOL.split_tol:
             raise NonInvertibleMapError("b/a must not be purely imaginary")
 
     def planar(self):
@@ -240,6 +280,5 @@ def affine_apply(a_mat, tau: AffineMap, tol: ToleranceConfig = DEFAULT_TOL) -> n
 def affine_invert(tau: AffineMap) -> AffineMap:
     tau.validate()
     m, v = tau.planar()
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    minv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    minv = np.linalg.inv(m)  # pivoting forms no determinant, which underflows at |a|, |b| ~ 1e-200
     return affine_from_planar(minv, -minv @ v)

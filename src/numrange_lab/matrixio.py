@@ -97,6 +97,7 @@ class Report:
     seeds: Optional[list] = None
     decomposition: Optional[dict] = None
     oracle: Optional[dict] = None
+    normalisation: Optional[dict] = None  # A = shift I + scale m, m the matrix the stages ran on
     tolerances: dict = field(default_factory=dict)
     conversion_error: float = 0.0
     version: str = VERSION
@@ -113,6 +114,7 @@ class Report:
                 "seeds": self.seeds,
                 "decomposition": self.decomposition,
                 "oracle": self.oracle,
+                "normalisation": self.normalisation,
                 "tolerances": self.tolerances,
             },
             indent=1,

@@ -26,7 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _pencil_at, as_square_matrix, hermitian_parts, matrix_scale
+from .linalg import (ABS_FLOOR, DEFAULT_TOL, SCALAR_GUARD, Normalisation, ToleranceConfig, _pencil_at,
+                     as_square_matrix, hermitian_parts, matrix_scale, normalise)
 from .numrange import SupportFunction, _pencil_derivatives, _refined_minima, _top_cluster_basis, support_function, top_gap_events
 
 MIN_GRID_SIZE = 64
@@ -87,6 +88,22 @@ class OracleResult:
             "floors": {str(k): (None if not np.isfinite(v) else float(v)) for k, v in self.floors.items()},
             "capped": [int(s) for s in self.capped],
         }
+
+
+def in_caller_units(res: OracleResult, norm: Optional[Normalisation]) -> OracleResult:
+    """``res``, found for norm.m, with its boundary residuals in the units of
+    the matrix that ``norm`` normalised (unchanged for None); its vectors,
+    angles and Gram residual are the same for both."""
+    return res if norm is None else replace(res, boundary_residuals=norm.scale * res.boundary_residuals)
+
+
+def _entry(a, grid_size: int):
+    """(SupportFunction, Normalisation or None) of an entry's argument: a
+    matrix is normalised first, a SupportFunction is used as built."""
+    if isinstance(a, SupportFunction):
+        return support_function(a, grid_size), None
+    norm = normalise(a)
+    return SupportFunction(norm.m, grid_size), norm
 
 
 def boundary_vector_field(
@@ -440,25 +457,26 @@ def max_orthonormal_boundary_set(
     the starting sets (``_search``); up to ``params.attempts_per_size``
     node-disjoint ones of each size are refined, and the largest family
     whose final Gram residual beats ``gram_tol`` wins.  ``capped`` in the
-    result lists the clique sizes that ``params.max_cliques`` cut.
+    result lists the clique sizes that ``params.max_cliques`` cut.  A
+    matrix is normalised first (``_entry``), and the residuals are reported
+    in its units.  A diameter of W below SCALAR_GUARD * n * eps times its
+    radius means a scalar matrix up to rounding (``normalise`` makes one
+    exactly zero): W is a point, and every basis is a family.
     """
-    sf = support_function(a, params.grid_size)
+    sf, norm = _entry(a, params.grid_size)
     m = sf.a
     n = m.shape[0]
-    if n == 1:
-        return OracleResult(1, np.ones((1, 1), dtype=complex), np.zeros(1), 0.0, np.zeros(1), {})
+    if sf.diameter() <= SCALAR_GUARD * n * np.finfo(float).eps * sf.radius:
+        return in_caller_units(OracleResult(n, np.eye(n, dtype=complex), np.zeros(n), 0.0, np.zeros(n), {}), norm)
     field_ = boundary_vector_field(sf, grid_size=params.grid_size, tol=tol)
-    if sf.diameter() <= 4 * ABS_FLOOR:
-        eye = np.eye(n, dtype=complex)
-        return OracleResult(n, eye, np.zeros(n), 0.0, np.zeros(n), {})
     found = _search(m, field_.candidates, sf, tol, params, range(n, 1, -1))
-    if found.k_lower:
-        return found
-    # guaranteed pair: extremal eigenvectors of any one direction are orthogonal
-    w, v = np.linalg.eigh(sf.h)
-    X = np.column_stack([v[:, -1], v[:, 0]])
-    thetas = np.array([0.0, np.pi])
-    return OracleResult(2, X, thetas, 0.0, _boundary_residuals(m, X, thetas, sf), found.floors, found.capped)
+    if not found.k_lower:
+        # guaranteed pair: extremal eigenvectors of any one direction are orthogonal
+        w, v = np.linalg.eigh(sf.h)
+        X = np.column_stack([v[:, -1], v[:, 0]])
+        thetas = np.array([0.0, np.pi])
+        found = OracleResult(2, X, thetas, 0.0, _boundary_residuals(m, X, thetas, sf), found.floors, found.capped)
+    return in_caller_units(found, norm)
 
 
 def restricted_max_set(
@@ -503,15 +521,18 @@ def verify(a, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL, params: Search
 
     A search result above the claim is a soundness failure (the witness set
     is explicit); a result below the claim triggers escalation before the
-    mismatch is reported, since the search is only a lower bound.
+    mismatch is reported, since the search is only a lower bound.  A matrix
+    is normalised once, and every escalation searches the same m.
     """
+    sf, norm = _entry(a, params.grid_size)
     escalations = 0
     cur = params
-    res = max_orthonormal_boundary_set(a, tol=tol, params=cur)
+    res = max_orthonormal_boundary_set(sf, tol=tol, params=cur)
     while res.k_lower < claimed_k and escalations < 2:
         cur = cur.escalate()
         escalations += 1
-        res = max_orthonormal_boundary_set(a, tol=tol, params=cur)
+        res = max_orthonormal_boundary_set(sf, tol=tol, params=cur)
+    res = in_caller_units(res, norm)
     if res.k_lower == claimed_k:
         return VerifyReport(True, "match", claimed_k, res, escalations)
     if res.k_lower > claimed_k:

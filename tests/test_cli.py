@@ -357,6 +357,29 @@ class TestReportReadsTheRoute:
         assert doc["decomposition"] == {"block_sizes": [4]}
         assert doc["seeds"] is None
 
+    def test_tolerances_and_normalisation(self, tmp_path, capsys):
+        doc = _report(tmp_path, flat_portion_example(), capsys)
+        assert doc["tolerances"] == {"eq_tol": 1e-8, "cluster_tol": 1e-7, "gram_tol": 1e-6, "boundary_tol": 1e-8,
+                                     "split_tol": 1e-12}
+        assert doc["normalisation"] == doc["result"]["certificate"]["normalisation"]
+        assert set(doc["normalisation"]) == {"shift", "scale"}
+
+    def test_scaled_and_shifted_file(self, tmp_path, capsys):
+        # a file holding 1e-20 A + shift gives A's answer, and its levels are
+        # A's mapped by h -> Re(e^{-i theta} shift) + 1e-20 h
+        a = generate(FamilySpec("k4-split-22", seed=3000))
+        c, shift = 1e-20, 1e-20 * (3 - 2j)
+        base = _report(tmp_path, a, capsys)
+        doc = _report(tmp_path, c * a + shift * np.eye(4), capsys)
+        assert (doc["result"]["k"], doc["result"]["method"]) == (base["result"]["k"], base["result"]["method"])
+        theta = doc["dichotomy"]["theta"]
+        assert abs(theta - base["dichotomy"]["theta"]) < 1e-8
+        for key in ("h0", "h1"):
+            h = (doc["dichotomy"][key] - (np.exp(-1j * theta) * shift).real) / c
+            assert abs(h - base["dichotomy"][key]) <= 1e-8 * np.linalg.norm(a, 2)
+        scale = base["normalisation"]["scale"]
+        assert abs(doc["normalisation"]["scale"] / c - scale) <= 1e-12 * scale
+
     def test_balanced_arrowhead_route(self, tmp_path, capsys):
         a = balanced_arrowhead(21, 5).to_dense()
         doc = _report(tmp_path, a, capsys)

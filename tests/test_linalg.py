@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hermitian_eigenvalues_by_bisection, random_matrix, rng_for
+from conftest import hermitian_eigenvalues_by_bisection, random_matrix, random_unitary, rng_for
 from numrange_lab.generators import flat_portion_example
 from numrange_lab.linalg import (
     AffineMap,
@@ -16,6 +16,7 @@ from numrange_lab.linalg import (
     affine_invert,
     eig_hermitian_clustered,
     hermitian_parts,
+    normalise,
     rotate,
 )
 from numrange_lab.numrange import SupportFunction
@@ -201,6 +202,22 @@ class TestAffine:
         with pytest.raises(NonInvertibleMapError):
             affine_apply(np.eye(2), AffineMap(1, 1j, 0))  # b/a purely imaginary
 
+    @pytest.mark.parametrize("c", [1e-7, 1e-200, 1e100])
+    def test_validity_is_scale_free(self, c):
+        # c times the identity map, and a rotated one, are invertible at any c > 0
+        for tau in (AffineMap(c, c), AffineMap(c * (0.6 + 0.8j), c * (0.6 + 0.8j), 1 - 2j)):
+            tau.validate()
+            back = affine_invert(affine_invert(tau))
+            assert abs(back.a - tau.a) <= 1e-14 * c and abs(back.b - tau.b) <= 1e-14 * c
+            assert abs(back.c - tau.c) <= 1e-14 * abs(tau.c)
+        a = random_matrix(rng_for(3), 3)
+        tau = AffineMap(c * (0.6 + 0.8j), c * (0.6 + 0.8j), 1 - 2j)
+        back = affine_apply(affine_apply(a, tau), affine_invert(tau))
+        assert np.max(np.abs(back - a)) < 1e-10 * max(1.0, 1 / c)
+        for bad in (AffineMap(0, c), AffineMap(c, 0), AffineMap(c * (0.6 + 0.8j), c * (0.6 + 0.8j) * 1j)):
+            with pytest.raises(NonInvertibleMapError):
+                bad.validate()
+
     def test_preserves_commutant_dimension(self):
         from numrange_lab.reduction import commutant_dimension
 
@@ -212,6 +229,27 @@ class TestAffine:
         tau = AffineMap(1.5 + 0.2j, 0.9 - 0.4j, 1j)
         for m in (a, blocky):
             assert commutant_dimension(m) == commutant_dimension(affine_apply(m, tau))
+
+
+class TestNormalise:
+    @pytest.mark.parametrize("c", [1e-200, 1e-20, 1.0, 1e200])
+    def test_traceless_unit_frobenius_at_any_scale(self, c):
+        a = random_matrix(rng_for(4), 5)
+        base, norm = normalise(a), normalise(c * a + c * (3 - 1j) * np.eye(5))
+        assert abs(np.trace(norm.m)) < 1e-14 and abs(np.linalg.norm(norm.m) - 1) < 1e-14
+        assert np.max(np.abs(norm.m - base.m)) < 1e-13
+        assert abs(norm.scale / c - base.scale) <= 1e-13 * base.scale
+        assert abs(norm.shift / c - (base.shift + 3 - 1j)) <= 1e-13 * abs(base.shift + 3 - 1j)
+        # a level h of m in direction theta is Re(e^{-i theta} shift) + scale h in the input's coordinates
+        lift = (np.exp(-0.7j) * (3 - 1j)).real
+        assert abs(norm.level(0.4, 0.7) / c - (lift + base.level(0.4, 0.7))) <= 1e-13 * abs(base.level(0.4, 0.7))
+
+    @pytest.mark.parametrize("c", [1e-200, 1.0, 1e200])
+    def test_scalar_up_to_rounding_is_the_zero_matrix(self, c):
+        u = random_unitary(rng_for(5), 6)
+        norm = normalise(u.conj().T @ (c * (2 + 1j) * np.eye(6)) @ u)
+        assert norm.scale == 0.0 and not norm.m.any()
+        assert abs(norm.shift - c * (2 + 1j)) <= 1e-14 * c
 
 
 class TestToleranceConfig:
