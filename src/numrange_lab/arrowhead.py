@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
-    ABS_FLOOR,
     DEFAULT_TOL,
     StructureError,
     ToleranceConfig,
@@ -24,6 +23,7 @@ from .linalg import (
     herm_part_at,
     hermitian_parts,
     matrix_scale,
+    safe_norm,
 )
 from .numrange import IDEMPOTENT_TOL, SupportFunction, _two_level_form, dichotomy_scan, point_boundary_defect
 from .oracle import restricted_max_set
@@ -76,7 +76,7 @@ class ArrowheadMatrix:
         vals = [np.max(np.abs(self.diag), initial=0.0), abs(self.corner)]
         vals.append(np.max(np.abs(self.col), initial=0.0))
         vals.append(np.max(np.abs(self.row), initial=0.0))
-        return max(max(vals), ABS_FLOOR)
+        return max(vals)
 
 
 def arrowhead_from_dense(a, tol: ToleranceConfig = DEFAULT_TOL) -> ArrowheadMatrix:
@@ -90,7 +90,7 @@ def arrowhead_from_dense(a, tol: ToleranceConfig = DEFAULT_TOL) -> ArrowheadMatr
     mask[:, n - 1] = True
     mask[n - 1, :] = True
     off = np.max(np.abs(m[~mask]), initial=0.0)
-    if off > tol.eq_abs(matrix_scale(m)):
+    if off > tol.eq_tol * matrix_scale(m):
         raise NotArrowheadError(f"off-pattern magnitude {off:.3e} exceeds tolerance")
     return ArrowheadMatrix(
         diag=np.diag(m)[: n - 1].copy(),
@@ -141,26 +141,25 @@ def _aberth_secular_roots(ah: ArrowheadMatrix):
     points are the poles (slightly displaced) plus the corner, which the
     mutual-repulsion term then sorts out.  A root whose correction falls to
     rounding level is frozen: it leaves the working set but still repels the
-    roots that remain, so a sweep costs O(live * n).
+    roots that remain, so a sweep costs O(live * n).  It runs on A / s, s the
+    largest entry, so that no product over- or underflows at any scale.
     """
-    d = ah.diag
-    cr = ah.col * ah.row
-    corner = ah.corner
+    s = ah.scale() or 1.0
+    d, cr, corner = ah.diag / s, (ah.col / s) * (ah.row / s), ah.corner / s
     n = ah.n
-    s = ah.scale()
     m = n - 1
     z = np.empty(n, dtype=complex)
-    offs = 0.02 * s * np.exp(2j * np.pi * (np.arange(m) + 0.25) / max(m, 1))
+    offs = 0.02 * np.exp(2j * np.pi * (np.arange(m) + 0.25) / max(m, 1))
     z[:m] = d + offs
-    z[m] = corner + 0.013 * s * (1 + 1j)
+    z[m] = corner + 0.013 * (1 + 1j)
 
     live = np.arange(n)
     for _ in range(_ABERTH_MAX_ITER):
         zl = z[live]
         dz = zl[:, None] - d[None, :]  # live x m
-        near = np.abs(dz) < 1e-30 * s  # a point on a pole
+        near = np.abs(dz) < 1e-30  # a point on a pole
         if near.any():
-            dz = np.where(near, 1e-30 * s, dz)
+            dz = np.where(near, 1e-30, dz)
         inv = 1.0 / dz
         terms = cr[None, :] * inv
         f = terms.sum(axis=1) + corner - zl
@@ -173,14 +172,14 @@ def _aberth_secular_roots(ah: ArrowheadMatrix):
         moving = nonzero & (np.abs(denom) >= 1e-300)
         step = np.where(moving, 1.0 / np.where(moving, denom, 1.0), 0.0)
         mags = np.abs(step)
-        big = mags > 0.5 * s
+        big = mags > 0.5
         if big.any():
-            step = np.where(big, step / np.maximum(mags, 1e-300) * (0.5 * s), step)
+            step = np.where(big, step / np.maximum(mags, 1e-300) * 0.5, step)
         z[live] = zl - step
-        live = live[np.abs(step) > 4 * np.finfo(float).eps * np.maximum(np.abs(zl), s)]
+        live = live[np.abs(step) > 4 * np.finfo(float).eps * np.maximum(np.abs(zl), 1.0)]
         if not live.size:
             break
-    return z
+    return s * z
 
 
 def _distinct_entries(values, atol: float) -> bool:
@@ -202,17 +201,15 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
     """
     n = ah.n
     dense = ah.to_dense()
-    dscale = matrix_scale(dense)
     if n == 1:
         return SecularResult(eigen=[SecularPair(ah.corner, np.ones(1, dtype=complex), 0.0)], degenerate=[])
-    s = ah.scale()
     roots = _aberth_secular_roots(ah)
 
     eigen, degen, notices = [], [], []
-    target = 1e-9 * dscale
-    colliding = np.min(np.abs(roots[:, None] - ah.diag[None, :]), axis=1) <= tol.eq_abs(s)
+    colliding = np.min(np.abs(roots[:, None] - ah.diag[None, :]), axis=1) <= tol.eq_tol * ah.scale()
     # colliding roots that agree to the residual target are one repeated
     # eigenvalue and share one SVD, so their eigenvectors come out orthonormal
+    target = 1e-9 * matrix_scale(dense) if colliding.any() else 0.0
     groups = {}
     for i in np.flatnonzero(colliding):
         key = next((k for k in groups if abs(roots[k] - roots[i]) <= target), i)
@@ -231,7 +228,7 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
         x[: n - 1] = ah.col / (lam - ah.diag)
         x[n - 1] = 1.0
         x = x / np.linalg.norm(x)
-        res = float(np.linalg.norm(dense @ x - lam * x))
+        res = safe_norm(dense @ x - lam * x)
         eigen.append(SecularPair(complex(lam), x, res))
     return SecularResult(eigen=eigen, degenerate=degen, notices=notices)
 
@@ -249,12 +246,6 @@ class NormalEigCertificate:
     indices: tuple
 
 
-def _joint_eigen_residual(dense, lam, x) -> float:
-    r1 = np.linalg.norm(dense @ x - lam * x)
-    r2 = np.linalg.norm(dense.conj().T @ x - np.conj(lam) * x)
-    return float(max(r1, r2))
-
-
 def normal_eigenvalue_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Certificates for every satisfied normal-eigenvalue criterion.
 
@@ -266,13 +257,14 @@ def normal_eigenvalue_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_
     n = ah.n
     dense = ah.to_dense()
     s = ah.scale()
-    ztol = tol.eq_abs(s)
+    ztol = tol.eq_tol * s
     certs = []
     nm1 = n - 1
 
     def push(cond, lam, x, idx):
         x = x / np.linalg.norm(x)
-        if _joint_eigen_residual(dense, lam, x) <= 1e-6 * matrix_scale(dense):
+        residual = max(safe_norm(dense @ x - lam * x), safe_norm(dense.conj().T @ x - np.conj(lam) * x))
+        if residual <= 1e-6 * matrix_scale(dense):
             certs.append(NormalEigCertificate(cond, lam, x, idx))
 
     for j in range(nm1):
@@ -390,11 +382,11 @@ def projection_recognize(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL
     dense = ah.to_dense()
     n = ah.n
     scale = matrix_scale(dense)
-    if np.linalg.norm(dense - dense.conj().T) > tol.eq_abs(scale) * n:
+    ztol = tol.eq_tol * scale
+    if np.linalg.norm(dense - dense.conj().T) > ztol * n:
         return ProjectionForm("NotProjection")
     if np.linalg.norm(dense @ dense - dense) > 1e-6 * scale * n:
         return ProjectionForm("NotProjection")
-    ztol = tol.eq_abs(scale)
     live = [j for j in range(n - 1) if abs(ah.col[j]) > ztol or abs(ah.row[j]) > ztol]
     diag = ah.diag.real
     if not live:
@@ -456,30 +448,15 @@ class PairProfile:
 
 
 def pair_profile(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> PairProfile:
-    s = ah.scale()
-    ztol = tol.eq_abs(s)
+    ztol = tol.eq_tol * ah.scale()
     zero = (np.abs(ah.col) <= ztol) & (np.abs(ah.row) <= ztol)
     mags = np.maximum(np.abs(ah.col), np.abs(ah.row))
-    balanced = np.abs(np.abs(ah.col) - np.abs(ah.row)) <= tol.eq_tol * np.maximum(mags, ABS_FLOOR)
+    balanced = np.abs(np.abs(ah.col) - np.abs(ah.row)) <= tol.eq_tol * mags
     psi = np.angle(ah.col) + np.angle(ah.row)
     return PairProfile(zero=zero, balanced=balanced, psi=psi)
 
 
-def _circular_consensus(psis):
-    """Mean direction and max angular deviation of a list of angles (mod 2 pi)."""
-    z = np.sum(np.exp(1j * np.asarray(psis)))
-    if abs(z) < ABS_FLOOR:
-        return None, np.inf
-    mean = float(np.angle(z))
-    dev = float(np.max(np.abs(np.angle(np.exp(1j * (np.asarray(psis) - mean))))))
-    return mean, dev
-
-
-ARG_SPREAD_TOL = 1e-7
-
-
-def _theta_from_psi(psi_mean: float) -> float:
-    return float(np.mod((psi_mean - np.pi) / 2.0, np.pi))
+ARG_SPREAD_TOL = 1e-7  # largest deviation of a coupling angle from their circular mean
 
 
 def dichotomy_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[DichotomyCertificate]:
@@ -511,15 +488,6 @@ def dichotomy_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> 
     )
 
 
-def _skew_data(ah: ArrowheadMatrix, theta: float):
-    """Diagonal and coupling entries of Im(e^{-i theta} A)."""
-    rot = np.exp(-1j * theta)
-    k_diag = np.imag(rot * ah.diag)
-    k_corner = float(np.imag(rot * ah.corner))
-    m = (rot * ah.col - np.conj(rot) * np.conj(ah.row)) / 2j
-    return k_diag, m, k_corner
-
-
 def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificate, tol: ToleranceConfig = DEFAULT_TOL):
     """Decide unitary irreducibility of a dichotomous arrowhead.
 
@@ -531,7 +499,7 @@ def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificat
     """
     n = ah.n
     dense = ah.to_dense()
-    atol = tol.eq_abs(matrix_scale(dense))
+    atol = tol.eq_tol * matrix_scale(dense)
     if _two_level_form(herm_part_at(dense, cert.theta), [cert.h0, cert.h1], atol) is None:
         raise CertificateMismatchError("certificate fails to reconstruct the projection")
     prof = pair_profile(ah, tol)
@@ -546,13 +514,16 @@ def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificat
     if cert.case == "a":
         return True, "diagonal projection with distinct couplings"
 
-    i = cert.exceptional_index
-    t = cert.t
-    alpha = cert.alpha
-    k_diag, m, k_corner = _skew_data(ah, cert.theta)
-    kscale = max(np.max(np.abs(k_diag), initial=0.0), abs(k_corner), np.max(np.abs(m), initial=0.0), ABS_FLOOR)
+    i, t, alpha = cert.exceptional_index, cert.t, cert.alpha
+    # the diagonal, couplings and corner of Im(e^{-i theta} A), in units of the
+    # largest of them, so that no product below over- or underflows
+    rot = np.exp(-1j * cert.theta)
+    k_diag, m = np.imag(rot * ah.diag), (rot * ah.col - np.conj(rot) * np.conj(ah.row)) / 2j
+    k_corner = float(np.imag(rot * ah.corner))
+    kscale = max(np.max(np.abs(k_diag), initial=0.0), abs(k_corner), np.max(np.abs(m), initial=0.0)) or 1.0
+    k_diag, m, k_corner, atol = k_diag / kscale, m / kscale, k_corner / kscale, atol / kscale
     ratio = m[i] / alpha
-    if abs(ratio.imag) > tol.eq_tol * max(abs(ratio), kscale):
+    if abs(ratio.imag) > tol.eq_tol * max(abs(ratio), 1.0):
         return True, "coupling-to-projection ratio not real"
     ratio = ratio.real
 
@@ -572,7 +543,7 @@ def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificat
         if abs(m[i]) > atol:
             total += float(np.real(np.abs(m[i]) ** 2 / ((p0 - t) * ratio)))
         rhs = lam - total
-        if abs(k_corner - rhs) <= 1e-6 * kscale:
+        if abs(k_corner - rhs) <= 1e-6:
             return False, "aligned-diagonal resonance produces a reducing eigenvector"
         return True, "aligned diagonal, no resonance"
 
@@ -581,18 +552,18 @@ def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificat
     sigma1 = others[pvals.index(0)]
     sigma2 = others[pvals.index(1)]
     k1, k2, ki = k_diag[sigma1], k_diag[sigma2], k_diag[i]
-    cond_level = abs(ki - ((1 - t) * k1 + t * k2)) <= 1e-6 * kscale
+    cond_level = abs(ki - ((1 - t) * k1 + t * k2)) <= 1e-6
     if not cond_level:
         return True, "mixed case: level interpolation fails"
     m_comb = m[i] + (k1 - k2) * alpha
-    if abs(m_comb) <= 1e-6 * kscale:
-        if abs((1 - t) * abs(m[sigma1]) ** 2 - t * abs(m[sigma2]) ** 2) > 1e-6 * kscale ** 2:
+    if abs(m_comb) <= 1e-6:
+        if abs((1 - t) * abs(m[sigma1]) ** 2 - t * abs(m[sigma2]) ** 2) > 1e-6:
             return True, "mixed case: degenerate branch balance fails"
     d1 = k1 - ki + t * ratio
     d2 = k2 - ki - (1 - t) * ratio
     d3 = k_corner - ki - (1 - 2 * t) * ratio
     det = d1 * d2 * d3 - d1 * abs(m[sigma2]) ** 2 - d2 * abs(m[sigma1]) ** 2
-    if abs(det) <= tol.eq_tol * kscale ** 3 * 100:
+    if abs(det) <= tol.eq_tol * 100:
         return False, "mixed case: bordered block is singular (2-dim reducing subspace)"
     return True, "mixed case: bordered block nonsingular"
 
@@ -611,10 +582,11 @@ def _balanced_theta(ah: ArrowheadMatrix, tol: ToleranceConfig, require_all_nonze
         raise NotApplicableError("unbalanced off-diagonal pair present")
     if not nz.any():
         raise NotApplicableError("no nonzero pair fixes the rotation angle")
-    mean, dev = _circular_consensus(prof.psi[nz])
-    if mean is None or dev > ARG_SPREAD_TOL:
+    # angles whose unit vectors cancel deviate by pi / 2 or more from any mean
+    mean = float(np.angle(np.sum(np.exp(1j * prof.psi[nz]))))
+    if np.max(np.abs(np.angle(np.exp(1j * (prof.psi[nz] - mean))))) > ARG_SPREAD_TOL:
         raise NotApplicableError("coupling angles are not constant across indices")
-    return _theta_from_psi(mean), prof
+    return float(np.mod((mean - np.pi) / 2.0, np.pi)), prof
 
 
 def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
@@ -628,7 +600,7 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
     theta, _ = _balanced_theta(ah, tol, require_all_nonzero=True)
     dense = ah.to_dense()
     d = np.real(np.exp(-1j * theta) * np.concatenate([ah.diag, [ah.corner]]))
-    link = tol.cluster_abs(matrix_scale(dense))
+    link = tol.cluster_tol * matrix_scale(dense)
     spread = float(np.max(d) - np.min(d))
     if spread <= link:
         cert = {"theta": theta, "diagonal": d.tolist(), "note": "rotated Hermitian part is scalar; the range is a segment"}
@@ -656,7 +628,7 @@ def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TO
     if len(zero_idx) == 0:
         return gauwu_balanced(ah, tol)
     ambient = SupportFunction(dense, grid_size=1024)
-    btol = tol.boundary_abs(ambient.diameter())
+    btol = tol.boundary_tol * ambient.diameter()
 
     scalars_on_boundary = [int(j) for j in zero_idx if point_boundary_defect(ambient, ah.diag[j]) < btol]
 
@@ -665,7 +637,7 @@ def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TO
     # _balanced_theta needs a nonzero pair, so the sub-arrowhead has n >= 2
     k1, _, _ = restricted_max_set(sub_dense, ambient, tol=tol)
     d1 = np.real(np.exp(-1j * theta) * np.concatenate([sub.diag, [sub.corner]]))
-    link = tol.cluster_abs(matrix_scale(sub_dense))
+    link = tol.cluster_tol * matrix_scale(sub_dense)
     line_rule = 0
     if abs(ambient(theta) - np.max(d1)) < btol:
         line_rule += int(np.sum(d1 >= np.max(d1) - link))
@@ -696,7 +668,8 @@ def _hull_boundary_indices(points, tol: ToleranceConfig):
     m = len(pts)
     if m <= 2:
         return list(range(m))
-    scale = max(np.max(np.abs(pts[:, None] - pts[None, :])), ABS_FLOOR)
+    # in units of the diameter, so that no cross product over- or underflows
+    pts = pts / (np.max(np.abs(pts[:, None] - pts[None, :])) or 1.0)
 
     def cross(o, a, b):
         return (np.conj(a - o) * (b - o)).imag
@@ -715,7 +688,7 @@ def _hull_boundary_indices(points, tol: ToleranceConfig):
         return list(range(m))
     ends = np.roll(hull, -1)
     dist = cross(hull[:, None], ends[:, None], pts[None, :]) / np.abs(ends - hull)[:, None]
-    return np.nonzero(np.min(dist, axis=0) <= 10 * tol.eq_abs(scale))[0].tolist()
+    return np.nonzero(np.min(dist, axis=0) <= 10 * tol.eq_tol)[0].tolist()
 
 
 def gauwu_unbalanced_two(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
@@ -729,8 +702,7 @@ def gauwu_unbalanced_two(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL
     n = ah.n
     if n < 3:
         raise NotApplicableError("route needs n >= 3")
-    s = ah.scale()
-    atol = tol.eq_abs(s)
+    atol = tol.eq_tol * ah.scale()
     if not _distinct_entries(ah.diag, atol):
         raise NotApplicableError("diagonal entries must be distinct")
     hull = _hull_boundary_indices(ah.diag, tol)

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
-    ABS_FLOOR,
     AffineMap,
     DEFAULT_TOL,
     DimensionError,
@@ -39,7 +38,9 @@ from .oracle import SearchParams, _search, boundary_vector_field, in_caller_unit
 from .reduction import commutant_dimension, decompose, dirsum_gauwu
 from .results import (
     METHOD_ARROWHEAD,
+    METHOD_DICHOTOMY,
     METHOD_DICHOTOMY4,
+    METHOD_DIRECT_SUM,
     METHOD_FALLBACK2,
     METHOD_KA3,
     METHOD_ORACLE,
@@ -79,7 +80,7 @@ def k4_check(a, tol: ToleranceConfig = DEFAULT_TOL):
     m = as_square_matrix(a)
     if m.shape[0] != 4:
         raise DimensionError("k4_check handles 4x4 matrices")
-    if commutant_dimension(m, tol) != 1:
+    if commutant_dimension(m) != 1:
         raise PreconditionError("input is unitarily reducible")
     return _k4_form(m, tol)
 
@@ -105,7 +106,7 @@ def _k4_form(m, tol: ToleranceConfig):
         kb = u.conj().T @ krot @ u
         s1, s2 = float(sb[0]), float(sb[1])
         k12, k34 = complex(kb[0, 1]), complex(kb[2, 3])
-        ztol = tol.eq_abs(matrix_scale(m))
+        ztol = tol.eq_tol * matrix_scale(m)
         if s2 <= ztol:
             clause = "single coupling with both in-block couplings nonzero"
         elif abs(s1 - s2) <= ztol:
@@ -136,10 +137,8 @@ def _k4_form(m, tol: ToleranceConfig):
     u = np.column_stack([v_tri, v_one])
     kb = u.conj().T @ krot @ u
     beta = kb[:3, 3]
-    phases = np.ones(4, dtype=complex)
-    for j in range(3):
-        if abs(beta[j]) > ABS_FLOOR:
-            phases[j] = np.exp(-1j * np.angle(beta[j]))
+    # np.angle(0) = 0, so a zero coupling keeps its vector
+    phases = np.append(np.exp(-1j * np.angle(beta)), 1.0)
     u = u * phases[None, :].conj()
     kb = u.conj().T @ krot @ u
     params = {
@@ -172,7 +171,7 @@ def extract_parallel_form(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[dic
     if m.shape[0] != 4:
         return None
     h, k = hermitian_parts(m)
-    atol = 100 * tol.eq_abs(matrix_scale(m))
+    atol = 100 * tol.eq_tol * matrix_scale(m)
     zeros = [
         np.max(np.abs(h[0, :])),
         np.max(np.abs(h[:, 0])),
@@ -224,7 +223,7 @@ def parallel_seed_condition(params: dict, tol: ToleranceConfig = DEFAULT_TOL) ->
     s1 = float((q1 + q2).real)
     s2 = t * params["h22"] - lam
     warning = None
-    if abs(s1) <= tol.eq_abs(scale) or abs(s2) <= tol.eq_abs(scale):
+    if abs(s1) <= tol.eq_tol * scale or abs(s2) <= tol.eq_tol * scale:
         warning = "sign condition is degenerate; deferring to the search"
     if s1 * s2 <= 0:
         return SeedConditionReport(False, t=t, lam=lam, warning=warning)
@@ -261,7 +260,7 @@ def _distinct_lines(thetas, sf: SupportFunction, diam: float) -> bool:
                 return False
             if abs(d - np.pi) < LINE_ANGLE_TOL:
                 width = sf(float(thetas[i])) + sf(float(thetas[j]))
-                if width <= 1e-6 * max(diam, ABS_FLOOR):
+                if width <= 1e-6 * diam:
                     return False
     return True
 
@@ -290,8 +289,9 @@ def _normalizing_affine(thetas, ps):
         sx = 1.0 / width_x
         # the second row needs the crossing line's opposite support; the
         # caller supplies exact support values for refinement directions only,
-        # so the scale of the y axis is free: pick 1 / (1 + |p|) for balance
-        s2 = 1.0 / (1.0 + abs(ps[kk]))
+        # so the scale of the y axis is free: pick 1 / (width + |p|), which
+        # scales with the matrix as the x axis does
+        s2 = 1.0 / (width_x + abs(ps[kk]))
         m = np.array([sx * u[j], -s2 * u[kk]])
         v = np.array([sx * ps[i], s2 * ps[kk]])
         tau = affine_from_planar(m, v)
@@ -323,7 +323,7 @@ def _eig_margin(mat) -> float:
     return float(w[0])
 
 
-def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = SearchParams()) -> Optional[CanonicalKA3Form]:
+def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[CanonicalKA3Form]:
     """Search for an orthonormal triple whose images touch three distinct
     supporting lines and normalize to canonical coordinates (tangent lines
     x=0, y=0 and either x=1 or x+y=1).
@@ -335,13 +335,13 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
     ``form_ok=False`` when the triple exists but the canonical patterns or
     strict sign conditions fail (the value k=3 stands either way).
     """
-    sf = support_function(a, params.grid_size)
+    sf = support_function(a)
     m = sf.a
     if m.shape[0] != 4:
         raise DimensionError("ka3_check handles 4x4 matrices")
     diam = sf.diameter()
-    cands = boundary_vector_field(sf, grid_size=params.grid_size, tol=tol).candidates
-    res = _search(m, cands, sf, tol, params, (3,), accept=lambda x, thetas: _distinct_lines(thetas, sf, diam))
+    cands = boundary_vector_field(sf, tol=tol).candidates
+    res = _search(m, cands, sf, tol, SearchParams(), (3,), accept=lambda x, thetas: _distinct_lines(thetas, sf, diam))
     if not res.k_lower:
         return None
     x3, thetas = res.vectors, res.thetas
@@ -400,15 +400,14 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
                 [np.conj(params_d["k14"]), np.conj(params_d["k34"]), params_d["k44"]],
             ]
         )
-        margin = tol.eq_abs(s)
+        margin = tol.eq_tol * s
         cond = (
             _eig_margin(hb) > margin
             and _eig_margin(np.eye(2) - hb) > margin
             and _eig_margin(kb) > margin
         )
-        ztol = tol.eq_abs(s)
-        zero_count = sum(1 for key in ("k13", "k14", "k34") if abs(params_d[key]) <= ztol)
-        cond = cond and abs(params_d["h24"]) > ztol and zero_count <= 1
+        zero_count = sum(1 for key in ("k13", "k14", "k34") if abs(params_d[key]) <= margin)
+        cond = cond and abs(params_d["h24"]) > margin and zero_count <= 1
         seed_rep = parallel_seed_condition(params_d, tol)
     else:
         mask_entries = [
@@ -452,14 +451,13 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = Sear
             ]
         )
         level = params_d["h33"] + params_d["k33"]
-        margin = tol.eq_abs(s)
+        margin = tol.eq_tol * s
         cond = (
             _eig_margin(hb) > margin
             and _eig_margin(kb) > margin
             and _eig_margin(level * np.eye(3) - third) > margin
         )
-        ztol = tol.eq_abs(s)
-        cond = cond and min(abs(params_d["h24"]), abs(params_d["h34"]), abs(params_d["k14"])) > ztol
+        cond = cond and min(abs(params_d["h24"]), abs(params_d["h34"]), abs(params_d["k14"])) > margin
         seed_rep = None
 
     form_ok = pattern_residual <= 1e-8 * s and cond
@@ -573,11 +571,15 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
     residuals are reported in the coordinates of A; the blocks in
     ``work["decomposition"]`` are those of m.
 
-    Arrowhead matrices other than 4x4 go through the structured routes; then
-    unitarily reducible matrices through block additivity and irreducible
-    4x4 ones through the stages of the paper (``_irreducible4``); anything
-    else requires the constructive search.  Each stage runs at most once and
-    keeps what it found in ``result.work``.
+    A scalar matrix (``normalise`` gives scale 0) has k = n as a direct sum
+    of 1x1 blocks.  Arrowhead matrices other than 4x4 go through the
+    structured routes; then unitarily reducible matrices through block
+    additivity and irreducible 4x4 ones through the stages of the paper
+    (``_irreducible4``); an irreducible matrix of another size has k = n when
+    ``dichotomy_scan`` accepts it (every basis adapted to the idempotent lies
+    on its two supporting lines); anything else requires the constructive
+    search.  Each stage runs at most once and keeps what it found in
+    ``result.work``.
     """
     norm = normalise(a)
     m = norm.m
@@ -586,6 +588,9 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         note = "numerical range is a point" if n == 1 else "every 2x2 matrix has k = 2"
         return GauWuResult(k=n, n=n, method=METHOD_ORACLE if n == 1 else METHOD_FALLBACK2,
                            certificate={"note": note, "normalisation": norm.to_dict()})
+    if not norm.scale:
+        return GauWuResult(k=n, n=n, method=METHOD_DIRECT_SUM, oracle_confirmed=confirm_with_oracle or None,
+                           certificate={"note": "scalar matrix: n blocks of size 1", "normalisation": norm.to_dict()})
 
     result, pencil, work = None, m, {}
     try:
@@ -615,11 +620,19 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
                         certificate={"route": "dichotomous-irreducible", "theta": cert.theta, "reason": reason},
                     )
     if result is None:
-        dec = work["decomposition"] = decompose(m, tol)
+        dec = work["decomposition"] = decompose(m)
         if len(dec.blocks) > 1:
             result = dirsum_gauwu(dec, tol)
         elif n == 4:
             result, pencil = _irreducible4(norm, tol, work)
+        else:
+            scan = dichotomy_scan(m, tol)
+            if scan is not None:
+                theta, h0, h1, proj = scan
+                upper = int(round(np.trace(proj).real))
+                work["dichotomy"] = _dichotomy_work(norm, f"{n - upper}+{upper}", theta, h0, h1)
+                result = GauWuResult(k=n, n=n, method=METHOD_DICHOTOMY, certificate={
+                    "route": "dichotomy-scan", "theta": theta, "h_values": [norm.level(h, theta) for h in (h0, h1)]})
     if result is None:
         if not allow_oracle_only:
             raise UnsupportedDimensionError(

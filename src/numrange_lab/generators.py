@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arrowhead import ArrowheadMatrix, _hull_boundary_indices
-from .linalg import ABS_FLOOR, DEFAULT_TOL
+from .linalg import DEFAULT_TOL
 
 REJECTION_CAP = 10_000
 
@@ -556,12 +556,12 @@ def perturb_unbalance(ah: ArrowheadMatrix, eps: float) -> ArrowheadMatrix:
         warnings.warn("eps = 0 leaves the matrix unchanged")
         return ArrowheadMatrix(ah.diag.copy(), ah.col.copy(), ah.row.copy(), ah.corner)
     mags = np.abs(ah.col)
-    if np.max(np.abs(mags - np.abs(ah.row)), initial=0.0) > 1e-6 * max(np.max(mags, initial=0.0), ABS_FLOOR):
+    if np.max(np.abs(mags - np.abs(ah.row)), initial=0.0) > 1e-6 * np.max(mags, initial=0.0):
         warnings.warn("input columns and rows are not balanced; perturbation semantics still apply")
     hull = _hull_boundary_indices(ah.diag, DEFAULT_TOL)
     col = ah.col.copy()
     for j in hull:
-        if abs(col[j]) > ABS_FLOOR:
+        if col[j]:
             col[j] = col[j] * (1 + eps / abs(col[j]))
         else:
             col[j] = eps

@@ -13,8 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-ABS_FLOOR = 1e-12
-
 
 class DimensionError(ValueError):
     """Input has the wrong shape for the requested operation."""
@@ -38,8 +36,17 @@ def as_square_matrix(a) -> np.ndarray:
 
 
 def matrix_scale(a) -> float:
-    """Spectral norm, floored away from zero so tolerances stay meaningful."""
-    return max(float(np.linalg.norm(a, 2)), ABS_FLOOR)
+    """Spectral norm ||A||_2, the unit of every tolerance of a stage called on
+    A: it is exact at 1e-200 and 1e200, and 0 only for the zero matrix."""
+    return float(np.linalg.norm(a, 2))
+
+
+def safe_norm(v) -> float:
+    """2-norm of a vector, Frobenius norm of a matrix: summed over v divided
+    by its largest entry, so it neither overflows at 1e200 nor underflows at
+    1e-200."""
+    top = float(np.abs(v).max(initial=0.0))
+    return top * float(np.linalg.norm(v / top)) if top else 0.0
 
 
 # A matrix whose traceless part has Frobenius norm at most SCALAR_GUARD * n *
@@ -66,14 +73,12 @@ class Normalisation(NamedTuple):
 
 def normalise(a) -> Normalisation:
     """The one normalisation of the entries: m = (A - (tr A / n) I) / s with
-    s = ||A - (tr A / n) I||_F.  s is summed over the matrix divided by its
-    largest entry, so it neither overflows at 1e200 nor underflows at 1e-200."""
+    s = ||A - (tr A / n) I||_F (``safe_norm``)."""
     a = as_square_matrix(a)
     n = a.shape[0]
     shift = complex(np.trace(a) / n)
     a0 = a - shift * np.eye(n)
-    top = float(np.abs(a0).max())
-    s = top * float(np.linalg.norm(a0 / top)) if top else 0.0
+    s = safe_norm(a0)
     if s <= SCALAR_GUARD * n * np.finfo(float).eps * math.hypot(s, math.sqrt(n) * abs(shift)):
         return Normalisation(np.zeros((n, n), dtype=complex), shift, 0.0)
     return Normalisation(a0 / s, shift, s)
@@ -81,7 +86,9 @@ def normalise(a) -> Normalisation:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Thresholds used throughout; all are relative, scaled at the point of use.
+    """Thresholds used throughout; every one is relative, multiplied at the
+    point of use by a scale of the stage's own input and by nothing else, so
+    a stage gives the same answer for cA as for A (c > 0).
 
     One unit per call: the entries (``classify_any``, ``verify`` and
     ``max_orthonormal_boundary_set`` on a matrix) run on ``normalise``'s m,
@@ -103,27 +110,16 @@ class ToleranceConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
-    def eq_abs(self, scale: float) -> float:
-        return self.eq_tol * max(scale, ABS_FLOOR)
-
-    def cluster_abs(self, scale: float) -> float:
-        return self.cluster_tol * max(scale, ABS_FLOOR)
-
-    def boundary_abs(self, diameter: float) -> float:
-        return self.boundary_tol * max(diameter, ABS_FLOOR)
-
-    def split_abs(self, scale: float) -> float:
-        return self.split_tol * max(scale, ABS_FLOOR)
-
 
 DEFAULT_TOL = ToleranceConfig()
 
 
 def _is_normal(b, tol: ToleranceConfig) -> bool:
-    """||B B* - B* B||_F <= 10 * eq_tol * ||B||^2 * n."""
+    """||B B* - B* B||_F <= 10 * eq_tol * ||B||^2 * n, on B / ||B|| so that no
+    product over- or underflows."""
     b = as_square_matrix(b)
-    s = matrix_scale(b)
-    return np.linalg.norm(b @ b.conj().T - b.conj().T @ b) <= tol.eq_abs(s * s) * b.shape[0] * 10
+    b = b / (matrix_scale(b) or 1.0)
+    return np.linalg.norm(b @ b.conj().T - b.conj().T @ b) <= tol.eq_tol * b.shape[0] * 10
 
 
 def reducing_eigenvectors(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -139,13 +135,13 @@ def reducing_eigenvectors(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     vals = np.linalg.eigvals(m)
     reps = []
     for lam in vals:
-        if not any(abs(lam - r) <= 100 * tol.eq_abs(s) for r in reps):
+        if not any(abs(lam - r) <= 100 * tol.eq_tol * s for r in reps):
             reps.append(lam)
     out = []
     for lam in reps:
         stacked = np.vstack([m - lam * np.eye(n), m.conj().T - np.conj(lam) * np.eye(n)])
         u, sv, vh = np.linalg.svd(stacked)
-        null = int(np.sum(sv <= 1e-8 * max(sv[0], ABS_FLOOR)))
+        null = int(np.sum(sv <= 1e-8 * sv[0]))
         for idx in range(n - null, n):
             vec = vh.conj().T[:, idx]
             out.append((complex(lam), vec))
@@ -207,10 +203,10 @@ def eig_hermitian_clustered(h, tol: ToleranceConfig = DEFAULT_TOL) -> EigenSyste
     """
     m = as_square_matrix(h)
     scale = matrix_scale(m)
-    if np.linalg.norm(m - m.conj().T) > tol.eq_abs(scale) * m.shape[0]:
+    if np.linalg.norm(m - m.conj().T) > tol.eq_tol * scale * m.shape[0]:
         raise StructureError("matrix is not Hermitian to tolerance")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    link = tol.cluster_abs(scale)
+    link = tol.cluster_tol * scale
     clusters = []
     start = 0
     for i in range(1, len(w) + 1):
@@ -270,7 +266,7 @@ def affine_from_planar(m, v=(0.0, 0.0)) -> AffineMap:
     )
 
 
-def affine_apply(a_mat, tau: AffineMap, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def affine_apply(a_mat, tau: AffineMap) -> np.ndarray:
     tau.validate()
     h, k = hermitian_parts(a_mat)
     n = h.shape[0]

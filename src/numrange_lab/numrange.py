@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    ABS_FLOOR,
     DEFAULT_TOL,
     ToleranceConfig,
     _is_normal,
@@ -68,9 +67,9 @@ def _top_cluster_basis(h, k, theta: float, link: float):
 
 def support(a, theta: float, tol: ToleranceConfig = DEFAULT_TOL) -> SupportSample:
     """Support value and boundary points of W(A) in direction theta: the
-    images of the top cluster's basis, linked within cluster_abs of p."""
+    images of the top cluster's basis, linked within cluster_tol ||A|| of p."""
     m = as_square_matrix(a)
-    p, basis, _ = _top_cluster_basis(*hermitian_parts(m), theta, tol.cluster_abs(matrix_scale(m)))
+    p, basis, _ = _top_cluster_basis(*hermitian_parts(m), theta, tol.cluster_tol * matrix_scale(m))
     pts = [complex(x.conj() @ m @ x) for x in basis.T]
     return SupportSample(theta=float(theta), p=p, multiplicity=basis.shape[1], boundary_points=pts)
 
@@ -87,7 +86,7 @@ class SupportFunction:
         self.thetas = np.linspace(0.0, TWO_PI, self.grid_size, endpoint=False)
         self.grid_eigvals = np.linalg.eigvalsh(_pencil_at(self.h, self.k, self.thetas))
         self.grid_values = self.grid_eigvals[:, -1]
-        self.radius = max(float(np.max(np.abs(self.grid_eigvals))), ABS_FLOOR)
+        self.radius = float(np.max(np.abs(self.grid_eigvals)))
 
     def __call__(self, theta):
         """p(theta): a float for a scalar theta, an array for a 1-d array."""
@@ -105,12 +104,14 @@ class SupportFunction:
         """Ascending eigenvalues of the pencil members at the 1-d ``thetas`` and
         their first and second derivatives, one (3, len(thetas), n) array: by
         ``_pencil_derivatives``, lam_i' = C_ii and, as B'' = -B, lam_i'' =
-        -lam_i + 2 sum_j |C_ij|^2 R_ij over the pairs at least MIXED_GAP *
-        radius apart; rounding mixes closer pairs, which cross like blocks."""
-        floor = MIXED_GAP * self.radius
+        -lam_i + 2 sum_j |C_ij| (|C_ij| R_ij) over the pairs at least MIXED_GAP *
+        radius apart (that order neither over- nor underflows at any scale);
+        rounding mixes closer pairs, which cross like blocks."""
+        floor = MIXED_GAP * (self.radius or 1.0)
         w, _, c, r = _pencil_derivatives(self.h, self.k, thetas, floor)
         r[np.abs(r) >= 1 / floor] = 0.0
-        return np.stack([w, np.diagonal(c, axis1=1, axis2=2).real, 2 * np.sum(np.abs(c) ** 2 * r, axis=2) - w])
+        ac = np.abs(c)
+        return np.stack([w, np.diagonal(c, axis1=1, axis2=2).real, 2 * np.sum(ac * (ac * r), axis=2) - w])
 
     def diameter(self) -> float:
         """Largest width over the grid: p(theta) + p(theta + pi) is the spread
@@ -150,7 +151,10 @@ def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float,
     judged by the largest piece's Taylor model.  A candidate on the edge
     bisects; the active slope shrinks the bracket.  A bracket stops once the
     predicted decrease is at most 8 eps * ``scale``, which ends flat arcs.
+    The pieces are taken in units of ``scale``, so that no product of the
+    models over- or underflows.
     """
+    unit = scale or 1.0
     idxs = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
     idxs = idxs[np.argsort(values[idxs])][:count]
     if eligible is not None:
@@ -162,7 +166,7 @@ def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float,
     for _ in range(REFINE_STEPS):
         if not len(live):
             break
-        tl, (f, d1, d2) = t[live], pieces(t[live])
+        tl, (f, d1, d2) = t[live], pieces(t[live]) / unit
         rows, act = np.arange(len(live)), np.argmax(f, axis=1)
         top, slope, curv = f[rows, act], d1[rows, act], d2[rows, act]
         best_t[live], best_f[live] = np.where(top < best_f[live], tl, best_t[live]), np.minimum(top, best_f[live])
@@ -180,8 +184,8 @@ def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float,
         # the models are local: the shortest step with half the best predicted gain
         nxt = cand[rows, np.argmin(np.where(gain >= best[:, None] / 2, np.abs(dt[:, :, 0]), np.inf), axis=1)]
         t[live] = np.where((nxt <= lo[live]) | (nxt >= hi[live]), (lo[live] + hi[live]) / 2, nxt)
-        live = live[best > 8 * np.finfo(float).eps * scale]
-    return list(zip(best_t.tolist(), best_f.tolist()))
+        live = live[best > 8 * np.finfo(float).eps]
+    return list(zip(best_t.tolist(), (unit * best_f).tolist()))
 
 
 def _refined_min(pieces: Callable, thetas, values, step: float, scale: float):
@@ -230,17 +234,18 @@ def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
     if sf.a.shape[0] == 1:
         return []
     scale = matrix_scale(sf.a)
-    split = tol.split_abs(scale)
+    split = tol.split_tol * scale
     h, k, thetas, grid_size = sf.h, sf.k, sf.thetas, sf.grid_size
     gaps = sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2]
 
-    degenerate = gaps < split
-    if np.count_nonzero(degenerate) > 0.25 * grid_size:
-        # globally multiple top eigenvalue (scalar-like or segment-like range)
+    degenerate = np.flatnonzero(gaps <= split)
+    if len(degenerate) > 0.25 * grid_size:
+        # globally multiple top eigenvalue (scalar-like or segment-like range):
+        # every 16th degenerate direction, its top cluster the multiple one alone
         events = []
-        for idx in range(0, grid_size, max(1, grid_size // 64)):
+        for idx in degenerate[:: max(1, grid_size // 64)]:
             t = thetas[idx]
-            p, basis, ww = _top_cluster_basis(h, k, t, 4 * split + 4 * gaps[idx])
+            p, basis, ww = _top_cluster_basis(h, k, t, 4 * split)
             events.append(TopEvent(theta=float(t), p=p, gap=float(gaps[idx]), basis=basis, eigvals=ww))
         return events
 
@@ -303,7 +308,7 @@ class BasePolynomial:
         return BasePolynomial(n=n, coeffs=out)
 
 
-def base_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> BasePolynomial:
+def base_polynomial(a) -> BasePolynomial:
     """Coefficients of det(xH + yK + tI) by evaluation-interpolation.
 
     For each (x, y)-degree d the t^(n-d) coefficient is the d-th elementary
@@ -362,7 +367,7 @@ def boundary_generating_curve(a, samples: int = 512, tol: ToleranceConfig = DEFA
     pts = np.zeros((n, samples), dtype=complex)
     vals = np.zeros((n, samples))
     onb = np.zeros((n, samples), dtype=bool)
-    link = tol.cluster_abs(matrix_scale(m))
+    link = tol.cluster_tol * matrix_scale(m)
     prev = None
     for s, (w, v) in enumerate(zip(*np.linalg.eigh(_pencil_at(*hermitian_parts(m), thetas)))):
         if prev is not None:
@@ -419,7 +424,7 @@ def _seed_from_event(a, ev: TopEvent, diameter: float) -> Seed:
     z_lo = np.exp(1j * ev.theta) * (ev.p + 1j * w[0])
     z_hi = np.exp(1j * ev.theta) * (ev.p + 1j * w[-1])
     length = abs(z_hi - z_lo)
-    kind = FLAT_PORTION if length > POINT_LENGTH * max(diameter, ABS_FLOOR) else SINGULAR_POINT
+    kind = FLAT_PORTION if length > POINT_LENGTH * diameter else SINGULAR_POINT
     witnesses = basis @ v[:, [0, -1]] if basis.shape[1] >= 2 else basis
     return Seed(kind=kind, theta=ev.theta, segment=(complex(z_lo), complex(z_hi)), witnesses=witnesses)
 
@@ -433,9 +438,10 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     Donoghue's theorem (Michigan Math. J. 4, 1957): every corner of W(A) is a
     normal eigenvalue.  A normal eigenvalue lambda is a corner when the
     supporting lines of at least three grid directions pass within
-    boundary_abs of it, and its witnesses are its joint eigenvectors of A and
-    A* (``reducing_eigenvectors``).  So an irreducible matrix has no corner,
-    and a corner whose normal cone is narrower than two grid steps is missed.
+    boundary_tol * diameter of it, and its witnesses are its joint eigenvectors
+    of A and A* (``reducing_eigenvectors``).  So an irreducible matrix has no
+    corner, and a corner whose normal cone is narrower than two grid steps is
+    missed.
     """
     sf = support_function(a)
     m = sf.a
@@ -458,9 +464,9 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
         witnesses.setdefault(lam, []).append(vec)
     for lam, vecs in witnesses.items():
         g = sf.grid_values - np.real(np.exp(-1j * sf.thetas) * lam)
-        if np.count_nonzero(g <= tol.boundary_abs(diam)) < 3:
+        if np.count_nonzero(g <= tol.boundary_tol * diam) < 3:
             continue
-        if any(abs(z - lam) < 4 * POINT_LENGTH * max(diam, ABS_FLOOR) for z in event_points):
+        if any(abs(z - lam) < 4 * POINT_LENGTH * diam for z in event_points):
             continue
         seeds.append(Seed(kind=SINGULAR_POINT, theta=float(sf.thetas[np.argmin(g)]), segment=(lam, lam),
                           witnesses=np.column_stack(vecs)))
@@ -484,7 +490,7 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
     """
     b = as_square_matrix(block)
     n = b.shape[0]
-    btol = tol.boundary_abs(ambient_support.diameter())
+    btol = tol.boundary_tol * ambient_support.diameter()
     if n == 1 or _is_normal(b, tol):
         w = np.linalg.eigvals(b)
         return int(sum(1 for z in w if point_boundary_defect(ambient_support, z) < btol))
@@ -552,13 +558,15 @@ def _two_level_form(member: np.ndarray, values, accept: float):
     return h0, h1, proj
 
 
-def _polished(h, k, theta: float, floor: float) -> float:
+def _polished(h, k, theta: float) -> float:
     """theta moved by one least-squares step that flattens, to first order,
     the two clusters of ``_dichotomy_split`` at theta: each eigenvalue moves
-    by its derivative lam_i' = C_ii (``_pencil_derivatives``) times the step.
-    A step out of [0, pi) is dropped, so theta keeps its representative."""
-    w, _, c, _ = _pencil_derivatives(h, k, np.array([theta]), floor)
-    w, d = w[0], np.diagonal(c[0]).real
+    by its derivative lam_i' = v_i* B' v_i times the step, both in units of the
+    member's spectral radius, so that no product over- or underflows.  A step
+    out of [0, pi) is dropped, so theta keeps its representative."""
+    w, v = np.linalg.eigh(_pencil_at(h, k, theta))
+    unit = float(np.max(np.abs(w))) or 1.0
+    w, d = w / unit, np.diagonal(v.conj().T @ _pencil_at(k, -h, theta) @ v).real / unit
     s = _dichotomy_split(w)[1]
     spread = np.concatenate([w[:s] - np.mean(w[:s]), w[s:] - np.mean(w[s:])])
     slope = np.concatenate([d[:s] - np.mean(d[:s]), d[s:] - np.mean(d[s:])])
@@ -583,23 +591,24 @@ def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL):
     when every minor vanishes) are the only candidates.  The SVD fixes a root
     only to about eps / (h1 - h0), so each candidate is first ``_polished``;
     ``_two_level_form`` decides the polished direction and then the candidate
-    itself on the member's eigenvalues with the bound eq_tol * ||A||.
+    itself on the member's eigenvalues with the bound eq_tol * ||A||.  The
+    zero matrix has one eigenvalue in every direction, so none.
     """
     m = as_square_matrix(a)
     n = m.shape[0]
-    if n < 2:
+    scale = matrix_scale(m)
+    if n < 2 or not scale:
         return None
-    accept = tol.eq_abs(matrix_scale(m))
+    accept = tol.eq_tol * scale
     h, k = hermitian_parts(m)
     # centred and scaled, the pair has the same relations and a well-scaled SVD
     eye = np.eye(n)
-    hs, ks = h - np.trace(h).real / n * eye, k - np.trace(k).real / n * eye
-    hs, ks = np.array([hs, ks]) / max(np.linalg.norm(hs), np.linalg.norm(ks), ABS_FLOOR)
+    hs, ks = (h - np.trace(h).real / n * eye) / scale, (k - np.trace(k).real / n * eye) / scale
     terms = np.stack([hs @ hs, hs @ ks + ks @ hs, ks @ ks, hs, ks, eye]).reshape(6, -1)
     sv, vt = np.linalg.svd(np.concatenate([terms.real, terms.imag], axis=1).T, full_matrices=False)[1:]
     null = vt[min(np.count_nonzero(sv > tol.eq_tol * sv[0]), 5) :]
     r = np.eye(6)[5] - null.T @ null[:, 5]
-    span = np.vstack([null, r / max(np.linalg.norm(r), ABS_FLOOR)])
+    span = np.vstack([null, r / np.linalg.norm(r)])
     q = np.eye(6) - span.T @ span
     # minor (i, j) of (Qu, Qv): coefficients of tan^0..tan^3 after dividing by cos^3
     minors = [np.convolve(q[i, :3], q[j, 3:5]) - np.convolve(q[j, :3], q[i, 3:5]) for i, j in zip(*np.triu_indices(6, 1))]
@@ -611,7 +620,7 @@ def dichotomy_scan(a, tol: ToleranceConfig = DEFAULT_TOL):
         poly[np.abs(poly) <= 1e-13 * np.max(np.abs(poly))] = 0.0
         thetas = [float(t) for t in np.mod(np.arctan(np.roots(poly[::-1]).real), np.pi)] + [np.pi / 2]
     for theta in thetas:
-        for t in dict.fromkeys((_polished(h, k, theta, accept), theta)):
+        for t in dict.fromkeys((_polished(h, k, theta), theta)):
             member = _pencil_at(h, k, t)
             form = _two_level_form(member, np.linalg.eigvalsh(member), accept)
             if form is not None:

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (ABS_FLOOR, DEFAULT_TOL, SCALAR_GUARD, Normalisation, ToleranceConfig, _pencil_at,
+from .linalg import (DEFAULT_TOL, SCALAR_GUARD, Normalisation, ToleranceConfig, _pencil_at,
                      as_square_matrix, hermitian_parts, matrix_scale, normalise)
 from .numrange import SupportFunction, _pencil_derivatives, _refined_minima, _top_cluster_basis, support_function, top_gap_events
 
@@ -34,6 +34,7 @@ MIN_GRID_SIZE = 64
 ARC_ROUNDS = 8  # cap on the bisection rounds of the arc-length grid, one stacked eigh each
 MAX_ARC_NODES = 1024  # bounds the graph's n_nodes^2 arrays on escalated and user-set grids
 CLIQUE_CHUNK = 1 << 20  # graph cells one clique-extension step holds at a time
+TOP_GAP_FLOOR = 1e-12  # relative to ||A||: top gaps below it are raised to it in x'(theta)
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def boundary_vector_field(
     m = sf.a
     n = m.shape[0]
     scale = matrix_scale(m)
-    split = tol.split_abs(scale)
+    split = tol.split_tol * scale
 
     events = top_gap_events(sf, tol=tol)
     cands: list = []
@@ -148,7 +149,7 @@ def boundary_vector_field(
 
     usable = sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2] > split  # a multiple top eigenvalue is an event's
     if ambient is not None:
-        btol = tol.boundary_abs(ambient.diameter())
+        btol = tol.boundary_tol * ambient.diameter()
         g = ambient(sf.thetas) - sf.grid_values
         usable &= g <= btol
 
@@ -360,7 +361,7 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
             M = B.conj().T @ (Xo @ Xo.conj().T) @ B
             X[:, g] = B @ np.linalg.eigh((M + M.conj().T) / 2)[1][:, : len(g)]
 
-    floor = ABS_FLOOR * matrix_scale(m_mat)
+    floor = TOP_GAP_FLOOR * matrix_scale(m_mat)
     D = np.zeros_like(X)  # d x_i / d theta_i, zero for members that do not move
     if free:
         X[:, free], D[:, free] = _top_vectors(hm, km, thetas[free], X[:, free], floor)
@@ -417,7 +418,7 @@ def _search(m, cands: list, support: SupportFunction, tol: ToleranceConfig, para
     """
     n = m.shape[0]
     levels, capped = _cliques(cands, tol.gram_tol, sizes[0], params.max_cliques) if cands else ([], [])
-    btol = 10 * tol.boundary_abs(support.diameter())
+    btol = 10 * tol.boundary_tol * support.diameter()
 
     floors: dict = {}
     for size in [s for s in sizes if s <= len(levels)]:

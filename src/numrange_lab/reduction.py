@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ABS_FLOOR, DEFAULT_TOL, ToleranceConfig, _is_normal, as_square_matrix, hermitian_parts, matrix_scale
+from .linalg import DEFAULT_TOL, ToleranceConfig, _is_normal, as_square_matrix, hermitian_parts, matrix_scale
 from .numrange import SupportFunction, kprime_relative, point_boundary_defect
 from .oracle import restricted_max_set
 from .results import METHOD_DIRECT_SUM, GauWuResult
@@ -57,9 +57,10 @@ def _best_member(m):
     """(scale, V, w / scale, cluster sizes, smallest cut gap or None,
     K' = V*KV / scale) for the member, with eigenvalues w, whose clusters, cut
     at gaps above GAP_CUTOFF * scale, have the smallest sum of squared sizes;
-    ties go to the largest smallest cut gap, then to the first member."""
+    ties go to the largest smallest cut gap, then to the first member.  The
+    scale is max(||H||, ||K||), or 1 for the zero matrix."""
     h, k = hermitian_parts(m)
-    s = max(matrix_scale(h), matrix_scale(k), ABS_FLOOR)
+    s = max(matrix_scale(h), matrix_scale(k)) or 1.0
     w, v = np.linalg.eigh(h + np.reshape(PENCIL_CONSTANTS, (-1, 1, 1)) * k)
     gaps = np.diff(w, axis=1) / s
     cut = gaps > GAP_CUTOFF
@@ -127,7 +128,7 @@ def _commutant_nullspace(m):
     return len(sv) - len(kept) + int(np.sum(sizes[scalar] ** 2)), v, element, margin, s
 
 
-def commutant_dimension(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def commutant_dimension(a) -> int:
     """Real dimension of { X Hermitian : XH = HX, XK = KX }; 1 iff unitarily
     irreducible, n^2 for scalar matrices."""
     return _commutant_nullspace(as_square_matrix(a))[0]
@@ -169,7 +170,7 @@ class BlockDecomposition:
         return self.unitary @ self.assembled() @ self.unitary.conj().T
 
 
-def decompose(a, tol: ToleranceConfig = DEFAULT_TOL) -> BlockDecomposition:
+def decompose(a) -> BlockDecomposition:
     """Split into unitarily irreducible diagonal blocks.
 
     The blocks are runs of eigenvectors of a generic element of the
@@ -181,10 +182,11 @@ def decompose(a, tol: ToleranceConfig = DEFAULT_TOL) -> BlockDecomposition:
     m = as_square_matrix(a)
     _, v, element, margin, s = _commutant_nullspace(m)
     u = v @ np.linalg.eigh(element)[1]
-    t = np.abs(u.conj().T @ m @ u) ** 2
+    # squared in units of the scale, so that no weight over- or underflows
+    t = np.abs(u.conj().T @ m @ u / s) ** 2
     # across[i, j]: squared weight of t over rows <= i and columns >= j, both ways round
     across = np.cumsum(np.cumsum((t + t.T)[:, ::-1], axis=1)[:, ::-1], axis=0)
-    cuts = np.flatnonzero(np.sqrt(np.diagonal(across, 1)) <= RANK_CUTOFF * s) + 1
+    cuts = np.flatnonzero(np.sqrt(np.diagonal(across, 1)) <= RANK_CUTOFF) + 1
     groups = np.split(np.arange(m.shape[0]), cuts)
     blocks = [u[:, g].conj().T @ m @ u[:, g] for g in groups]
     return BlockDecomposition(unitary=u, blocks=blocks, margin=margin)
@@ -196,7 +198,7 @@ def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT
     n = b.shape[0]
     if n == 1:
         defect = point_boundary_defect(ambient, complex(b[0, 0]))
-        return (1 if defect < tol.boundary_abs(ambient.diameter()) else 0), "point-contact"
+        return (1 if defect < tol.boundary_tol * ambient.diameter() else 0), "point-contact"
     if _is_normal(b, tol):
         return kprime_relative(b, ambient, tol), "normal-spectrum-contact"
     if n == 2:

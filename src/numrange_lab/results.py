@@ -14,6 +14,7 @@ METHOD_FALLBACK2 = "Fallback2"
 METHOD_DIRECT_SUM = "DirectSum"
 METHOD_ARROWHEAD = "ArrowheadTheorem"
 METHOD_ORACLE = "OracleOnly"
+METHOD_DICHOTOMY = "Dichotomy"
 
 ALL_METHODS = (
     METHOD_DICHOTOMY4,
@@ -23,6 +24,7 @@ ALL_METHODS = (
     METHOD_DIRECT_SUM,
     METHOD_ARROWHEAD,
     METHOD_ORACLE,
+    METHOD_DICHOTOMY,
 )
 
 

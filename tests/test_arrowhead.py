@@ -489,7 +489,7 @@ def _hull_reference(points, atol):
 class TestHullBoundary:
     def atol(self, pts):
         pts = np.asarray(pts)
-        return 10 * DEFAULT_TOL.eq_abs(np.max(np.abs(pts[:, None] - pts[None, :])))
+        return 10 * DEFAULT_TOL.eq_tol * np.max(np.abs(pts[:, None] - pts[None, :]))
 
     def test_random_sets_match_dense_reference(self):
         rng = rng_for(21)

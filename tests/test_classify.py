@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
-from numrange_lab.arrowhead import ArrowheadMatrix
+from numrange_lab.arrowhead import (ArrowheadMatrix, arrowhead_from_dense, dichotomy_check, gauwu_unbalanced_two,
+                                    gauwu_with_zero_pairs, irreducible_dichotomous_check, secular_eigen)
 from numrange_lab.classify import (
     PreconditionError,
     UnsupportedDimensionError,
@@ -16,12 +17,14 @@ from numrange_lab.classify import (
     ka3_check,
     parallel_seed_condition,
 )
+from numrange_lab.reduction import commutant_dimension, decompose, dirsum_gauwu
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
-from numrange_lab.linalg import AffineMap, DimensionError, affine_apply, normalise, rotate
-from numrange_lab.numrange import SupportFunction, dichotomy_scan
+from numrange_lab.linalg import AffineMap, DimensionError, affine_apply, herm_part_at, normalise, rotate
+from numrange_lab.numrange import FLAT_PORTION, SupportFunction, detect_seeds, dichotomy_scan
 from numrange_lab.oracle import max_orthonormal_boundary_set, verify
 from numrange_lab.results import (
     METHOD_ARROWHEAD,
+    METHOD_DICHOTOMY,
     METHOD_DICHOTOMY4,
     METHOD_DIRECT_SUM,
     METHOD_FALLBACK2,
@@ -509,3 +512,88 @@ class TestExtremeScales:
         assert rep.match and rep.oracle.k_lower == 2 and rep.oracle.gram_residual <= 1e-12
         # in the units of c A: residuals of m (about 1e-16) would fail at c = 1e-20
         assert 0 < np.max(rep.oracle.boundary_residuals) <= 1e-12 * c * np.linalg.norm(a, 2)
+
+
+def _stages(c):
+    """What the exported stages find on c times: B = k4-split-22 seed 3000
+    (irreducible, k = 4); R = ellipse-with-scalars seed 0 and M =
+    reducible-mixed seed 1 (reducible, M an arrowhead); P = k3-parallel-lines seed
+    4000; S = k4-split-31 seed 1 (a top-gap event off the grid); F, the worked
+    example; D = diag(0, 0.5, 1, i); Z, a balanced 6x6 arrowhead with a zero
+    pair; U = unbalanced-arrowhead n = 5 seed 1."""
+    b, r, m, p, s, u = (c * generate(FamilySpec(fam, n=n, seed=seed))
+                        for fam, n, seed in (("k4-split-22", 4, 3000), ("ellipse-with-scalars", 4, 0),
+                                             ("reducible-mixed", 4, 1), ("k3-parallel-lines", 4, 4000),
+                                             ("k4-split-31", 4, 1), ("unbalanced-arrowhead", 5, 1)))
+    form = ka3_check(p)
+    mixed = arrowhead_from_dense(m)
+    return {
+        "blocks": [[blk.shape[0] for blk in decompose(x).blocks] for x in (b, r, m)],
+        "commutant": [commutant_dimension(x) for x in (b, r, m)],
+        "direct sum": [dirsum_gauwu(decompose(x)).k for x in (r, m)],
+        "k4": k4_check(b)[0],
+        "scan": dichotomy_scan(b),
+        "ka3": None if form is None else (form.case, form.form_ok),
+        "seeds": [[sd.kind for sd in detect_seeds(x)] for x in (p, s, c * flat_portion_example(),
+                                                             c * np.diag([0.0, 0.5, 1.0, 1j]))],
+        "irreducible": irreducible_dichotomous_check(mixed, dichotomy_check(mixed)),
+        "arrowhead k": [gauwu_with_zero_pairs(arrowhead_from_dense(c * zero_pair_arrowhead(3, 6).to_dense())).k,
+                        gauwu_unbalanced_two(arrowhead_from_dense(u)).k],
+        "secular": np.sort_complex(secular_eigen(arrowhead_from_dense(u)).values()),
+    }
+
+
+class TestScaleFreeStages:
+    """Every tolerance of a stage is relative to its own input, so the
+    exported stages give the same answer for c A as for A (RuntimeWarnings are
+    errors in this suite, so none may over- or underflow either)."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return _stages(1.0)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-20, 1e20, 1e200])
+    def test_same_answer_as_at_scale_one(self, base, c):
+        got = _stages(c)
+        for key in ("blocks", "commutant", "direct sum", "k4", "ka3", "seeds", "irreducible", "arrowhead k"):
+            assert got[key] == base[key], key
+        assert base["k4"] and base["ka3"] == ("parallel", True) and base["seeds"][1] == [FLAT_PORTION]
+        assert np.allclose(got["secular"] / c, base["secular"], rtol=0, atol=1e-12 * np.max(np.abs(base["secular"])))
+        theta, h0, h1, _ = got["scan"]
+        assert abs(theta - base["scan"][0]) <= 1e-12
+        assert np.allclose([h0 / c, h1 / c], base["scan"][1:3], rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_zero_matrix(self, n):
+        z = np.zeros((n, n), dtype=complex)
+        assert [blk.shape[0] for blk in decompose(z).blocks] == [1] * n
+        assert dichotomy_scan(z) is None
+        for c in (0.0, 1e-200, 1e200):
+            res = classify_any(c * np.eye(n), confirm_with_oracle=True)
+            assert (res.k, res.method, res.oracle_confirmed) == (n, METHOD_DIRECT_SUM, True)
+
+
+class TestDichotomyBeyondFour:
+    """An irreducible matrix whose rotated Hermitian part is two-valued has
+    k = n at every size; classify_any reads that off ``dichotomy_scan`` once
+    the arrowhead routes no longer see the structure, so k does not move
+    under unitary similarity."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("fam", ["dichotomous-arrowhead-diag", "dichotomous-arrowhead-coupled"])
+    def test_conjugated_arrowhead(self, fam, n):
+        for seed in range(4):
+            a = generate(FamilySpec(fam, n=n, seed=seed))
+            assert classify_any(a).k == n
+            for s in (0, 1):
+                u = random_unitary(rng_for(100 * seed + 10 * n + s), n)
+                b = u.conj().T @ a @ u
+                res = classify_any(b)
+                assert (res.k, res.method, res.certificate["route"]) == (n, METHOD_DICHOTOMY, "dichotomy-scan"), seed
+                # the levels are those of Re(e^{-i theta} B), in B's coordinates
+                w = np.linalg.eigvalsh(herm_part_at(b, res.certificate["theta"]))
+                levels = np.array(res.certificate["h_values"])
+                assert np.max(np.min(np.abs(w[:, None] - levels[None, :]), axis=1)) <= 1e-8 * np.linalg.norm(b, 2)
+                low, high = (int(x) for x in res.work["dichotomy"]["case"].split("+"))
+                assert low + high == n and low == np.sum(np.abs(w - levels[0]) < np.abs(w - levels[1]))
+            assert verify(b, n).match  # the independent search agrees

@@ -261,8 +261,3 @@ class TestToleranceConfig:
     def test_requires_finite(self, value):
         with pytest.raises(ValueError):
             ToleranceConfig(split_tol=value)
-
-    def test_scaling_helpers(self):
-        t = ToleranceConfig()
-        assert t.eq_abs(10.0) == 10.0 * t.eq_tol
-        assert t.cluster_abs(2.0) == 2.0 * t.cluster_tol

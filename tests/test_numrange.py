@@ -204,6 +204,20 @@ class TestSeeds:
         corners = sorted((sd.segment[0] for sd in seeds if sd.kind == SINGULAR_POINT), key=lambda z: (z.real, z.imag))
         assert corners == [0, 1j, 1]
 
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 2.1, 4.0])
+    def test_globally_double_top_eigenvalue_seeds_lie_on_the_boundary(self, phi):
+        # the double eigenvalue 0 is top on a quarter of the directions, so
+        # the event scan reads a global degeneracy; its seeds must come from
+        # those directions, not from a direction whose top eigenvalue is simple
+        a = np.exp(1j * phi) * np.diag([0.0, 0.0, 1.0, 1j])
+        sf = SupportFunction(a)
+        seeds = detect_seeds(a)
+        assert seeds
+        for sd in seeds:
+            for z in sd.segment:
+                assert abs(numrange.point_boundary_defect(sf, z)) <= 1e-8 * sf.diameter(), (sd.kind, sd.segment)
+        assert oracle.max_orthonormal_boundary_set(a).k_lower == 4
+
     def test_one_grid_sweep(self, stack_sizes):
         # the event scan and the corner rule read the support function's
         # sweep; only the event refinement adds stacks, one per Newton step

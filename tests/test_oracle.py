@@ -3,11 +3,12 @@ import pytest
 
 from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
-from numrange_lab.linalg import ABS_FLOOR, hermitian_parts
+from numrange_lab.linalg import hermitian_parts
 from numrange_lab.numrange import REFINE_STEPS, SupportFunction
 from numrange_lab import oracle
 from numrange_lab.oracle import (
     ARC_ROUNDS,
+    TOP_GAP_FLOOR,
     SearchParams,
     _cliques,
     _top_vectors,
@@ -179,7 +180,7 @@ class TestTopVectorDerivative:
         w = np.array([np.linalg.eigvalsh(np.cos(t) * h + np.sin(t) * k) for t in thetas])
         thetas = thetas[w[:, -1] - w[:, -2] > 1e-3 * scale]
         assert len(thetas) >= 8
-        x, dx = _top_vectors(h, k, thetas, np.ones((5, len(thetas))), ABS_FLOOR * scale)
+        x, dx = _top_vectors(h, k, thetas, np.ones((5, len(thetas))), TOP_GAP_FLOOR * scale)
         step = 1e-6
         for i, t in enumerate(thetas):
             assert np.allclose(phased(top(t), x[:, i]), x[:, i], atol=1e-12)
@@ -188,7 +189,7 @@ class TestTopVectorDerivative:
 
     def test_multiple_top_eigenvalue_stays_finite(self):
         h, k = np.diag([1.0, 1.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 2.0]).astype(complex)
-        x, dx = _top_vectors(h, k, np.array([0.0]), np.ones((3, 1)), ABS_FLOOR)
+        x, dx = _top_vectors(h, k, np.array([0.0]), np.ones((3, 1)), TOP_GAP_FLOOR)
         assert np.all(np.isfinite(dx))
         assert abs(np.linalg.norm(x) - 1) < 1e-12
 
