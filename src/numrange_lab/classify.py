@@ -20,7 +20,6 @@ from .linalg import (
     AffineMap,
     DEFAULT_TOL,
     DimensionError,
-    NonInvertibleMapError,
     Normalisation,
     ToleranceConfig,
     _pencil_at,
@@ -171,19 +170,14 @@ def extract_parallel_form(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[dic
     if m.shape[0] != 4:
         return None
     h, k = hermitian_parts(m)
-    atol = 100 * tol.eq_tol * matrix_scale(m)
-    zeros = [
-        np.max(np.abs(h[0, :])),
-        np.max(np.abs(h[:, 0])),
-        abs(h[1, 2]),
-        abs(h[2, 3]),
-        abs(h[2, 2] - 1.0),
-        np.max(np.abs(k[1, :])),
-        np.max(np.abs(k[:, 1])),
-    ]
-    if max(zeros) > atol:
+    if _parallel_residual(h, k) > 100 * tol.eq_tol * matrix_scale(m):
         return None
     return _parallel_params(h, k)
+
+
+def _parallel_residual(h, k) -> float:
+    """Largest defect of the parallel pattern H e1 = 0, H e3 = e3, K e2 = 0."""
+    return float(np.max(np.abs([h[:, 0], h[:, 2] - np.eye(4)[2], k[:, 1]])))
 
 
 def _parallel_params(h, k) -> dict:
@@ -319,8 +313,12 @@ def _normalizing_affine(thetas, ps):
 
 
 def _eig_margin(mat) -> float:
-    w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    return float(w[0])
+    return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
+
+
+def _block(mat, idx):
+    """The principal submatrix of ``mat`` on the indices ``idx``."""
+    return mat[np.ix_(idx, idx)]
 
 
 def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[CanonicalKA3Form]:
@@ -345,11 +343,8 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[CanonicalKA3For
     if not res.k_lower:
         return None
     x3, thetas = res.vectors, res.thetas
-    ps = sf(thetas)
-    notes = []
-    norm = _normalizing_affine(thetas, ps)
+    norm = _normalizing_affine(thetas, sf(thetas))
     if norm is None:
-        notes.append("supporting-line normals fit in a half plane; no bounded canonical frame")
         return CanonicalKA3Form(
             case="nonparallel",
             affine=AffineMap(1, 1, 0),
@@ -360,64 +355,27 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[CanonicalKA3For
             form_ok=False,
             triple=x3,
             triple_thetas=thetas,
-            notes=notes,
+            notes=["supporting-line normals fit in a half plane; no bounded canonical frame"],
         )
     case, tau, order = norm
-    a_prime = affine_apply(m, tau)
-    cols = [x3[:, order[0]], x3[:, order[1]], x3[:, order[2]]]
-    # keep the triple exactly; complete with the best-projecting basis vector
-    # (some standard basis vector always has overlap >= 1/2 with the complement)
-    best = None
-    for j in range(4):
-        cand = np.zeros(4, dtype=complex)
-        cand[j] = 1.0
-        for c in cols:
-            cand = cand - c * (c.conj() @ cand)
-        norm = np.linalg.norm(cand)
-        if best is None or norm > best[0]:
-            best = (norm, cand)
-    filler = best[1] / best[0]
-    qmat = np.column_stack(cols + [filler])
-    b = qmat.conj().T @ a_prime @ qmat
+    # keep the triple exactly; complete it with the unit vector orthogonal to it
+    cols = x3[:, list(order)]
+    qmat = np.column_stack([cols, np.linalg.svd(cols)[0][:, 3]])
+    b = qmat.conj().T @ affine_apply(m, tau) @ qmat
     h, k = hermitian_parts(b)
     s = matrix_scale(b)
-
+    margin = tol.eq_tol * s
     if case == "parallel":
-        mask_entries = [
-            np.max(np.abs(h[0, :])),
-            abs(h[1, 2]),
-            abs(h[2, 3]),
-            abs(h[2, 2] - 1.0),
-            np.max(np.abs(k[1, :])),
-        ]
-        pattern_residual = float(max(mask_entries))
+        pattern_residual = _parallel_residual(h, k)
         params_d = _parallel_params(h, k)
-        hb = np.array([[params_d["h22"], params_d["h24"]], [np.conj(params_d["h24"]), params_d["h44"]]])
-        kb = np.array(
-            [
-                [params_d["k11"], params_d["k13"], params_d["k14"]],
-                [np.conj(params_d["k13"]), params_d["k33"], params_d["k34"]],
-                [np.conj(params_d["k14"]), np.conj(params_d["k34"]), params_d["k44"]],
-            ]
-        )
-        margin = tol.eq_tol * s
-        cond = (
-            _eig_margin(hb) > margin
-            and _eig_margin(np.eye(2) - hb) > margin
-            and _eig_margin(kb) > margin
-        )
+        hb = _block(h, [1, 3])
+        blocks = (hb, np.eye(2) - hb, _block(k, [0, 2, 3]))
         zero_count = sum(1 for key in ("k13", "k14", "k34") if abs(params_d[key]) <= margin)
-        cond = cond and abs(params_d["h24"]) > margin and zero_count <= 1
+        extra = abs(params_d["h24"]) > margin and zero_count <= 1
         seed_rep = parallel_seed_condition(params_d, tol)
     else:
-        mask_entries = [
-            np.max(np.abs(h[0, :])),
-            abs(h[1, 2]),
-            np.max(np.abs(k[1, :])),
-            abs(k[0, 2]),
-            abs(k[2, 3] + h[2, 3]),
-        ]
-        pattern_residual = float(max(mask_entries))
+        pattern_residual = float(max(np.max(np.abs(h[0])), abs(h[1, 2]), np.max(np.abs(k[1])), abs(k[0, 2]),
+                                     abs(k[2, 3] + h[2, 3])))
         params_d = {
             "h22": float(h[1, 1].real),
             "h24": complex(h[1, 3]),
@@ -429,50 +387,24 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[CanonicalKA3For
             "k33": float(k[2, 2].real),
             "k44": float(k[3, 3].real),
         }
-        hb = np.array(
-            [
-                [params_d["h22"], 0, params_d["h24"]],
-                [0, params_d["h33"], params_d["h34"]],
-                [np.conj(params_d["h24"]), np.conj(params_d["h34"]), params_d["h44"]],
-            ]
-        )
-        kb = np.array(
-            [
-                [params_d["k11"], 0, params_d["k14"]],
-                [0, params_d["k33"], -params_d["h34"]],
-                [np.conj(params_d["k14"]), -np.conj(params_d["h34"]), params_d["k44"]],
-            ]
-        )
-        third = np.array(
-            [
-                [params_d["k11"], 0, params_d["k14"]],
-                [0, params_d["h22"], params_d["h24"]],
-                [np.conj(params_d["k14"]), np.conj(params_d["h24"]), params_d["h44"] + params_d["k44"]],
-            ]
-        )
-        level = params_d["h33"] + params_d["k33"]
-        margin = tol.eq_tol * s
-        cond = (
-            _eig_margin(hb) > margin
-            and _eig_margin(kb) > margin
-            and _eig_margin(level * np.eye(3) - third) > margin
-        )
-        cond = cond and min(abs(params_d["h24"]), abs(params_d["h34"]), abs(params_d["k14"])) > margin
+        # on the pattern, (h + k)[2, 2] I - (h + k) on e1, e2, e4 is the pencil
+        # gap at the third line's level
+        hk = h + k
+        blocks = (h[1:, 1:], _block(k, [0, 2, 3]), hk[2, 2] * np.eye(3) - _block(hk, [0, 1, 3]))
+        extra = min(abs(params_d["h24"]), abs(params_d["h34"]), abs(params_d["k14"])) > margin
         seed_rep = None
-
-    form_ok = pattern_residual <= 1e-8 * s and cond
+    cond = bool(all(_eig_margin(blk) > margin for blk in blocks) and extra)
     return CanonicalKA3Form(
         case=case,
         affine=tau,
         unitary=qmat,
         params=params_d,
         pattern_residual=pattern_residual,
-        conditions_ok=bool(cond),
-        form_ok=bool(form_ok),
+        conditions_ok=cond,
+        form_ok=bool(pattern_residual <= 1e-8 * s and cond),
         triple=x3,
         triple_thetas=thetas,
         seed_condition=seed_rep,
-        notes=notes,
     )
 
 
@@ -517,14 +449,6 @@ def _irreducible4(norm: Normalisation, tol: ToleranceConfig, work: dict):
                 for sd in strong
             ]
         }
-        ka3 = None
-        try:
-            ka3 = ka3_check(pencil, tol)
-        except (NonInvertibleMapError, np.linalg.LinAlgError) as exc:
-            # the seed already decides k = 3; only the canonical form is lost
-            cert["canonical_form_error"] = f"{type(exc).__name__}: {exc}"
-        if ka3 is not None and ka3.form_ok:
-            cert["canonical_form"] = {"case": ka3.case, "params_keys": sorted(ka3.params)}
         return GauWuResult(k=3, n=4, method=METHOD_SEED3, certificate=cert), pencil
     ka3 = ka3_check(pencil, tol)
     if ka3 is None:

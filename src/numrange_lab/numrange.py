@@ -486,7 +486,8 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
     the ambient boundary.  A non-normal 2x2 block contributes 2 when an
     antipodal pair of its elliptical boundary touches the ambient boundary
     (orthonormal pairs of C^2 map to center-symmetric point pairs), 1 when the
-    ellipse merely touches it, 0 otherwise.
+    ellipse merely touches it, 0 otherwise.  A 2x2 block is swept on every
+    other direction of the ambient grid, whose size must be even.
     """
     b = as_square_matrix(block)
     n = b.shape[0]
@@ -495,10 +496,11 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
         w = np.linalg.eigvals(b)
         return int(sum(1 for z in w if point_boundary_defect(ambient_support, z) < btol))
     if n == 2:
-        own = SupportFunction(b, grid_size=max(256, ambient_support.grid_size // 2))
+        # the block's grid is every other ambient direction, so the ambient's
+        # own sweep gives p_ambient there
+        own = SupportFunction(b, grid_size=ambient_support.grid_size // 2)
         grid = own.thetas
-        amb = ambient_support(grid)
-        g = amb - own.grid_values
+        g = ambient_support.grid_values[::2] - own.grid_values
         half = len(grid) // 2
         pair = np.maximum(g[:half], g[half : 2 * half])
         step, scale = TWO_PI / len(grid), ambient_support.radius

@@ -1,4 +1,3 @@
-import importlib
 import zlib
 
 import numpy as np
@@ -32,9 +31,6 @@ from numrange_lab.results import (
     METHOD_ORACLE,
     METHOD_SEED3,
 )
-
-# the package re-exports the function `classify`, which hides the module
-classify_mod = importlib.import_module("numrange_lab.classify")
 
 
 def near_normal4(seed, eps):
@@ -182,6 +178,24 @@ class TestKA3Check:
         assert np.max(np.abs(k[1, :])) < 1e-8
         assert abs(k[2, 3] + h[2, 3]) < 1e-8
 
+    @pytest.mark.parametrize("fam", ["k3-parallel-lines", "k3-nonparallel-lines"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_canonical_basis_keeps_the_triple(self, fam, seed):
+        # the basis is the triple, in line order, completed by one unit vector,
+        # and the verdicts do not move under a unitary similarity
+        a = generate(FamilySpec(fam, seed=seed))
+        form = ka3_check(a)
+        u = form.unitary
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+        for j in range(3):
+            assert any(np.array_equal(u[:, j], form.triple[:, i]) for i in range(3))
+
+        def verdicts(f):
+            return f.case, f.form_ok, f.conditions_ok, f.seed_condition and f.seed_condition.applies
+
+        w = random_unitary(rng_for(zlib.crc32(f"{fam}-{seed}".encode())), 4)
+        assert verdicts(ka3_check(w.conj().T @ a @ w)) == verdicts(form)
+
 
 class TestClassifyPipeline:
     def test_worked_example(self):
@@ -189,24 +203,14 @@ class TestClassifyPipeline:
         assert res.k == 3
         assert res.method == METHOD_SEED3
 
-    def test_seed_route_records_canonical_form_failure(self, monkeypatch):
-        from numrange_lab.linalg import NonInvertibleMapError
-
-        def singular(*args, **kwargs):
-            raise NonInvertibleMapError("affine map needs a*b != 0")
-
-        monkeypatch.setattr(classify_mod, "ka3_check", singular)
+    def test_seed_decides_without_the_triple_search(self, refinements, stack_sizes):
+        # the flat portion decides k = 3, so the three-line search, whose
+        # boundary field sweeps the grid's top eigenvectors, never runs
         res = classify(flat_portion_example())
-        assert res.k == 3 and res.method == METHOD_SEED3
-        assert "NonInvertibleMapError" in res.certificate["canonical_form_error"]
-
-    def test_seed_route_propagates_unexpected_errors(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise RuntimeError("unexpected")
-
-        monkeypatch.setattr(classify_mod, "ka3_check", broken)
-        with pytest.raises(RuntimeError):
-            classify(flat_portion_example())
+        assert (res.k, res.method) == (3, METHOD_SEED3)
+        assert [sd["kind"] for sd in res.certificate["seeds"]] == [FLAT_PORTION]
+        assert refinements == {}
+        assert stack_sizes["eigh"][1024] == 0
 
     def test_direct_sum_square(self):
         res = classify(np.diag([1.0, 1j, -1.0, -1j]))

@@ -283,6 +283,18 @@ class TestKprime:
         sf = SupportFunction(amb)
         assert kprime_relative(b2, sf) == 1
 
+    def test_block_reads_the_ambient_sweep(self, stack_sizes):
+        # the block's 512 directions are every other one of the ambient's 1024
+        # grid, so the ambient support there is read, not recomputed
+        b1 = np.array([[0, 2], [0, 0]], dtype=complex)
+        b2 = np.array([[0.9, 1.1], [0, 0.9]], dtype=complex)
+        amb = np.zeros((4, 4), dtype=complex)
+        amb[:2, :2], amb[2:, 2:] = b1, b2
+        sf = SupportFunction(amb)
+        assert kprime_relative(b2, sf) == 1
+        assert stack_sizes["eigvalsh"][512] == 1
+        assert np.array_equal(sf(SupportFunction(b2, 512).thetas), sf.grid_values[::2])
+
     def test_rejects_large_non_normal_block(self):
         rng = rng_for(12)
         block = random_matrix(rng, 3)
