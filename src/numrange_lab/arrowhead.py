@@ -25,8 +25,8 @@ from .linalg import (
     matrix_scale,
     safe_norm,
 )
-from .numrange import IDEMPOTENT_TOL, SupportFunction, _two_level_form, dichotomy_scan, point_boundary_defect
-from .oracle import restricted_max_set
+from .numrange import IDEMPOTENT_TOL, SupportFunction, _two_level_form, dichotomy_scan
+from .reduction import block_kprime
 from .results import METHOD_ARROWHEAD, GauWuResult
 
 
@@ -249,10 +249,16 @@ class NormalEigCertificate:
 def normal_eigenvalue_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Certificates for every satisfied normal-eigenvalue criterion.
 
-    (i) a fully zero off-diagonal pair, (ii) a repeated diagonal entry with
-    proportional couplings, (iii) a triple repeat, (iv) balanced moduli with
-    the coupling-direction lines through the diagonal entries either all
-    coincident or meeting at a single secular root.
+    (i)-(iii) are one rule: for indices S sharing the diagonal value a, every
+    x supported on S with row_S . x = 0 and conj(col_S) . x = 0 is a joint
+    eigenvector of A and A* for a.  One SVD per equal-diagonal group gives an
+    orthonormal basis of these x, each certified under (i) for |S| = 1 (a
+    fully zero pair), (ii) for |S| = 2 (proportional couplings) and (iii) for
+    |S| >= 3 (such x always exist).  (iv): balanced moduli with the lines
+    a_j + r e^{i psi_j / 2} either all coincident (one certificate, for the top
+    eigenvector of the essentially Hermitian rotation) or concurrent at a
+    secular root, found by one least-squares solve.  So an eigenspace gets
+    one orthonormal set of witnesses, not one witness per index subset.
     """
     n = ah.n
     dense = ah.to_dense()
@@ -267,99 +273,37 @@ def normal_eigenvalue_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_
         if residual <= 1e-6 * matrix_scale(dense):
             certs.append(NormalEigCertificate(cond, lam, x, idx))
 
+    groups = {}
     for j in range(nm1):
-        if abs(ah.col[j]) <= ztol and abs(ah.row[j]) <= ztol:
-            e = np.zeros(n, dtype=complex)
-            e[j] = 1.0
-            push("i", ah.diag[j], e, (j,))
-
-    for i in range(nm1):
-        for j in range(i + 1, nm1):
-            if abs(ah.diag[i] - ah.diag[j]) > ztol:
-                continue
-            if abs(ah.col[i] * np.conj(ah.row[j]) - ah.col[j] * np.conj(ah.row[i])) > ztol * ztol / tol.eq_tol:
-                continue
-            sys = np.array(
-                [[ah.row[i], ah.row[j]], [np.conj(ah.col[i]), np.conj(ah.col[j])]]
-            )
-            _, sv, vh = np.linalg.svd(sys)
-            xi = vh.conj().T[:, -1]
+        key = next((i for i in groups if abs(ah.diag[i] - ah.diag[j]) <= ztol), j)
+        groups.setdefault(key, []).append(j)
+    for i, idx in groups.items():
+        _, sv, vh = np.linalg.svd(np.array([ah.row[idx], np.conj(ah.col[idx])]))
+        rank = int(np.sum(sv > ztol))
+        for xi in vh[rank:].conj():
             x = np.zeros(n, dtype=complex)
-            x[i], x[j] = xi
-            push("ii", ah.diag[i], x, (i, j))
+            x[idx] = xi
+            push(("i", "ii", "iii")[min(len(idx), 3) - 1], ah.diag[i], x, tuple(idx))
 
-    for i in range(nm1):
-        for j in range(i + 1, nm1):
-            for k in range(j + 1, nm1):
-                if abs(ah.diag[i] - ah.diag[j]) > ztol or abs(ah.diag[j] - ah.diag[k]) > ztol:
-                    continue
-                sys = np.array(
-                    [
-                        [ah.row[i], ah.row[j], ah.row[k]],
-                        [np.conj(ah.col[i]), np.conj(ah.col[j]), np.conj(ah.col[k])],
-                    ]
-                )
-                _, sv, vh = np.linalg.svd(sys)
-                xi = vh.conj().T[:, -1]
-                x = np.zeros(n, dtype=complex)
-                x[i], x[j], x[k] = xi
-                push("iii", ah.diag[i], x, (i, j, k))
-
-    # (iv): balanced moduli, coupling-direction lines concurrent
-    if nm1 >= 1 and all(
-        abs(ah.col[j]) > ztol and abs(abs(ah.col[j]) - abs(ah.row[j])) <= tol.eq_tol * max(abs(ah.col[j]), abs(ah.row[j]))
-        for j in range(nm1)
-    ):
-        phis = (np.angle(ah.col) + np.angle(ah.row)) / 2.0
-        dirs = np.exp(1j * phis)
-        same_dir = all(abs(np.imag((dirs[j] / dirs[0]) ** 2)) <= 1e-7 and np.real((dirs[j] / dirs[0]) ** 2) > 0 for j in range(nm1))
-        if same_dir:
-            coincide = all(
-                abs(np.imag((ah.diag[j] - ah.diag[0]) / dirs[0])) <= ztol for j in range(nm1)
-            )
-        else:
-            coincide = False
-        if coincide:
-            # essentially Hermitian direction: Im(e^{-i phi} A) is scalar
+    prof = pair_profile(ah, tol)
+    if nm1 and np.all(~prof.zero & prof.balanced):
+        # line j: Im(e^{-i phi_j} (lam - a_j)) = 0; rank 1 when all directions agree to ARG_SPREAD_TOL
+        phis = prof.psi / 2.0
+        lines = np.column_stack([-np.sin(phis), np.cos(phis)])
+        offsets = np.imag(np.exp(-1j * phis) * ah.diag)
+        sol, _, rank, _ = np.linalg.lstsq(lines, offsets, rcond=ARG_SPREAD_TOL)
+        lam = complex(sol[0], sol[1])
+        meets = np.max(np.abs(lines @ sol - offsets)) <= (ztol if rank < 2 else 100 * ztol)
+        if meets and rank < 2:
+            # coincident lines: Im(e^{-i phi} A) is scalar when the corner lies on them too
             phi = phis[0]
             h, k = hermitian_parts(dense)
             im_part = _pencil_at(k, -h, phi)
             if np.linalg.norm(im_part - (np.trace(im_part) / n) * np.eye(n)) <= 1e-6 * matrix_scale(dense) * n:
-                w, v = np.linalg.eigh(_pencil_at(h, k, phi))
-                x = v[:, -1]
-                lam = complex(x.conj() @ dense @ x)
-                push("iv", lam, x, tuple(range(nm1)))
-        elif nm1 >= 2:
-            # pairwise intersections of the lines a_j + s e^{i phi_j}
-            pts = []
-            for i in range(nm1):
-                for j in range(i + 1, nm1):
-                    det = np.imag(np.conj(dirs[i]) * dirs[j])
-                    if abs(det) < 1e-12:
-                        pts = []
-                        break
-                    rhs = ah.diag[j] - ah.diag[i]
-                    # solve s*dirs[i] - r*dirs[j] = rhs over the reals
-                    m2 = np.array(
-                        [
-                            [dirs[i].real, -dirs[j].real],
-                            [dirs[i].imag, -dirs[j].imag],
-                        ]
-                    )
-                    sol = np.linalg.solve(m2, np.array([rhs.real, rhs.imag]))
-                    pts.append(ah.diag[i] + sol[0] * dirs[i])
-                if not pts:
-                    break
-            if pts:
-                pts = np.array(pts)
-                lam = np.mean(pts)
-                spread = np.max(np.abs(pts - lam), initial=0.0)
-                if spread <= 100 * ztol and np.min(np.abs(lam - ah.diag)) > ztol:
-                    if abs(secular_function(ah, lam)) <= 1e-6 * max(s, abs(lam)):
-                        x = np.empty(n, dtype=complex)
-                        x[: n - 1] = ah.col / (lam - ah.diag)
-                        x[n - 1] = 1.0
-                        push("iv", complex(lam), x, tuple(range(nm1)))
+                x = np.linalg.eigh(_pencil_at(h, k, phi))[1][:, -1]
+                push("iv", complex(x.conj() @ dense @ x), x, tuple(range(nm1)))
+        elif meets and np.min(np.abs(lam - ah.diag)) > ztol and abs(secular_function(ah, lam)) <= 1e-6 * max(s, abs(lam)):
+            push("iv", lam, np.append(ah.col / (lam - ah.diag), 1.0), tuple(range(nm1)))
     return certs
 
 
@@ -376,39 +320,32 @@ class ProjectionForm:
     alpha: Optional[complex] = None
 
 
+def _coupled_pair(p: np.ndarray):
+    """The shape of a Hermitian idempotent arrowhead P, which couples one
+    index at most: None when no coupling |P[j, n-1]| exceeds IDEMPOTENT_TOL
+    (P is a 0/1 diagonal), else (i, t, alpha) = (i, P[i, i], P[i, n-1]) for
+    the largest coupling, the rank-one 2x2 block of slot i and the corner."""
+    n = p.shape[0]
+    i = int(np.argmax(np.abs(p[: n - 1, n - 1])))
+    if abs(p[i, n - 1]) <= IDEMPOTENT_TOL:
+        return None
+    return i, float(p[i, i].real), complex(p[i, n - 1])
+
+
 def projection_recognize(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ProjectionForm:
     """Match a self-adjoint idempotent arrowhead against its two shapes:
-    a 0/1 diagonal, or a 0/1 diagonal plus one coupled 2x2 rank-one block."""
+    a 0/1 diagonal, or a 0/1 diagonal plus one coupled 2x2 rank-one block.
+
+    P is accepted when ||P - P*||_F <= eq_tol ||P|| n and, as in the
+    dichotomy test, ||P^2 - P||_F <= IDEMPOTENT_TOL n; idempotency then fixes
+    the 0/1 diagonal, the corner 1 - t and |alpha|^2 = t (1 - t)."""
     dense = ah.to_dense()
     n = ah.n
-    scale = matrix_scale(dense)
-    ztol = tol.eq_tol * scale
-    if np.linalg.norm(dense - dense.conj().T) > ztol * n:
+    if (np.linalg.norm(dense - dense.conj().T) > tol.eq_tol * matrix_scale(dense) * n
+            or np.linalg.norm(dense @ dense - dense) > IDEMPOTENT_TOL * n):
         return ProjectionForm("NotProjection")
-    if np.linalg.norm(dense @ dense - dense) > 1e-6 * scale * n:
-        return ProjectionForm("NotProjection")
-    live = [j for j in range(n - 1) if abs(ah.col[j]) > ztol or abs(ah.row[j]) > ztol]
-    diag = ah.diag.real
-    if not live:
-        vals = np.concatenate([diag, [ah.corner.real]])
-        if np.all(np.minimum(np.abs(vals), np.abs(vals - 1.0)) <= 100 * ztol):
-            return ProjectionForm("Diagonal01")
-        return ProjectionForm("NotProjection")
-    if len(live) > 1:
-        return ProjectionForm("NotProjection")
-    i = live[0]
-    others = np.delete(diag, i)
-    if not np.all(np.minimum(np.abs(others), np.abs(others - 1.0)) <= 100 * ztol):
-        return ProjectionForm("NotProjection")
-    t = float(diag[i])
-    alpha = complex(ah.col[i])
-    if not (ztol < t < 1 - ztol):
-        return ProjectionForm("NotProjection")
-    if abs(ah.corner.real - (1 - t)) > 100 * ztol:
-        return ProjectionForm("NotProjection")
-    if abs(abs(alpha) - np.sqrt(t * (1 - t))) > 1e-6:
-        return ProjectionForm("NotProjection")
-    return ProjectionForm("RankStructured", index=i, t=t, alpha=alpha)
+    shape = _coupled_pair(dense)
+    return ProjectionForm("Diagonal01") if shape is None else ProjectionForm("RankStructured", *shape)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +400,10 @@ def dichotomy_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """Certificate that some rotation makes the Hermitian part two-valued.
 
     The direction and the levels are ``dichotomy_scan``'s, the test used at
-    every size; the case is read off its idempotent P, a Hermitian idempotent
-    arrowhead and so coupled at one index at most.  Case (a): no coupling of
-    P exceeds IDEMPOTENT_TOL, so P is diagonal.  Case (b): the largest
-    coupling, at the exceptional index i, joins slot i and the corner into a
-    rank-one 2x2 block with t = P[i, i] and alpha = P[i, n-1].  ``p_values``
-    holds P's rounded 0/1 diagonal at every other index.
+    every size; the case is read off its idempotent P by ``_coupled_pair``:
+    (a) P is a 0/1 diagonal, (b) P couples the exceptional index i to the
+    corner with t = P[i, i] and alpha = P[i, n-1].  ``p_values`` holds P's
+    rounded 0/1 diagonal at every other index.
     """
     n = ah.n
     if n < 3:
@@ -478,14 +413,12 @@ def dichotomy_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> 
         return None
     theta, h0, h1, proj = scan
     p_values = {j: int(round(proj[j, j].real)) for j in range(n - 1)}
-    i = int(np.argmax(np.abs(proj[: n - 1, n - 1])))
-    if abs(proj[i, n - 1]) <= IDEMPOTENT_TOL:
+    shape = _coupled_pair(proj)
+    if shape is None:
         return DichotomyCertificate("a", theta, h0, h1, p_values=p_values)
+    i, t, alpha = shape
     del p_values[i]
-    return DichotomyCertificate(
-        "b", theta, h0, h1, exceptional_index=i, t=float(proj[i, i].real), alpha=complex(proj[i, n - 1]),
-        p_values=p_values,
-    )
+    return DichotomyCertificate("b", theta, h0, h1, exceptional_index=i, t=t, alpha=alpha, p_values=p_values)
 
 
 def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificate, tol: ToleranceConfig = DEFAULT_TOL):
@@ -573,11 +506,9 @@ def irreducible_dichotomous_check(ah: ArrowheadMatrix, cert: DichotomyCertificat
 # ---------------------------------------------------------------------------
 
 
-def _balanced_theta(ah: ArrowheadMatrix, tol: ToleranceConfig, require_all_nonzero: bool):
+def _balanced_theta(ah: ArrowheadMatrix, tol: ToleranceConfig):
     prof = pair_profile(ah, tol)
     nz = ~prof.zero
-    if require_all_nonzero and not np.all(nz):
-        raise NotApplicableError("zero off-diagonal pair present")
     if not np.all(prof.balanced[nz]):
         raise NotApplicableError("unbalanced off-diagonal pair present")
     if not nz.any():
@@ -597,7 +528,9 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
     entries, achieved by the corresponding standard basis vectors.
     """
     n = ah.n
-    theta, _ = _balanced_theta(ah, tol, require_all_nonzero=True)
+    theta, prof = _balanced_theta(ah, tol)
+    if prof.zero.any():
+        raise NotApplicableError("zero off-diagonal pair present")
     dense = ah.to_dense()
     d = np.real(np.exp(-1j * theta) * np.concatenate([ah.diag, [ah.corner]]))
     link = tol.cluster_tol * matrix_scale(dense)
@@ -618,42 +551,43 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
 
 
 def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
-    """Balanced arrowhead with some fully zero pairs: split off the diagonal
-    part and add its boundary eigenvalues to the live sub-arrowhead's share."""
+    """Balanced arrowhead with some fully zero pairs: the direct sum of the
+    diagonal entries at the zero pairs and the live sub-arrowhead, each share
+    from ``reduction.block_kprime`` against the whole matrix's range.  The
+    line rule, the sub-arrowhead's extreme rotated diagonal entries counted
+    where they reach the boundary, is kept as a cross-check."""
     n = ah.n
-    theta, prof = _balanced_theta(ah, tol, require_all_nonzero=False)
+    theta, prof = _balanced_theta(ah, tol)
+    if not prof.zero.any():
+        return gauwu_balanced(ah, tol)
     dense = ah.to_dense()
     zero_idx = np.nonzero(prof.zero)[0]
     live_idx = np.nonzero(~prof.zero)[0]
-    if len(zero_idx) == 0:
-        return gauwu_balanced(ah, tol)
     ambient = SupportFunction(dense, grid_size=1024)
-    btol = tol.boundary_tol * ambient.diameter()
-
-    scalars_on_boundary = [int(j) for j in zero_idx if point_boundary_defect(ambient, ah.diag[j]) < btol]
+    scalars_on_boundary = [int(j) for j in zero_idx if block_kprime(dense[j : j + 1, j : j + 1], ambient, tol)[0]]
 
     sub = ArrowheadMatrix(ah.diag[live_idx], ah.col[live_idx], ah.row[live_idx], ah.corner)
     sub_dense = sub.to_dense()
     # _balanced_theta needs a nonzero pair, so the sub-arrowhead has n >= 2
-    k1, _, _ = restricted_max_set(sub_dense, ambient, tol=tol)
+    k1, _ = block_kprime(sub_dense, ambient, tol)
     d1 = np.real(np.exp(-1j * theta) * np.concatenate([sub.diag, [sub.corner]]))
+    btol = tol.boundary_tol * ambient.diameter()
     link = tol.cluster_tol * matrix_scale(sub_dense)
     line_rule = 0
     if abs(ambient(theta) - np.max(d1)) < btol:
         line_rule += int(np.sum(d1 >= np.max(d1) - link))
     if abs(ambient(float(theta + np.pi)) + np.min(d1)) < btol:
         line_rule += int(np.sum(d1 <= np.min(d1) + link))
-    k = k1 + len(scalars_on_boundary)
     cert = {
         "route": "balanced-with-zero-pairs",
         "theta": theta,
         "zero_pair_indices": zero_idx.tolist(),
         "scalars_on_boundary": scalars_on_boundary,
-        "sub_count_search": int(k1),
+        "sub_share": int(k1),
         "sub_count_line_rule": int(line_rule),
         "line_rule_agrees": bool(k1 == line_rule),
     }
-    return GauWuResult(k=k, n=n, method=METHOD_ARROWHEAD, certificate=cert)
+    return GauWuResult(k=int(k1) + len(scalars_on_boundary), n=n, method=METHOD_ARROWHEAD, certificate=cert)
 
 
 def _hull_boundary_indices(points, tol: ToleranceConfig):

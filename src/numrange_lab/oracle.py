@@ -203,7 +203,6 @@ def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int
         ok, jump = np.insert(ok, wide + 1, True), np.insert(jump, wide + 1, False)
     turns = [(float(np.mod(t[i], 2 * np.pi)), float(np.mod(t[(i + 1) % len(t)], 2 * np.pi))) for i in wide]
     jump[wide], chord[wide] = True, 0.0
-    spacing = max(chord.sum() / count, floor)
     if not jump.any():  # a closed curve: cut it at sample 0, repeated at the end
         t, x, ok, chord = np.append(t, t[0]), np.vstack([x, x[:1]]), np.append(ok, True), np.append(chord, 0.0)
         jump = np.append(jump, True)
@@ -211,6 +210,10 @@ def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int
     r = (np.argmax(jump) + 1) % len(t)
     t, x, ok, chord, jump = (np.roll(v, -r, axis=0) for v in (t, x, ok, chord, jump))
     arc = np.concatenate([[0.0], np.cumsum(chord)])
+    # the spacing and the arc lengths come from one cumulative sum, so that a
+    # closed curve's one arc is count spacings long exactly for a power-of-two
+    # count (every default and escalated grid), at any scale
+    spacing = max(arc[-1] / count, floor)
     first, last = np.nonzero(np.concatenate([[True], jump[:-1]]))[0], np.nonzero(jump)[0]
     first, last = first[ok[first]], last[ok[first]]
     start, length = arc[first], arc[last] - arc[first]

@@ -18,10 +18,12 @@ from numrange_lab.arrowhead import (
     secular_eigen,
     secular_function,
 )
+from numrange_lab.classify import classify_any
 from numrange_lab.generators import FamilySpec, generate
 from numrange_lab.linalg import DEFAULT_TOL, herm_part_at, matrix_scale, reducing_eigenvectors
 from numrange_lab.oracle import max_orthonormal_boundary_set
-from numrange_lab.reduction import commutant_dimension
+from numrange_lab.reduction import commutant_dimension, decompose, dirsum_gauwu
+from numrange_lab.results import METHOD_ARROWHEAD
 
 
 class TestFromDense:
@@ -236,6 +238,52 @@ class TestNormalEigenvalue:
         ah = ArrowheadMatrix([0.5, -0.3 + 0.7j], [1.0, 0.5], [0.3j, 0.8], 0.1)
         assert normal_eigenvalue_check(ah) == []
 
+    @staticmethod
+    def _structured(seed):
+        """A random arrowhead with structure built in: an equal diagonal pair
+        with proportional couplings (a normal eigenvalue) or generic ones
+        (none), an equal triple, zero pairs (at least one pair stays live) or
+        balanced lines concurrent at a secular root."""
+        rng = rng_for(9000 + seed)
+        kind = ("pair-proportional", "pair-generic", "triple", "zero", "lines")[seed % 5]
+        m = int(rng.integers(3, 8))
+        diag = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+        col = rng.uniform(0.2, 1, m) * np.exp(1j * rng.uniform(0, 7, m))
+        row = rng.uniform(0.2, 1, m) * np.exp(1j * rng.uniform(0, 7, m))
+        corner = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        i, j, k = rng.permutation(m)[:3]
+        if kind == "zero":
+            zeroed = rng.permutation(m)[: rng.integers(1, m)]
+            col[zeroed] = row[zeroed] = 0
+        elif kind == "lines":
+            lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            diag = lam + rng.uniform(0.3, 1.5, m) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+            beta = rng.uniform(0, 7, m)
+            col = rng.uniform(0.3, 0.8, m) * np.exp(1j * beta)
+            row = np.abs(col) * np.exp(1j * (2 * np.angle(lam - diag) - beta))
+            corner = lam - np.sum(col * row / (lam - diag))
+        else:
+            diag[[j, k] if kind == "triple" else [j]] = diag[i]
+            if kind == "pair-proportional":
+                c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                col[j], row[j] = c * col[i], np.conj(c) * row[i]
+        return ArrowheadMatrix(diag, col, row, corner)
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_certifies_every_joint_eigenvalue(self, block):
+        # the criteria find exactly the eigenvalues that have a joint
+        # eigenvector of A and A*, with orthonormal witnesses per eigenvalue;
+        # 160 of these 200 inputs have one
+        for seed in range(50 * block, 50 * block + 50):
+            ah = self._structured(seed)
+            certs = normal_eigenvalue_check(ah)
+            joint = reducing_eigenvectors(ah.to_dense())
+            found = {np.round(c.witness_lambda, 6) for c in certs}
+            assert found == {np.round(lam, 6) for lam, _ in joint}, seed
+            for lam in found:
+                x = np.column_stack([c.witness_vector for c in certs if np.round(c.witness_lambda, 6) == lam])
+                assert np.allclose(x.conj().T @ x, np.eye(x.shape[1]), atol=1e-10), seed
+
 
 class TestProjectionRecognize:
     def test_diagonal_01(self):
@@ -443,6 +491,21 @@ class TestGauwuZeroPairs:
         orc = max_orthonormal_boundary_set(big.to_dense())
         assert res.k == orc.k_lower
         assert 0 in res.certificate["scalars_on_boundary"]
+
+    @pytest.mark.parametrize("n, seed", [(5, 2), (5, 6), (6, 26), (6, 38)])
+    def test_one_live_pair_matches_the_direct_sum(self, n, seed):
+        # the live 2x2 sub-arrowhead takes its share from the direct-sum rule,
+        # which counts the antipodal pair that a restricted search missed
+        ah = balanced_arrowhead(seed, n)
+        col, row = ah.col.copy(), ah.row.copy()
+        col[1:] = row[1:] = 0
+        a = ArrowheadMatrix(ah.diag, col, row, ah.corner).to_dense()
+        res = classify_any(a)
+        assert res.method == METHOD_ARROWHEAD
+        assert res.k == dirsum_gauwu(decompose(a)).k
+        assert res.certificate["line_rule_agrees"]
+        if (n, seed) == (5, 2):
+            assert res.k == 5
 
 
 class TestGauwuUnbalanced:

@@ -109,6 +109,21 @@ class TestArcGraph:
             chord = np.sqrt(np.maximum(2 - 2 * np.abs(x.conj() @ nodes), 0.0))
             assert np.all(np.min(chord - radii, axis=1) <= 1e-12)
 
+    @pytest.mark.parametrize(
+        "make, count",
+        [
+            (lambda: generate(FamilySpec("pure-almost-normal", n=5, seed=1)), 256),
+            (lambda: generate(FamilySpec("k4-split-31", seed=1)), 260),
+            (lambda: balanced_arrowhead(3, 5).to_dense(), 261),
+        ],
+        ids=["pure-almost-normal-5", "k4-split-31", "balanced-arrowhead-5"],
+    )
+    def test_node_count_is_scale_free(self, make, count):
+        # the spacing and the arc lengths come from one cumulative sum, so a
+        # closed curve's node count cannot hinge on rounding at any scale
+        a = make()
+        assert [len(boundary_vector_field(c * a).candidates) for c in (1e-200, 1.0, 1e20, 1e200)] == [count] * 4
+
     def test_reports_capped_sizes(self):
         a = generate(FamilySpec("k3-parallel-lines", seed=4000))
         assert max_orthonormal_boundary_set(a).capped == []
