@@ -254,11 +254,13 @@ def normal_eigenvalue_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_
     eigenvector of A and A* for a.  One SVD per equal-diagonal group gives an
     orthonormal basis of these x, each certified under (i) for |S| = 1 (a
     fully zero pair), (ii) for |S| = 2 (proportional couplings) and (iii) for
-    |S| >= 3 (such x always exist).  (iv): balanced moduli with the lines
-    a_j + r e^{i psi_j / 2} either all coincident (one certificate, for the top
-    eigenvector of the essentially Hermitian rotation) or concurrent at a
-    secular root, found by one least-squares solve.  So an eigenspace gets
-    one orthonormal set of witnesses, not one witness per index subset.
+    |S| >= 3 (such x always exist); when every pair is zero, the corner joins
+    the groups, as e_n is then a joint eigenvector for a_n.  (iv): balanced
+    moduli with the lines a_j + r e^{i psi_j / 2} either all coincident (one
+    certificate, for the top eigenvector of the essentially Hermitian
+    rotation) or concurrent at a secular root, found by one least-squares
+    solve.  So an eigenspace gets one orthonormal set of witnesses, not one
+    witness per index subset.
     """
     n = ah.n
     dense = ah.to_dense()
@@ -273,19 +275,20 @@ def normal_eigenvalue_check(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_
         if residual <= 1e-6 * matrix_scale(dense):
             certs.append(NormalEigCertificate(cond, lam, x, idx))
 
+    prof = pair_profile(ah, tol)
+    diag, row, col = np.append(ah.diag, ah.corner), np.append(ah.row, 0), np.append(ah.col, 0)
     groups = {}
-    for j in range(nm1):
-        key = next((i for i in groups if abs(ah.diag[i] - ah.diag[j]) <= ztol), j)
+    for j in range(n if prof.zero.all() else nm1):
+        key = next((i for i in groups if abs(diag[i] - diag[j]) <= ztol), j)
         groups.setdefault(key, []).append(j)
     for i, idx in groups.items():
-        _, sv, vh = np.linalg.svd(np.array([ah.row[idx], np.conj(ah.col[idx])]))
+        _, sv, vh = np.linalg.svd(np.array([row[idx], np.conj(col[idx])]))
         rank = int(np.sum(sv > ztol))
         for xi in vh[rank:].conj():
             x = np.zeros(n, dtype=complex)
             x[idx] = xi
-            push(("i", "ii", "iii")[min(len(idx), 3) - 1], ah.diag[i], x, tuple(idx))
+            push(("i", "ii", "iii")[min(len(idx), 3) - 1], diag[i], x, tuple(idx))
 
-    prof = pair_profile(ah, tol)
     if nm1 and np.all(~prof.zero & prof.balanced):
         # line j: Im(e^{-i phi_j} (lam - a_j)) = 0; rank 1 when all directions agree to ARG_SPREAD_TOL
         phis = prof.psi / 2.0

@@ -74,18 +74,13 @@ def k4_check(a, tol: ToleranceConfig = DEFAULT_TOL):
 
     Returns (True, CanonicalK4Form) when a rotation produces a two-valued
     Hermitian part (which for an irreducible matrix is equivalent to k = 4),
-    else (False, None).
+    else (False, None).  ``classify_any`` needs only the test, not the form.
     """
     m = as_square_matrix(a)
     if m.shape[0] != 4:
         raise DimensionError("k4_check handles 4x4 matrices")
     if commutant_dimension(m) != 1:
         raise PreconditionError("input is unitarily reducible")
-    return _k4_form(m, tol)
-
-
-def _k4_form(m, tol: ToleranceConfig):
-    """k4_check on a 4x4 matrix already known to be irreducible."""
     scan = dichotomy_scan(m, tol=tol)
     if scan is None:
         return False, None
@@ -427,18 +422,10 @@ def _dichotomy_work(norm: Normalisation, case: str, theta: float, h0: float, h1:
 
 
 def _irreducible4(norm: Normalisation, tol: ToleranceConfig, work: dict):
-    """(result, pencil) of an irreducible 4x4 matrix: the dichotomy gives
-    k = 4, else a seed or a three-line triple gives k = 3, else k = 2.  The
-    stages run on m = norm.m and keep what they found in ``work``; ``pencil``
-    is the SupportFunction of m once a stage needed one, else m."""
-    m = norm.m
-    is_k4, form = _k4_form(m, tol)
-    if is_k4:
-        work["dichotomy"] = _dichotomy_work(norm, form.case, form.theta, min(form.h_values), max(form.h_values))
-        cert = {"theta": form.theta, "case": form.case, "clause": form.clause,
-                "h_values": [norm.level(h, form.theta) for h in form.h_values]}
-        return GauWuResult(k=4, n=4, method=METHOD_DICHOTOMY4, certificate=cert), m
-    pencil = SupportFunction(m)
+    """(result, SupportFunction of m = norm.m) of an irreducible 4x4 matrix that
+    is not dichotomous: a seed or a three-line triple gives k = 3, else k = 2;
+    the stages keep what they found in ``work``."""
+    pencil = SupportFunction(norm.m)
     seeds = work["seeds"] = [replace(sd, segment=tuple(norm.shift + norm.scale * z for z in sd.segment))
                              for sd in detect_seeds(pencil, tol)]
     strong = [sd for sd in seeds if sd.witnesses.shape[1] >= 2 and sd.independent]
@@ -498,12 +485,12 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
     A scalar matrix (``normalise`` gives scale 0) has k = n as a direct sum
     of 1x1 blocks.  Arrowhead matrices other than 4x4 go through the
     structured routes; then unitarily reducible matrices through block
-    additivity and irreducible 4x4 ones through the stages of the paper
-    (``_irreducible4``); an irreducible matrix of another size has k = n when
+    additivity.  An irreducible matrix of any size has k = n when
     ``dichotomy_scan`` accepts it (every basis adapted to the idempotent lies
-    on its two supporting lines); anything else requires the constructive
-    search.  Each stage runs at most once and keeps what it found in
-    ``result.work``.
+    on its two supporting lines); other irreducible 4x4 ones go through the
+    stages of the paper (``_irreducible4``); anything else requires the
+    constructive search.  Each stage runs at most once and keeps what it
+    found in ``result.work``.
     """
     norm = normalise(a)
     m = norm.m
@@ -547,16 +534,14 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         dec = work["decomposition"] = decompose(m)
         if len(dec.blocks) > 1:
             result = dirsum_gauwu(dec, tol)
+        elif (scan := dichotomy_scan(m, tol)) is not None:
+            theta, h0, h1, proj = scan
+            upper = int(round(np.trace(proj).real))
+            work["dichotomy"] = _dichotomy_work(norm, f"{n - upper}+{upper}", theta, h0, h1)
+            result = GauWuResult(k=n, n=n, method=METHOD_DICHOTOMY4 if n == 4 else METHOD_DICHOTOMY, certificate={
+                "route": "dichotomy-scan", "theta": theta, "h_values": [norm.level(h, theta) for h in (h0, h1)]})
         elif n == 4:
             result, pencil = _irreducible4(norm, tol, work)
-        else:
-            scan = dichotomy_scan(m, tol)
-            if scan is not None:
-                theta, h0, h1, proj = scan
-                upper = int(round(np.trace(proj).real))
-                work["dichotomy"] = _dichotomy_work(norm, f"{n - upper}+{upper}", theta, h0, h1)
-                result = GauWuResult(k=n, n=n, method=METHOD_DICHOTOMY, certificate={
-                    "route": "dichotomy-scan", "theta": theta, "h_values": [norm.level(h, theta) for h in (h0, h1)]})
     if result is None:
         if not allow_oracle_only:
             raise UnsupportedDimensionError(

@@ -492,7 +492,7 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
     b = as_square_matrix(block)
     n = b.shape[0]
     btol = tol.boundary_tol * ambient_support.diameter()
-    if n == 1 or _is_normal(b, tol):
+    if _is_normal(b, tol):
         w = np.linalg.eigvals(b)
         return int(sum(1 for z in w if point_boundary_defect(ambient_support, z) < btol))
     if n == 2:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, _is_normal, as_square_matrix, hermitian_parts, matrix_scale
-from .numrange import SupportFunction, kprime_relative, point_boundary_defect
+from .numrange import SupportFunction, dichotomy_scan, kprime_relative
 from .oracle import restricted_max_set
 from .results import METHOD_DIRECT_SUM, GauWuResult
 
@@ -193,16 +193,20 @@ def decompose(a) -> BlockDecomposition:
 
 
 def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
-    """Boundary share of one irreducible block relative to the ambient range."""
+    """Boundary share of one irreducible block relative to the ambient range.
+    A block that ``dichotomy_scan`` splits between two supporting lines of the
+    ambient range has share equal to its size: every basis adapted to the
+    idempotent maps onto them."""
     b = as_square_matrix(block)
     n = b.shape[0]
-    if n == 1:
-        defect = point_boundary_defect(ambient, complex(b[0, 0]))
-        return (1 if defect < tol.boundary_tol * ambient.diameter() else 0), "point-contact"
     if _is_normal(b, tol):
         return kprime_relative(b, ambient, tol), "normal-spectrum-contact"
     if n == 2:
         return kprime_relative(b, ambient, tol), "antipodal-contact"
+    if (scan := dichotomy_scan(b, tol)) is not None:
+        theta, h0, h1, _ = scan
+        if max(abs(ambient(theta) - h1), abs(ambient(theta + np.pi) + h0)) <= tol.boundary_tol * ambient.diameter():
+            return n, "dichotomy"
     k, _, _ = restricted_max_set(b, ambient, tol=tol)
     return k, "restricted-search"
 

@@ -124,7 +124,8 @@ def balanced_arrowhead(seed, n, two_level=False):
     if two_level:
         levels = np.array([rng.uniform(-1, -0.3), rng.uniform(0.3, 1)])
     else:
-        count = rng.integers(2, max(3, n))
+        # at most 6 levels, so that a draw with levels 0.15 apart comes soon at every n
+        count = min(rng.integers(2, max(3, n)), 6)
         levels = np.sort(rng.uniform(-1, 1, size=count))
         while len(levels) > 1 and np.min(np.diff(levels)) < 0.15:
             levels = np.sort(rng.uniform(-1, 1, size=count))

@@ -284,6 +284,19 @@ class TestNormalEigenvalue:
                 x = np.column_stack([c.witness_vector for c in certs if np.round(c.witness_lambda, 6) == lam])
                 assert np.allclose(x.conj().T @ x, np.eye(x.shape[1]), atol=1e-10), seed
 
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_all_zero_pairs_certify_the_corner(self, n):
+        # with every pair zero, e_n is a joint eigenvector of A and A* for the
+        # corner; first a corner of its own value, then one shared with a_1
+        rng = rng_for(9300 + n)
+        diag = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        for corner in (diag[-1], diag[0]):
+            ah = ArrowheadMatrix(diag[:-1], np.zeros(n - 1), np.zeros(n - 1), corner)
+            certs = normal_eigenvalue_check(ah)
+            joint = reducing_eigenvectors(ah.to_dense())
+            assert {np.round(c.witness_lambda, 6) for c in certs} == {np.round(lam, 6) for lam, _ in joint}
+            assert len(certs) == len(joint) == n
+
 
 class TestProjectionRecognize:
     def test_diagonal_01(self):
@@ -456,6 +469,11 @@ class TestGauwuBalanced:
         # scalar rotation
         rotated = np.exp(1j * 0.77) * ah.to_dense()
         assert gauwu_balanced(arrowhead_from_dense(rotated)).k == base
+
+    def test_helper_returns_at_large_n(self):
+        # the test helper caps its level count, so its redraw ends at any n
+        ah = balanced_arrowhead(1, 16)
+        assert ah.n == 16 and gauwu_balanced(ah).k >= 2
 
     def test_unbalanced_rejected(self):
         a = generate(FamilySpec("pure-almost-normal", seed=0))

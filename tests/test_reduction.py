@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import bounded, commutant_dimension_by_commutators, random_matrix, random_unitary, rng_for
 from numrange_lab import reduction
-from numrange_lab.classify import classify
+from numrange_lab.classify import classify, classify_any
 from numrange_lab.generators import ALL_FAMILIES, FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import reducing_eigenvectors
-from numrange_lab.numrange import SupportFunction
+from numrange_lab.numrange import SupportFunction, dichotomy_scan
 from numrange_lab.oracle import max_orthonormal_boundary_set, verify
 from numrange_lab.reduction import (
     block_kprime,
@@ -16,6 +16,7 @@ from numrange_lab.reduction import (
     decompose,
     dirsum_gauwu,
 )
+from numrange_lab.results import METHOD_DIRECT_SUM
 
 SIZED_FAMILIES = (
     "dichotomous-arrowhead-diag",
@@ -386,6 +387,30 @@ class TestDirsum:
         block[0, 1] = 3e-8
         ambient = SupportFunction(np.diag([0.0, 1.0, 1j, -1 - 1j, 2.0]))
         assert block_kprime(block, ambient) == (1, "normal-spectrum-contact")
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_dichotomous_block_gets_its_size_without_search(self, n, monkeypatch):
+        # every basis adapted to the big block's idempotent lies on two
+        # supporting lines of the whole range, so no search is needed
+        def refuse(*args, **kwargs):
+            raise AssertionError("restricted search called")
+
+        monkeypatch.setattr(reduction, "restricted_max_set", refuse)
+        res = classify_any(generate(FamilySpec("reducible-aligned", n=n, seed=0)))
+        assert (res.k, res.method) == (n, METHOD_DIRECT_SUM)
+        assert max(res.certificate["blocks"], key=lambda b: b["size"])["method"] == "dichotomy"
+
+    @pytest.mark.parametrize("seed, beyond", [(0, 2), (1, 3), (2, 2), (3, 2), (4, 2), (5, 2)])
+    def test_dichotomy_share_needs_both_ambient_lines(self, seed, beyond):
+        # a scalar inside the strip or on the h1 line keeps both lines of the
+        # block on the ambient boundary; one beyond the h1 line moves it
+        b = generate(FamilySpec("dichotomous-arrowhead-coupled", n=4, seed=seed))
+        theta, h0, h1, _ = dichotomy_scan(b)
+        e = np.exp(1j * theta)
+        for z, share in ((e * (h0 + h1) / 2, 4), (e * (h1 + 5j), 4), (e * (h1 + 0.5), beyond)):
+            kp, how = block_kprime(b, SupportFunction(_block_sum([b, np.array([[z]])])))
+            assert kp == share, (seed, z)
+            assert share == 4 or how != "dichotomy", (seed, z)
 
     def test_certificate_records_route_and_margin(self):
         a = generate(FamilySpec("ellipse-with-scalars", seed=1, knobs={"config": "three"}))
