@@ -136,7 +136,7 @@ def _aberth_secular_roots(ah: ArrowheadMatrix):
     """Simultaneous root iteration on the cleared secular polynomial.
 
     Works on the product form p = f * prod(lam - a_j), so the logarithmic
-    derivative p'/p = f'/f + sum 1/(lam - a_j) is available in O(n) per point
+    derivative p'/p = f'/f + sum 1/(lam - a_j) costs O(n) per point
     and no ill-conditioned coefficient expansion is ever formed.  Starting
     points are the poles (slightly displaced) plus the corner, which the
     mutual-repulsion term then sorts out.  A root whose correction falls to
@@ -161,9 +161,8 @@ def _aberth_secular_roots(ah: ArrowheadMatrix):
         if near.any():
             dz = np.where(near, 1e-30, dz)
         inv = 1.0 / dz
-        terms = cr[None, :] * inv
-        f = terms.sum(axis=1) + corner - zl
-        fp = -(terms * inv).sum(axis=1) - 1.0
+        f = inv @ cr + corner - zl
+        fp = -((inv * inv) @ cr) - 1.0
         nonzero = np.abs(f) > 1e-300  # an exact root holds still
         pair = zl[:, None] - z[None, :]  # live x n
         pair[np.arange(len(live)), live] = np.inf
@@ -182,6 +181,12 @@ def _aberth_secular_roots(ah: ArrowheadMatrix):
     return s * z
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``safe_norm`` of each row: divided by the row's largest entry first."""
+    top = np.abs(v).max(axis=1)
+    return top * np.linalg.norm(v / np.where(top > 0, top, 1.0)[:, None], axis=1)
+
+
 def _distinct_entries(values, atol: float) -> bool:
     """True when every two entries differ by more than atol."""
     gaps = np.abs(values[:, None] - values[None, :])[~np.eye(len(values), dtype=bool)]
@@ -192,23 +197,25 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
     """All eigenvalues of the arrowhead via its rational secular equation.
 
     One Aberth iteration on the product form of the cleared-denominator
-    polynomial locates every root, Hermitian or not; each root stops on its
-    own once its correction reaches rounding level.  Roots colliding with a
-    diagonal pole have no secular eigenvector formula; they are set aside as
-    degenerate with a nullspace-derived eigenvector when they are genuine
-    eigenvalues.  Colliding roots that agree to 1e-9 ||A|| share one SVD, so
-    a repeated eigenvalue on a repeated pole gets orthonormal eigenvectors.
+    polynomial locates every root, Hermitian or not, at O(n^2) a sweep; each
+    root stops on its own once its correction reaches rounding level.  The
+    secular eigenvectors and residuals, read off the arrow pattern, cost O(n^2)
+    in all.  Roots colliding with a diagonal pole have no secular eigenvector
+    formula; they are set aside as degenerate with a nullspace-derived
+    eigenvector (one dense SVD) when they are genuine eigenvalues.  Colliding
+    roots that agree to 1e-9 ||A|| share one SVD, so a repeated eigenvalue on a
+    repeated pole gets orthonormal eigenvectors.
     """
     n = ah.n
-    dense = ah.to_dense()
     if n == 1:
         return SecularResult(eigen=[SecularPair(ah.corner, np.ones(1, dtype=complex), 0.0)], degenerate=[])
     roots = _aberth_secular_roots(ah)
 
-    eigen, degen, notices = [], [], []
+    degen, notices = [], []
     colliding = np.min(np.abs(roots[:, None] - ah.diag[None, :]), axis=1) <= tol.eq_tol * ah.scale()
-    # colliding roots that agree to the residual target are one repeated
-    # eigenvalue and share one SVD, so their eigenvectors come out orthonormal
+    # colliding roots (only they need the dense matrix) that agree to the residual
+    # target are one repeated eigenvalue and share one SVD, so their eigenvectors come out orthonormal
+    dense = ah.to_dense() if colliding.any() else None
     target = 1e-9 * matrix_scale(dense) if colliding.any() else 0.0
     groups = {}
     for i in np.flatnonzero(colliding):
@@ -223,13 +230,14 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
                 notices.append(f"root {lam:.6g} within tolerance of a diagonal pole; eigenvector from nullspace")
             else:
                 notices.append(f"cleared-polynomial root {lam:.6g} collides with a pole and is not an eigenvalue")
-    for lam in roots[~colliding]:
-        x = np.empty(n, dtype=complex)
-        x[: n - 1] = ah.col / (lam - ah.diag)
-        x[n - 1] = 1.0
-        x = x / np.linalg.norm(x)
-        res = safe_norm(dense @ x - lam * x)
-        eigen.append(SecularPair(complex(lam), x, res))
+    # one row per root: x = (col / (lam - a), 1) normalised, and Ax - lam x by rows of the arrow
+    lams = roots[~colliding][:, None]
+    x = np.concatenate([ah.col / (lams - ah.diag), np.ones_like(lams)], axis=1)
+    x /= _row_norms(x)[:, None]
+    head, tail = x[:, :-1], x[:, -1:]
+    res = np.concatenate([ah.diag * head + ah.col * tail - lams * head,
+                          head @ ah.row[:, None] + ah.corner * tail - lams * tail], axis=1)
+    eigen = [SecularPair(complex(lam), vec, float(r)) for lam, vec, r in zip(lams[:, 0], x, _row_norms(res))]
     return SecularResult(eigen=eigen, degenerate=degen, notices=notices)
 
 

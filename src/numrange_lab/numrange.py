@@ -188,14 +188,21 @@ def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float,
     return list(zip(best_t.tolist(), (unit * best_f).tolist()))
 
 
-def _refined_min(pieces: Callable, thetas, values, step: float, scale: float):
+def _refined_min(pieces: Callable, thetas, values, step: float, scale: float, eligible=None):
     """The best pair of ``_refined_minima`` over the 6 lowest grid minima;
     (None, inf) when nothing was refined."""
-    return min(_refined_minima(pieces, thetas, values, step, scale, 6), key=lambda r: r[1], default=(None, np.inf))
+    return min(_refined_minima(pieces, thetas, values, step, scale, 6, eligible), key=lambda r: r[1], default=(None, np.inf))
 
 
-def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
-    """min_theta [ p(theta) - Re(e^{-i theta} z) ]  (0 iff z lies on the boundary)."""
+def _reachable(values, lipschitz: float, step: float, level: float):
+    """Grid mask of the brackets that can refine to ``level``: a refined value is
+    the objective within one ``step`` of its sample, where an L-Lipschitz objective
+    exceeds value - L step (Shubert, SIAM J. Numer. Anal. 9, 1972)."""
+    return values - lipschitz * step <= level
+
+
+def _point_defect(support_fn: SupportFunction, z: complex, level: float) -> float:
+    """``point_boundary_defect`` refined where it can reach ``level``; inf when nowhere."""
     proj = np.real(np.exp(-1j * support_fn.thetas) * z)
     g = support_fn.grid_values - proj
 
@@ -205,7 +212,14 @@ def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
         return support_fn.branches(t) - line[:, :, None]
 
     step, scale = TWO_PI / support_fn.grid_size, max(support_fn.radius, abs(z))
-    return float(_refined_min(pieces, support_fn.thetas, g, step, scale)[1])
+    # p is w(A)-Lipschitz; 2 (radius + |z|) covers radius <= w(A) <= radius / cos(step / 2) and rounding
+    eligible = _reachable(g, 2 * (support_fn.radius + abs(z)), step, level)
+    return float(_refined_min(pieces, support_fn.thetas, g, step, scale, eligible)[1])
+
+
+def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
+    """min_theta [ p(theta) - Re(e^{-i theta} z) ]  (0 iff z lies on the boundary)."""
+    return _point_defect(support_fn, z, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +264,6 @@ def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
         return events
 
     step = TWO_PI / grid_size
-    thresh = max(8 * scale * step, 64 * split)
     events = []
     seen = []
 
@@ -258,7 +271,8 @@ def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
         gap = np.diff(sf.branches(t)[:, :, -2:], axis=2)
         return np.concatenate([gap, -gap], axis=2)
 
-    for t, g in _refined_minima(pieces, thetas, gaps, step, scale, eligible=gaps <= thresh):
+    # each eigenvalue of the pencil is ||A||-Lipschitz in theta (Weyl), so the gap is 2 ||A||-Lipschitz
+    for t, g in _refined_minima(pieces, thetas, gaps, step, scale, eligible=_reachable(gaps, 2 * scale, step, split)):
         if g > split:
             continue
         t = float(np.mod(t, TWO_PI))
@@ -494,7 +508,7 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
     btol = tol.boundary_tol * ambient_support.diameter()
     if _is_normal(b, tol):
         w = np.linalg.eigvals(b)
-        return int(sum(1 for z in w if point_boundary_defect(ambient_support, z) < btol))
+        return int(sum(1 for z in w if _point_defect(ambient_support, z, btol) < btol))
     if n == 2:
         # the block's grid is every other ambient direction, so the ambient's
         # own sweep gives p_ambient there
@@ -504,6 +518,8 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
         half = len(grid) // 2
         pair = np.maximum(g[:half], g[half : 2 * half])
         step, scale = TWO_PI / len(grid), ambient_support.radius
+        # g and pair are (w(A) + w(B))-Lipschitz, the factor 2 as in ``_point_defect``
+        lipschitz = 2 * (ambient_support.radius + own.radius)
 
         def pieces(t, antipodal=True):
             # p_ambient is its largest branch, kinked where branches cross; the
@@ -512,9 +528,10 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
             gap = amb - mine[:, :, -1:]
             return np.concatenate([gap, mine[:, :, :1] - amb], axis=2) if antipodal else gap
 
-        if _refined_min(pieces, grid, pair, step, scale)[1] < btol:
+        if _refined_min(pieces, grid, pair, step, scale, _reachable(pair, lipschitz, step, btol))[1] < btol:
             return 2
-        return 1 if _refined_min(lambda t: pieces(t, antipodal=False), grid, g, step, scale)[1] < btol else 0
+        one = _refined_min(lambda t: pieces(t, antipodal=False), grid, g, step, scale, _reachable(g, lipschitz, step, btol))
+        return 1 if one[1] < btol else 0
     raise UnsupportedBlockError(
         f"relative count for a non-normal {n}x{n} block needs the restricted search"
     )

@@ -20,7 +20,7 @@ from numrange_lab.arrowhead import (
 )
 from numrange_lab.classify import classify_any
 from numrange_lab.generators import FamilySpec, generate
-from numrange_lab.linalg import DEFAULT_TOL, herm_part_at, matrix_scale, reducing_eigenvectors
+from numrange_lab.linalg import DEFAULT_TOL, herm_part_at, matrix_scale, reducing_eigenvectors, safe_norm
 from numrange_lab.oracle import max_orthonormal_boundary_set
 from numrange_lab.reduction import commutant_dimension, decompose, dirsum_gauwu
 from numrange_lab.results import METHOD_ARROWHEAD
@@ -165,6 +165,33 @@ class TestSecular:
             j = int(np.argmin(np.abs(dense - lam)))
             assert abs(dense[j] - lam) < 1e-8 * scale
             dense = np.delete(dense, j)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-200, 1e200])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_structured_residual_is_the_dense_one(self, n, hermitian, c):
+        """The residual read off the arrow pattern is ||Ax - lam x|| of the
+        dense product to within 16 eps ||A||, so it never under-reports."""
+        rng = rng_for(4100 + n + hermitian)
+        if hermitian:
+            d = np.sort(np.linspace(-1, 1, n - 1) + rng.uniform(-0.3, 0.3, n - 1) / n)
+            b = rng.uniform(0.1, 1, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1))
+            ah = ArrowheadMatrix(c * d, c * b, c * np.conj(b), c * rng.uniform(-1, 1))
+        else:
+            ah = ArrowheadMatrix(
+                c * (rng.uniform(-1, 1, n - 1) + 1j * rng.uniform(-1, 1, n - 1)),
+                c * rng.uniform(0.2, 1, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1)),
+                c * rng.uniform(0.2, 1, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1)),
+                c * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)),
+            )
+        res = secular_eigen(ah)
+        dense = ah.to_dense()
+        scale = matrix_scale(dense)
+        assert len(res.eigen) == n
+        for p in res.eigen:
+            assert abs(np.linalg.norm(p.vector) - 1) <= 1e-14
+            assert abs(p.residual - safe_norm(dense @ p.vector - p.value * p.vector)) <= 16 * np.finfo(float).eps * scale
+            assert p.residual < 1e-9 * scale
 
     @pytest.mark.parametrize("hermitian", [False, True])
     def test_cost_at_n_400(self, hermitian):

@@ -15,6 +15,7 @@ from numrange_lab.numrange import (
     IDEMPOTENT_TOL,
     REFINE_STEPS,
     SINGULAR_POINT,
+    TWO_PI,
     SupportFunction,
     UnsupportedBlockError,
     _dichotomy_split,
@@ -218,6 +219,18 @@ class TestSeeds:
                 assert abs(numrange.point_boundary_defect(sf, z)) <= 1e-8 * sf.diameter(), (sd.kind, sd.segment)
         assert oracle.max_orthonormal_boundary_set(a).k_lower == 4
 
+    @pytest.mark.parametrize("index", [100, 300, 777])
+    def test_crossing_halfway_between_grid_directions_is_an_event(self, index):
+        # the top two eigenvalues of Re(e^{-i t} A) are -+sin(t - theta): they
+        # cross at theta, halfway between two grid directions, with the gap's
+        # largest slope 2 ||A||, the Lipschitz bound that decides which grid
+        # minima are refined
+        theta = (index + 0.5) * TWO_PI / 1024
+        a = _conjugated_sum(index, np.exp(1j * theta) * np.diag([1j, -1j, -0.5]))
+        events = numrange.top_gap_events(SupportFunction(a))
+        hits = [ev for ev in events if abs(ev.theta - theta) < 1e-9]
+        assert len(hits) == 1 and hits[0].basis.shape[1] == 2
+
     def test_one_grid_sweep(self, stack_sizes):
         # the event scan and the corner rule read the support function's
         # sweep; only the event refinement adds stacks, one per Newton step
@@ -294,6 +307,59 @@ class TestKprime:
         assert kprime_relative(b2, sf) == 1
         assert stack_sizes["eigvalsh"][512] == 1
         assert np.array_equal(sf(SupportFunction(b2, 512).thetas), sf.grid_values[::2])
+
+    @staticmethod
+    def _shares(blocks, ambient, monkeypatch, masked):
+        """Each block's share, with or without the Lipschitz skip, and the
+        number of grid minima the skip left out."""
+        skipped = []
+
+        def reachable(values, *args, _orig=numrange._reachable):
+            keep = _orig(values, *args) if masked else np.ones(np.shape(values), dtype=bool)
+            skipped.append(np.count_nonzero(~keep))
+            return keep
+
+        with monkeypatch.context() as mp:
+            mp.setattr(numrange, "_reachable", reachable)
+            sf = SupportFunction(ambient)
+            return [kprime_relative(b, sf) for b in blocks], sum(skipped)
+
+    @pytest.mark.parametrize("n", [5, 8, 12, 16, 20])
+    def test_skip_keeps_every_share_of_seeded_direct_sums(self, monkeypatch, n):
+        # discs, ellipses and scalars as in the benchmark's direct sums: the
+        # skip leaves out grid minima but no share changes
+        skipped = 0
+        for seed in range(4):
+            rng = rng_for(8000 + 10 * n + seed)
+            blocks, size = [], 0
+            while size < n:
+                c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                if n - size >= 2 and rng.uniform() < 0.6:
+                    d = c if rng.uniform() < 0.5 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    blocks.append(np.array([[c, 2 * rng.uniform(0.2, 1.0)], [0, d]]))
+                else:
+                    blocks.append(np.array([[2 * c]]))
+                size += len(blocks[-1])
+            ambient = _block_sum(*blocks)
+            got, skips = self._shares(blocks, ambient, monkeypatch, masked=True)
+            assert got == self._shares(blocks, ambient, monkeypatch, masked=False)[0]
+            skipped += skips
+        assert skipped > 0
+
+    @pytest.mark.parametrize("c", [1.0, 1e-200, 1e200])
+    def test_skip_keeps_contacts_between_grid_directions(self, monkeypatch, c):
+        # the long edge of the triangle conv(z1, z2, z3), whose outer normal
+        # theta lies halfway between two grid directions (of the 1,024 ambient
+        # ones for a scalar, of the block's 512 for a 2x2): a scalar on the edge
+        # and a disc tangent to it each count 1, and so does each vertex; the
+        # defect rises from 0 at theta about as steeply as the skip allows
+        for theta, block in (((100 + 0.5) * TWO_PI / 1024, np.array([[1 + 0.3j]])),
+                             ((50 + 0.5) * TWO_PI / 512, np.array([[0.7 + 0.2j, 0.6], [0, 0.7 + 0.2j]]))):
+            rot = np.exp(1j * theta)
+            blocks = [c * rot * np.array([[z]]) for z in (1 + 4j, 1 - 4j, -1)] + [c * rot * block]
+            ambient = _block_sum(*blocks)
+            for masked in (True, False):
+                assert self._shares(blocks, ambient, monkeypatch, masked)[0] == [1, 1, 1, 1], (theta, masked)
 
     def test_rejects_large_non_normal_block(self):
         rng = rng_for(12)
@@ -476,15 +542,21 @@ class TestRefinedMinima:
         assert _refined_minima(self.pieces, thetas, values, step, 1.0, eligible=np.zeros(64, dtype=bool)) == []
 
 
-def _conjugated_sum(seed, *blocks):
-    """U* (B_1 + ... + B_r) U for a seeded random unitary U."""
+def _block_sum(*blocks):
+    """B_1 + ... + B_r as one block-diagonal matrix."""
     n = sum(len(b) for b in blocks)
     a = np.zeros((n, n), dtype=complex)
     pos = 0
     for b in blocks:
         a[pos : pos + len(b), pos : pos + len(b)] = b
         pos += len(b)
-    u = random_unitary(rng_for(seed), n)
+    return a
+
+
+def _conjugated_sum(seed, *blocks):
+    """U* (B_1 + ... + B_r) U for a seeded random unitary U."""
+    a = _block_sum(*blocks)
+    u = random_unitary(rng_for(seed), len(a))
     return u.conj().T @ a @ u
 
 
