@@ -35,6 +35,6 @@ from .numrange import (
     kprime_relative,
     support,
 )
-from .oracle import SearchParams, boundary_vector_field, max_orthonormal_boundary_set, verify
+from .oracle import SearchParams, boundary_vector_field, check_witness, max_orthonormal_boundary_set, verify
 from .reduction import commutant_dimension, decompose, dirsum_gauwu
-from .results import GauWuResult
+from .results import GauWuResult, Witness

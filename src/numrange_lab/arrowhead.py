@@ -25,9 +25,9 @@ from .linalg import (
     matrix_scale,
     safe_norm,
 )
-from .numrange import IDEMPOTENT_TOL, SupportFunction, _two_level_form, dichotomy_scan
+from .numrange import IDEMPOTENT_TOL, SupportFunction, _split_witness, _two_level_form, dichotomy_scan
 from .reduction import block_kprime
-from .results import METHOD_ARROWHEAD, GauWuResult
+from .results import METHOD_ARROWHEAD, GauWuResult, Witness, joined
 
 
 class NotArrowheadError(StructureError):
@@ -204,11 +204,15 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
     formula; they are set aside as degenerate with a nullspace-derived
     eigenvector (one dense SVD) when they are genuine eigenvalues.  Colliding
     roots that agree to 1e-9 ||A|| share one SVD, so a repeated eigenvalue on a
-    repeated pole gets orthonormal eigenvectors.
+    repeated pole gets orthonormal eigenvectors.  The zero arrowhead, which has
+    no unit to measure a collision in, gets the standard basis for its n-fold
+    eigenvalue 0.
     """
     n = ah.n
     if n == 1:
         return SecularResult(eigen=[SecularPair(ah.corner, np.ones(1, dtype=complex), 0.0)], degenerate=[])
+    if not ah.scale():
+        return SecularResult(eigen=[SecularPair(0j, e, 0.0) for e in np.eye(n, dtype=complex)], degenerate=[])
     roots = _aberth_secular_roots(ah)
 
     degen, notices = [], []
@@ -536,7 +540,13 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
 
     The rotation fixed by the coupling angles diagonalizes the Hermitian
     part; the answer is the combined multiplicity of its extreme diagonal
-    entries, achieved by the corresponding standard basis vectors.
+    entries, achieved by the corresponding standard basis vectors: the
+    witness holds e_j at theta for the top entries and at theta + pi for the
+    bottom ones.  Entries count as tied within cluster_tol ||A||, so each
+    witness vector lies that far from its supporting line at most; ``verify``
+    accepts 10 boundary_tol times the diameter of W(A).  The route's bound
+    decides k, and a tie that the check's bound does not cover fails the
+    check and sends ``verify`` back to the search.
     """
     n = ah.n
     theta, prof = _balanced_theta(ah, tol)
@@ -548,7 +558,8 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
     spread = float(np.max(d) - np.min(d))
     if spread <= link:
         cert = {"theta": theta, "diagonal": d.tolist(), "note": "rotated Hermitian part is scalar; the range is a segment"}
-        return GauWuResult(k=n, n=n, method=METHOD_ARROWHEAD, certificate=cert)
+        return GauWuResult(k=n, n=n, method=METHOD_ARROWHEAD, certificate=cert,
+                           build_witness=lambda: Witness(np.eye(n), [theta] * n))
     top = np.nonzero(d >= np.max(d) - link)[0]
     bot = np.nonzero(d <= np.min(d) + link)[0]
     cert = {
@@ -558,7 +569,9 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
         "top_indices": top.tolist(),
         "bottom_indices": bot.tolist(),
     }
-    return GauWuResult(k=len(top) + len(bot), n=n, method=METHOD_ARROWHEAD, certificate=cert)
+    return GauWuResult(k=len(top) + len(bot), n=n, method=METHOD_ARROWHEAD, certificate=cert,
+                       build_witness=lambda: Witness(np.eye(n)[:, np.concatenate([top, bot])],
+                                                     [theta] * len(top) + [theta + np.pi] * len(bot)))
 
 
 def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
@@ -566,7 +579,8 @@ def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TO
     diagonal entries at the zero pairs and the live sub-arrowhead, each share
     from ``reduction.block_kprime`` against the whole matrix's range.  The
     line rule, the sub-arrowhead's extreme rotated diagonal entries counted
-    where they reach the boundary, is kept as a cross-check."""
+    where they reach the boundary, is kept as a cross-check.  The witness is
+    the boundary scalars' e_j and the sub-arrowhead's block witness."""
     n = ah.n
     theta, prof = _balanced_theta(ah, tol)
     if not prof.zero.any():
@@ -575,12 +589,13 @@ def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TO
     zero_idx = np.nonzero(prof.zero)[0]
     live_idx = np.nonzero(~prof.zero)[0]
     ambient = SupportFunction(dense, grid_size=1024)
-    scalars_on_boundary = [int(j) for j in zero_idx if block_kprime(dense[j : j + 1, j : j + 1], ambient, tol)[0]]
+    scalar_shares = {int(j): block_kprime(dense[j : j + 1, j : j + 1], ambient, tol) for j in zero_idx}
+    scalars_on_boundary = [j for j, share in scalar_shares.items() if share[0]]
 
     sub = ArrowheadMatrix(ah.diag[live_idx], ah.col[live_idx], ah.row[live_idx], ah.corner)
     sub_dense = sub.to_dense()
     # _balanced_theta needs a nonzero pair, so the sub-arrowhead has n >= 2
-    k1, _ = block_kprime(sub_dense, ambient, tol)
+    k1, _, sub_witness = block_kprime(sub_dense, ambient, tol)
     d1 = np.real(np.exp(-1j * theta) * np.concatenate([sub.diag, [sub.corner]]))
     btol = tol.boundary_tol * ambient.diameter()
     link = tol.cluster_tol * matrix_scale(sub_dense)
@@ -598,7 +613,10 @@ def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TO
         "sub_count_line_rule": int(line_rule),
         "line_rule_agrees": bool(k1 == line_rule),
     }
-    return GauWuResult(k=int(k1) + len(scalars_on_boundary), n=n, method=METHOD_ARROWHEAD, certificate=cert)
+    eye = np.eye(n)
+    return GauWuResult(k=int(k1) + len(scalars_on_boundary), n=n, method=METHOD_ARROWHEAD, certificate=cert,
+                       build_witness=lambda: joined([(eye[:, [j]], scalar_shares[j][2]()) for j in scalars_on_boundary]
+                                                    + [(eye[:, np.append(live_idx, n - 1)], sub_witness())]))
 
 
 def _hull_boundary_indices(points, tol: ToleranceConfig):
@@ -642,7 +660,8 @@ def gauwu_unbalanced_two(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL
     Requires distinct diagonal entries, one of |col_j| >= |row_j| or the
     reverse for every index, strictly on the indices whose diagonal entries
     sit on the boundary of their convex hull (pure almost normal matrices,
-    with a zero last row, are the extreme special case).
+    with a zero last row, are the extreme special case).  The witness is the
+    top and bottom eigenvectors of the Hermitian part, at ``witness_thetas``.
     """
     n = ah.n
     if n < 3:
@@ -667,4 +686,5 @@ def gauwu_unbalanced_two(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL
         "direction": direction,
         "witness_thetas": [0.0, float(np.pi)],
     }
-    return GauWuResult(k=2, n=n, method=METHOD_ARROWHEAD, certificate=cert)
+    return GauWuResult(k=2, n=n, method=METHOD_ARROWHEAD, certificate=cert,
+                       build_witness=lambda: _split_witness(ah.to_dense(), 0.0))

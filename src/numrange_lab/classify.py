@@ -12,6 +12,7 @@ found in ``GauWuResult.work``; seeds, triple search and check share one sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -32,7 +33,7 @@ from .linalg import (
 )
 from .arrowhead import (NotApplicableError, NotArrowheadError, arrowhead_from_dense, dichotomy_check,
                         gauwu_unbalanced_two, gauwu_with_zero_pairs, irreducible_dichotomous_check)
-from .numrange import SupportFunction, detect_seeds, dichotomy_scan, support_function
+from .numrange import SupportFunction, _split_witness, detect_seeds, dichotomy_scan, support_function
 from .oracle import SearchParams, _search, boundary_vector_field, in_caller_units, max_orthonormal_boundary_set, verify
 from .reduction import commutant_dimension, decompose, dirsum_gauwu
 from .results import (
@@ -45,6 +46,7 @@ from .results import (
     METHOD_ORACLE,
     METHOD_SEED3,
     GauWuResult,
+    Witness,
 )
 
 LINE_ANGLE_TOL = 1e-6
@@ -410,10 +412,11 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[CanonicalKA3For
 
 def _confirm_with_oracle(pencil: SupportFunction, norm: Normalisation, result: GauWuResult,
                          tol: ToleranceConfig) -> None:
-    """Record whether the search reaches result.k, with its certificate."""
-    rep = verify(pencil, result.k, tol=tol)
+    """Record whether ``verify`` confirms result.k, with its certificate: the
+    route's witness is checked first, so the search looks only above k."""
+    rep = verify(pencil, result.k, tol=tol, witness=result.witness)
     result.oracle_confirmed = rep.match
-    result.certificate["oracle"] = in_caller_units(rep.oracle, norm).to_dict()
+    result.certificate["oracle"] = {**in_caller_units(rep.oracle, norm).to_dict(), **rep.provenance()}
 
 
 def _dichotomy_work(norm: Normalisation, case: str, theta: float, h0: float, h1: float) -> dict:
@@ -436,13 +439,21 @@ def _irreducible4(norm: Normalisation, tol: ToleranceConfig, work: dict):
                 for sd in strong
             ]
         }
-        return GauWuResult(k=3, n=4, method=METHOD_SEED3, certificate=cert), pencil
+
+        def seed_witness(sd=strong[0]):
+            # the seed's two ends on its line and the bottom vector of the same member
+            bottom = _split_witness(norm.m, sd.theta).vectors[:, 1:]
+            return Witness(np.column_stack([sd.witnesses, bottom]), [sd.theta, sd.theta, sd.theta + np.pi])
+
+        return GauWuResult(k=3, n=4, method=METHOD_SEED3, certificate=cert, build_witness=seed_witness), pencil
     ka3 = ka3_check(pencil, tol)
     if ka3 is None:
-        return GauWuResult(k=2, n=4, method=METHOD_FALLBACK2, certificate={}), pencil
+        return GauWuResult(k=2, n=4, method=METHOD_FALLBACK2, certificate={},
+                           build_witness=lambda: _split_witness(norm.m, 0.0)), pencil
+    triple = partial(Witness, ka3.triple, ka3.triple_thetas)
     if not ka3.form_ok:
         cert = {"note": "triple on three distinct lines found; canonical form unavailable", "notes": ka3.notes}
-        return GauWuResult(k=3, n=4, method=METHOD_ORACLE, certificate=cert), pencil
+        return GauWuResult(k=3, n=4, method=METHOD_ORACLE, certificate=cert, build_witness=triple), pencil
     cert = {
         "case": ka3.case,
         "pattern_residual": ka3.pattern_residual,
@@ -454,7 +465,7 @@ def _irreducible4(norm: Normalisation, tol: ToleranceConfig, work: dict):
             "t": ka3.seed_condition.t,
             "lambda": ka3.seed_condition.lam,
         }
-    return GauWuResult(k=3, n=4, method=METHOD_KA3, certificate=cert), pencil
+    return GauWuResult(k=3, n=4, method=METHOD_KA3, certificate=cert, build_witness=triple), pencil
 
 
 def classify(a, tol: ToleranceConfig = DEFAULT_TOL, confirm_with_oracle: bool = False) -> GauWuResult:
@@ -498,10 +509,12 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
     if n <= 2:
         note = "numerical range is a point" if n == 1 else "every 2x2 matrix has k = 2"
         return GauWuResult(k=n, n=n, method=METHOD_ORACLE if n == 1 else METHOD_FALLBACK2,
-                           certificate={"note": note, "normalisation": norm.to_dict()})
+                           certificate={"note": note, "normalisation": norm.to_dict()},
+                           build_witness=lambda: Witness(np.eye(1), [0.0]) if n == 1 else _split_witness(m, 0.0))
     if not norm.scale:
         return GauWuResult(k=n, n=n, method=METHOD_DIRECT_SUM, oracle_confirmed=confirm_with_oracle or None,
-                           certificate={"note": "scalar matrix: n blocks of size 1", "normalisation": norm.to_dict()})
+                           certificate={"note": "scalar matrix: n blocks of size 1", "normalisation": norm.to_dict()},
+                           build_witness=lambda: Witness(np.eye(n), np.zeros(n)))
 
     result, pencil, work = None, m, {}
     try:
@@ -529,6 +542,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
                     result = GauWuResult(
                         k=n, n=n, method=METHOD_ARROWHEAD,
                         certificate={"route": "dichotomous-irreducible", "theta": cert.theta, "reason": reason},
+                        build_witness=lambda: _split_witness(m, cert.theta, (cert.h0, cert.h1)),
                     )
     if result is None:
         dec = work["decomposition"] = decompose(m)
@@ -539,7 +553,8 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
             upper = int(round(np.trace(proj).real))
             work["dichotomy"] = _dichotomy_work(norm, f"{n - upper}+{upper}", theta, h0, h1)
             result = GauWuResult(k=n, n=n, method=METHOD_DICHOTOMY4 if n == 4 else METHOD_DICHOTOMY, certificate={
-                "route": "dichotomy-scan", "theta": theta, "h_values": [norm.level(h, theta) for h in (h0, h1)]})
+                "route": "dichotomy-scan", "theta": theta, "h_values": [norm.level(h, theta) for h in (h0, h1)]},
+                build_witness=lambda: _split_witness(m, theta, (h0, h1)))
         elif n == 4:
             result, pencil = _irreducible4(norm, tol, work)
     if result is None:
@@ -551,6 +566,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
         result = GauWuResult(
             k=res.k_lower, n=n, method=METHOD_ORACLE,
             certificate={"note": "constructive lower bound", "oracle": res.to_dict()},
+            build_witness=lambda: Witness(res.vectors, res.thetas),
         )
         if confirm_with_oracle:  # verify's first pass is this same search, so it matches
             result.oracle_confirmed = True

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -225,7 +226,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.match else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs more
+    than ten times as much as one ``parse_args``.  It holds no command
+    function; ``main`` looks the command up when it runs."""
     p = argparse.ArgumentParser(prog="numrange-lab", description="Numerical range geometry and Gau-Wu numbers")
     p.add_argument("--version", action="version", version=f"numrange-lab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -237,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--tol", type=float)
     pc.add_argument("--format", choices=["text", "json"], default="text")
     pc.add_argument("--out")
-    pc.set_defaults(func=cmd_classify)
 
     pv = sub.add_parser("curve", help="emit the boundary generating curve")
     pv.add_argument("matrix")
@@ -246,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--support-lines", help="comma-separated direction angles for dotted lines")
     pv.add_argument("--tol", type=float)
     pv.add_argument("--out")
-    pv.set_defaults(func=cmd_curve)
 
     pg = sub.add_parser("generate", help="write a matrix from a named family")
     pg.add_argument("--family", required=True, choices=sorted(ALL_FAMILIES))
@@ -255,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--config", help="family configuration knob (ellipse families)")
     pg.add_argument("--edge", help="edge-case knob (k4-split-22 reducible variants)")
     pg.add_argument("--out")
-    pg.set_defaults(func=cmd_generate)
 
     pf = sub.add_parser("verify", help="check a claimed k against the search")
     pf.add_argument("matrix")
@@ -263,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--samples", type=int)
     pf.add_argument("--tol", type=float)
     pf.add_argument("--out")
-    pf.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        command = {"classify": cmd_classify, "curve": cmd_curve, "generate": cmd_generate, "verify": cmd_verify}
+        return command[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -128,6 +128,10 @@ class Report:
         ]
         if self.result.get("oracle_confirmed") is not None:
             lines.append(f"oracle confirmed: {self.result['oracle_confirmed']}")
+        if self.oracle and "k_lower_source" in self.oracle:
+            sizes = ", ".join(str(s) for s in self.oracle["searched_sizes"]) or "none"
+            lines.append(f"oracle: {self.oracle['k_lower']} vectors from the {self.oracle['k_lower_source']}; "
+                         f"witness {self.oracle['witness_check'] or 'not given'}; sizes searched: {sizes}")
         if self.dichotomy:
             lines.append(
                 "dichotomy: case {case} at theta = {theta:.12g} (levels {h0:.12g}, {h1:.12g})".format(**self.dichotomy)

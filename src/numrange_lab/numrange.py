@@ -30,6 +30,7 @@ from .linalg import (
     matrix_scale,
     reducing_eigenvectors,
 )
+from .results import Witness
 
 TWO_PI = 2 * np.pi
 MIN_CURVE_SAMPLES = 8
@@ -201,8 +202,10 @@ def _reachable(values, lipschitz: float, step: float, level: float):
     return values - lipschitz * step <= level
 
 
-def _point_defect(support_fn: SupportFunction, z: complex, level: float) -> float:
-    """``point_boundary_defect`` refined where it can reach ``level``; inf when nowhere."""
+def _point_defect(support_fn: SupportFunction, z: complex, level: float):
+    """(theta, ``point_boundary_defect``) refined where the defect can reach
+    ``level``: the contact direction and the defect there; (None, inf) when
+    nowhere."""
     proj = np.real(np.exp(-1j * support_fn.thetas) * z)
     g = support_fn.grid_values - proj
 
@@ -214,12 +217,13 @@ def _point_defect(support_fn: SupportFunction, z: complex, level: float) -> floa
     step, scale = TWO_PI / support_fn.grid_size, max(support_fn.radius, abs(z))
     # p is w(A)-Lipschitz; 2 (radius + |z|) covers radius <= w(A) <= radius / cos(step / 2) and rounding
     eligible = _reachable(g, 2 * (support_fn.radius + abs(z)), step, level)
-    return float(_refined_min(pieces, support_fn.thetas, g, step, scale, eligible)[1])
+    theta, defect = _refined_min(pieces, support_fn.thetas, g, step, scale, eligible)
+    return theta, float(defect)
 
 
 def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
     """min_theta [ p(theta) - Re(e^{-i theta} z) ]  (0 iff z lies on the boundary)."""
-    return _point_defect(support_fn, z, np.inf)
+    return _point_defect(support_fn, z, np.inf)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -494,21 +498,36 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
 
 def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Max count of orthonormal vectors of the block whose images lie on the
-    ambient boundary (the block's share in a direct-sum decomposition).
+    ambient boundary (the block's share in a direct-sum decomposition); the
+    count of ``relative_share``."""
+    return relative_share(block, ambient_support, tol)[0]
+
+
+def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
+    """(share, make_witness) of a normal or 2x2 block against the ambient
+    boundary; ``make_witness()`` returns the block's ``Witness`` of that size,
+    made from the contacts the count found.
 
     Normal blocks contribute every eigenvalue (with multiplicity) sitting on
-    the ambient boundary.  A non-normal 2x2 block contributes 2 when an
-    antipodal pair of its elliptical boundary touches the ambient boundary
-    (orthonormal pairs of C^2 map to center-symmetric point pairs), 1 when the
-    ellipse merely touches it, 0 otherwise.  A 2x2 block is swept on every
-    other direction of the ambient grid, whose size must be even.
+    the ambient boundary, each witnessed by its eigenvector in its contact
+    direction.  A non-normal 2x2 block contributes 2 when an antipodal pair of
+    its elliptical boundary touches the ambient boundary (orthonormal pairs of
+    C^2 map to center-symmetric point pairs): the top and bottom eigenvectors
+    of the refined direction.  It contributes 1 when the ellipse merely
+    touches it (the top eigenvector there), 0 otherwise.  A 2x2 block is
+    swept on every other direction of the ambient grid, whose size must be
+    even.
     """
     b = as_square_matrix(block)
     n = b.shape[0]
     btol = tol.boundary_tol * ambient_support.diameter()
     if _is_normal(b, tol):
-        w = np.linalg.eigvals(b)
-        return int(sum(1 for z in w if _point_defect(ambient_support, z, btol) < btol))
+        contacts = []
+        for z in np.linalg.eigvals(b):
+            t, defect = _point_defect(ambient_support, z, btol)
+            if defect < btol:
+                contacts.append((z, t))
+        return len(contacts), lambda: _normal_witness(b, contacts, tol)
     if n == 2:
         # the block's grid is every other ambient direction, so the ambient's
         # own sweep gives p_ambient there
@@ -528,13 +547,49 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
             gap = amb - mine[:, :, -1:]
             return np.concatenate([gap, mine[:, :, :1] - amb], axis=2) if antipodal else gap
 
-        if _refined_min(pieces, grid, pair, step, scale, _reachable(pair, lipschitz, step, btol))[1] < btol:
-            return 2
-        one = _refined_min(lambda t: pieces(t, antipodal=False), grid, g, step, scale, _reachable(g, lipschitz, step, btol))
-        return 1 if one[1] < btol else 0
+        t, val = _refined_min(pieces, grid, pair, step, scale, _reachable(pair, lipschitz, step, btol))
+        if val < btol:
+            return 2, lambda: _split_witness(b, t)
+        t, val = _refined_min(lambda t: pieces(t, antipodal=False), grid, g, step, scale,
+                              _reachable(g, lipschitz, step, btol))
+        if val < btol:
+            return 1, lambda: Witness(np.linalg.eigh(_pencil_at(own.h, own.k, t))[1][:, -1:], [t])
+        return 0, lambda: Witness(np.zeros((2, 0)), [])
     raise UnsupportedBlockError(
         f"relative count for a non-normal {n}x{n} block needs the restricted search"
     )
+
+
+def _normal_witness(b, contacts, tol: ToleranceConfig) -> Witness:
+    """Orthonormal eigenvectors of the normal block ``b`` for its contact
+    eigenvalues, each (z, theta) at its contact direction theta: contacts
+    that agree within eq_tol ||b|| are one repeated eigenvalue and share one
+    SVD of b - z I, whose last singular vectors span its eigenspace."""
+    n = b.shape[0]
+    atol = tol.eq_tol * matrix_scale(b)
+    groups: dict = {}
+    for i, (z, _) in enumerate(contacts):
+        groups.setdefault(next((g for g in groups if abs(contacts[g][0] - z) <= atol), i), []).append(i)
+    vectors, thetas = [np.zeros((n, 0))], []
+    for members in groups.values():
+        z = np.mean([contacts[i][0] for i in members])
+        vectors.append(np.linalg.svd(b - z * np.eye(n))[2][n - len(members):].conj().T)
+        thetas += [contacts[i][1] for i in members]
+    return Witness(np.column_stack(vectors), thetas)
+
+
+def _split_witness(m, theta: float, levels=None) -> Witness:
+    """Eigenvectors of B = Re(e^{-i theta} m) as a witness.  With the levels
+    (h0, h1) of a dichotomy, all n: those nearer h1 at theta, on the
+    supporting line there, the rest at theta + pi, on the opposite one (every
+    eigenbasis of a two-level member reaches k = n).  Without, the top one at
+    theta and the bottom one at theta + pi: the orthonormal pair that every
+    matrix of size >= 2 has."""
+    w, v = np.linalg.eigh(_pencil_at(*hermitian_parts(m), theta))
+    n = len(w)
+    top = 1 if levels is None else int(np.sum(np.abs(w - levels[1]) < np.abs(w - levels[0])))
+    cols = [n - 1, 0] if levels is None else list(range(n - top, n)) + list(range(n - top))
+    return Witness(v[:, cols], [theta] * top + [theta + np.pi] * (len(cols) - top))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ import numpy as np
 
 from .linalg import (DEFAULT_TOL, SCALAR_GUARD, Normalisation, ToleranceConfig, _pencil_at,
                      as_square_matrix, hermitian_parts, matrix_scale, normalise)
-from .numrange import SupportFunction, _pencil_derivatives, _refined_minima, _top_cluster_basis, support_function, top_gap_events
+from .numrange import (SupportFunction, _pencil_derivatives, _refined_minima, _split_witness, _top_cluster_basis,
+                       support_function, top_gap_events)
+from .results import Witness
 
 MIN_GRID_SIZE = 64
 ARC_ROUNDS = 8  # cap on the bisection rounds of the arc-length grid, one stacked eigh each
@@ -470,17 +472,21 @@ def max_orthonormal_boundary_set(
     sf, norm = _entry(a, params.grid_size)
     m = sf.a
     n = m.shape[0]
-    if sf.diameter() <= SCALAR_GUARD * n * np.finfo(float).eps * sf.radius:
+    if _is_point(sf):
         return in_caller_units(OracleResult(n, np.eye(n, dtype=complex), np.zeros(n), 0.0, np.zeros(n), {}), norm)
     field_ = boundary_vector_field(sf, grid_size=params.grid_size, tol=tol)
     found = _search(m, field_.candidates, sf, tol, params, range(n, 1, -1))
     if not found.k_lower:
-        # guaranteed pair: extremal eigenvectors of any one direction are orthogonal
-        w, v = np.linalg.eigh(sf.h)
-        X = np.column_stack([v[:, -1], v[:, 0]])
-        thetas = np.array([0.0, np.pi])
-        found = OracleResult(2, X, thetas, 0.0, _boundary_residuals(m, X, thetas, sf), found.floors, found.capped)
+        pair = _split_witness(m, 0.0)  # the orthonormal pair every matrix has
+        found = OracleResult(2, pair.vectors, pair.thetas, 0.0, _boundary_residuals(m, pair.vectors, pair.thetas, sf),
+                             found.floors, found.capped)
     return in_caller_units(found, norm)
+
+
+def _is_point(sf: SupportFunction) -> bool:
+    """W is a point up to rounding: its diameter is below SCALAR_GUARD n eps
+    times its radius."""
+    return sf.diameter() <= SCALAR_GUARD * sf.a.shape[0] * np.finfo(float).eps * sf.radius
 
 
 def restricted_max_set(
@@ -502,6 +508,33 @@ def restricted_max_set(
     return found.k_lower, found.vectors, found.thetas
 
 
+def _checked(sf: SupportFunction, witness: Witness, claimed_k: int, tol: ToleranceConfig) -> Optional[OracleResult]:
+    """``check_witness`` on the matrix of ``sf``, in its units."""
+    X, thetas = witness.vectors, witness.thetas
+    if X.shape != (sf.a.shape[0], claimed_k) or thetas.shape != (claimed_k,):
+        return None
+    gram = float(np.max(np.abs(X.conj().T @ X - np.eye(claimed_k)), initial=0.0))
+    bres = _boundary_residuals(sf.a, X, thetas, sf)
+    if gram > tol.gram_tol or np.any(bres > 10 * tol.boundary_tol * sf.diameter()):
+        return None
+    return OracleResult(claimed_k, X, thetas, gram, bres, {})
+
+
+def check_witness(a, witness: Witness, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[OracleResult]:
+    """The witness as a search result when it reaches ``claimed_k``, else None.
+
+    It reaches the claim when it is n x claimed_k, its Gram residual
+    max |X*X - I| is at most gram_tol, and every column's boundary residual
+    |p(theta_i) - Re(e^{-i theta_i} x_i* A x_i)| is at most 10 boundary_tol
+    times the diameter of W(A), the bound the search accepts its own families
+    by.  A matrix is normalised first and the residuals are reported in its
+    units, as by the search.
+    """
+    sf, norm = _entry(a, 1024)
+    res = _checked(sf, witness, claimed_k, tol)
+    return None if res is None else in_caller_units(res, norm)
+
+
 @dataclass
 class VerifyReport:
     match: bool
@@ -509,6 +542,18 @@ class VerifyReport:
     claimed_k: int
     oracle: OracleResult
     escalations: int
+    witness_check: Optional[str] = None  # None without a witness, else "passed" | "failed"
+    searched_sizes: tuple = ()  # the family sizes asked of the search, largest first
+
+    @property
+    def source(self) -> str:
+        """Where ``oracle`` comes from: "witness" when the checked witness stands
+        and the search found nothing larger, else "search"."""
+        return "witness" if self.witness_check == "passed" and self.match else "search"
+
+    def provenance(self) -> dict:
+        return {"k_lower_source": self.source, "witness_check": self.witness_check,
+                "searched_sizes": [int(s) for s in self.searched_sizes]}
 
     def to_dict(self) -> dict:
         return {
@@ -517,18 +562,38 @@ class VerifyReport:
             "claimed_k": self.claimed_k,
             "oracle": self.oracle.to_dict(),
             "escalations": self.escalations,
+            **self.provenance(),
         }
 
 
-def verify(a, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = SearchParams()) -> VerifyReport:
+def verify(a, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = SearchParams(),
+           witness: Optional[Witness] = None) -> VerifyReport:
     """Check a claimed Gau-Wu value against the constructive search.
 
-    A search result above the claim is a soundness failure (the witness set
-    is explicit); a result below the claim triggers escalation before the
-    mismatch is reported, since the search is only a lower bound.  A matrix
-    is normalised once, and every escalation searches the same m.
+    A ``witness`` that passes ``check_witness`` proves the claim reached, so
+    the search runs only for the sizes above it (none when it is n), without
+    escalation: a family found there means the claim is too low
+    ("oracle-exceeds-claim"), and otherwise the witness is the report's
+    family.  A witness that fails the check is reported as failed, and the
+    claim goes to the search as without one.
+
+    Without a witness, a search result above the claim is a soundness failure
+    (the witness set is explicit); a result below the claim triggers
+    escalation before the mismatch is reported, since the search is only a
+    lower bound.  A matrix is normalised once, and every search runs on the
+    same m.
     """
     sf, norm = _entry(a, params.grid_size)
+    n = sf.a.shape[0]
+    if witness is not None and (reached := _checked(sf, witness, claimed_k, tol)) is not None:
+        sizes = tuple(range(n, claimed_k, -1))
+        if sizes:
+            above = _search(sf.a, boundary_vector_field(sf, params.grid_size, tol).candidates, sf, tol, params, sizes)
+            if above.k_lower:
+                return VerifyReport(False, "oracle-exceeds-claim", claimed_k, in_caller_units(above, norm), 0,
+                                    "passed", sizes)
+            reached = replace(reached, floors=above.floors, capped=above.capped)
+        return VerifyReport(True, "match", claimed_k, in_caller_units(reached, norm), 0, "passed", sizes)
     escalations = 0
     cur = params
     res = max_orthonormal_boundary_set(sf, tol=tol, params=cur)
@@ -537,8 +602,9 @@ def verify(a, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL, params: Search
         escalations += 1
         res = max_orthonormal_boundary_set(sf, tol=tol, params=cur)
     res = in_caller_units(res, norm)
+    provenance = (None if witness is None else "failed", () if _is_point(sf) else tuple(range(n, 1, -1)))
     if res.k_lower == claimed_k:
-        return VerifyReport(True, "match", claimed_k, res, escalations)
+        return VerifyReport(True, "match", claimed_k, res, escalations, *provenance)
     if res.k_lower > claimed_k:
-        return VerifyReport(False, "oracle-exceeds-claim", claimed_k, res, escalations)
-    return VerifyReport(False, "search-below-claim", claimed_k, res, escalations)
+        return VerifyReport(False, "oracle-exceeds-claim", claimed_k, res, escalations, *provenance)
+    return VerifyReport(False, "search-below-claim", claimed_k, res, escalations, *provenance)

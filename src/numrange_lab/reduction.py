@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, _is_normal, as_square_matrix, hermitian_parts, matrix_scale
-from .numrange import SupportFunction, dichotomy_scan, kprime_relative
+from .numrange import SupportFunction, _split_witness, dichotomy_scan, relative_share
 from .oracle import restricted_max_set
-from .results import METHOD_DIRECT_SUM, GauWuResult
+from .results import METHOD_DIRECT_SUM, GauWuResult, Witness, joined
 
 # Largest singular value of the commutator system, largest deviation of K'
 # or of the member's eigenvalues from their mean on a scalar cluster, and
@@ -193,22 +193,27 @@ def decompose(a) -> BlockDecomposition:
 
 
 def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
-    """Boundary share of one irreducible block relative to the ambient range.
-    A block that ``dichotomy_scan`` splits between two supporting lines of the
-    ambient range has share equal to its size: every basis adapted to the
-    idempotent maps onto them."""
+    """(share, method, make_witness) of one irreducible block relative to the
+    ambient range; ``make_witness()`` returns the block's ``Witness`` of that
+    size in the block's coordinates.
+
+    Normal and 2x2 blocks take both from ``relative_share``.  A block that
+    ``dichotomy_scan`` splits between two supporting lines of the ambient
+    range has share equal to its size: every basis adapted to the idempotent
+    maps onto them, so an eigenbasis of the two-level member is its witness.
+    Any other block gets the restricted search's count and vectors."""
     b = as_square_matrix(block)
     n = b.shape[0]
-    if _is_normal(b, tol):
-        return kprime_relative(b, ambient, tol), "normal-spectrum-contact"
-    if n == 2:
-        return kprime_relative(b, ambient, tol), "antipodal-contact"
+    normal = _is_normal(b, tol)
+    if normal or n == 2:
+        share, build = relative_share(b, ambient, tol)
+        return share, "normal-spectrum-contact" if normal else "antipodal-contact", build
     if (scan := dichotomy_scan(b, tol)) is not None:
         theta, h0, h1, _ = scan
         if max(abs(ambient(theta) - h1), abs(ambient(theta + np.pi) + h0)) <= tol.boundary_tol * ambient.diameter():
-            return n, "dichotomy"
-    k, _, _ = restricted_max_set(b, ambient, tol=tol)
-    return k, "restricted-search"
+            return n, "dichotomy", lambda: _split_witness(b, theta, (h0, h1))
+    k, vectors, thetas = restricted_max_set(b, ambient, tol=tol)
+    return k, "restricted-search", lambda: Witness(vectors, thetas)
 
 
 def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
@@ -216,17 +221,19 @@ def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
 
     Vectors from different blocks are automatically orthogonal, and tied
     supporting lines contribute their merged eigenspace dimension, so the
-    per-block counts add up.
+    per-block counts add up; so do the block witnesses, mapped back through
+    ``dec.unitary``.
     """
     if len(dec.blocks) < 2:
         raise ValueError("need at least two blocks")
     ambient_m = dec.assembled()
     ambient = SupportFunction(ambient_m, grid_size=1024)
-    contributions = []
+    contributions, builds = [], []
     total = 0
     for idx, b in enumerate(dec.blocks):
-        kp, how = block_kprime(b, ambient, tol)
+        kp, how, build = block_kprime(b, ambient, tol)
         contributions.append({"block": idx, "size": b.shape[0], "kprime": int(kp), "method": how})
+        builds.append(build)
         total += kp
     n = dec.n
     cert = {
@@ -238,4 +245,6 @@ def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
         # k lies in [2, n], so a sum outside it means some share is wrong
         cert["unclamped_total"] = int(total)
         total = max(2, min(total, n))
-    return GauWuResult(k=int(total), n=n, method=METHOD_DIRECT_SUM, certificate=cert)
+    columns = np.split(dec.unitary, np.cumsum(cert["block_sizes"])[:-1], axis=1)
+    return GauWuResult(k=int(total), n=n, method=METHOD_DIRECT_SUM, certificate=cert,
+                       build_witness=lambda: joined([(q, build()) for q, build in zip(columns, builds)]))

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,6 +30,26 @@ ALL_METHODS = (
 
 
 @dataclass
+class Witness:
+    """An orthonormal family reaching k: column i of ``vectors`` (n x k) is a
+    top eigenvector of Re(e^{-i thetas[i]} A), so that its Rayleigh value lies
+    on the supporting line of W(A) in direction thetas[i]."""
+
+    vectors: np.ndarray
+    thetas: np.ndarray
+
+    def __post_init__(self):
+        self.vectors = np.asarray(self.vectors, dtype=complex)
+        self.thetas = np.asarray(self.thetas, dtype=float)
+
+
+def joined(parts) -> Witness:
+    """The union of block witnesses: each (isometry, witness) pair maps its
+    witness into C^n by the n x n_b isometry that embeds its block."""
+    return Witness(np.column_stack([q @ w.vectors for q, w in parts]), np.concatenate([w.thetas for _, w in parts]))
+
+
+@dataclass
 class GauWuResult:
     """Value of the Gau-Wu number together with the route that produced it.
 
@@ -36,6 +57,9 @@ class GauWuResult:
     canonical-form parameters, per-block contributions, ...) sufficient to
     re-validate the claim against the matrix.  ``work`` keeps, for reports and
     not in ``to_dict``, what the stages that ran computed on the way.
+    ``witness`` is the route's family reaching k (``Witness``), in the
+    coordinates of the input; ``build_witness`` makes it from what the route
+    kept, on first access only, so a result nobody checks costs nothing more.
     """
 
     k: int
@@ -44,6 +68,7 @@ class GauWuResult:
     certificate: dict = field(default_factory=dict)
     oracle_confirmed: Optional[bool] = None
     work: dict = field(default_factory=dict, repr=False, compare=False)
+    build_witness: Optional[Callable[[], Witness]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in ALL_METHODS:
@@ -51,6 +76,10 @@ class GauWuResult:
         lo = 2 if self.n >= 2 else 1
         if not (lo <= self.k <= self.n):
             raise ValueError(f"k={self.k} outside [{lo}, {self.n}]")
+
+    @cached_property
+    def witness(self) -> Optional[Witness]:
+        return None if self.build_witness is None else self.build_witness()
 
     def to_dict(self) -> dict:
         return {

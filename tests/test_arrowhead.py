@@ -138,6 +138,16 @@ class TestSecular:
         for p in res.degenerate:
             assert np.linalg.norm(dense @ p.vector - p.value * p.vector) <= 1e-9 * matrix_scale(dense)
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_zero_arrowhead_gets_an_orthonormal_basis(self, n):
+        # the zero matrix has no unit to measure a pole collision in; its
+        # n-fold eigenvalue 0 gets n orthonormal vectors
+        res = secular_eigen(ArrowheadMatrix(np.zeros(n - 1), np.zeros(n - 1), np.zeros(n - 1), 0))
+        pairs = res.eigen + res.degenerate
+        vecs = np.array([p.vector for p in pairs]).T
+        assert len(pairs) == n and all(p.value == 0 and p.residual == 0 for p in pairs)
+        assert np.array_equal(vecs.conj().T @ vecs, np.eye(n))
+
     @pytest.mark.parametrize("n", [10, 60, 250])
     @pytest.mark.parametrize("kind", ["clustered", "weak"])
     def test_hermitian_hard_poles(self, kind, n):

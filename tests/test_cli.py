@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import balanced_arrowhead, random_matrix, rng_for
-from numrange_lab import arrowhead, numrange, oracle, reduction
+from numrange_lab import arrowhead, cli, numrange, oracle, reduction
 from numrange_lab.classify import classify_any
-from numrange_lab.cli import main
+from numrange_lab.cli import build_parser, main
 from numrange_lab.generators import FamilySpec, flat_portion_example, generate
 from numrange_lab.matrixio import load_matrix, save_matrix
 
@@ -121,6 +121,26 @@ class TestClassifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["method"] == "ArrowheadTheorem"
         assert doc["result"]["oracle_confirmed"] is True
+
+    def test_verify_report_says_where_k_lower_comes_from(self, tmp_path, capsys):
+        # k = n: the route's witness passes, so nothing is searched; k = 2 < 4:
+        # the search runs only for the sizes above the claim
+        for family, n, sizes in (("dichotomous-arrowhead-diag", 6, []), ("pure-almost-normal", 4, [4, 3])):
+            path = tmp_path / f"{family}.json"
+            save_matrix(path, generate(FamilySpec(family, n=n, seed=4)))
+            assert main(["classify", str(path), "--verify", "--format", "json"]) == 0
+            oracle_ = json.loads(capsys.readouterr().out)["oracle"]
+            provenance = oracle_["k_lower_source"], oracle_["witness_check"], oracle_["searched_sizes"]
+            assert provenance == ("witness", "passed", sizes)
+            assert main(["classify", str(path), "--verify"]) == 0
+            line = f"oracle: {oracle_['k_lower']} vectors from the witness; witness passed; sizes searched: "
+            assert line + (", ".join(map(str, sizes)) or "none") in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, worked_example_path, monkeypatch):
+        assert build_parser() is build_parser()
+        # the cached parser holds no command function: main looks it up when it runs
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+        assert main(["verify", worked_example_path, "--claim", "3"]) == 7
 
 
 class TestCurveCommand:

@@ -384,11 +384,11 @@ class TestAmbientContact:
 
     def test_contact_counts_for_the_block(self):
         b, a = tangent_contact(0)
-        assert block_kprime(b, SupportFunction(a)) == (1, "restricted-search")
+        assert block_kprime(b, SupportFunction(a))[:2] == (1, "restricted-search")
         assert classify_any(a).k == 4 == max_orthonormal_boundary_set(a).k_lower
 
     def test_grid_alone_misses_the_contact(self, monkeypatch):
         monkeypatch.setattr(oracle, "_refined_minima", lambda *args, **kwargs: [])
         b, a = tangent_contact(0)
-        assert block_kprime(b, SupportFunction(a)) == (0, "restricted-search")
+        assert block_kprime(b, SupportFunction(a))[:2] == (0, "restricted-search")
         assert classify_any(a).k == 3
