@@ -78,7 +78,11 @@ def support(a, theta: float, tol: ToleranceConfig = DEFAULT_TOL) -> SupportSampl
 class SupportFunction:
     """p(theta) precomputed on a uniform grid, with exact evaluation anywhere;
     ``grid_eigvals`` keeps the whole spectrum of each grid member, and its
-    largest magnitude ``radius`` is the scale of every pencil eigenvalue."""
+    largest magnitude ``radius`` is the scale of every pencil eigenvalue.
+    ``_memo`` holds the stages built on this sweep, per tolerance
+    (``top_gap_events`` and ``oracle.boundary_vector_field``), so the stages
+    of one classification share them; nothing in it refers back to the
+    SupportFunction."""
 
     def __init__(self, a, grid_size: int = 1024):
         self.a = as_square_matrix(a)
@@ -88,6 +92,7 @@ class SupportFunction:
         self.grid_eigvals = np.linalg.eigvalsh(_pencil_at(self.h, self.k, self.thetas))
         self.grid_values = self.grid_eigvals[:, -1]
         self.radius = float(np.max(np.abs(self.grid_eigvals)))
+        self._memo: dict = {}
 
     def __call__(self, theta):
         """p(theta): a float for a scalar theta, an array for a 1-d array."""
@@ -98,8 +103,9 @@ class SupportFunction:
     def top_vectors(self) -> np.ndarray:
         """(grid_size, n) top eigenvectors of the grid members; lazy, because
         the batched eigh costs about three eigvalsh sweeps and an ambient
-        range never needs it."""
-        return np.linalg.eigh(_pencil_at(self.h, self.k, self.thetas))[1][:, :, -1]
+        range never needs it.  A copy, so that the (grid_size, n, n)
+        eigenvector stack is freed."""
+        return np.linalg.eigh(_pencil_at(self.h, self.k, self.thetas))[1][:, :, -1].copy()
 
     def branches(self, thetas) -> np.ndarray:
         """Ascending eigenvalues of the pencil members at the 1-d ``thetas`` and
@@ -247,8 +253,12 @@ def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
     then Newton refinement of each local minimum; a direction qualifies as an
     event only if the refined gap falls below split_tol * ||A||, which keeps
     merely-close eigenvalues (for example after a tiny arrowhead perturbation)
-    from being mistaken for true multiplicity.
+    from being mistaken for true multiplicity.  The list is memoised on
+    ``sf`` per ``tol``: the seeds and the search's candidates read one scan.
     """
+    key = ("top_gap_events", tol)
+    if key in sf._memo:
+        return sf._memo[key]
     if sf.a.shape[0] == 1:
         return []
     scale = matrix_scale(sf.a)
@@ -265,7 +275,7 @@ def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
             t = thetas[idx]
             p, basis, ww = _top_cluster_basis(h, k, t, 4 * split)
             events.append(TopEvent(theta=float(t), p=p, gap=float(gaps[idx]), basis=basis, eigvals=ww))
-        return events
+        return sf._memo.setdefault(key, events)
 
     step = TWO_PI / grid_size
     events = []
@@ -286,7 +296,7 @@ def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
         link = 8 * max(g, split)
         p, basis, ww = _top_cluster_basis(h, k, t, link)
         events.append(TopEvent(theta=t, p=p, gap=float(g), basis=basis, eigvals=ww))
-    return events
+    return sf._memo.setdefault(key, events)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,15 @@ analytic top-eigenvector derivatives.
 Results are constructive lower bounds: sets are reported only with their
 Gram and boundary residuals, never by extrapolation.  The searches take a
 matrix or its SupportFunction, whose sweep they reuse when the grid matches.
+
+One pencil has one search graph: on a SupportFunction's own grid the event
+list, the candidate field and the clique table grown from it are built once
+per tolerance and kept with the SupportFunction, so the three-line search of
+``classify.ka3_check`` and ``verify`` above its k share one event scan, one
+arc-node field and one graph, whose clique levels ``verify`` extends.  Not
+shared: an escalated grid is a new SupportFunction with its own graph, a
+restricted search's field depends on its ambient and is built per call, and
+the ambient of a direct sum is a sweep of its own (``reduction.dirsum_gauwu``).
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ class SearchParams:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Candidate:
     theta: float
     vec: np.ndarray
@@ -64,10 +73,21 @@ class Candidate:
     radius: float = 0.0  # arc of x(theta) this candidate stands for (free arc nodes)
 
 
+class Candidates(tuple):
+    """The search's candidates, in order, with the clique tables of their
+    orthogonality graph (``_cliques``), one per (floor, cap), each built on
+    first use and grown as larger cliques are asked for."""
+
+    def __new__(cls, items):
+        obj = super().__new__(cls, items)
+        obj.tables = {}
+        return obj
+
+
 @dataclass
 class BoundaryVectorField:
     support: SupportFunction
-    candidates: list
+    candidates: Candidates
     events: list
     turns: list  # (theta_lo, theta_hi) of the turns that the arc nodes leave uncovered
 
@@ -125,10 +145,18 @@ def boundary_vector_field(
     ambient boundary (the restricted search used for blocks of a direct sum).
     The nodes' radii cover x(theta) except at the events and inside
     ``turns``, the avoided crossings too narrow for the bisection.
+
+    Without ``ambient`` the field is memoised on the SupportFunction per
+    ``tol``, so the three-line search and ``verify`` on one pencil share its
+    candidates and their clique tables; a restricted search's field depends
+    on its ambient and is built afresh.
     """
     if grid_size < MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
     sf = support_function(a, grid_size)
+    key = ("boundary_vector_field", tol)
+    if ambient is None and key in sf._memo:
+        return BoundaryVectorField(sf, *sf._memo[key])
     m = sf.a
     n = m.shape[0]
     scale = matrix_scale(m)
@@ -169,7 +197,10 @@ def boundary_vector_field(
                     Candidate(theta=float(t), vec=vv[:, -1], basis=vv[:, -1:], pinned=True)
                 )
     nodes, turns = _arc_nodes(sf, usable, events, min(grid_size // 4, MAX_ARC_NODES), tol.gram_tol)
-    return BoundaryVectorField(support=sf, candidates=cands + nodes, events=events, turns=turns)
+    built = (Candidates(cands + nodes), events, turns)  # no reference to sf, which would keep it in a cycle
+    if ambient is None:
+        sf._memo[key] = built
+    return BoundaryVectorField(sf, *built)
 
 
 def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int, floor: float):
@@ -236,7 +267,74 @@ def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int
     return nodes, turns
 
 
-def _cliques(cands: list, floor: float, largest: int, cap: int):
+def _graph(cands: Candidates, floor: float):
+    """(measure, upper) of the candidates' orthogonality graph: the pair
+    measures and the adjacency above the diagonal (see ``_cliques``)."""
+    vecs = np.column_stack([c.vec for c in cands])
+    measure, group, spaces = np.abs(vecs.conj().T @ vecs), np.arange(len(cands)), {}
+    for i, c in enumerate(cands):
+        if c.pinned and c.basis.shape[1] > 1:
+            group[i] = len(cands) + spaces.setdefault(id(c.basis), len(spaces))
+    same = group[:, None] == group[None, :]
+    overlap = measure[same]
+    for i in np.flatnonzero(group >= len(cands)):
+        measure[i] = np.maximum(measure[i], np.linalg.norm(cands[i].basis.conj().T @ vecs, axis=0))
+    np.maximum(measure, measure.T, out=measure)
+    measure[same] = overlap
+    radius = np.array([c.radius for c in cands])
+    limit = np.add.outer(radius, radius)
+    limit += floor
+    upper = measure <= limit
+    upper |= same
+    return measure, np.triu(upper, 1)
+
+
+class _CliqueTable:
+    """Clique levels of one orthogonality graph, grown one size at a time
+    (``_cliques``); it keeps only the graph and the levels."""
+
+    def __init__(self, cands: Candidates, floor: float, cap: int):
+        self.measure, self.upper = _graph(cands, floor)
+        self.cap = cap
+        self.levels, self.capped = [np.arange(len(cands))[:, None]], []
+        self.worst = np.zeros(len(cands))  # largest pair measure of each clique of the top level
+        self.complete = False  # the size above the top level has no clique
+
+    def _best(self, parts):
+        level, worst = (np.concatenate(v) for v in zip(*parts))
+        order = np.argsort(worst, kind="stable")[:self.cap]
+        return level[order], worst[order]
+
+    def grow(self, largest: int) -> None:
+        """Append levels until ``largest`` or the first size without a clique."""
+        upper, measure, cap = self.upper, self.measure, self.cap
+        chunk = max(1, CLIQUE_CHUNK // len(upper))
+        while not self.complete and len(self.levels) < largest:
+            level, worst = self.levels[-1], self.worst
+            parts, found = [], 0
+            for lo in range(0, len(level), chunk):
+                part = level[lo:lo + chunk]
+                common = upper[part[:, 0]]
+                for col in part.T[1:]:
+                    common &= upper[col]
+                rows, cols = np.divmod(np.flatnonzero(common), common.shape[1])
+                w = worst[lo + rows]
+                for col in part.T:
+                    w = np.maximum(w, measure[col[rows], cols])
+                parts.append((np.column_stack([part[rows], cols]), w))
+                found += len(rows)
+                if sum(len(p[1]) for p in parts) > 2 * cap:
+                    parts = [self._best(parts)]
+            if not found:
+                self.complete = True
+                break
+            if found > cap:
+                self.capped.append(level.shape[1] + 1)
+            level, self.worst = self._best(parts)
+            self.levels.append(level)
+
+
+def _cliques(cands: Candidates, floor: float, largest: int, cap: int):
     """The candidates' orthogonality graph and its cliques.
 
     Returns, per size 1, 2, ... up to ``largest`` while any exist, the
@@ -252,49 +350,18 @@ def _cliques(cands: list, floor: float, largest: int, cap: int):
     chunks of at most CLIQUE_CHUNK graph cells, cutting as it goes.  Since a
     clique's measure is at least that of each of its subcliques, every
     clique whose measure is below that of all cut cliques is kept.
+
+    The graph is built once per (``floor``, ``cap``) and kept with its levels
+    in ``cands.tables``: a level depends only on the level below, the graph
+    and ``cap``, so a later call for a larger size appends to the table and
+    returns what a fresh build would (the triple search builds sizes 1-3 and
+    ``verify`` on the same pencil extends them to 4).
     """
-    vecs = np.column_stack([c.vec for c in cands])
-    overlap = np.abs(vecs.conj().T @ vecs)
-    measure, group, spaces = overlap.copy(), np.arange(len(cands)), {}
-    for i, c in enumerate(cands):
-        if c.pinned and c.basis.shape[1] > 1:
-            group[i] = len(cands) + spaces.setdefault(id(c.basis), len(spaces))
-            measure[i] = np.maximum(measure[i], np.linalg.norm(c.basis.conj().T @ vecs, axis=0))
-    measure = np.maximum(measure, measure.T)
-    same = group[:, None] == group[None, :]
-    measure[same] = overlap[same]
-    radius = np.array([c.radius for c in cands])
-    upper = np.triu((measure <= radius[:, None] + radius[None, :] + floor) | same, 1)
-
-    def best(parts):
-        level, worst = (np.concatenate(v) for v in zip(*parts))
-        order = np.argsort(worst, kind="stable")[:cap]
-        return level[order], worst[order]
-
-    level, worst = np.arange(len(cands))[:, None], np.zeros(len(cands))
-    levels, capped, chunk = [level], [], max(1, CLIQUE_CHUNK // len(cands))
-    while level.shape[1] < largest:
-        parts, found = [], 0
-        for lo in range(0, len(level), chunk):
-            part = level[lo:lo + chunk]
-            common = upper[part[:, 0]]
-            for col in part.T[1:]:
-                common &= upper[col]
-            rows, cols = np.nonzero(common)
-            w = worst[lo + rows]
-            for col in part.T:
-                w = np.maximum(w, measure[col[rows], cols])
-            parts.append((np.column_stack([part[rows], cols]), w))
-            found += len(rows)
-            if sum(len(p[1]) for p in parts) > 2 * cap:
-                parts = [best(parts)]
-        if not found:
-            break
-        if found > cap:
-            capped.append(level.shape[1] + 1)
-        level, worst = best(parts)
-        levels.append(level)
-    return levels, capped
+    table = cands.tables.get((floor, cap))
+    if table is None:
+        table = cands.tables[floor, cap] = _CliqueTable(cands, floor, cap)
+    table.grow(largest)
+    return table.levels[:largest], [s for s in table.capped if s <= largest]
 
 
 def _top_vectors(h, k, thetas, ref, floor):
@@ -405,7 +472,7 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
     return res, X, thetas, _boundary_residuals(m_mat, X, thetas, sf)
 
 
-def _search(m, cands: list, support: SupportFunction, tol: ToleranceConfig, params: SearchParams,
+def _search(m, cands: Candidates, support: SupportFunction, tol: ToleranceConfig, params: SearchParams,
             sizes, accept: Optional[Callable] = None) -> OracleResult:
     """Graph -> clique -> refine core shared by the full and the restricted search.
 
@@ -418,8 +485,10 @@ def _search(m, cands: list, support: SupportFunction, tol: ToleranceConfig, para
     whose members lie on the boundary of ``support`` wins; its attempts stop
     at the first refinement that does not improve on its best family.
     Only the descending ``sizes`` are tried, so cliques are built up to the
-    first of them; ``accept(vectors, thetas)`` can reject a family that
-    passes.  With no family of these sizes the result has k_lower = 0.
+    first of them, or taken from the candidates' clique table when an earlier
+    search on the same field built them; ``accept(vectors, thetas)`` can
+    reject a family that passes.  With no family of these sizes the result
+    has k_lower = 0.
     """
     n = m.shape[0]
     levels, capped = _cliques(cands, tol.gram_tol, sizes[0], params.max_cliques) if cands else ([], [])

@@ -1,3 +1,4 @@
+import sys
 import zlib
 
 import numpy as np
@@ -20,6 +21,7 @@ from numrange_lab.reduction import commutant_dimension, decompose, dirsum_gauwu
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import AffineMap, DimensionError, affine_apply, herm_part_at, normalise, rotate
 from numrange_lab.numrange import FLAT_PORTION, SupportFunction, detect_seeds, dichotomy_scan
+from numrange_lab import numrange, oracle
 from numrange_lab.oracle import max_orthonormal_boundary_set, verify
 from numrange_lab.results import (
     METHOD_ARROWHEAD,
@@ -292,6 +294,30 @@ class TestOneSupportFunction:
         # verify matches the worked example's k = 3 without escalating
         res = classify(flat_portion_example(), confirm_with_oracle=True)
         assert res.oracle_confirmed is True
+        assert support_builds == {1024: 1}
+
+    def test_confirmation_extends_the_triple_search_graph(self, monkeypatch, support_builds):
+        # the seeds and the three-line search read one event scan, and verify
+        # above k = 3 extends the triple search's clique table to size 4
+        runs = []
+
+        def counting(module, name):
+            orig = getattr(module, name)
+
+            def run(*args, **kwargs):
+                runs.append((name, sys._getframe(1).f_code.co_name))
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, run)
+
+        counting(numrange, "_refined_minima")
+        counting(oracle, "_arc_nodes")
+        counting(oracle, "_graph")
+        res = classify(generate(FamilySpec("k3-parallel-lines", seed=4000)), confirm_with_oracle=True)
+        assert (res.k, res.method, res.oracle_confirmed) == (3, METHOD_KA3, True)
+        assert res.certificate["oracle"]["searched_sizes"] == [4]
+        assert sorted(runs) == [("_arc_nodes", "boundary_vector_field"), ("_graph", "__init__"),
+                                ("_refined_minima", "top_gap_events")]
         assert support_builds == {1024: 1}
 
 

@@ -9,6 +9,7 @@ from numrange_lab import oracle
 from numrange_lab.oracle import (
     ARC_ROUNDS,
     TOP_GAP_FLOOR,
+    Candidates,
     SearchParams,
     _cliques,
     _top_vectors,
@@ -157,11 +158,29 @@ class TestArcGraph:
                 below = min(below, measure(b).max())
             head = a[measure(a) < below]
             assert len(head) >= 24 and np.array_equal(b[: len(head)], head)
-        # extension in chunks of a few rows, merged and cut as it goes
+        # extension in chunks of a few rows, merged and cut as it goes, on a
+        # fresh copy of the candidates (the first table is kept with them)
         monkeypatch.setattr(oracle, "CLIQUE_CHUNK", 500)
-        chunked, capped_chunked = _cliques(cands, 1e-6, 6, 4000)
+        chunked, capped_chunked = _cliques(Candidates(cands), 1e-6, 6, 4000)
         assert capped_chunked == capped
         assert all(np.array_equal(a, b) for a, b in zip(chunked, cut))
+
+    def test_extended_table_matches_a_fresh_build(self):
+        # a table built to triples and then extended to 4 gives the levels and
+        # cut sizes of one built straight to 4, here with levels 3 and 4 cut
+        cands = boundary_vector_field(near_normal(5032)).candidates
+        fresh, fresh_capped = _cliques(Candidates(cands), 1e-6, 4, 4000)
+        grown = Candidates(cands)
+        three, three_capped = _cliques(grown, 1e-6, 3, 4000)
+        assert three_capped == [3] and len(three) == 3
+        four, four_capped = _cliques(grown, 1e-6, 4, 4000)
+        assert four_capped == fresh_capped == [3, 4]
+        assert len(four) == len(fresh) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(four, fresh))
+        assert all(a is b for a, b in zip(three, four))  # the first three levels are the ones built before
+        # asking for fewer sizes afterwards reads the same prefix
+        again, again_capped = _cliques(grown, 1e-6, 3, 4000)
+        assert again_capped == [3] and all(a is b for a, b in zip(again, three))
 
     def test_split_double_vertex_keeps_five(self):
         # the family needs 5-cliques built from triangles that a cap of 4,000
