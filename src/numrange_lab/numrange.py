@@ -7,7 +7,10 @@ under f_A(x) = x* A x.  All boundary computations below reduce to eigenvalue
 problems for the pencil member cos(theta) H + sin(theta) K (linalg._pencil_at).
 Each SupportFunction sweeps its grid once; event, seed and candidate scans
 read that sweep, and the functions here and in ``oracle`` that take a matrix
-also take its SupportFunction (``support_function``).  Every minimum in
+also take its SupportFunction (``support_function``).  A sweep solves half a
+turn: B(theta + pi) = -B(theta), so the spectrum at theta + pi is the spectrum
+at theta negated and reversed, and its top vector is the bottom vector at
+theta; an even grid solves only its directions in [0, pi).  Every minimum in
 theta of a function of these eigenvalues is refined off the grid by one
 lockstep Newton solver (``_refined_minima``) on their analytic derivatives.
 """
@@ -79,6 +82,10 @@ class SupportFunction:
     """p(theta) precomputed on a uniform grid, with exact evaluation anywhere;
     ``grid_eigvals`` keeps the whole spectrum of each grid member, and its
     largest magnitude ``radius`` is the scale of every pencil eigenvalue.
+    An even grid solves only its first ``_solved`` = grid_size / 2 members,
+    whose directions cover [0, pi): the member at theta + pi is the one at
+    theta negated, so its spectrum is theta's negated and reversed.  An odd
+    grid has no antipodal samples and solves all its members.
     ``_memo`` holds the stages built on this sweep, per tolerance
     (``top_gap_events`` and ``oracle.boundary_vector_field``), so the stages
     of one classification share them; nothing in it refers back to the
@@ -89,7 +96,9 @@ class SupportFunction:
         self.h, self.k = hermitian_parts(self.a)
         self.grid_size = int(grid_size)
         self.thetas = np.linspace(0.0, TWO_PI, self.grid_size, endpoint=False)
-        self.grid_eigvals = np.linalg.eigvalsh(_pencil_at(self.h, self.k, self.thetas))
+        self._solved = self.grid_size // 2 if self.grid_size % 2 == 0 else self.grid_size
+        w = np.linalg.eigvalsh(_pencil_at(self.h, self.k, self.thetas[: self._solved]))
+        self.grid_eigvals = np.concatenate([w, -w[:, ::-1]])[: self.grid_size]
         self.grid_values = self.grid_eigvals[:, -1]
         self.radius = float(np.max(np.abs(self.grid_eigvals)))
         self._memo: dict = {}
@@ -101,11 +110,12 @@ class SupportFunction:
 
     @cached_property
     def top_vectors(self) -> np.ndarray:
-        """(grid_size, n) top eigenvectors of the grid members; lazy, because
-        the batched eigh costs about three eigvalsh sweeps and an ambient
-        range never needs it.  A copy, so that the (grid_size, n, n)
-        eigenvector stack is freed."""
-        return np.linalg.eigh(_pencil_at(self.h, self.k, self.thetas))[1][:, :, -1].copy()
+        """(grid_size, n) top eigenvectors of the grid members, from one eigh
+        of the solved members: the top vectors there and, for the directions
+        theta + pi, the bottom ones.  Lazy, because only the search reads
+        it; the (solved, n, n) eigenvector stack is freed on return."""
+        v = np.linalg.eigh(_pencil_at(self.h, self.k, self.thetas[: self._solved]))[1]
+        return np.concatenate([v[:, :, -1], v[:, :, 0]])[: self.grid_size]
 
     def branches(self, thetas) -> np.ndarray:
         """Ascending eigenvalues of the pencil members at the 1-d ``thetas`` and

@@ -180,7 +180,10 @@ def boundary_vector_field(
     usable = sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2] > split  # a multiple top eigenvalue is an event's
     if ambient is not None:
         btol = tol.boundary_tol * ambient.diameter()
-        g = ambient(sf.thetas) - sf.grid_values
+        # when sf's directions are every r-th of the ambient grid (the default
+        # restricted search sweeps 512 of its 1024), the ambient's sweep gives p there
+        r, rest = divmod(ambient.grid_size, grid_size)
+        g = (ambient.grid_values[::r] if r and not rest else ambient(sf.thetas)) - sf.grid_values
         usable &= g <= btol
 
         def pieces(t):
@@ -296,7 +299,7 @@ class _CliqueTable:
     def __init__(self, cands: Candidates, floor: float, cap: int):
         self.measure, self.upper = _graph(cands, floor)
         self.cap = cap
-        self.levels, self.capped = [np.arange(len(cands))[:, None]], []
+        self.levels, self.capped = [np.arange(len(cands), dtype=np.int32)[:, None]], []  # node indices < 2**31
         self.worst = np.zeros(len(cands))  # largest pair measure of each clique of the top level
         self.complete = False  # the size above the top level has no clique
 
@@ -321,7 +324,7 @@ class _CliqueTable:
                 w = worst[lo + rows]
                 for col in part.T:
                     w = np.maximum(w, measure[col[rows], cols])
-                parts.append((np.column_stack([part[rows], cols]), w))
+                parts.append((np.column_stack([part[rows], cols.astype(np.int32)]), w))
                 found += len(rows)
                 if sum(len(p[1]) for p in parts) > 2 * cap:
                     parts = [self._best(parts)]

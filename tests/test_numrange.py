@@ -9,7 +9,7 @@ from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
 from numrange_lab import numrange, oracle
 from numrange_lab.classify import classify_any
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
-from numrange_lab.linalg import rotate
+from numrange_lab.linalg import _pencil_at, rotate
 from numrange_lab.numrange import (
     FLAT_PORTION,
     IDEMPOTENT_TOL,
@@ -84,6 +84,39 @@ class TestSupport:
         # within pi / (2 grid_size) of that direction or of its opposite
         d = SupportFunction(np.diag([0.0, 1.0, 1j]), grid_size).diameter()
         assert np.sqrt(2) * np.cos(np.pi / (2 * grid_size)) <= d <= np.sqrt(2) + 1e-12
+
+    # Each sweep, solved at theta + pi or mirrored from theta, lies within about
+    # 8 eps * radius of the exact spectrum (against a 40-digit reference at
+    # n = 6-8), so two sweeps agree within twice that; a direct eigh's own top
+    # vectors reach residuals of 9 eps * radius at n = 8.
+    HALF_TURN_TOL = 16 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_half_turn_sweep_matches_a_full_one(self, n, scale):
+        for seed, grid_size in enumerate([64, 720, 1024]):
+            sf = SupportFunction(scale * random_matrix(rng_for(9000 + 10 * n + seed), n), grid_size)
+            full = np.linalg.eigvalsh(_pencil_at(sf.h, sf.k, sf.thetas))
+            assert sf.grid_eigvals.shape == (grid_size, n)
+            assert np.max(np.abs(sf.grid_eigvals - full)) <= self.HALF_TURN_TOL * sf.radius
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_mirrored_top_vectors_are_top_eigenvectors(self, n, scale):
+        # rows at theta_i + pi come from the bottom vectors at theta_i; the
+        # residual is taken in units of the radius, which neither over- nor underflows
+        sf = SupportFunction(scale * random_matrix(rng_for(9100 + n), n), 720)
+        x, p = sf.top_vectors[360:], sf.grid_values[360:] / sf.radius
+        b = _pencil_at(sf.h, sf.k, sf.thetas[360:]) / sf.radius
+        assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1)) <= self.HALF_TURN_TOL
+        residual = np.linalg.norm(np.einsum("tij,tj->ti", b, x) - p[:, None] * x, axis=1)
+        assert np.max(residual) <= self.HALF_TURN_TOL
+
+    def test_odd_grid_solves_every_direction(self, stack_sizes):
+        sf = SupportFunction(random_matrix(rng_for(9200), 5), 65)
+        assert sf.grid_eigvals.shape == (65, 5) and sf.top_vectors.shape == (65, 5)
+        assert np.array_equal(sf.grid_eigvals, np.linalg.eigvalsh(_pencil_at(sf.h, sf.k, sf.thetas)))
+        assert stack_sizes["eigh"] == {65: 1} and stack_sizes["eigvalsh"][65] == 2
 
 
 class TestBasePolynomial:
@@ -233,10 +266,11 @@ class TestSeeds:
 
     def test_one_grid_sweep(self, stack_sizes):
         # the event scan and the corner rule read the support function's
-        # sweep; only the event refinement adds stacks, one per Newton step
+        # sweep, which solves the 512 directions of [0, pi) and mirrors the
+        # rest; only the event refinement adds stacks, one per Newton step
         detect_seeds(flat_portion_example())
-        assert {name: sizes[1024] for name, sizes in stack_sizes.items()} == {"eigvalsh": 1, "eigh": 0}
-        assert set(stack_sizes["eigvalsh"]) == {1024}
+        assert {name: sizes[512] for name, sizes in stack_sizes.items()} == {"eigvalsh": 1, "eigh": 0}
+        assert set(stack_sizes["eigvalsh"]) == {512}
         assert sum(stack_sizes["eigh"].values()) <= REFINE_STEPS
 
     def test_flat_portion_witness_gram(self):
@@ -298,15 +332,19 @@ class TestKprime:
 
     def test_block_reads_the_ambient_sweep(self, stack_sizes):
         # the block's 512 directions are every other one of the ambient's 1024
-        # grid, so the ambient support there is read, not recomputed
+        # grid, so the ambient support there is read, not recomputed; each
+        # sweep solves half its grid, the ambient's 512 and the block's 256
         b1 = np.array([[0, 2], [0, 0]], dtype=complex)
         b2 = np.array([[0.9, 1.1], [0, 0.9]], dtype=complex)
         amb = np.zeros((4, 4), dtype=complex)
         amb[:2, :2], amb[2:, 2:] = b1, b2
         sf = SupportFunction(amb)
+        stack_sizes["eigvalsh"].clear()
         assert kprime_relative(b2, sf) == 1
-        assert stack_sizes["eigvalsh"][512] == 1
-        assert np.array_equal(sf(SupportFunction(b2, 512).thetas), sf.grid_values[::2])
+        assert stack_sizes["eigvalsh"][256] == 1 and stack_sizes["eigvalsh"][512] == 0
+        assert np.array_equal(sf.grid_values[512:], -sf.grid_eigvals[:512, 0])
+        direct = sf(SupportFunction(b2, 512).thetas)
+        assert np.max(np.abs(direct - sf.grid_values[::2])) <= 8 * np.finfo(float).eps * sf.radius
 
     @staticmethod
     def _shares(blocks, ambient, monkeypatch, masked):

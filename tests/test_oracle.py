@@ -34,11 +34,24 @@ class TestField:
             assert abs(np.real(np.exp(-1j * c.theta) * z) - p) < 1e-10
 
     def test_one_grid_sweep(self, stack_sizes):
-        # beyond the two sweeps, only the event refinement's Newton steps
+        # beyond the two half-turn sweeps of 512 members, only the event
+        # refinement's Newton steps
         boundary_vector_field(flat_portion_example())
-        assert {name: sizes[1024] for name, sizes in stack_sizes.items()} == {"eigvalsh": 1, "eigh": 1}
-        assert set(stack_sizes["eigvalsh"]) == {1024}
+        assert {name: sizes[512] for name, sizes in stack_sizes.items()} == {"eigvalsh": 1, "eigh": 1}
+        assert set(stack_sizes["eigvalsh"]) == {512}
         assert sum(stack_sizes["eigh"].values()) - 1 <= REFINE_STEPS
+
+    def test_restricted_field_reads_the_ambient_sweep(self, stack_sizes):
+        # the field's 512 directions are every other one of the ambient's 1024,
+        # so its only eigvalsh stack is its own half-turn sweep of 256
+        rng = rng_for(41)
+        b = random_matrix(rng, 3)
+        amb = np.zeros((5, 5), dtype=complex)
+        amb[:3, :3], amb[3:, 3:] = b, random_matrix(rng, 2)
+        ambient = SupportFunction(amb)
+        stack_sizes["eigvalsh"].clear()
+        assert boundary_vector_field(b, 512, ambient=ambient).candidates
+        assert stack_sizes["eigvalsh"] == {256: 1}
 
     def test_hermitian_extreme_vectors(self):
         a = np.diag([0.1, 0.4, 0.7, 1.0]).astype(complex)
