@@ -127,9 +127,24 @@ def secular_function(ah: ArrowheadMatrix, lam):
     return np.sum(cr / (lam - ah.diag)) + ah.corner - lam
 
 
-# the per-root stop ends the iteration in 9-47 sweeps on random arrowheads up
-# to n = 400; the cap only bounds a pathological input
+# the per-root stop ends the iteration in 7-13 sweeps on the Hermitian
+# arrowheads of acceptance criterion 10 up to n = 400 (up to 61 with couplings
+# down to 1e-6) and in 8-18 on general ones; the cap only bounds a pathological input
 _ABERTH_MAX_ITER = 200
+
+
+def _secular_terms(ah: ArrowheadMatrix):
+    """(s, d, cr, corner): the secular data of A / s, s the largest entry.
+
+    f(lam) = sum cr_j / (lam - d_j) + corner - lam with cr = col * row.  An
+    exactly Hermitian arrowhead (row = conj(col) bit for bit, a real diagonal
+    and a real corner) gets real data with cr = |col / s|^2: the complex
+    product col * row leaves imaginary parts of rounding size.
+    """
+    s = ah.scale() or 1.0
+    if np.array_equal(ah.row, ah.col.conj()) and not ah.diag.imag.any() and ah.corner.imag == 0:
+        return s, ah.diag.real / s, np.abs(ah.col / s) ** 2, ah.corner.real / s
+    return s, ah.diag / s, (ah.col / s) * (ah.row / s), ah.corner / s
 
 
 def _aberth_secular_roots(ah: ArrowheadMatrix):
@@ -137,37 +152,56 @@ def _aberth_secular_roots(ah: ArrowheadMatrix):
 
     Works on the product form p = f * prod(lam - a_j), so the logarithmic
     derivative p'/p = f'/f + sum 1/(lam - a_j) costs O(n) per point
-    and no ill-conditioned coefficient expansion is ever formed.  Starting
-    points are the poles (slightly displaced) plus the corner, which the
-    mutual-repulsion term then sorts out.  A root whose correction falls to
-    rounding level is frozen: it leaves the working set but still repels the
-    roots that remain, so a sweep costs O(live * n).  It runs on A / s, s the
-    largest entry, so that no product over- or underflows at any scale.
+    and no ill-conditioned coefficient expansion is ever formed.  A root
+    whose correction falls to rounding level is frozen: it leaves the working
+    set but still repels the roots that remain, so a sweep costs O(live * n),
+    in two buffers allocated once.  It runs on A / s (``_secular_terms``), so
+    that no product over- or underflows at any scale.
+
+    An exactly Hermitian arrowhead has one root in each gap of its sorted
+    poles and one beyond each end (Cauchy interlacing).  Its iteration starts
+    at the midpoint of each gap and sqrt(sum |col_j|^2) + 1 beyond each end
+    pole; with real starts and real data it runs in float64 and returns real
+    roots.  Any other arrowhead starts at its poles (slightly displaced) and
+    its corner, which the mutual-repulsion term then sorts out, in complex
+    arithmetic.
     """
-    s = ah.scale() or 1.0
-    d, cr, corner = ah.diag / s, (ah.col / s) * (ah.row / s), ah.corner / s
+    s, d, cr, corner = _secular_terms(ah)
     n = ah.n
     m = n - 1
-    z = np.empty(n, dtype=complex)
-    offs = 0.02 * np.exp(2j * np.pi * (np.arange(m) + 0.25) / max(m, 1))
-    z[:m] = d + offs
-    z[m] = corner + 0.013 * (1 + 1j)
+    if np.isrealobj(d):
+        poles = np.sort(d)
+        reach = np.sqrt(cr.sum()) + 1.0
+        z = np.concatenate([[poles[0] - reach], 0.5 * (poles[:-1] + poles[1:]), [poles[-1] + reach]])
+    else:
+        z = np.empty(n, dtype=complex)
+        offs = 0.02 * np.exp(2j * np.pi * (np.arange(m) + 0.25) / max(m, 1))
+        z[:m] = d + offs
+        z[m] = corner + 0.013 * (1 + 1j)
 
+    inv_buf = np.empty((n, m), dtype=z.dtype)  # 1 / (z_i - a_j), live rows first
+    pair_buf = np.empty((n, n), dtype=z.dtype)  # 1 / (z_i - z_k)
     live = np.arange(n)
     for _ in range(_ABERTH_MAX_ITER):
+        k = live.size
         zl = z[live]
-        dz = zl[:, None] - d[None, :]  # live x m
-        near = np.abs(dz) < 1e-30  # a point on a pole
+        inv = np.subtract(zl[:, None], d, out=inv_buf[:k])
+        near = np.abs(inv) < 1e-30  # a point on a pole
         if near.any():
-            dz = np.where(near, 1e-30, dz)
-        inv = 1.0 / dz
+            inv[near] = 1e-30
+        np.divide(1.0, inv, out=inv)
         f = inv @ cr + corner - zl
-        fp = -((inv * inv) @ cr) - 1.0
+        pole_sum = inv.sum(axis=1)
+        inv *= inv
+        fp = -(inv @ cr) - 1.0
         nonzero = np.abs(f) > 1e-300  # an exact root holds still
-        pair = zl[:, None] - z[None, :]  # live x n
-        pair[np.arange(len(live)), live] = np.inf
-        repel = (1.0 / pair).sum(axis=1)
-        denom = fp / np.where(nonzero, f, 1.0) + inv.sum(axis=1) - repel
+        pair = np.subtract(zl[:, None], z, out=pair_buf[:k])
+        pair[np.arange(k), live] = np.inf
+        near = np.abs(pair) < 1e-30  # two points that meet
+        if near.any():
+            pair[near] = 1e-30
+        repel = np.divide(1.0, pair, out=pair).sum(axis=1)
+        denom = fp / np.where(nonzero, f, 1.0) + pole_sum - repel
         moving = nonzero & (np.abs(denom) >= 1e-300)
         step = np.where(moving, 1.0 / np.where(moving, denom, 1.0), 0.0)
         mags = np.abs(step)
@@ -198,15 +232,24 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
 
     One Aberth iteration on the product form of the cleared-denominator
     polynomial locates every root, Hermitian or not, at O(n^2) a sweep; each
-    root stops on its own once its correction reaches rounding level.  The
-    secular eigenvectors and residuals, read off the arrow pattern, cost O(n^2)
-    in all.  Roots colliding with a diagonal pole have no secular eigenvector
-    formula; they are set aside as degenerate with a nullspace-derived
-    eigenvector (one dense SVD) when they are genuine eigenvalues.  Colliding
-    roots that agree to 1e-9 ||A|| share one SVD, so a repeated eigenvalue on a
-    repeated pole gets orthonormal eigenvectors.  The zero arrowhead, which has
-    no unit to measure a collision in, gets the standard basis for its n-fold
-    eigenvalue 0.
+    root stops on its own once its correction reaches rounding level.  An
+    exactly Hermitian arrowhead starts in the gaps of its sorted poles and
+    iterates in real arithmetic (``_aberth_secular_roots``).  Each of its
+    roots off the poles is then carried as o + mu on A / s, o its nearest
+    pole, and mu takes two Newton steps on the secular function written in
+    offsets, sum cr_j / ((o - d_j) + mu) + corner - o - mu.  The gaps o - d_j
+    are exact for the poles next to o, so lam - a_j and the eigenvector
+    x = (col / (lam - a), 1) built from them keep full relative accuracy at
+    clustered poles (Gu & Eisenstat 1995).  The secular eigenvectors and
+    residuals, read off the arrow pattern, cost O(n^2) in all.
+
+    Roots within eq_tol * s of a diagonal pole, Hermitian or not, have no
+    secular eigenvector formula; they are set aside as degenerate with a
+    nullspace-derived eigenvector (one dense SVD) when they are genuine
+    eigenvalues.  Colliding roots that agree to 1e-9 ||A|| share one SVD, so
+    a repeated eigenvalue on a repeated pole gets orthonormal eigenvectors.
+    The zero arrowhead, which has no unit to measure a collision in, gets the
+    standard basis for its n-fold eigenvalue 0.
     """
     n = ah.n
     if n == 1:
@@ -214,9 +257,13 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
     if not ah.scale():
         return SecularResult(eigen=[SecularPair(0j, e, 0.0) for e in np.eye(n, dtype=complex)], degenerate=[])
     roots = _aberth_secular_roots(ah)
+    real = np.isrealobj(roots)  # exactly Hermitian input
 
     degen, notices = [], []
-    colliding = np.min(np.abs(roots[:, None] - ah.diag[None, :]), axis=1) <= tol.eq_tol * ah.scale()
+    dist = np.abs(roots[:, None] - (ah.diag.real if real else ah.diag))
+    nearest = dist.argmin(axis=1)
+    colliding = dist[np.arange(n), nearest] <= tol.eq_tol * ah.scale()
+    del dist
     # colliding roots (only they need the dense matrix) that agree to the residual
     # target are one repeated eigenvalue and share one SVD, so their eigenvectors come out orthonormal
     dense = ah.to_dense() if colliding.any() else None
@@ -235,10 +282,33 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
             else:
                 notices.append(f"cleared-polynomial root {lam:.6g} collides with a pole and is not an eigenvalue")
     # one row per root: x = (col / (lam - a), 1) normalised, and Ax - lam x by rows of the arrow
-    lams = roots[~colliding][:, None]
-    x = np.concatenate([ah.col / (lams - ah.diag), np.ones_like(lams)], axis=1)
-    x /= _row_norms(x)[:, None]
+    lams = roots[~colliding]
+    x = np.empty((lams.size, n), dtype=complex)
     head, tail = x[:, :-1], x[:, -1:]
+    tail[:] = 1.0
+    if real:
+        # lam = s (o + mu) on A / s, o the nearest pole, so lam - a_j = s ((o - d_j) + mu)
+        s, d, cr, corner = _secular_terms(ah)
+        o = d[nearest[~colliding]]
+        mu = lams / s - o
+        gaps = np.empty((lams.size, n - 1))
+        for _ in range(2):  # Newton on g(mu) = sum cr_j / ((o - d_j) + mu) + corner - o - mu
+            np.subtract(o[:, None], d, out=gaps)
+            gaps += mu[:, None]
+            np.divide(1.0, gaps, out=gaps)
+            g = gaps @ cr + corner - o - mu
+            gaps *= gaps
+            mu += g / (gaps @ cr + 1.0)
+        np.subtract(o[:, None], d, out=gaps)
+        gaps += mu[:, None]
+        np.divide(ah.col / s, gaps, out=head)
+        del gaps
+        lams = s * (o + mu)
+    else:
+        np.subtract(lams[:, None], ah.diag, out=head)
+        np.divide(ah.col, head, out=head)
+    x /= _row_norms(x)[:, None]
+    lams = lams[:, None]
     res = np.concatenate([ah.diag * head + ah.col * tail - lams * head,
                           head @ ah.row[:, None] + ah.corner * tail - lams * tail], axis=1)
     eigen = [SecularPair(complex(lam), vec, float(r)) for lam, vec, r in zip(lams[:, 0], x, _row_norms(res))]

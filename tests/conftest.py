@@ -142,6 +142,35 @@ def balanced_arrowhead(seed, n, two_level=False):
     return ArrowheadMatrix(vals[: n - 1], col, row, vals[n - 1])
 
 
+def secular_test_arrowhead(rng, n, kind, c=1.0):
+    """A secular-solver test input, times c.
+
+    Hermitian kinds: well-separated poles with couplings 0.1-1 ("separated"),
+    poles in pairs or threes 1e-7 apart with couplings 0.1-1 ("clustered",
+    "triples"), or separated poles with couplings log-uniform in [1e-6, 1]
+    ("weak").  "general": complex poles, a third of them placed within 1e-3
+    of another, and unrelated column and row.
+    """
+    m = n - 1
+    if kind == "general":
+        d = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+        close, k = rng.choice(m, size=m // 3, replace=False), m // 3
+        d[close] = d[rng.integers(0, m, k)] + 1e-3 * rng.uniform(-1, 1, k) * np.exp(1j * rng.uniform(0, 7, k))
+        col = rng.uniform(0.2, 1, m) * np.exp(1j * rng.uniform(0, 7, m))
+        row = rng.uniform(0.2, 1, m) * np.exp(1j * rng.uniform(0, 7, m))
+        return ArrowheadMatrix(c * d, c * col, c * row, c * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)))
+    if kind in ("clustered", "triples"):
+        size = 2 if kind == "clustered" else 3
+        k = n // 2 if kind == "clustered" else -(-m // 3)
+        centres = np.linspace(-1, 1, k) + rng.uniform(-0.2, 0.2, k) / n
+        d = np.sort(np.concatenate([centres + 1e-7 * i for i in range(size)]))[:m]
+    else:
+        d = np.sort(np.linspace(-1, 1, m) + rng.uniform(-0.3, 0.3, m) / n)
+    moduli = 10.0 ** rng.uniform(-6, 0, m) if kind == "weak" else rng.uniform(0.1, 1, m)
+    b = moduli * np.exp(1j * rng.uniform(0, 7, m))
+    return ArrowheadMatrix(c * d, c * b, c * np.conj(b), c * rng.uniform(-1, 1))
+
+
 def hermitian_eigenvalues_by_bisection(h, tol=1e-12):
     """Independent eigenvalue oracle: sign changes of det(H - x I).
 
