@@ -20,8 +20,6 @@ from .linalg import (
     AffineMap,
     ToleranceConfig,
     affine_apply,
-    affine_invert,
-    eig_hermitian_clustered,
     hermitian_parts,
     reducing_eigenvectors,
     rotate,
@@ -35,6 +33,7 @@ from .numrange import (
     kprime_relative,
     support,
 )
-from .oracle import SearchParams, boundary_vector_field, check_witness, max_orthonormal_boundary_set, verify
+from .oracle import (SearchParams, boundary_cover, boundary_vector_field, check_witness, max_orthonormal_boundary_set,
+                     verify)
 from .reduction import commutant_dimension, decompose, dirsum_gauwu
 from .results import GauWuResult, Witness

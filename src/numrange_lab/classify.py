@@ -34,7 +34,8 @@ from .linalg import (
 from .arrowhead import (NotApplicableError, NotArrowheadError, arrowhead_from_dense, dichotomy_check,
                         gauwu_unbalanced_two, gauwu_with_zero_pairs, irreducible_dichotomous_check)
 from .numrange import SupportFunction, _split_witness, detect_seeds, dichotomy_scan, support_function
-from .oracle import SearchParams, _search, boundary_vector_field, in_caller_units, max_orthonormal_boundary_set, verify
+from .oracle import (SearchParams, _search, boundary_cover, boundary_vector_field, in_caller_units,
+                     max_orthonormal_boundary_set, verify)
 from .reduction import commutant_dimension, decompose, dirsum_gauwu
 from .results import (
     METHOD_ARROWHEAD,
@@ -426,8 +427,11 @@ def _dichotomy_work(norm: Normalisation, case: str, theta: float, h0: float, h1:
 
 def _irreducible4(norm: Normalisation, tol: ToleranceConfig, work: dict):
     """(result, SupportFunction of m = norm.m) of an irreducible 4x4 matrix that
-    is not dichotomous: a seed or a three-line triple gives k = 3, else k = 2;
-    the stages keep what they found in ``work``."""
+    is not dichotomous: a seed gives k = 3; a cover that proves k <= 2
+    (``boundary_cover``) gives k = 2 before any triple is searched; else a
+    three-line triple gives k = 3, and k = 2 without a proof.  Every k = 2
+    certificate carries the cover, proved or not.  The stages keep what they
+    found in ``work``."""
     pencil = SupportFunction(norm.m)
     seeds = work["seeds"] = [replace(sd, segment=tuple(norm.shift + norm.scale * z for z in sd.segment))
                              for sd in detect_seeds(pencil, tol)]
@@ -446,9 +450,9 @@ def _irreducible4(norm: Normalisation, tol: ToleranceConfig, work: dict):
             return Witness(np.column_stack([sd.witnesses, bottom]), [sd.theta, sd.theta, sd.theta + np.pi])
 
         return GauWuResult(k=3, n=4, method=METHOD_SEED3, certificate=cert, build_witness=seed_witness), pencil
-    ka3 = ka3_check(pencil, tol)
-    if ka3 is None:
-        return GauWuResult(k=2, n=4, method=METHOD_FALLBACK2, certificate={},
+    cover = boundary_cover(pencil, tol)
+    if cover.k_upper == 2 or (ka3 := ka3_check(pencil, tol)) is None:
+        return GauWuResult(k=2, n=4, method=METHOD_FALLBACK2, certificate={"cover": cover.to_dict()},
                            build_witness=lambda: _split_witness(norm.m, 0.0)), pencil
     triple = partial(Witness, ka3.triple, ka3.triple_thetas)
     if not ka3.form_ok:
@@ -500,8 +504,9 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
     ``dichotomy_scan`` accepts it (every basis adapted to the idempotent lies
     on its two supporting lines); other irreducible 4x4 ones go through the
     stages of the paper (``_irreducible4``); anything else requires the
-    constructive search.  Each stage runs at most once and keeps what it
-    found in ``result.work``.
+    search route (``allow_oracle_only``), ``max_orthonormal_boundary_set``,
+    which is exact when its cover proves k <= 2 and a lower bound otherwise.
+    Each stage runs at most once and keeps what it found in ``result.work``.
     """
     norm = normalise(a)
     m = norm.m
@@ -563,9 +568,10 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
                 f"no exact route for this {n}x{n} matrix; rerun with the search enabled"
             )
         res = in_caller_units(max_orthonormal_boundary_set(SupportFunction(m), tol=tol), norm)
+        note = "constructive lower bound" if res.k_upper is None else "k = 2 proved by the cover"
         result = GauWuResult(
             k=res.k_lower, n=n, method=METHOD_ORACLE,
-            certificate={"note": "constructive lower bound", "oracle": res.to_dict()},
+            certificate={"note": note, "oracle": res.to_dict()},
             build_witness=lambda: Witness(res.vectors, res.thetas),
         )
         if confirm_with_oracle:  # verify's first pass is this same search, so it matches

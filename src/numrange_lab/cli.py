@@ -216,9 +216,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--claim K with 1 <= K <= {a.shape[0]} is required, got {claim}")
     params = SearchParams(grid_size=1024 if args.samples is None else _samples(args.samples, MIN_GRID_SIZE))
     rep = verify(a, claim, tol=tol, params=params)
+    bound = "" if rep.oracle.k_upper is None else f", cover proves k <= {rep.oracle.k_upper}"
     text = (
-        f"claimed k = {claim}; search found {rep.oracle.k_lower} "
-        f"(gram {rep.oracle.gram_residual:.2e}, escalations {rep.escalations}): {rep.status}\n"
+        f"claimed k = {claim}; {rep.source} gives {rep.oracle.k_lower} "
+        f"(gram {rep.oracle.gram_residual:.2e}, escalations {rep.escalations}{bound}): {rep.status}\n"
     )
     rc = _emit(text, args.out)
     if rc != EXIT_OK:

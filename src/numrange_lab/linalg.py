@@ -178,44 +178,6 @@ def herm_part_at(a, theta: float) -> np.ndarray:
     return _pencil_at(*hermitian_parts(a), theta)
 
 
-@dataclass
-class EigenSystem:
-    """Ascending eigenvalues with orthonormal vectors and a cluster partition."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-    clusters: list
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def multiplicities(self) -> list:
-        return [len(c) for c in self.clusters]
-
-
-def eig_hermitian_clustered(h, tol: ToleranceConfig = DEFAULT_TOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with single-linkage clustering.
-
-    Clusters group eigenvalues whose consecutive gaps are below
-    cluster_tol * ||H||; the partition is what multiplicity counting in the
-    classification routines consumes.
-    """
-    m = as_square_matrix(h)
-    scale = matrix_scale(m)
-    if np.linalg.norm(m - m.conj().T) > tol.eq_tol * scale * m.shape[0]:
-        raise StructureError("matrix is not Hermitian to tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    link = tol.cluster_tol * scale
-    clusters = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > link:
-            clusters.append(np.arange(start, i))
-            start = i
-    return EigenSystem(values=w, vectors=v, clusters=clusters)
-
-
 def rotate(a, theta: float) -> np.ndarray:
     """Scalar rotation e^{i theta} A of the matrix (rotates W(A) by theta)."""
     return np.exp(1j * theta) * as_square_matrix(a)
@@ -272,9 +234,3 @@ def affine_apply(a_mat, tau: AffineMap) -> np.ndarray:
     n = h.shape[0]
     return tau.a * h + 1j * tau.b * k + tau.c * np.eye(n)
 
-
-def affine_invert(tau: AffineMap) -> AffineMap:
-    tau.validate()
-    m, v = tau.planar()
-    minv = np.linalg.inv(m)  # pivoting forms no determinant, which underflows at |a|, |b| ~ 1e-200
-    return affine_from_planar(minv, -minv @ v)

@@ -130,8 +130,9 @@ class Report:
             lines.append(f"oracle confirmed: {self.result['oracle_confirmed']}")
         if self.oracle and "k_lower_source" in self.oracle:
             sizes = ", ".join(str(s) for s in self.oracle["searched_sizes"]) or "none"
+            bound = f"; k <= {self.oracle['k_upper']} proved by the cover" if self.oracle.get("k_upper") else ""
             lines.append(f"oracle: {self.oracle['k_lower']} vectors from the {self.oracle['k_lower_source']}; "
-                         f"witness {self.oracle['witness_check'] or 'not given'}; sizes searched: {sizes}")
+                         f"witness {self.oracle['witness_check'] or 'not given'}; sizes searched: {sizes}{bound}")
         if self.dichotomy:
             lines.append(
                 "dichotomy: case {case} at theta = {theta:.12g} (levels {h0:.12g}, {h1:.12g})".format(**self.dichotomy)

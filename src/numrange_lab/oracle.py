@@ -1,31 +1,45 @@
-"""Theorem-independent search for orthonormal boundary families.
+"""Theorem-independent search for orthonormal boundary families, and the
+certified cover that bounds their size.
 
 The Gau-Wu number is the size of the largest orthonormal set whose image
 under f_A(x) = x* A x lies on the boundary of W(A).  Every admissible vector
 is a top eigenvector of Re(e^{-i theta} A) for some theta, so the search
 space is the curve x(theta) of top eigenvectors plus the multiple top
-eigenspaces at events.  Nodes spaced evenly in arc length stand for the
-curve within their radii, and overlaps are 1-Lipschitz in arc length
-(Piyavskii, Shubert), so an orthonormal boundary family on the covered arcs
-lies within the radii of a clique of one orthogonality graph.  The arcs
-leave out the event directions and the turns of avoided crossings narrower
-than the bisection resolution, which no node covers.  Node-disjoint cliques
-of each size, best largest overlap first, are polished by alternating exact
-eigenspace steps with Levenberg-Marquardt steps in the free directions, on
-analytic top-eigenvector derivatives.
+eigenspaces at events.
 
-Results are constructive lower bounds: sets are reported only with their
-Gram and boundary residuals, never by extrapolation.  The searches take a
+Upper bound: ``boundary_cover`` covers x(theta) by nodes whose radii are
+certified by the Davis-Kahan sin theta theorem (SIAM J. Numer. Anal. 7,
+1970), bisecting cells as in Lipschitz covering (Shubert, SIAM J. Numer.
+Anal. 9, 1972).  An orthonormal boundary family lies within the radii of a
+clique of the nodes' orthogonality graph, so a graph without a triangle
+proves k(A) <= 2, and the orthonormal pair that every matrix has
+(``numrange._split_witness``) reaches it.  The cover declines at events,
+at a triangle and when its node budget runs out.
+
+Lower bound: nodes spaced evenly in arc length stand for the curve within
+their radii, and overlaps are 1-Lipschitz in arc length (Piyavskii,
+Shubert), so an orthonormal boundary family on the covered arcs lies within
+the radii of a clique of one orthogonality graph.  These radii come from
+chords, which bound arc length from below, so they only seed the search:
+the arcs leave out the event directions and the turns of avoided crossings
+narrower than the bisection resolution, which no node covers.  Node-disjoint
+cliques of each size, best largest overlap first, are polished by
+alternating exact eigenspace steps with Levenberg-Marquardt steps in the
+free directions, on analytic top-eigenvector derivatives.  Families are
+reported only with their Gram and boundary residuals, never by
+extrapolation, so a search result alone is a lower bound; with a proved
+cover (``OracleResult.k_upper``) the value 2 is exact.  The searches take a
 matrix or its SupportFunction, whose sweep they reuse when the grid matches.
 
 One pencil has one search graph: on a SupportFunction's own grid the event
-list, the candidate field and the clique table grown from it are built once
-per tolerance and kept with the SupportFunction, so the three-line search of
-``classify.ka3_check`` and ``verify`` above its k share one event scan, one
-arc-node field and one graph, whose clique levels ``verify`` extends.  Not
-shared: an escalated grid is a new SupportFunction with its own graph, a
-restricted search's field depends on its ambient and is built per call, and
-the ambient of a direct sum is a sweep of its own (``reduction.dirsum_gauwu``).
+list, the cover, the candidate field and the clique table grown from it are
+built once per tolerance and kept with the SupportFunction, so the three-line
+search of ``classify.ka3_check`` and ``verify`` above its k share one event
+scan, one cover, one arc-node field and one graph, whose clique levels
+``verify`` extends.  Not shared: an escalated grid is a new SupportFunction
+with its own graph, a restricted search's field depends on its ambient and
+is built per call, and the ambient of a direct sum is a sweep of its own
+(``reduction.dirsum_gauwu``).
 """
 
 from __future__ import annotations
@@ -35,10 +49,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, SCALAR_GUARD, Normalisation, ToleranceConfig, _pencil_at,
-                     as_square_matrix, hermitian_parts, matrix_scale, normalise)
+from .linalg import (DEFAULT_TOL, SCALAR_GUARD, DimensionError, Normalisation, ToleranceConfig, _pencil_at,
+                     as_square_matrix, hermitian_parts, matrix_scale, normalise, safe_norm)
 from .numrange import (SupportFunction, _pencil_derivatives, _refined_minima, _split_witness, _top_cluster_basis,
-                       support_function, top_gap_events)
+                       relative_share, support_function, top_gap_events)
 from .results import Witness
 
 MIN_GRID_SIZE = 64
@@ -46,6 +60,10 @@ ARC_ROUNDS = 8  # cap on the bisection rounds of the arc-length grid, one stacke
 MAX_ARC_NODES = 1024  # bounds the graph's n_nodes^2 arrays on escalated and user-set grids
 CLIQUE_CHUNK = 1 << 20  # graph cells one clique-extension step holds at a time
 TOP_GAP_FLOOR = 1e-12  # relative to ||A||: top gaps below it are raised to it in x'(theta)
+COVER_START = 64  # solved members of the first cover; with their half-turn mirrors, 128 directions
+COVER_RADIUS = 0.05  # a cell whose certified radius is larger, or unbounded, is bisected
+COVER_ROUNDS = 30  # cap on the cover's bisection rounds, one stacked eigh each
+COVER_NODES = 512  # cap on the cover's nodes, which bounds its node x node arrays
 
 
 @dataclass(frozen=True)
@@ -92,6 +110,49 @@ class BoundaryVectorField:
     turns: list  # (theta_lo, theta_hi) of the turns that the arc nodes leave uncovered
 
 
+@dataclass(frozen=True)
+class Cover:
+    """The certified cover of x(theta) that ``boundary_cover`` built.
+
+    ``status`` is "proved" when every cell is certified and the nodes'
+    orthogonality graph has no triangle, so that k(A) <= 2 (``k_upper``; k = n
+    for n <= 2); otherwise it names why the cover declined: "event" (a
+    multiple top eigenvalue), "triangle" or "budget" (COVER_ROUNDS or
+    COVER_NODES reached).  A proved cover keeps its cells in angular order
+    from -pi / (2 COVER_START), where the first starting cell begins: cell i
+    is the node direction ``thetas[i]`` +- ``widths[i]``, with half-width
+    pi / (2 COVER_START) / 2^``depths[i]`` after its bisections, and its
+    certified chordal radius ``radii[i]``.  The cells tile the circle, so the
+    depths alone fix the nodes, and ``to_dict`` reports them as one base-36
+    digit per cell.  ``margin`` is the smallest excess of |x_i* x_j| over its
+    edge limit among non-adjacent nodes: how near the graph came to one more
+    edge.
+    """
+
+    n: int
+    status: str
+    rounds: int = 0
+    thetas: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    depths: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    radii: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    margin: float = np.inf
+
+    @property
+    def k_upper(self) -> Optional[int]:
+        return min(self.n, 2) if self.status == "proved" else None
+
+    @property
+    def widths(self) -> np.ndarray:
+        return np.pi / (2 * COVER_START) / 2.0 ** self.depths
+
+    def to_dict(self) -> dict:
+        out = {"status": self.status, "k_upper": self.k_upper, "rounds": self.rounds, "nodes": len(self.thetas)}
+        if self.status == "proved" and len(self.thetas):
+            out.update(largest_radius=float(np.max(self.radii)), margin=float(self.margin),
+                       depths="".join(np.base_repr(d, 36) for d in self.depths.tolist()).lower())
+        return out
+
+
 @dataclass
 class OracleResult:
     k_lower: int
@@ -101,15 +162,23 @@ class OracleResult:
     boundary_residuals: np.ndarray
     floors: dict  # size -> best (failed) gram residual seen at that size
     capped: list = field(default_factory=list)  # sizes whose clique list was cut to max_cliques
+    cover: Optional[Cover] = None  # the cover built for this result, proved or not
+
+    @property
+    def k_upper(self) -> Optional[int]:
+        """2 when the cover proves k <= 2, else None: no bound below n."""
+        return None if self.cover is None else self.cover.k_upper
 
     def to_dict(self) -> dict:
         return {
             "k_lower": int(self.k_lower),
+            "k_upper": self.k_upper,
             "gram_residual": float(self.gram_residual),
             "boundary_residuals": [float(b) for b in self.boundary_residuals],
             "thetas": [float(t) for t in self.thetas],
             "floors": {str(k): (None if not np.isfinite(v) else float(v)) for k, v in self.floors.items()},
             "capped": [int(s) for s in self.capped],
+            "cover": None if self.cover is None else self.cover.to_dict(),
         }
 
 
@@ -127,6 +196,110 @@ def _entry(a, grid_size: int):
         return support_function(a, grid_size), None
     norm = normalise(a)
     return SupportFunction(norm.m, grid_size), norm
+
+
+def boundary_cover(a, tol: ToleranceConfig = DEFAULT_TOL) -> Cover:
+    """A certified cover of the top-eigenvector curve x(theta), which proves
+    k(A) <= 2 when its orthogonality graph has no triangle.
+
+    It runs on A0 = (A - (tr A / n) I) / ||A - (tr A / n) I||_F, so that every
+    member B(theta) = Re(e^{-i theta} A0) has lambda_max >= 0 and
+    ||B(theta)|| <= ||A0||_2 <= 1.  A node at theta_a, with top eigenpair
+    (lam, x), second eigenvalue lam2, B' = dB/dtheta there and
+    c = ||(I - xx*) B' x||, stands for its cell |Delta| <= d.  In the cell,
+    B(theta_a + Delta) = cos(Delta) B + sin(Delta) B', so x has Rayleigh
+    quotient rho >= cos(d) lam - sin(d) |x* B' x| and residual at most
+    sin(d) c, while lambda_{n-1} <= lam2 + 2 sin(d / 2) (Weyl).  With
+    delta = rho - lambda_{n-1} > 0 the top eigenvalue is simple, and the
+    angle phi from x to its eigenvector has sin(phi) <= sin(d) c / delta
+    (Davis-Kahan sin theta); the node's radius is the chordal 2 sin(phi / 2).
+    Both delta and the radius carry a slack of 8 eps n.
+
+    Members of an orthonormal family in the cells of nodes i and j have
+    |x_i* x_j| <= r_i + r_j + r_i r_j, so one cell holds one member at most
+    (r < sqrt(2) - 1), and nodes whose overlap is at most that plus gram_tol
+    are adjacent: k(A) is at most the largest clique.  The cover starts from
+    COVER_START solved members and their half-turn mirrors, with cells
+    symmetric about their nodes, and bisects every cell whose radius is
+    unbounded or above COVER_RADIUS, for at most COVER_ROUNDS rounds and
+    COVER_NODES nodes.  After each round the graph of the nodes certified so
+    far is checked for a triangle, ((M @ M) * M).sum() > 0 on the new rows,
+    and the first ends the cover.  A multiple top eigenvalue
+    (``top_gap_events``) would need a subspace node, so the cover declines
+    at any event.  Every matrix of size n <= 2 has k = n.  The cover is
+    memoised on the SupportFunction per ``tol``.
+    """
+    sf = a if isinstance(a, SupportFunction) else SupportFunction(a)
+    key = ("boundary_cover", tol)
+    if key not in sf._memo:
+        n = sf.a.shape[0]
+        if n <= 2:
+            sf._memo[key] = Cover(n, "proved")
+        elif top_gap_events(sf, tol=tol):
+            sf._memo[key] = Cover(n, "event")
+        else:
+            sf._memo[key] = _cover(sf.a, tol.gram_tol)
+    return sf._memo[key]
+
+
+def _cell_radii(width, lam, lam2, along, across, slack):
+    """Certified chordal radii of the cells of half-width ``width`` (inf where
+    unbounded), from each node's top two eigenvalues and |x* B' x|, c
+    (``boundary_cover``)."""
+    sd = np.sin(width)
+    delta = np.cos(width) * lam - sd * along - lam2 - 2 * np.sin(width / 2) - slack
+    s = np.divide(sd * across, delta, out=np.full_like(delta, np.inf), where=delta > 0)
+    return np.where(s < 1, 2 * np.sin(np.arcsin(np.minimum(s, 1.0)) / 2) + slack, np.inf)
+
+
+def _cover(m, gram_tol: float) -> Cover:
+    """The cover of ``boundary_cover`` for an n >= 3 matrix without events."""
+    n = m.shape[0]
+    a0 = m - np.trace(m) / n * np.eye(n)
+    h, k = hermitian_parts(a0 / safe_norm(a0))
+    slack = 8 * np.finfo(float).eps * n
+    half = np.arange(COVER_START) * np.pi / COVER_START
+    w, v = np.linalg.eigh(_pencil_at(h, k, half))
+    # B(theta + pi) = -B(theta): its top pair is the bottom pair at theta, negated
+    thetas = np.concatenate([half, half + np.pi])
+    x = np.concatenate([v[:, :, -1], v[:, :, 0]])
+    lam, lam2 = np.concatenate([w[:, -1], -w[:, 0]]), np.concatenate([w[:, -2], -w[:, 1]])
+    unit = np.pi / (2 * COVER_START)  # half-width of a starting cell; one of depth d has unit / 2^d
+    depth = np.zeros(len(thetas), dtype=int)
+    done_t, done_d, done_r, done_x = np.zeros(0), np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, n), dtype=complex)
+    excess = np.zeros((0, 0))  # |x_i* x_j| minus the edge limit, between certified nodes
+    rounds = 0
+    while True:
+        y = np.einsum("fij,fj->fi", _pencil_at(k, -h, thetas), x)
+        along = np.einsum("fi,fi->f", x.conj(), y)
+        across = np.linalg.norm(y - along[:, None] * x, axis=1)
+        r = _cell_radii(unit / 2.0 ** depth, lam, lam2, np.abs(along), across, slack)
+        ok = r <= COVER_RADIUS
+        if ok.any():
+            rn, xn = r[ok], x[ok]
+            both = np.concatenate([done_r, rn])
+            limit = rn[:, None] + both + rn[:, None] * both + gram_tol
+            rows = np.abs(xn.conj() @ np.concatenate([done_x, xn]).T) - limit
+            excess = np.block([[excess, rows[:, :len(done_r)].T], [rows]])
+            done_t, done_d = np.concatenate([done_t, thetas[ok]]), np.concatenate([done_d, depth[ok]])
+            done_r, done_x = both, np.concatenate([done_x, xn])
+            adj = (excess <= 0).astype(float)
+            new = adj[len(done_r) - len(rn):]
+            if ((new @ adj) * new).sum() > 0:
+                return Cover(n, "triangle", rounds)
+        bad = ~ok
+        if not bad.any():
+            order = np.argsort(done_t)  # the cells tile [-unit, 2 pi - unit)
+            return Cover(n, "proved", rounds, done_t[order], done_d[order], done_r[order],
+                         float(np.min(excess[excess > 0], initial=np.inf)))
+        if rounds == COVER_ROUNDS or len(done_r) + 2 * np.count_nonzero(bad) > COVER_NODES:
+            return Cover(n, "budget", rounds)
+        quarter = unit / 2.0 ** (depth[bad] + 1)
+        thetas = np.concatenate([thetas[bad] - quarter, thetas[bad] + quarter])
+        depth = np.tile(depth[bad] + 1, 2)
+        w, v = np.linalg.eigh(_pencil_at(h, k, thetas))
+        x, lam, lam2 = v[:, :, -1], w[:, -1], w[:, -2]
+        rounds += 1
 
 
 def boundary_vector_field(
@@ -154,6 +327,8 @@ def boundary_vector_field(
     if grid_size < MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
     sf = support_function(a, grid_size)
+    if sf.a.shape[0] == 1:
+        raise DimensionError("a 1x1 matrix has no curve of top eigenvectors; its point is its one vector")
     key = ("boundary_vector_field", tol)
     if ambient is None and key in sf._memo:
         return BoundaryVectorField(sf, *sf._memo[key])
@@ -529,12 +704,16 @@ def max_orthonormal_boundary_set(
     tol: ToleranceConfig = DEFAULT_TOL,
     params: SearchParams = SearchParams(),
 ) -> OracleResult:
-    """Constructive lower bound for the Gau-Wu number.
+    """Constructive lower bound for the Gau-Wu number, exact when the cover
+    proves k <= 2.
 
-    The cliques of the orthogonality graph of the boundary vector field are
-    the starting sets (``_search``); up to ``params.attempts_per_size``
-    node-disjoint ones of each size are refined, and the largest family
-    whose final Gram residual beats ``gram_tol`` wins.  ``capped`` in the
+    A proved ``boundary_cover`` ends the search before it starts: the result
+    is the orthonormal pair every matrix has (``_split_witness``), with
+    k_lower = k_upper = 2.  Otherwise the cliques of the orthogonality graph
+    of the boundary vector field are the starting sets (``_search``); up to
+    ``params.attempts_per_size`` node-disjoint ones of each size are refined,
+    and the largest family whose final Gram residual beats ``gram_tol`` wins,
+    the pair when none does.  The result keeps its cover.  ``capped`` in the
     result lists the clique sizes that ``params.max_cliques`` cut.  A
     matrix is normalised first (``_entry``), and the residuals are reported
     in its units.  A diameter of W below SCALAR_GUARD * n * eps times its
@@ -546,13 +725,16 @@ def max_orthonormal_boundary_set(
     n = m.shape[0]
     if _is_point(sf):
         return in_caller_units(OracleResult(n, np.eye(n, dtype=complex), np.zeros(n), 0.0, np.zeros(n), {}), norm)
-    field_ = boundary_vector_field(sf, grid_size=params.grid_size, tol=tol)
-    found = _search(m, field_.candidates, sf, tol, params, range(n, 1, -1))
+    cover = boundary_cover(sf, tol)
+    found = OracleResult(0, np.zeros((n, 0)), np.zeros(0), 0.0, np.zeros(0), {})
+    if cover.k_upper is None:
+        field_ = boundary_vector_field(sf, grid_size=params.grid_size, tol=tol)
+        found = _search(m, field_.candidates, sf, tol, params, range(n, 1, -1))
     if not found.k_lower:
         pair = _split_witness(m, 0.0)  # the orthonormal pair every matrix has
         found = OracleResult(2, pair.vectors, pair.thetas, 0.0, _boundary_residuals(m, pair.vectors, pair.thetas, sf),
                              found.floors, found.capped)
-    return in_caller_units(found, norm)
+    return in_caller_units(replace(found, cover=cover), norm)
 
 
 def _is_point(sf: SupportFunction) -> bool:
@@ -572,9 +754,15 @@ def restricted_max_set(
     The arc nodes are restricted to directions where the block's supporting
     line touches the boundary of the ambient range, and refined members are
     checked against the ambient boundary; may return 0 (blocks buried in the
-    interior contribute nothing).  Returns (count, vectors, thetas).
+    interior contribute nothing).  A 1x1 block counts 1 when its point lies
+    on the ambient boundary and 0 otherwise (``relative_share``).  Returns
+    (count, vectors, thetas).
     """
     m = as_square_matrix(block)
+    if m.shape[0] == 1:
+        count, build = relative_share(m, ambient, tol)
+        w = build()
+        return count, w.vectors, w.thetas
     field_ = boundary_vector_field(m, grid_size=params.grid_size, tol=tol, ambient=ambient)
     found = _search(m, field_.candidates, ambient, tol, params, range(m.shape[0], 0, -1))
     return found.k_lower, found.vectors, found.thetas
@@ -610,7 +798,7 @@ def check_witness(a, witness: Witness, claimed_k: int, tol: ToleranceConfig = DE
 @dataclass
 class VerifyReport:
     match: bool
-    status: str  # "match" | "oracle-exceeds-claim" | "search-below-claim"
+    status: str  # "match" | "oracle-exceeds-claim" | "search-below-claim" | "claim-above-bound"
     claimed_k: int
     oracle: OracleResult
     escalations: int
@@ -620,8 +808,11 @@ class VerifyReport:
     @property
     def source(self) -> str:
         """Where ``oracle`` comes from: "witness" when the checked witness stands
-        and the search found nothing larger, else "search"."""
-        return "witness" if self.witness_check == "passed" and self.match else "search"
+        and nothing larger was found, "cover" when no search ran and the
+        cover's pair is the family, else "search"."""
+        if self.witness_check == "passed" and self.match:
+            return "witness"
+        return "cover" if not self.searched_sizes and self.oracle.k_upper is not None else "search"
 
     def provenance(self) -> dict:
         return {"k_lower_source": self.source, "witness_check": self.witness_check,
@@ -640,25 +831,34 @@ class VerifyReport:
 
 def verify(a, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = SearchParams(),
            witness: Optional[Witness] = None) -> VerifyReport:
-    """Check a claimed Gau-Wu value against the constructive search.
+    """Check a claimed Gau-Wu value against the constructive search and the
+    cover's upper bound.
 
-    A ``witness`` that passes ``check_witness`` proves the claim reached, so
-    the search runs only for the sizes above it (none when it is n), without
-    escalation: a family found there means the claim is too low
-    ("oracle-exceeds-claim"), and otherwise the witness is the report's
-    family.  A witness that fails the check is reported as failed, and the
-    claim goes to the search as without one.
+    A ``witness`` that passes ``check_witness`` proves the claim reached.  A
+    passing witness of 2 is exact when ``boundary_cover`` proves k <= 2, and
+    nothing is searched; otherwise the search runs only for the sizes above
+    the claim (none when it is n), without escalation: a family found there
+    means the claim is too low ("oracle-exceeds-claim"), and otherwise the
+    witness is the report's family.  A witness that fails the check is
+    reported as failed, and the claim goes to the search as without one.
 
-    Without a witness, a search result above the claim is a soundness failure
-    (the witness set is explicit); a result below the claim triggers
-    escalation before the mismatch is reported, since the search is only a
-    lower bound.  A matrix is normalised once, and every search runs on the
-    same m.
+    Without a witness, ``max_orthonormal_boundary_set`` decides, and a result
+    above the claim is a soundness failure (the witness set is explicit).  A
+    result below the claim triggers escalation before the mismatch is
+    reported ("search-below-claim"), since the search is only a lower bound,
+    unless the cover's k_upper is already below the claim, which proves the
+    claim too high ("claim-above-bound").  ``searched_sizes`` lists the sizes
+    the search was asked for: none when the cover settled k.  A matrix is
+    normalised once, and every search runs on the same m.
     """
     sf, norm = _entry(a, params.grid_size)
     n = sf.a.shape[0]
     if witness is not None and (reached := _checked(sf, witness, claimed_k, tol)) is not None:
         sizes = tuple(range(n, claimed_k, -1))
+        if sizes and claimed_k == 2:
+            reached = replace(reached, cover=boundary_cover(sf, tol))
+            if reached.k_upper == 2:
+                sizes = ()
         if sizes:
             above = _search(sf.a, boundary_vector_field(sf, params.grid_size, tol).candidates, sf, tol, params, sizes)
             if above.k_lower:
@@ -669,14 +869,17 @@ def verify(a, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL, params: Search
     escalations = 0
     cur = params
     res = max_orthonormal_boundary_set(sf, tol=tol, params=cur)
-    while res.k_lower < claimed_k and escalations < 2:
+    searched = () if _is_point(sf) or res.k_upper is not None else tuple(range(n, 1, -1))
+    # a proved cover has k_upper = k_lower, below the claim here: no escalation reaches it
+    while res.k_lower < claimed_k and escalations < 2 and res.k_upper is None:
         cur = cur.escalate()
         escalations += 1
         res = max_orthonormal_boundary_set(sf, tol=tol, params=cur)
     res = in_caller_units(res, norm)
-    provenance = (None if witness is None else "failed", () if _is_point(sf) else tuple(range(n, 1, -1)))
+    provenance = (None if witness is None else "failed", searched)
     if res.k_lower == claimed_k:
         return VerifyReport(True, "match", claimed_k, res, escalations, *provenance)
     if res.k_lower > claimed_k:
         return VerifyReport(False, "oracle-exceeds-claim", claimed_k, res, escalations, *provenance)
-    return VerifyReport(False, "search-below-claim", claimed_k, res, escalations, *provenance)
+    below = "search-below-claim" if res.k_upper is None else "claim-above-bound"
+    return VerifyReport(False, below, claimed_k, res, escalations, *provenance)

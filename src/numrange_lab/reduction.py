@@ -128,6 +128,10 @@ def _commutant_nullspace(m):
     return len(sv) - len(kept) + int(np.sum(sizes[scalar] ** 2)), v, element, margin, s
 
 
+class ShareTotalError(ArithmeticError):
+    """The block shares of a direct sum add up to a value outside [2, n]."""
+
+
 def commutant_dimension(a) -> int:
     """Real dimension of { X Hermitian : XH = HX, XK = KX }; 1 iff unitarily
     irreducible, n^2 for scalar matrices."""
@@ -222,7 +226,8 @@ def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
     Vectors from different blocks are automatically orthogonal, and tied
     supporting lines contribute their merged eigenspace dimension, so the
     per-block counts add up; so do the block witnesses, mapped back through
-    ``dec.unitary``.
+    ``dec.unitary``.  k lies in [2, n], so a total outside it means that a
+    share is wrong, and it raises ``ShareTotalError``.
     """
     if len(dec.blocks) < 2:
         raise ValueError("need at least two blocks")
@@ -242,9 +247,8 @@ def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
         "margin": dec.margin,
     }
     if not 2 <= total <= n:
-        # k lies in [2, n], so a sum outside it means some share is wrong
-        cert["unclamped_total"] = int(total)
-        total = max(2, min(total, n))
+        raise ShareTotalError(f"block shares {[c['kprime'] for c in contributions]} add up to {total}, "
+                              f"outside [2, {n}]: some share is wrong")
     columns = np.split(dec.unitary, np.cumsum(cert["block_sizes"])[:-1], axis=1)
     return GauWuResult(k=int(total), n=n, method=METHOD_DIRECT_SUM, certificate=cert,
                        build_witness=lambda: joined([(q, build()) for q, build in zip(columns, builds)]))

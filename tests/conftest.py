@@ -32,6 +32,15 @@ def random_matrix(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
+def near_normal4(seed, eps):
+    """U (diag(d) + eps N) U* with N strictly upper triangular: near-normal
+    and, for generic data, irreducible."""
+    rng = rng_for(seed)
+    d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    u = random_unitary(rng, 4)
+    return u @ (np.diag(d) + eps * np.triu(random_matrix(rng, 4), 1)) @ u.conj().T
+
+
 def bounded(fn, *args):
     """(fn(*args), wall seconds, peak bytes traced by tracemalloc)."""
     tracemalloc.start()
@@ -169,39 +178,6 @@ def secular_test_arrowhead(rng, n, kind, c=1.0):
     moduli = 10.0 ** rng.uniform(-6, 0, m) if kind == "weak" else rng.uniform(0.1, 1, m)
     b = moduli * np.exp(1j * rng.uniform(0, 7, m))
     return ArrowheadMatrix(c * d, c * b, c * np.conj(b), c * rng.uniform(-1, 1))
-
-
-def hermitian_eigenvalues_by_bisection(h, tol=1e-12):
-    """Independent eigenvalue oracle: sign changes of det(H - x I).
-
-    Brackets each root by scanning the determinant sign on a fine grid, then
-    bisects.  Only suitable for matrices with well-separated eigenvalues.
-    """
-    h = np.asarray(h)
-    n = h.shape[0]
-    bound = float(np.linalg.norm(h, np.inf)) + 1.0
-
-    def detsign(x):
-        sign, logdet = np.linalg.slogdet(h - x * np.eye(n))
-        return sign.real
-
-    grid = np.linspace(-bound, bound, 4001)
-    signs = np.array([detsign(x) for x in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if signs[i] == 0:
-            roots.append(grid[i])
-            continue
-        if signs[i] * signs[i + 1] < 0:
-            lo, hi = grid[i], grid[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if detsign(mid) * signs[i] > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    return np.array(sorted(roots))
 
 
 def commutant_dimension_by_commutators(a, cutoff=1e-8):

@@ -31,9 +31,10 @@ from numrange_lab.generators import (
     flat_portion_example,
     perturb_unbalance,
 )
-from numrange_lab.linalg import AffineMap, affine_apply, matrix_scale, rotate
-from numrange_lab.numrange import FLAT_PORTION, base_polynomial, detect_seeds
-from numrange_lab.oracle import SearchParams, max_orthonormal_boundary_set
+from numrange_lab import oracle
+from numrange_lab.linalg import DEFAULT_TOL, AffineMap, affine_apply, matrix_scale, normalise, rotate
+from numrange_lab.numrange import FLAT_PORTION, SupportFunction, base_polynomial, detect_seeds
+from numrange_lab.oracle import SearchParams, boundary_vector_field, max_orthonormal_boundary_set
 from numrange_lab.reduction import commutant_dimension
 
 
@@ -80,8 +81,9 @@ def test_criterion_2_balanced_theorem_equals_oracle():
 
 
 def test_criterion_3_unbalanced_soundness():
-    """100 unbalanced instances (30 pure almost normal): value 2, and an
-    escalated search never reaches a triple (floor above 1e-4)."""
+    """100 unbalanced instances (30 pure almost normal): value 2, proved by
+    the search route's cover (k_upper = 2), and an escalated search of the
+    sizes above 2, run on its own, never reaches a triple (floor above 1e-4)."""
     t0 = time.monotonic()
     esc = SearchParams().escalate()
     floors = []
@@ -91,16 +93,20 @@ def test_criterion_3_unbalanced_soundness():
         a = generate(FamilySpec(fam, n=n, seed=2000 + i))
         th = gauwu_unbalanced_two(arrowhead_from_dense(a))
         assert th.k == 2
-        orc = max_orthonormal_boundary_set(a, params=esc)
-        assert orc.k_lower == 2, (i, fam, orc.k_lower)
-        floor = orc.floors.get(3, np.inf)
+        orc = max_orthonormal_boundary_set(a)
+        assert orc.k_lower == 2 == orc.k_upper, (i, fam, orc.k_lower, orc.k_upper)
+        sf = SupportFunction(normalise(a).m, esc.grid_size)
+        field = boundary_vector_field(sf, esc.grid_size)
+        found = oracle._search(sf.a, field.candidates, sf, DEFAULT_TOL, esc, range(n, 2, -1))
+        assert found.k_lower == 0, (i, fam, found.k_lower)
+        floor = found.floors.get(3, np.inf)
         assert floor > 1e-4, (i, fam, floor)
         floors.append(floor)
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
     finite = [f for f in floors if np.isfinite(f)]
     lowest = min(finite) if finite else np.inf
-    _report(3, f"100 instances all k=2, lowest triple floor {lowest:.2e}, {elapsed:.1f}s")
+    _report(3, f"100 instances all k=2 with k_upper=2, lowest triple floor {lowest:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_4_dichotomous_families():

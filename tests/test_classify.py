@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
+from conftest import balanced_arrowhead, near_normal4, random_matrix, random_unitary, rng_for
 from numrange_lab.arrowhead import (ArrowheadMatrix, arrowhead_from_dense, dichotomy_check, gauwu_unbalanced_two,
                                     gauwu_with_zero_pairs, irreducible_dichotomous_check, secular_eigen)
 from numrange_lab.classify import (
@@ -33,15 +33,6 @@ from numrange_lab.results import (
     METHOD_ORACLE,
     METHOD_SEED3,
 )
-
-
-def near_normal4(seed, eps):
-    """U (diag(d) + eps N) U* with N strictly upper triangular: near-normal
-    and, for generic data, irreducible."""
-    rng = rng_for(seed)
-    d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    u = random_unitary(rng, 4)
-    return u @ (np.diag(d) + eps * np.triu(random_matrix(rng, 4), 1)) @ u.conj().T
 
 
 class TestK4Check:
@@ -225,6 +216,15 @@ class TestClassifyPipeline:
         assert res.k == 2
         assert res.method == METHOD_FALLBACK2
         assert max_orthonormal_boundary_set(a).k_lower == 2
+
+    @pytest.mark.parametrize("fam", ["pure-almost-normal", "unbalanced-arrowhead"])
+    def test_proved_two_skips_the_triple_search(self, fam, refinements, stack_sizes):
+        # the cover proves k <= 2 before ka3_check runs: no sweep of the grid's
+        # top vectors (the search field's 512-member eigh) and no refinement
+        res = classify(generate(FamilySpec(fam, seed=11)))
+        assert (res.k, res.method) == (2, METHOD_FALLBACK2)
+        assert res.certificate["cover"]["status"] == "proved" and res.certificate["cover"]["k_upper"] == 2
+        assert refinements == {} and stack_sizes["eigh"][512] == 0
 
     def test_methods_per_family(self):
         cases = [
@@ -461,7 +461,8 @@ class TestOneDichotomyRule:
 class TestInvarianceBeyondFour:
     """k and method of the arrowhead routes at n = 5-8 do not move under a
     rotation, an affine map of criterion 8, a positive scale plus a shift,
-    the scales 1e-200 and 1e200, or a shift by 1e6 ||A||."""
+    the scales 1e-200 and 1e200, or a shift by 1e6 ||A||; under a unitary
+    similarity, k of the k = 2 families stays exact on the search route."""
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     @pytest.mark.parametrize(
@@ -489,6 +490,19 @@ class TestInvarianceBeyondFour:
             for name, b in images.items():
                 res = classify_any(b)
                 assert (res.k, res.method) == (base.k, base.method), (seed, name)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("fam", ["pure-almost-normal", "unbalanced-arrowhead"])
+    def test_unitary_similarity(self, fam, n):
+        # U*AU is no arrowhead, so the search route decides, and its cover
+        # makes k = 2 exact, as the arrowhead route has it for A
+        rng = rng_for(8100 + n)
+        for seed in range(8):
+            a = generate(FamilySpec(fam, n=n, seed=seed))
+            u = random_unitary(rng, n)
+            res = classify_any(u.conj().T @ a @ u, allow_oracle_only=True)
+            assert (res.k, res.method, res.certificate["oracle"]["k_upper"]) == (2, METHOD_ORACLE, 2), seed
+            assert classify_any(a).k == 2
 
 
 def jordan_plus_zero():

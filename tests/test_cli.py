@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import balanced_arrowhead, random_matrix, rng_for
+from conftest import balanced_arrowhead, near_normal4, random_matrix, rng_for
 from numrange_lab import arrowhead, cli, numrange, oracle, reduction
 from numrange_lab.classify import classify_any
 from numrange_lab.cli import build_parser, main
@@ -123,18 +123,35 @@ class TestClassifyCommand:
         assert doc["result"]["oracle_confirmed"] is True
 
     def test_verify_report_says_where_k_lower_comes_from(self, tmp_path, capsys):
-        # k = n: the route's witness passes, so nothing is searched; k = 2 < 4:
-        # the search runs only for the sizes above the claim
-        for family, n, sizes in (("dichotomous-arrowhead-diag", 6, []), ("pure-almost-normal", 4, [4, 3])):
-            path = tmp_path / f"{family}.json"
-            save_matrix(path, generate(FamilySpec(family, n=n, seed=4)))
+        # k = n: the route's witness passes, so nothing is searched; k = 2 < 4
+        # with a cover that keeps a triangle: the search runs only for the sizes
+        # above the claim; k = 2 with a proved cover: nothing is searched
+        cases = (("dichotomous-arrowhead-diag", generate(FamilySpec("dichotomous-arrowhead-diag", n=6, seed=4)), [],
+                  None),
+                 ("near-normal", near_normal4(7100, 1e-3), [4, 3], None),
+                 ("pure-almost-normal", generate(FamilySpec("pure-almost-normal", seed=4)), [], 2))
+        for name, a, sizes, k_upper in cases:
+            path = tmp_path / f"{name}.json"
+            save_matrix(path, a)
             assert main(["classify", str(path), "--verify", "--format", "json"]) == 0
             oracle_ = json.loads(capsys.readouterr().out)["oracle"]
             provenance = oracle_["k_lower_source"], oracle_["witness_check"], oracle_["searched_sizes"]
-            assert provenance == ("witness", "passed", sizes)
+            assert provenance == ("witness", "passed", sizes) and oracle_["k_upper"] == k_upper, name
             assert main(["classify", str(path), "--verify"]) == 0
             line = f"oracle: {oracle_['k_lower']} vectors from the witness; witness passed; sizes searched: "
-            assert line + (", ".join(map(str, sizes)) or "none") in capsys.readouterr().out
+            line += (", ".join(map(str, sizes)) or "none") + ("; k <= 2 proved by the cover" if k_upper else "")
+            assert line in capsys.readouterr().out
+
+    def test_json_report_carries_the_cover(self, tmp_path, capsys):
+        path = tmp_path / "unbalanced.json"
+        save_matrix(path, generate(FamilySpec("unbalanced-arrowhead", seed=5)))
+        assert main(["classify", str(path), "--format", "json"]) == 0
+        cover = json.loads(capsys.readouterr().out)["result"]["certificate"]["cover"]
+        assert cover["status"] == "proved" and cover["k_upper"] == 2
+        # one base-36 bisection depth per cell: the half-widths add up to pi
+        depths = [int(d, 36) for d in cover["depths"]]
+        assert len(depths) == cover["nodes"] >= 128 and sum(0.5 ** d for d in depths) == 128
+        assert 0 < cover["largest_radius"] <= 0.05 and cover["margin"] > 0
 
     def test_parser_is_built_once(self, worked_example_path, monkeypatch):
         assert build_parser() is build_parser()

@@ -3,18 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hermitian_eigenvalues_by_bisection, random_matrix, random_unitary, rng_for
+from conftest import random_matrix, random_unitary, rng_for
 from numrange_lab.generators import flat_portion_example
 from numrange_lab.linalg import (
     AffineMap,
     DimensionError,
     NonInvertibleMapError,
-    StructureError,
     ToleranceConfig,
     _pencil_at,
     affine_apply,
-    affine_invert,
-    eig_hermitian_clustered,
     hermitian_parts,
     normalise,
     rotate,
@@ -84,45 +81,6 @@ class TestPencilMember:
         assert values[0] == pytest.approx(sf(0.7), abs=1e-14)
 
 
-class TestEigClustered:
-    def test_identity_single_cluster(self):
-        es = eig_hermitian_clustered(np.eye(4))
-        assert len(es.clusters) == 1
-        assert es.multiplicities() == [4]
-
-    def test_two_level_diagonal(self):
-        h = np.diag([0.0, 0.0, 1.0, 1.0])
-        es = eig_hermitian_clustered(h)
-        assert es.multiplicities() == [2, 2]
-        assert np.allclose(sorted(np.unique(np.round(es.values, 12))), [0, 1])
-
-    def test_against_bisection_oracle(self):
-        rng = rng_for(3)
-        z = random_matrix(rng, 6)
-        h = (z + z.conj().T) / 2
-        es = eig_hermitian_clustered(h)
-        scale = np.linalg.norm(h, 2)
-        for j in range(6):
-            r = np.linalg.norm(h @ es.vectors[:, j] - es.values[j] * es.vectors[:, j])
-            assert r < 1e-12 * scale
-        oracle = hermitian_eigenvalues_by_bisection(h)
-        assert len(oracle) == 6
-        assert np.max(np.abs(oracle - es.values)) < 1e-9 * scale
-
-    def test_trace_identity(self):
-        rng = rng_for(8)
-        for _ in range(10):
-            z = random_matrix(rng, 5)
-            h = (z + z.conj().T) / 2
-            es = eig_hermitian_clustered(h)
-            assert sum(es.multiplicities()) == 5
-            assert abs(np.trace(h).real - np.sum(es.values)) < 1e-10 * 5 * np.linalg.norm(h, 2)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(StructureError):
-            eig_hermitian_clustered(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestRotate:
     def test_identity_rotation(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
@@ -173,29 +131,6 @@ class TestAffine:
             zb = complex(x.conj() @ b @ x)
             assert abs(zb - tau.apply_point(za)) < 1e-12
 
-    def test_invert_round_trip(self):
-        rng = rng_for(7)
-        for trial in range(20):
-            tau = AffineMap(
-                complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)),
-                complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)),
-                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            )
-            try:
-                tau.validate()
-            except NonInvertibleMapError:
-                continue
-            inv = affine_invert(tau)
-            a = random_matrix(rng, 4)
-            back = affine_apply(affine_apply(a, tau), inv)
-            assert np.max(np.abs(back - a)) < 1e-10
-
-    def test_simple_inverses(self):
-        inv = affine_invert(AffineMap(2, 1, 0))
-        assert abs(inv.a - 0.5) < 1e-14 and abs(inv.b - 1) < 1e-14
-        inv = affine_invert(AffineMap(1, 1, 3 + 4j))
-        assert abs(inv.c + (3 + 4j)) < 1e-14
-
     def test_rejects_degenerate(self):
         with pytest.raises(NonInvertibleMapError):
             affine_apply(np.eye(2), AffineMap(0, 1, 0))
@@ -207,13 +142,6 @@ class TestAffine:
         # c times the identity map, and a rotated one, are invertible at any c > 0
         for tau in (AffineMap(c, c), AffineMap(c * (0.6 + 0.8j), c * (0.6 + 0.8j), 1 - 2j)):
             tau.validate()
-            back = affine_invert(affine_invert(tau))
-            assert abs(back.a - tau.a) <= 1e-14 * c and abs(back.b - tau.b) <= 1e-14 * c
-            assert abs(back.c - tau.c) <= 1e-14 * abs(tau.c)
-        a = random_matrix(rng_for(3), 3)
-        tau = AffineMap(c * (0.6 + 0.8j), c * (0.6 + 0.8j), 1 - 2j)
-        back = affine_apply(affine_apply(a, tau), affine_invert(tau))
-        assert np.max(np.abs(back - a)) < 1e-10 * max(1.0, 1 / c)
         for bad in (AffineMap(0, c), AffineMap(c, 0), AffineMap(c * (0.6 + 0.8j), c * (0.6 + 0.8j) * 1j)):
             with pytest.raises(NonInvertibleMapError):
                 bad.validate()

@@ -3,16 +3,19 @@ import pytest
 
 from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
-from numrange_lab.linalg import hermitian_parts
+from numrange_lab.linalg import DEFAULT_TOL, DimensionError, _pencil_at, hermitian_parts, normalise
 from numrange_lab.numrange import REFINE_STEPS, SupportFunction
 from numrange_lab import oracle
 from numrange_lab.oracle import (
     ARC_ROUNDS,
+    COVER_RADIUS,
+    COVER_START,
     TOP_GAP_FLOOR,
     Candidates,
     SearchParams,
     _cliques,
     _top_vectors,
+    boundary_cover,
     boundary_vector_field,
     max_orthonormal_boundary_set,
     restricted_max_set,
@@ -311,11 +314,14 @@ class TestVerify:
         assert rep.match and rep.status == "match"
 
     def test_pure_almost_normal_claim_two(self):
+        # the cover proves k <= 2, so the pair matches with no search; the
+        # search of the sizes above 2, run on its own, finds no triple either
         a = generate(FamilySpec("pure-almost-normal", seed=2))
         rep = verify(a, 2)
-        assert rep.match
-        floor = rep.oracle.floors.get(3, np.inf)
-        assert floor > 1e-4
+        assert rep.match and rep.oracle.k_upper == 2 and rep.searched_sizes == ()
+        sf = SupportFunction(normalise(a).m)
+        found = oracle._search(sf.a, boundary_vector_field(sf).candidates, sf, DEFAULT_TOL, SearchParams(), (4, 3))
+        assert found.k_lower == 0 and found.floors.get(3, np.inf) > 1e-4
 
     def test_wrong_high_claim_escalates_then_mismatch(self):
         rep = verify(flat_portion_example(), 4)
@@ -387,6 +393,72 @@ class TestRestricted:
         k, vecs, _ = restricted_max_set(block, ambient)
         assert k == 1
         assert abs(vecs[2, 0]) > 1 - 1e-6
+
+
+    @pytest.mark.parametrize("z, count", [(1.0, 1), (0.2j, 0)])
+    def test_one_by_one_block_counts_its_point(self, z, count):
+        # the ambient is the unit square's corners; 1 is one of them, 0.2i is inside
+        ambient = SupportFunction(np.diag([1.0, 1j, -1.0, -1j]))
+        k, vecs, thetas = restricted_max_set(np.array([[z]], dtype=complex), ambient)
+        assert k == count and vecs.shape == (1, count) and thetas.shape == (count,)
+        with pytest.raises(DimensionError):
+            boundary_vector_field(np.array([[z]], dtype=complex))
+
+
+class TestCover:
+    """The certified cover proves k <= 2 on k = 2 inputs and never on k >= 3."""
+
+    @pytest.mark.parametrize("fam", ["pure-almost-normal", "unbalanced-arrowhead"])
+    def test_proves_two_on_the_fallback_families(self, fam):
+        for seed in range(5):
+            sf = SupportFunction(normalise(generate(FamilySpec(fam, seed=seed))).m)
+            cover = boundary_cover(sf)
+            assert cover.status == "proved" and cover.k_upper == 2, (fam, seed)
+            assert len(cover.thetas) >= 2 * COVER_START and np.all(cover.radii <= COVER_RADIUS)
+            assert boundary_cover(sf) is cover  # memoised on the SupportFunction
+
+    @pytest.mark.parametrize("fam", ["k3-parallel-lines", "k3-nonparallel-lines", "k4-split-22", "k4-split-31",
+                                     "dichotomous-arrowhead-diag", "dichotomous-arrowhead-coupled",
+                                     "reducible-aligned", "reducible-mixed"])
+    def test_never_proves_two_above_two(self, fam):
+        for seed in range(5):
+            a = generate(FamilySpec(fam, seed=seed))
+            cover = boundary_cover(a)
+            assert cover.k_upper is None and cover.status in ("event", "triangle", "budget"), (fam, seed)
+
+    def test_cells_tile_the_circle_and_radii_hold_inside_them(self):
+        sf = SupportFunction(normalise(generate(FamilySpec("unbalanced-arrowhead", seed=1))).m)
+        cover = boundary_cover(sf)
+        starts, ends = cover.thetas - cover.widths, cover.thetas + cover.widths
+        assert np.allclose(ends, np.append(starts[1:], starts[0] + 2 * np.pi), rtol=0, atol=1e-14)
+        # every top vector of a cell lies within its node's chordal radius
+        h, k = hermitian_parts(sf.a)
+        fractions = np.linspace(-1, 1, 9)
+        inside = (cover.thetas[:, None] + fractions * cover.widths[:, None]).ravel()
+        x = np.linalg.eigh(_pencil_at(h, k, inside))[1][:, :, -1]
+        node = np.repeat(np.linalg.eigh(_pencil_at(h, k, cover.thetas))[1][:, :, -1], len(fractions), axis=0)
+        chord = np.sqrt(np.maximum(2 - 2 * np.abs(np.sum(node.conj() * x, axis=1)), 0))
+        assert np.all(chord <= np.repeat(cover.radii, len(fractions)) + 1e-12)
+
+    def test_declines_at_an_event_and_small_sizes_are_exact(self):
+        assert boundary_cover(flat_portion_example()).status == "event"
+        for n in (1, 2):
+            cover = boundary_cover(random_matrix(rng_for(n), n))
+            assert (cover.status, cover.k_upper) == ("proved", n)
+
+    def test_budget_declines(self, monkeypatch):
+        monkeypatch.setattr(oracle, "COVER_NODES", 130)
+        cover = boundary_cover(generate(FamilySpec("pure-almost-normal", seed=0)))
+        assert cover.status == "budget" and cover.k_upper is None
+
+    def test_search_route_is_exact_when_proved(self, refinements):
+        a = generate(FamilySpec("pure-almost-normal", seed=3))
+        res = max_orthonormal_boundary_set(a)
+        assert (res.k_lower, res.k_upper, res.floors, res.capped) == (2, 2, {}, [])
+        assert refinements == {}
+        assert res.to_dict()["k_upper"] == 2 and res.to_dict()["cover"]["status"] == "proved"
+        x = res.vectors
+        assert np.max(np.abs(x.conj().T @ x - np.eye(2))) < 1e-12
 
 
 def tangent_contact(seed, theta0=0.7371):

@@ -418,16 +418,14 @@ class TestDirsum:
         res = dirsum_gauwu(dec)
         assert res.certificate["margin"] == dec.margin
         assert dec.margin["gap"] > reduction.GAP_CUTOFF
-        assert "unclamped_total" not in res.certificate
 
-    def test_clamped_total_is_recorded(self, monkeypatch):
+    def test_share_total_outside_the_range_raises(self, monkeypatch):
+        # k lies in [2, n]: a total outside it is a wrong share, never clamped
         dec = decompose(generate(FamilySpec("ellipse-pair", seed=0, knobs={"config": "nested"})))
-        monkeypatch.setattr(reduction, "block_kprime", lambda b, ambient, tol: (0, "patched", None))
-        res = dirsum_gauwu(dec)
-        assert res.k == 2 and res.certificate["unclamped_total"] == 0
-        monkeypatch.setattr(reduction, "block_kprime", lambda b, ambient, tol: (3, "patched", None))
-        res = dirsum_gauwu(dec)
-        assert res.k == 4 and res.certificate["unclamped_total"] == 6
+        for share, total in ((0, 0), (3, 6)):
+            monkeypatch.setattr(reduction, "block_kprime", lambda b, ambient, tol, s=share: (s, "patched", None))
+            with pytest.raises(reduction.ShareTotalError, match=f"add up to {total}, outside \\[2, 4\\]"):
+                dirsum_gauwu(dec)
 
     def test_requires_two_blocks(self):
         with pytest.raises(ValueError):

@@ -4,13 +4,13 @@ family before it searches."""
 import numpy as np
 import pytest
 
-from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
+from conftest import balanced_arrowhead, near_normal4, random_matrix, random_unitary, rng_for
 from numrange_lab import oracle
 from numrange_lab.arrowhead import ArrowheadMatrix
 from numrange_lab.classify import classify_any
 from numrange_lab.generators import FamilySpec, flat_portion_example, generate
 from numrange_lab.linalg import normalise
-from numrange_lab.numrange import dichotomy_scan
+from numrange_lab.numrange import SupportFunction, dichotomy_scan
 from numrange_lab.oracle import check_witness, verify
 from numrange_lab.results import (
     METHOD_ARROWHEAD,
@@ -175,8 +175,10 @@ class TestVerifyWithWitness:
         assert np.array_equal(rep.oracle.vectors, w.vectors)
 
     def test_searches_only_above_the_claim(self, monkeypatch):
-        a = generate(FamilySpec("pure-almost-normal", seed=0))
+        # k = 2, but the cover keeps a triangle: it proves nothing, so the search runs
+        a = near_normal4(7100, 1e-3)
         w = classify_any(a).witness
+        assert oracle.boundary_cover(SupportFunction(normalise(a).m)).status == "triangle"
         sizes = []
         search = oracle._search
 
@@ -189,6 +191,27 @@ class TestVerifyWithWitness:
         assert rep.match and rep.source == "witness" and rep.escalations == 0
         assert sizes == [(4, 3)] == [rep.searched_sizes]
         assert rep.to_dict()["searched_sizes"] == [4, 3] and rep.to_dict()["k_lower_source"] == "witness"
+        assert rep.oracle.k_upper is None and rep.to_dict()["oracle"]["k_upper"] is None
+
+    def test_a_proved_cover_ends_the_search(self, monkeypatch):
+        # the cover proves k <= 2, so a passing witness of 2 is exact and nothing is searched
+        a = generate(FamilySpec("pure-almost-normal", seed=0))
+        w = classify_any(a).witness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("search called")
+
+        monkeypatch.setattr(oracle, "_search", refuse)
+        monkeypatch.setattr(oracle, "boundary_vector_field", refuse)
+        rep = verify(a, 2, witness=w)
+        assert (rep.match, rep.status, rep.escalations, rep.source) == (True, "match", 0, "witness")
+        assert rep.searched_sizes == () and rep.oracle.k_upper == 2 == rep.oracle.k_lower
+        assert rep.to_dict()["oracle"]["cover"]["status"] == "proved"
+        # without a witness the cover's pair is the family, and a claim above 2 is not escalated
+        rep = verify(a, 2)
+        assert (rep.match, rep.source, rep.searched_sizes, rep.oracle.k_upper) == (True, "cover", (), 2)
+        rep = verify(a, 3)
+        assert (rep.match, rep.status, rep.escalations, rep.oracle.k_upper) == (False, "claim-above-bound", 0, 2)
 
     def test_larger_family_above_a_passed_witness(self):
         # three of the four vectors of a k = 4 matrix pass for a claim of 3,
