@@ -127,9 +127,9 @@ def secular_function(ah: ArrowheadMatrix, lam):
     return np.sum(cr / (lam - ah.diag)) + ah.corner - lam
 
 
-# the per-root stop ends the iteration in 7-13 sweeps on the Hermitian
-# arrowheads of acceptance criterion 10 up to n = 400 (up to 61 with couplings
-# down to 1e-6) and in 8-18 on general ones; the cap only bounds a pathological input
+# the per-root stop ends the iteration in 7-12 sweeps on the Hermitian
+# arrowheads of acceptance criterion 10 up to n = 400, also with couplings down
+# to 1e-6, and in 8-18 on general ones; the cap only bounds a pathological input
 _ABERTH_MAX_ITER = 200
 
 
@@ -151,28 +151,35 @@ def _aberth_secular_roots(ah: ArrowheadMatrix):
     """Simultaneous root iteration on the cleared secular polynomial.
 
     Works on the product form p = f * prod(lam - a_j), so the logarithmic
-    derivative p'/p = f'/f + sum 1/(lam - a_j) costs O(n) per point
-    and no ill-conditioned coefficient expansion is ever formed.  A root
-    whose correction falls to rounding level is frozen: it leaves the working
-    set but still repels the roots that remain, so a sweep costs O(live * n),
-    in two buffers allocated once.  It runs on A / s (``_secular_terms``), so
-    that no product over- or underflows at any scale.
+    derivative p'/p = f'/f + sum 1/(lam - a_j) costs O(n) per point and no
+    ill-conditioned coefficient expansion is ever formed.  A root whose
+    correction falls to rounding level is frozen but still repels the live
+    ones, so a sweep costs O(live * n), in two buffers allocated once.  A
+    sweep divides unguarded and is redone only when rows come out non-finite
+    (a point on a pole, two that meet), with their differences clamped to
+    1e-30.  It runs on A / s (``_secular_terms``), so that no product over-
+    or underflows at any scale.
 
     An exactly Hermitian arrowhead has one root in each gap of its sorted
-    poles and one beyond each end (Cauchy interlacing).  Its iteration starts
-    at the midpoint of each gap and sqrt(sum |col_j|^2) + 1 beyond each end
-    pole; with real starts and real data it runs in float64 and returns real
-    roots.  Any other arrowhead starts at its poles (slightly displaced) and
-    its corner, which the mutual-repulsion term then sorts out, in complex
-    arithmetic.
+    poles and one beyond each end.  It starts in each gap at the root of
+    dlaed4's two-pole model (f with its other terms frozen at the midpoint),
+    kept 1e-3 of the gap off either pole, and sqrt(sum |col_j|^2) + 1 beyond
+    each end pole, and runs in float64.  Any other arrowhead starts at its
+    poles (slightly displaced) and its corner, in complex arithmetic.
     """
     s, d, cr, corner = _secular_terms(ah)
     n = ah.n
     m = n - 1
     if np.isrealobj(d):
-        poles = np.sort(d)
-        reach = np.sqrt(cr.sum()) + 1.0
-        z = np.concatenate([[poles[0] - reach], 0.5 * (poles[:-1] + poles[1:]), [poles[-1] + reach]])
+        poles, c, reach = np.sort(d), cr[np.argsort(d)], np.sqrt(cr.sum()) + 1.0
+        # in gap (l, r): c_l / t + c_r / (t - gap) + w = 0 for t in (0, gap), w the rest of f at the midpoint
+        cl, gap, mid = c[:-1], np.diff(poles), 0.5 * (poles[:-1] + poles[1:])
+        with np.errstate(all="ignore"):
+            w = (1.0 / (mid[:, None] - poles)) @ c + corner - mid - 2 * (cl - c[1:]) / gap
+            b = cl + c[1:] - w * gap
+            t = 2 * cl * gap / (b + np.sqrt(b * b + 4 * w * cl * gap))
+        t = np.clip(np.where(np.isfinite(t), t, 0.5 * gap), 1e-3 * gap, (1 - 1e-3) * gap)  # next to a pole p'/p cancels
+        z = np.concatenate([[poles[0] - reach], poles[:-1] + t, [poles[-1] + reach]])
     else:
         z = np.empty(n, dtype=complex)
         offs = 0.02 * np.exp(2j * np.pi * (np.arange(m) + 0.25) / max(m, 1))
@@ -185,22 +192,25 @@ def _aberth_secular_roots(ah: ArrowheadMatrix):
     for _ in range(_ABERTH_MAX_ITER):
         k = live.size
         zl = z[live]
-        inv = np.subtract(zl[:, None], d, out=inv_buf[:k])
-        near = np.abs(inv) < 1e-30  # a point on a pole
-        if near.any():
-            inv[near] = 1e-30
-        np.divide(1.0, inv, out=inv)
-        f = inv @ cr + corner - zl
-        pole_sum = inv.sum(axis=1)
-        inv *= inv
-        fp = -(inv @ cr) - 1.0
+        clamp = []  # no row at first, then the rows whose sums came out non-finite
+        for _ in range(2):
+            inv = np.subtract(zl[:, None], d, out=inv_buf[:k])
+            pair = np.subtract(zl[:, None], z, out=pair_buf[:k])
+            pair[np.arange(k), live] = np.inf
+            if len(clamp):  # a point on a pole, two points that meet: |difference| lifted to 1e-30
+                for diff in (inv, pair):
+                    diff[clamp] = np.where(np.abs(diff[clamp]) < 1e-30, 1e-30, diff[clamp])
+            with np.errstate(all="ignore"):
+                np.divide(1.0, inv, out=inv)
+                f = inv @ cr + corner - zl
+                pole_sum = inv.sum(axis=1)
+                inv *= inv
+                fp = -(inv @ cr) - 1.0
+                repel = np.divide(1.0, pair, out=pair).sum(axis=1)
+                clamp = np.flatnonzero(~np.isfinite(f + fp + pole_sum + repel))
+            if not clamp.size:
+                break
         nonzero = np.abs(f) > 1e-300  # an exact root holds still
-        pair = np.subtract(zl[:, None], z, out=pair_buf[:k])
-        pair[np.arange(k), live] = np.inf
-        near = np.abs(pair) < 1e-30  # two points that meet
-        if near.any():
-            pair[near] = 1e-30
-        repel = np.divide(1.0, pair, out=pair).sum(axis=1)
         denom = fp / np.where(nonzero, f, 1.0) + pole_sum - repel
         moving = nonzero & (np.abs(denom) >= 1e-300)
         step = np.where(moving, 1.0 / np.where(moving, denom, 1.0), 0.0)
@@ -216,9 +226,11 @@ def _aberth_secular_roots(ah: ArrowheadMatrix):
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """``safe_norm`` of each row: divided by the row's largest entry first."""
-    top = np.abs(v).max(axis=1)
-    return top * np.linalg.norm(v / np.where(top > 0, top, 1.0)[:, None], axis=1)
+    """``safe_norm`` of each row of a C-contiguous array: one pass of squares, rescaled where they over- or underflow."""
+    sq = np.einsum("ij,ij->i", v.view(float), v.view(float))
+    out, bad = np.sqrt(sq), ~((sq >= np.finfo(float).tiny / np.finfo(float).eps) & (sq < np.inf))
+    out[bad] = [safe_norm(row) for row in v[bad]]
+    return out
 
 
 def _distinct_entries(values, atol: float) -> bool:
@@ -230,46 +242,85 @@ def _distinct_entries(values, atol: float) -> bool:
 def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> SecularResult:
     """All eigenvalues of the arrowhead via its rational secular equation.
 
-    One Aberth iteration on the product form of the cleared-denominator
-    polynomial locates every root, Hermitian or not, at O(n^2) a sweep; each
-    root stops on its own once its correction reaches rounding level.  An
-    exactly Hermitian arrowhead starts in the gaps of its sorted poles and
-    iterates in real arithmetic (``_aberth_secular_roots``).  Each of its
-    roots off the poles is then carried as o + mu on A / s, o its nearest
-    pole, and mu takes two Newton steps on the secular function written in
+    A zero pair (col_j = row_j = 0) gives the exact pair (a_j, e_j) and
+    leaves the arrowhead without j.  One Aberth iteration
+    (``_aberth_secular_roots``) locates every other root at O(n^2) a sweep.
+    Each root of an exactly Hermitian arrowhead is carried as o + mu on A / s,
+    o its nearest pole (a neighbour in the sorted poles, which the roots
+    interlace), and mu takes two Newton steps on the secular function in
     offsets, sum cr_j / ((o - d_j) + mu) + corner - o - mu.  The gaps o - d_j
-    are exact for the poles next to o, so lam - a_j and the eigenvector
-    x = (col / (lam - a), 1) built from them keep full relative accuracy at
-    clustered poles (Gu & Eisenstat 1995).  The secular eigenvectors and
-    residuals, read off the arrow pattern, cost O(n^2) in all.
+    are exact next to o, so x = (col / (lam - a), 1) keeps full relative
+    accuracy at clustered poles and next to a pole (Gu & Eisenstat 1995).
+    The secular vectors and residuals, read off the arrow pattern, cost O(n^2).
 
-    Roots within eq_tol * s of a diagonal pole, Hermitian or not, have no
-    secular eigenvector formula; they are set aside as degenerate with a
-    nullspace-derived eigenvector (one dense SVD) when they are genuine
-    eigenvalues.  Colliding roots that agree to 1e-9 ||A|| share one SVD, so
-    a repeated eigenvalue on a repeated pole gets orthonormal eigenvectors.
-    The zero arrowhead, which has no unit to measure a collision in, gets the
-    standard basis for its n-fold eigenvalue 0.
+    Only roots without a secular vector build the dense matrix: a general
+    root within eq_tol * s of a pole, and a Hermitian one there whose mu is 0,
+    whose pole's coupling underflows or whose vector leaves a residual above
+    64 eps s.  Genuine eigenvalues among them come back as degenerate pairs
+    with a nullspace vector, one SVD per group that agrees to 1e-9 ||A||, so
+    a repeated eigenvalue gets orthonormal vectors.  The zero arrowhead, all
+    zero pairs, gets the standard basis for its n-fold eigenvalue 0.
     """
     n = ah.n
     if n == 1:
         return SecularResult(eigen=[SecularPair(ah.corner, np.ones(1, dtype=complex), 0.0)], degenerate=[])
-    if not ah.scale():
-        return SecularResult(eigen=[SecularPair(0j, e, 0.0) for e in np.eye(n, dtype=complex)], degenerate=[])
+    live = (ah.col != 0) | (ah.row != 0)
+    if not live.all():  # e_j for each zero pair j, and the other pairs' arrowhead
+        zero = np.flatnonzero(~live)
+        out = secular_eigen(ArrowheadMatrix(ah.diag[live], ah.col[live], ah.row[live], ah.corner), tol)
+        for p in out.eigen + out.degenerate:
+            p.vector = np.insert(p.vector, zero - np.arange(zero.size), 0.0)
+        out.degenerate[:0] = [SecularPair(complex(ah.diag[j]), np.eye(1, n, j, dtype=complex)[0], 0.0) for j in zero]
+        return out
     roots = _aberth_secular_roots(ah)
     real = np.isrealobj(roots)  # exactly Hermitian input
-
+    s, d, cr, corner = _secular_terms(ah)
+    if real:
+        r, order = roots / s, np.argsort(d)
+        lo, hi = (order[np.clip(np.searchsorted(d[order], r) - k, 0, n - 2)] for k in (1, 0))
+        nearest = np.where(np.abs(r - d[lo]) <= np.abs(r - d[hi]), lo, hi)  # a root on a pole gets mu = 0
+        o, mu = d[nearest], r - d[nearest]  # lam = s (o + mu), so lam - a_j = s ((o - d_j) + mu)
+        colliding = np.abs(mu) <= tol.eq_tol
+    else:
+        colliding = np.abs(roots[:, None] - ah.diag).min(axis=1) <= tol.eq_tol * s
+    own = ~colliding | (real and (mu != 0) & (cr[nearest] > 0))  # a Hermitian root at a pole may keep its vector
+    # one row per root: x = (col / (lam - a), 1) normalised, and Ax - lam x by rows of the arrow
+    lams = roots[own]
+    x = np.empty((lams.size, n), dtype=complex)
+    head, tail = x[:, :-1], x[:, -1:]
+    tail[:] = 1.0
+    if real:
+        o, mu = o[own], mu[own]
+        gaps = np.empty((lams.size, n - 1))
+        for newton in (True, True, False):  # two steps on g(mu) = sum cr_j / ((o - d_j) + mu) + corner - o - mu
+            np.add(np.subtract(o[:, None], d, out=gaps), mu[:, None], out=gaps)
+            np.divide(1.0, gaps, out=gaps)
+            if newton:  # the numerator is taken before the square overwrites gaps
+                mu += (gaps @ cr + corner - o - mu) / (np.square(gaps, out=gaps) @ cr + 1.0)
+        np.multiply(ah.col / s, gaps, out=head)
+        del gaps
+        lams = s * (o + mu)
+    else:
+        np.subtract(lams[:, None], ah.diag, out=head)
+        np.divide(ah.col, head, out=head)
+    x *= (1.0 / _row_norms(x))[:, None]
+    lams = lams[:, None]
+    res = np.empty_like(x)
+    np.multiply(ah.diag, head, out=res[:, :-1])
+    res[:, :-1] += ah.col * tail
+    res[:, :-1] -= lams * head
+    res[:, -1:] = head @ ah.row[:, None] + ah.corner * tail - lams * tail
+    resid = _row_norms(res)
+    held = ~colliding[own] | (resid <= 64 * np.finfo(float).eps * s)
+    own[own] = held
+    eigen = [SecularPair(complex(lam), vec, float(r)) for lam, vec, r in zip(lams[held, 0], x[held], resid[held])]
     degen, notices = [], []
-    dist = np.abs(roots[:, None] - (ah.diag.real if real else ah.diag))
-    nearest = dist.argmin(axis=1)
-    colliding = dist[np.arange(n), nearest] <= tol.eq_tol * ah.scale()
-    del dist
-    # colliding roots (only they need the dense matrix) that agree to the residual
+    # the other roots (only they need the dense matrix) that agree to the residual
     # target are one repeated eigenvalue and share one SVD, so their eigenvectors come out orthonormal
-    dense = ah.to_dense() if colliding.any() else None
-    target = 1e-9 * matrix_scale(dense) if colliding.any() else 0.0
+    dense = None if own.all() else ah.to_dense()
+    target = 0.0 if own.all() else 1e-9 * matrix_scale(dense)
     groups = {}
-    for i in np.flatnonzero(colliding):
+    for i in np.flatnonzero(~own):
         key = next((k for k in groups if abs(roots[k] - roots[i]) <= target), i)
         groups.setdefault(key, []).append(i)
     for members in groups.values():
@@ -281,37 +332,6 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
                 notices.append(f"root {lam:.6g} within tolerance of a diagonal pole; eigenvector from nullspace")
             else:
                 notices.append(f"cleared-polynomial root {lam:.6g} collides with a pole and is not an eigenvalue")
-    # one row per root: x = (col / (lam - a), 1) normalised, and Ax - lam x by rows of the arrow
-    lams = roots[~colliding]
-    x = np.empty((lams.size, n), dtype=complex)
-    head, tail = x[:, :-1], x[:, -1:]
-    tail[:] = 1.0
-    if real:
-        # lam = s (o + mu) on A / s, o the nearest pole, so lam - a_j = s ((o - d_j) + mu)
-        s, d, cr, corner = _secular_terms(ah)
-        o = d[nearest[~colliding]]
-        mu = lams / s - o
-        gaps = np.empty((lams.size, n - 1))
-        for _ in range(2):  # Newton on g(mu) = sum cr_j / ((o - d_j) + mu) + corner - o - mu
-            np.subtract(o[:, None], d, out=gaps)
-            gaps += mu[:, None]
-            np.divide(1.0, gaps, out=gaps)
-            g = gaps @ cr + corner - o - mu
-            gaps *= gaps
-            mu += g / (gaps @ cr + 1.0)
-        np.subtract(o[:, None], d, out=gaps)
-        gaps += mu[:, None]
-        np.divide(ah.col / s, gaps, out=head)
-        del gaps
-        lams = s * (o + mu)
-    else:
-        np.subtract(lams[:, None], ah.diag, out=head)
-        np.divide(ah.col, head, out=head)
-    x /= _row_norms(x)[:, None]
-    lams = lams[:, None]
-    res = np.concatenate([ah.diag * head + ah.col * tail - lams * head,
-                          head @ ah.row[:, None] + ah.corner * tail - lams * tail], axis=1)
-    eigen = [SecularPair(complex(lam), vec, float(r)) for lam, vec, r in zip(lams[:, 0], x, _row_norms(res))]
     return SecularResult(eigen=eigen, degenerate=degen, notices=notices)
 
 

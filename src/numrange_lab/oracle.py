@@ -149,7 +149,7 @@ class Cover:
         out = {"status": self.status, "k_upper": self.k_upper, "rounds": self.rounds, "nodes": len(self.thetas)}
         if self.status == "proved" and len(self.thetas):
             out.update(largest_radius=float(np.max(self.radii)), margin=float(self.margin),
-                       depths="".join(np.base_repr(d, 36) for d in self.depths.tolist()).lower())
+                       depths="".join("0123456789abcdefghijklmnopqrstuvwxyz"[d] for d in self.depths.tolist()))
         return out
 
 

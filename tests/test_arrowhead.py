@@ -5,6 +5,7 @@ from conftest import balanced_arrowhead, bounded, random_matrix, rng_for, secula
 from numrange_lab.arrowhead import (
     ArrowheadMatrix,
     _aberth_secular_roots,
+    _row_norms,
     _hull_boundary_indices,
     NotApplicableError,
     NotArrowheadError,
@@ -274,6 +275,74 @@ class TestSecular:
         assert len(res.values()) == n
         assert elapsed < 1.0, elapsed
         assert peak < 16 * 2**20, peak
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_row_norms_match_safe_norm(self, dtype):
+        """One pass of squares, and the scaled path where squares over- or
+        underflow: every row agrees with ``safe_norm`` to rounding."""
+        rng = rng_for(27)
+        rows = rng.standard_normal((40, 9)) * 10.0 ** rng.uniform(-300, 300, (40, 1))
+        rows[:8] = rng.standard_normal((8, 9)) * 10.0 ** rng.uniform(-300, 300, (8, 9))  # mixed within a row
+        v = rows + 1j * rows[::-1] if dtype is complex else rows
+        v[8] = 0.0
+        v[9, :4] = 0.0
+        got = _row_norms(v)
+        want = np.array([safe_norm(row) for row in v])
+        assert got[8] == 0.0
+        assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_on_a_pole_and_points_that_meet(self):
+        """A pole of multiplicity three leaves two gaps of width 0, so two
+        starts sit on that pole and on each other.  Only those rows take the
+        clamped path; the double eigenvalue there comes back twice with
+        orthonormal vectors from one SVD."""
+        rng = rng_for(11)
+        d = np.sort(np.linspace(-1, 1, 9) + rng.uniform(-0.05, 0.05, 9))
+        d[4] = d[5] = d[3]
+        b = rng.uniform(0.1, 1, 9) * np.exp(1j * rng.uniform(0, 7, 9))
+        ah = ArrowheadMatrix(d, b, np.conj(b), 0.3)
+        roots = np.sort(_aberth_secular_roots(ah))
+        assert not np.any(np.imag(roots)) and np.count_nonzero(roots == d[3]) == 2
+        res = secular_eigen(ah)
+        dense = ah.to_dense()
+        assert len(res.degenerate) == 2 and len(res.values()) == 10
+        vecs = np.array([p.vector for p in res.degenerate]).T
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-12)
+        assert np.allclose(np.sort(res.values().real), np.linalg.eigvalsh(dense), rtol=0, atol=1e-12)
+
+    def test_poles_a_few_ulps_apart(self):
+        """Poles in threes 1e-15 apart, couplings down to 1e-6: a root that
+        lands on a pole gets that pole as its nearest (mu = 0) and goes to
+        the dense matrix, never a zero gap in its secular vector."""
+        rng = rng_for(1515)
+        for i in range(24):
+            n, c = int(rng.integers(4, 80)), (1.0, 1e-150, 1e150)[i % 3]
+            centres = np.linspace(-1, 1, -(-(n - 1) // 3)) + rng.uniform(-0.2, 0.2, -(-(n - 1) // 3)) / n
+            d = np.sort(np.concatenate([centres + 1e-15 * k * rng.uniform(0.5, 1.5) for k in range(3)]))[: n - 1]
+            b = 10.0 ** rng.uniform(-6, 0, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1))
+            self._check_secular(ArrowheadMatrix(c * d, c * b, c * np.conj(b), c * rng.uniform(-1, 1)), False)
+
+    @pytest.mark.parametrize("case", ["weak-hermitian", "general-zero-pairs"])
+    def test_secular_vectors_need_no_svd(self, case, monkeypatch):
+        """A Hermitian root next to a weakly coupled pole keeps its offset
+        vector, and a zero pair gives e_j, so neither builds the dense
+        matrix: no SVD on weak-250 (91 roots within eq_tol * s of a pole) or
+        on a general arrowhead with 49 of its 199 pairs zero."""
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        if case == "weak-hermitian":
+            ah = secular_test_arrowhead(np.random.default_rng(250), 250, "weak")
+        else:
+            ah = secular_test_arrowhead(rng_for(24), 200, "general")
+            zero = rng_for(25).choice(199, size=49, replace=False)
+            ah.col[zero] = ah.row[zero] = 0
+        res = secular_eigen(ah)
+        assert calls == []
+        self._check_secular(ah, case == "weak-hermitian", 1e-12)
+        assert len(res.degenerate) == (0 if case == "weak-hermitian" else 49)
+        assert all(p.residual == 0 and np.count_nonzero(p.vector) == 1 for p in res.degenerate)
 
 
 class TestNormalEigenvalue:

@@ -451,6 +451,13 @@ class TestCover:
         cover = boundary_cover(generate(FamilySpec("pure-almost-normal", seed=0)))
         assert cover.status == "budget" and cover.k_upper is None
 
+    def test_depths_are_one_base36_digit_per_cell(self):
+        """Every depth the bisection rounds can reach encodes as np.base_repr's lower-case digit."""
+        depths = np.arange(oracle.COVER_ROUNDS + 1)
+        cover = oracle.Cover(n=3, status="proved", thetas=np.zeros(depths.size), depths=depths,
+                             radii=np.zeros(depths.size))
+        assert cover.to_dict()["depths"] == "".join(np.base_repr(d, 36) for d in depths).lower()
+
     def test_search_route_is_exact_when_proved(self, refinements):
         a = generate(FamilySpec("pure-almost-normal", seed=3))
         res = max_orthonormal_boundary_set(a)
