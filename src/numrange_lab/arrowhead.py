@@ -254,11 +254,13 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
     The secular vectors and residuals, read off the arrow pattern, cost O(n^2).
 
     Only roots without a secular vector build the dense matrix: a general
-    root within eq_tol * s of a pole, and a Hermitian one there whose mu is 0,
+    root within eq_tol * s of a pole, a Hermitian one there whose mu is 0,
     whose pole's coupling underflows or whose vector leaves a residual above
-    64 eps s.  Genuine eigenvalues among them come back as degenerate pairs
-    with a nullspace vector, one SVD per group that agrees to 1e-9 ||A||, so
-    a repeated eigenvalue gets orthonormal vectors.  The zero arrowhead, all
+    64 eps s, or off the poles one above 1e-9 s (s <= ||A||; a weakly coupled
+    pole costs the gap lam - a_j its relative accuracy).  Genuine
+    eigenvalues among them come back as degenerate pairs with a nullspace
+    vector, one SVD per group that agrees to 1e-9 ||A||, so a repeated
+    eigenvalue gets orthonormal vectors.  The zero arrowhead, all
     zero pairs, gets the standard basis for its n-fold eigenvalue 0.
     """
     n = ah.n
@@ -311,7 +313,7 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
     res[:, :-1] -= lams * head
     res[:, -1:] = head @ ah.row[:, None] + ah.corner * tail - lams * tail
     resid = _row_norms(res)
-    held = ~colliding[own] | (resid <= 64 * np.finfo(float).eps * s)
+    held = (resid <= 64 * np.finfo(float).eps * s) | (~colliding[own] & (resid <= 1e-9 * s))
     own[own] = held
     eigen = [SecularPair(complex(lam), vec, float(r)) for lam, vec, r in zip(lams[held, 0], x[held], resid[held])]
     degen, notices = [], []
@@ -329,7 +331,7 @@ def secular_eigen(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Se
             lam = roots[i]
             if sv[n - 1 - j] <= 10 * target:
                 degen.append(SecularPair(complex(lam), vh[n - 1 - j].conj(), float(sv[n - 1 - j])))
-                notices.append(f"root {lam:.6g} within tolerance of a diagonal pole; eigenvector from nullspace")
+                notices.append(f"root {lam:.6g} has no accurate secular vector; eigenvector from nullspace")
             else:
                 notices.append(f"cleared-polynomial root {lam:.6g} collides with a pole and is not an eigenvalue")
     return SecularResult(eigen=eigen, degenerate=degen, notices=notices)
@@ -633,10 +635,10 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
     entries, achieved by the corresponding standard basis vectors: the
     witness holds e_j at theta for the top entries and at theta + pi for the
     bottom ones.  Entries count as tied within cluster_tol ||A||, so each
-    witness vector lies that far from its supporting line at most; ``verify``
-    accepts 10 boundary_tol times the diameter of W(A).  The route's bound
-    decides k, and a tie that the check's bound does not cover fails the
-    check and sends ``verify`` back to the search.
+    witness vector lies that far from its supporting line at most, against
+    the one bound of ``verify`` and of block shares (``boundary_bound``).  The
+    route's bound decides k; a tie the one bound does not cover sends
+    ``verify`` back to the search and a block share to the restricted one.
     """
     n = ah.n
     theta, prof = _balanced_theta(ah, tol)
@@ -667,10 +669,11 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
 def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
     """Balanced arrowhead with some fully zero pairs: the direct sum of the
     diagonal entries at the zero pairs and the live sub-arrowhead, each share
-    from ``reduction.block_kprime`` against the whole matrix's range.  The
-    line rule, the sub-arrowhead's extreme rotated diagonal entries counted
-    where they reach the boundary, is kept as a cross-check.  The witness is
-    the boundary scalars' e_j and the sub-arrowhead's block witness."""
+    from ``reduction.block_kprime`` against the whole matrix's range, the
+    sub-arrowhead's from its own ``gauwu_balanced`` k and witness (``sub_method``
+    "balanced", or "restricted-search" when that witness misses the boundary).
+    The witness is the boundary scalars' e_j and the sub-arrowhead's block
+    witness."""
     n = ah.n
     theta, prof = _balanced_theta(ah, tol)
     if not prof.zero.any():
@@ -682,26 +685,17 @@ def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TO
     scalar_shares = {int(j): block_kprime(dense[j : j + 1, j : j + 1], ambient, tol) for j in zero_idx}
     scalars_on_boundary = [j for j, share in scalar_shares.items() if share[0]]
 
-    sub = ArrowheadMatrix(ah.diag[live_idx], ah.col[live_idx], ah.row[live_idx], ah.corner)
-    sub_dense = sub.to_dense()
     # _balanced_theta needs a nonzero pair, so the sub-arrowhead has n >= 2
-    k1, _, sub_witness = block_kprime(sub_dense, ambient, tol)
-    d1 = np.real(np.exp(-1j * theta) * np.concatenate([sub.diag, [sub.corner]]))
-    btol = tol.boundary_tol * ambient.diameter()
-    link = tol.cluster_tol * matrix_scale(sub_dense)
-    line_rule = 0
-    if abs(ambient(theta) - np.max(d1)) < btol:
-        line_rule += int(np.sum(d1 >= np.max(d1) - link))
-    if abs(ambient(float(theta + np.pi)) + np.min(d1)) < btol:
-        line_rule += int(np.sum(d1 <= np.min(d1) + link))
+    sub = ArrowheadMatrix(ah.diag[live_idx], ah.col[live_idx], ah.row[live_idx], ah.corner)
+    own = gauwu_balanced(sub, tol)
+    k1, how, sub_witness = block_kprime(sub.to_dense(), ambient, tol, own=(own.k, "balanced", lambda: own.witness))
     cert = {
         "route": "balanced-with-zero-pairs",
         "theta": theta,
         "zero_pair_indices": zero_idx.tolist(),
         "scalars_on_boundary": scalars_on_boundary,
         "sub_share": int(k1),
-        "sub_count_line_rule": int(line_rule),
-        "line_rule_agrees": bool(k1 == line_rule),
+        "sub_method": how,
     }
     eye = np.eye(n)
     return GauWuResult(k=int(k1) + len(scalars_on_boundary), n=n, method=METHOD_ARROWHEAD, certificate=cert,

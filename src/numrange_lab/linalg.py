@@ -94,9 +94,10 @@ class ToleranceConfig:
     ``max_orthonormal_boundary_set`` on a matrix) run on ``normalise``'s m,
     so every tolerance is relative to ||A - (tr A / n) I||; an exported stage
     function called on its own measures against ||input||_2
-    (``matrix_scale``).  boundary_tol is relative to the diameter of the
-    numerical range, split_tol is the (much tighter) threshold used when a
-    decision hinges on an eigenvalue being *exactly* multiple.
+    (``matrix_scale``).  boundary_tol times the diameter of W is the one bound
+    of "on the boundary" (``numrange.boundary_bound``) for every stage;
+    split_tol is the (much tighter) threshold used when a decision hinges on
+    an eigenvalue being *exactly* multiple.
     """
 
     eq_tol: float = 1e-8

@@ -242,6 +242,18 @@ def point_boundary_defect(support_fn: SupportFunction, z: complex) -> float:
     return _point_defect(support_fn, z, np.inf)[1]
 
 
+def boundary_residuals(m, X, thetas, sf: SupportFunction) -> np.ndarray:
+    """|p(theta_i) - Re(e^{-i theta_i} x_i* m x_i)| for each column x_i of X, p the support function of sf."""
+    thetas = np.asarray(thetas, dtype=float)
+    return np.abs(sf(thetas) - np.real(np.exp(-1j * thetas) * np.einsum("ji,jk,ki->i", X.conj(), m, X)))
+
+
+def boundary_bound(sf: SupportFunction, tol: ToleranceConfig) -> float:
+    """The one bound of "on the boundary of W" for residuals, point defects
+    and support gaps: boundary_tol times its diameter."""
+    return tol.boundary_tol * sf.diameter()
+
+
 # ---------------------------------------------------------------------------
 # spectral events: directions where the top eigenvalue is (nearly) multiple
 # ---------------------------------------------------------------------------
@@ -411,21 +423,15 @@ def boundary_generating_curve(a, samples: int = 512, tol: ToleranceConfig = DEFA
         if prev is not None:
             overlap = np.abs(prev.conj().T @ v)
             order = np.full(n, -1)
-            used = set()
             for _ in range(n):
                 i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
                 order[i] = j
-                used.add(j)
                 overlap[i, :] = -1
                 overlap[:, j] = -1
-            w = w[order]
-            v = v[:, order]
-        for j in range(n):
-            x = v[:, j]
-            pts[j, s] = x.conj() @ m @ x
-            vals[j, s] = w[j]
-        top = np.max(w)
-        onb[:, s] = w >= top - link
+            w, v = w[order], v[:, order]
+        pts[:, s] = np.einsum("ij,ik,kj->j", v.conj(), m, v)
+        vals[:, s] = w
+        onb[:, s] = w >= np.max(w) - link
         prev = v
     return BoundaryCurve(thetas=thetas, points=pts, eigvals=vals, on_boundary=onb)
 
@@ -476,7 +482,7 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     Donoghue's theorem (Michigan Math. J. 4, 1957): every corner of W(A) is a
     normal eigenvalue.  A normal eigenvalue lambda is a corner when the
     supporting lines of at least three grid directions pass within
-    boundary_tol * diameter of it, and its witnesses are its joint eigenvectors
+    ``boundary_bound`` of it, and its witnesses are its joint eigenvectors
     of A and A* (``reducing_eigenvectors``).  So an irreducible matrix has no
     corner, and a corner whose normal cone is narrower than two grid steps is
     missed.
@@ -502,7 +508,7 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
         witnesses.setdefault(lam, []).append(vec)
     for lam, vecs in witnesses.items():
         g = sf.grid_values - np.real(np.exp(-1j * sf.thetas) * lam)
-        if np.count_nonzero(g <= tol.boundary_tol * diam) < 3:
+        if np.count_nonzero(g <= boundary_bound(sf, tol)) < 3:
             continue
         if any(abs(z - lam) < 4 * POINT_LENGTH * diam for z in event_points):
             continue
@@ -540,12 +546,12 @@ def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig
     """
     b = as_square_matrix(block)
     n = b.shape[0]
-    btol = tol.boundary_tol * ambient_support.diameter()
+    btol = boundary_bound(ambient_support, tol)
     if _is_normal(b, tol):
         contacts = []
         for z in np.linalg.eigvals(b):
             t, defect = _point_defect(ambient_support, z, btol)
-            if defect < btol:
+            if defect <= btol:
                 contacts.append((z, t))
         return len(contacts), lambda: _normal_witness(b, contacts, tol)
     if n == 2:
@@ -568,11 +574,11 @@ def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig
             return np.concatenate([gap, mine[:, :, :1] - amb], axis=2) if antipodal else gap
 
         t, val = _refined_min(pieces, grid, pair, step, scale, _reachable(pair, lipschitz, step, btol))
-        if val < btol:
+        if val <= btol:
             return 2, lambda: _split_witness(b, t)
         t, val = _refined_min(lambda t: pieces(t, antipodal=False), grid, g, step, scale,
                               _reachable(g, lipschitz, step, btol))
-        if val < btol:
+        if val <= btol:
             return 1, lambda: Witness(np.linalg.eigh(_pencil_at(own.h, own.k, t))[1][:, -1:], [t])
         return 0, lambda: Witness(np.zeros((2, 0)), [])
     raise UnsupportedBlockError(

@@ -28,8 +28,9 @@ alternating exact eigenspace steps with Levenberg-Marquardt steps in the
 free directions, on analytic top-eigenvector derivatives.  Families are
 reported only with their Gram and boundary residuals, never by
 extrapolation, so a search result alone is a lower bound; with a proved
-cover (``OracleResult.k_upper``) the value 2 is exact.  The searches take a
-matrix or its SupportFunction, whose sweep they reuse when the grid matches.
+cover (``OracleResult.k_upper``) the value 2 is exact.  Families, checked
+witnesses and restricted contacts meet one bound (``numrange.boundary_bound``).
+The searches take a matrix or its SupportFunction, reusing a matching sweep.
 
 One pencil has one search graph: on a SupportFunction's own grid the event
 list, the cover, the candidate field and the clique table grown from it are
@@ -52,7 +53,7 @@ import numpy as np
 from .linalg import (DEFAULT_TOL, SCALAR_GUARD, DimensionError, Normalisation, ToleranceConfig, _pencil_at,
                      as_square_matrix, hermitian_parts, matrix_scale, normalise, safe_norm)
 from .numrange import (SupportFunction, _pencil_derivatives, _refined_minima, _split_witness, _top_cluster_basis,
-                       relative_share, support_function, top_gap_events)
+                       boundary_bound, boundary_residuals, relative_share, support_function, top_gap_events)
 from .results import Witness
 
 MIN_GRID_SIZE = 64
@@ -354,7 +355,7 @@ def boundary_vector_field(
 
     usable = sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2] > split  # a multiple top eigenvalue is an event's
     if ambient is not None:
-        btol = tol.boundary_tol * ambient.diameter()
+        btol = boundary_bound(ambient, tol)
         # when sf's directions are every r-th of the ambient grid (the default
         # restricted search sweeps 512 of its 1024), the ambient's sweep gives p there
         r, rest = divmod(ambient.grid_size, grid_size)
@@ -562,12 +563,6 @@ def _top_vectors(h, k, thetas, ref, floor):
     return (x * phase).T, (dx * phase).T
 
 
-def _boundary_residuals(m, X, thetas, sf: SupportFunction) -> np.ndarray:
-    """|p(theta_i) - Re(e^{-i theta_i} x_i* A x_i)| for each column x_i of X."""
-    thetas = np.asarray(thetas, dtype=float)
-    return np.abs(sf(thetas) - np.real(np.exp(-1j * thetas) * np.einsum("ji,jk,ki->i", X.conj(), m, X)))
-
-
 def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams):
     """Polish a candidate family towards exact orthonormality.
 
@@ -647,7 +642,7 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
         else:
             damping *= 4
     res = float(np.max(np.abs(overlaps(X)), initial=0.0))
-    return res, X, thetas, _boundary_residuals(m_mat, X, thetas, sf)
+    return res, X, thetas, boundary_residuals(m_mat, X, thetas, sf)
 
 
 def _search(m, cands: Candidates, support: SupportFunction, tol: ToleranceConfig, params: SearchParams,
@@ -670,7 +665,7 @@ def _search(m, cands: Candidates, support: SupportFunction, tol: ToleranceConfig
     """
     n = m.shape[0]
     levels, capped = _cliques(cands, tol.gram_tol, sizes[0], params.max_cliques) if cands else ([], [])
-    btol = 10 * tol.boundary_tol * support.diameter()
+    btol = boundary_bound(support, tol)
 
     floors: dict = {}
     for size in [s for s in sizes if s <= len(levels)]:
@@ -732,7 +727,7 @@ def max_orthonormal_boundary_set(
         found = _search(m, field_.candidates, sf, tol, params, range(n, 1, -1))
     if not found.k_lower:
         pair = _split_witness(m, 0.0)  # the orthonormal pair every matrix has
-        found = OracleResult(2, pair.vectors, pair.thetas, 0.0, _boundary_residuals(m, pair.vectors, pair.thetas, sf),
+        found = OracleResult(2, pair.vectors, pair.thetas, 0.0, boundary_residuals(m, pair.vectors, pair.thetas, sf),
                              found.floors, found.capped)
     return in_caller_units(replace(found, cover=cover), norm)
 
@@ -774,8 +769,8 @@ def _checked(sf: SupportFunction, witness: Witness, claimed_k: int, tol: Toleran
     if X.shape != (sf.a.shape[0], claimed_k) or thetas.shape != (claimed_k,):
         return None
     gram = float(np.max(np.abs(X.conj().T @ X - np.eye(claimed_k)), initial=0.0))
-    bres = _boundary_residuals(sf.a, X, thetas, sf)
-    if gram > tol.gram_tol or np.any(bres > 10 * tol.boundary_tol * sf.diameter()):
+    bres = boundary_residuals(sf.a, X, thetas, sf)
+    if gram > tol.gram_tol or np.any(bres > boundary_bound(sf, tol)):
         return None
     return OracleResult(claimed_k, X, thetas, gram, bres, {})
 
@@ -785,10 +780,10 @@ def check_witness(a, witness: Witness, claimed_k: int, tol: ToleranceConfig = DE
 
     It reaches the claim when it is n x claimed_k, its Gram residual
     max |X*X - I| is at most gram_tol, and every column's boundary residual
-    |p(theta_i) - Re(e^{-i theta_i} x_i* A x_i)| is at most 10 boundary_tol
-    times the diameter of W(A), the bound the search accepts its own families
-    by.  A matrix is normalised first and the residuals are reported in its
-    units, as by the search.
+    |p(theta_i) - Re(e^{-i theta_i} x_i* A x_i)| is at most boundary_tol times
+    the diameter of W(A) (``numrange.boundary_bound``), the one bound that
+    also decides the search's families and block shares.  A matrix is
+    normalised first and the residuals are reported in its units.
     """
     sf, norm = _entry(a, 1024)
     res = _checked(sf, witness, claimed_k, tol)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ToleranceConfig, _is_normal, as_square_matrix, hermitian_parts, matrix_scale
-from .numrange import SupportFunction, _split_witness, dichotomy_scan, relative_share
+from .numrange import SupportFunction, _split_witness, boundary_bound, boundary_residuals, dichotomy_scan, relative_share
 from .oracle import restricted_max_set
 from .results import METHOD_DIRECT_SUM, GauWuResult, Witness, joined
 
@@ -196,26 +196,30 @@ def decompose(a) -> BlockDecomposition:
     return BlockDecomposition(unitary=u, blocks=blocks, margin=margin)
 
 
-def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
+def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL, own=None):
     """(share, method, make_witness) of one irreducible block relative to the
     ambient range; ``make_witness()`` returns the block's ``Witness`` of that
     size in the block's coordinates.
 
-    Normal and 2x2 blocks take both from ``relative_share``.  A block that
-    ``dichotomy_scan`` splits between two supporting lines of the ambient
-    range has share equal to its size: every basis adapted to the idempotent
-    maps onto them, so an eigenbasis of the two-level member is its witness.
-    Any other block gets the restricted search's count and vectors."""
+    Normal and 2x2 blocks take both from ``relative_share``.  A larger block
+    B has its own exact result: ``own``, (k(B), method, make_witness) from the
+    caller's theorem route, else (size, "dichotomy", split witness) when
+    ``dichotomy_scan`` splits it.  W(B) lies in W(A), so the share is at most
+    k(B), and it is k(B) when every column of that witness lies on the ambient
+    boundary (``boundary_residuals`` within ``boundary_bound``).  Otherwise
+    the restricted search gives the count and vectors."""
     b = as_square_matrix(block)
     n = b.shape[0]
     normal = _is_normal(b, tol)
     if normal or n == 2:
         share, build = relative_share(b, ambient, tol)
         return share, "normal-spectrum-contact" if normal else "antipodal-contact", build
-    if (scan := dichotomy_scan(b, tol)) is not None:
-        theta, h0, h1, _ = scan
-        if max(abs(ambient(theta) - h1), abs(ambient(theta + np.pi) + h0)) <= tol.boundary_tol * ambient.diameter():
-            return n, "dichotomy", lambda: _split_witness(b, theta, (h0, h1))
+    if own is None and (scan := dichotomy_scan(b, tol)) is not None:
+        own = n, "dichotomy", lambda: _split_witness(b, scan[0], scan[1:3])
+    if own is not None:
+        w = own[2]()
+        if np.all(boundary_residuals(b, w.vectors, w.thetas, ambient) <= boundary_bound(ambient, tol)):
+            return own[0], own[1], lambda: w
     k, vectors, thetas = restricted_max_set(b, ambient, tol=tol)
     return k, "restricted-search", lambda: Witness(vectors, thetas)
 

@@ -1,7 +1,12 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import balanced_arrowhead, bounded, random_matrix, rng_for, secular_test_arrowhead
+import numrange_lab
+from numrange_lab import reduction
 from numrange_lab.arrowhead import (
     ArrowheadMatrix,
     _aberth_secular_roots,
@@ -26,6 +31,13 @@ from numrange_lab.linalg import DEFAULT_TOL, herm_part_at, matrix_scale, reducin
 from numrange_lab.oracle import max_orthonormal_boundary_set
 from numrange_lab.reduction import commutant_dimension, decompose, dirsum_gauwu
 from numrange_lab.results import METHOD_ARROWHEAD
+
+
+def _count_restricted_searches(monkeypatch) -> list:
+    """A list that gains one entry per ``restricted_max_set`` call of a share."""
+    calls, search = [], reduction.restricted_max_set
+    monkeypatch.setattr(reduction, "restricted_max_set", lambda *a, **k: calls.append(1) or search(*a, **k))
+    return calls
 
 
 class TestFromDense:
@@ -322,6 +334,19 @@ class TestSecular:
             d = np.sort(np.concatenate([centres + 1e-15 * k * rng.uniform(0.5, 1.5) for k in range(3)]))[: n - 1]
             b = 10.0 ** rng.uniform(-6, 0, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1))
             self._check_secular(ArrowheadMatrix(c * d, c * b, c * np.conj(b), c * rng.uniform(-1, 1)), False)
+
+    @pytest.mark.parametrize("n, seed", [(6, 39), (6, 74), (6, 691), (6, 2995), (12, 39), (12, 40)])
+    def test_weakly_coupled_general_roots(self, n, seed):
+        """General arrowheads with couplings scaled by 10^U(-10, 0): a root
+        off the poles whose secular vector leaves a residual above 1e-9 s
+        goes to the dense matrix, so every residual stays below 1e-9 ||A||
+        (these inputs gave up to 4.1e-9 ||A|| when such a root kept its
+        vector)."""
+        rng = np.random.default_rng(seed)
+        diag = rng.uniform(-1, 1, n - 1) + 1j * rng.uniform(-1, 1, n - 1)
+        col, row = (rng.uniform(0.2, 1, n - 1) * np.exp(1j * rng.uniform(0, 7, n - 1))
+                    * 10 ** rng.uniform(-10, 0, n - 1) for _ in range(2))
+        self._check_secular(ArrowheadMatrix(diag, col, row, rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)), False)
 
     @pytest.mark.parametrize("case", ["weak-hermitian", "general-zero-pairs"])
     def test_secular_vectors_need_no_svd(self, case, monkeypatch):
@@ -667,19 +692,39 @@ class TestGauwuZeroPairs:
         assert 0 in res.certificate["scalars_on_boundary"]
 
     @pytest.mark.parametrize("n, seed", [(5, 2), (5, 6), (6, 26), (6, 38)])
-    def test_one_live_pair_matches_the_direct_sum(self, n, seed):
+    def test_one_live_pair_matches_the_direct_sum(self, n, seed, monkeypatch):
         # the live 2x2 sub-arrowhead takes its share from the direct-sum rule,
         # which counts the antipodal pair that a restricted search missed
         ah = balanced_arrowhead(seed, n)
         col, row = ah.col.copy(), ah.row.copy()
         col[1:] = row[1:] = 0
         a = ArrowheadMatrix(ah.diag, col, row, ah.corner).to_dense()
+        searches = _count_restricted_searches(monkeypatch)
         res = classify_any(a)
         assert res.method == METHOD_ARROWHEAD
+        assert searches == [] and res.certificate["sub_method"] == "antipodal-contact"
         assert res.k == dirsum_gauwu(decompose(a)).k
-        assert res.certificate["line_rule_agrees"]
         if (n, seed) == (5, 2):
             assert res.k == 5
+
+    def test_sub_witness_decides_the_share(self, monkeypatch):
+        """The live sub-arrowhead's share is its own balanced k whenever that
+        witness lands on the whole range's boundary: of the benchmark's
+        zero-pair arrowheads at n = 5-8, only two run the restricted search
+        (before, 26 of these 48 ran it)."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        searches = _count_restricted_searches(monkeypatch)
+        searched = set()
+        for n in range(5, 9):
+            for i in range(12):
+                before = len(searches)
+                res = classify_any(workloads.zero_pair_arrowhead(numrange_lab, n, i))
+                assert res.certificate["route"] == "balanced-with-zero-pairs"
+                assert (res.certificate["sub_method"] == "restricted-search") == (len(searches) > before)
+                if len(searches) > before:
+                    searched.add((n, i))
+        assert searched == {(5, 9), (6, 8)}
 
 
 class TestGauwuUnbalanced:

@@ -9,8 +9,8 @@ from numrange_lab import oracle
 from numrange_lab.arrowhead import ArrowheadMatrix
 from numrange_lab.classify import classify_any
 from numrange_lab.generators import FamilySpec, flat_portion_example, generate
-from numrange_lab.linalg import normalise
-from numrange_lab.numrange import SupportFunction, dichotomy_scan
+from numrange_lab.linalg import DEFAULT_TOL, normalise
+from numrange_lab.numrange import SupportFunction, dichotomy_scan, relative_share
 from numrange_lab.oracle import check_witness, verify
 from numrange_lab.results import (
     METHOD_ARROWHEAD,
@@ -243,6 +243,21 @@ class TestVerifyWithWitness:
     def test_wrong_size_is_rejected(self):
         a, w = _seed_case()
         assert check_witness(a, w, 2) is None and check_witness(a, w, 4) is None
+
+    @pytest.mark.parametrize("depth, on", [(0.5, True), (5.0, False)])
+    def test_one_bound_for_shares_and_witnesses(self, depth, on):
+        """A scalar block ``depth`` boundary_tol times the diameter inside an
+        edge of the square W(diag(1, i, -1, -i)): its share and its witness
+        e_5 at the edge's direction are both read against the one bound, so
+        they agree (the witness check once accepted 10 times the bound)."""
+        normal = np.array([np.exp(0.25j * np.pi)])
+        z = (1 + 1j) / 2 - depth * DEFAULT_TOL.boundary_tol * 2 * normal[0]
+        a = np.diag([1, 1j, -1, -1j, z])
+        sf = SupportFunction(a)
+        assert sf.diameter() == pytest.approx(2)
+        share = relative_share(np.array([[z]]), sf)[0]
+        checked = check_witness(a, Witness(np.eye(5)[:, 4:], np.angle(normal)), 1)
+        assert share == int(on) and (checked is not None) == on
 
     def test_forged_witness_cannot_raise_the_claim(self):
         # the true triple plus the orthonormal completion, claimed on the line of
