@@ -336,8 +336,8 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[CanonicalKA3For
     if m.shape[0] != 4:
         raise DimensionError("ka3_check handles 4x4 matrices")
     diam = sf.diameter()
-    cands = boundary_vector_field(sf, tol=tol).candidates
-    res = _search(m, cands, sf, tol, SearchParams(), (3,), accept=lambda x, thetas: _distinct_lines(thetas, sf, diam))
+    res = _search(boundary_vector_field(sf), sf, SearchParams(), (3,),
+                  accept=lambda x, thetas: _distinct_lines(thetas, sf, diam))
     if not res.k_lower:
         return None
     x3, thetas = res.vectors, res.thetas
@@ -411,11 +411,10 @@ def ka3_check(a, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[CanonicalKA3For
 # ---------------------------------------------------------------------------
 
 
-def _confirm_with_oracle(pencil: SupportFunction, norm: Normalisation, result: GauWuResult,
-                         tol: ToleranceConfig) -> None:
+def _confirm_with_oracle(pencil: SupportFunction, norm: Normalisation, result: GauWuResult) -> None:
     """Record whether ``verify`` confirms result.k, with its certificate: the
     route's witness is checked first, so the search looks only above k."""
-    rep = verify(pencil, result.k, tol=tol, witness=result.witness)
+    rep = verify(pencil, result.k, witness=result.witness)
     result.oracle_confirmed = rep.match
     result.certificate["oracle"] = {**in_caller_units(rep.oracle, norm).to_dict(), **rep.provenance()}
 
@@ -450,7 +449,7 @@ def _irreducible4(norm: Normalisation, tol: ToleranceConfig, work: dict):
             return Witness(np.column_stack([sd.witnesses, bottom]), [sd.theta, sd.theta, sd.theta + np.pi])
 
         return GauWuResult(k=3, n=4, method=METHOD_SEED3, certificate=cert, build_witness=seed_witness), pencil
-    cover = boundary_cover(pencil, tol)
+    cover = boundary_cover(pencil)
     if cover.k_upper == 2 or (ka3 := ka3_check(pencil, tol)) is None:
         return GauWuResult(k=2, n=4, method=METHOD_FALLBACK2, certificate={"cover": cover.to_dict()},
                            build_witness=lambda: _split_witness(norm.m, 0.0)), pencil
@@ -567,7 +566,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
             raise UnsupportedDimensionError(
                 f"no exact route for this {n}x{n} matrix; rerun with the search enabled"
             )
-        res = in_caller_units(max_orthonormal_boundary_set(SupportFunction(m), tol=tol), norm)
+        res = in_caller_units(max_orthonormal_boundary_set(SupportFunction(m)), norm)
         note = "constructive lower bound" if res.k_upper is None else "k = 2 proved by the cover"
         result = GauWuResult(
             k=res.k_lower, n=n, method=METHOD_ORACLE,
@@ -579,5 +578,5 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
     result.work = work
     result.certificate["normalisation"] = norm.to_dict()
     if confirm_with_oracle and result.oracle_confirmed is None:
-        _confirm_with_oracle(support_function(pencil), norm, result, tol)
+        _confirm_with_oracle(support_function(pencil), norm, result)
     return result

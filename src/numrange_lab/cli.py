@@ -7,7 +7,6 @@ input, 4 output I/O error, 5 infeasible generation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -99,7 +98,7 @@ def cmd_classify(args) -> int:
         decomposition=None if dec is None else {"block_sizes": [b.shape[0] for b in dec.blocks]},
         oracle=summary["certificate"].get("oracle"),
         normalisation=summary["certificate"]["normalisation"],
-        tolerances=dataclasses.asdict(tol),
+        tolerances=tol.to_dict(),
         conversion_error=conv_err,
     )
     text = report.to_json() + "\n" if args.format == "json" else report.to_text()
@@ -161,13 +160,12 @@ def _svg_document(a, curve, support_thetas) -> str:
 
 
 def cmd_curve(args) -> int:
-    tol = _tolerances(args)
     try:
         a, meta, _ = load_matrix(args.matrix)
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    curve = boundary_generating_curve(a, samples=_samples(args.samples, MIN_CURVE_SAMPLES), tol=tol)
+    curve = boundary_generating_curve(a, samples=_samples(args.samples, MIN_CURVE_SAMPLES))
     if args.format == "svg":
         thetas = _angles(args.support_lines) if args.support_lines else []
         return _emit(_svg_document(a, curve, thetas), args.out)
@@ -205,7 +203,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerances(args)
     try:
         a, meta, _ = load_matrix(args.matrix)
     except MatrixParseError as exc:
@@ -215,7 +212,7 @@ def cmd_verify(args) -> int:
     if claim is None or not 1 <= claim <= a.shape[0]:
         raise UsageError(f"--claim K with 1 <= K <= {a.shape[0]} is required, got {claim}")
     params = SearchParams(grid_size=1024 if args.samples is None else _samples(args.samples, MIN_GRID_SIZE))
-    rep = verify(a, claim, tol=tol, params=params)
+    rep = verify(a, claim, params=params)
     bound = "" if rep.oracle.k_upper is None else f", cover proves k <= {rep.oracle.k_upper}"
     text = (
         f"claimed k = {claim}; {rep.source} gives {rep.oracle.k_lower} "
@@ -240,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("matrix")
     pc.add_argument("--oracle", action="store_true", help="allow search-only classification")
     pc.add_argument("--verify", action="store_true", help="confirm the result with the search")
-    pc.add_argument("--tol", type=float)
+    pc.add_argument("--tol", type=float, help="eq_tol, the one tolerance setting (default: NUMRANGE_TOL, else 1e-8)")
     pc.add_argument("--format", choices=["text", "json"], default="text")
     pc.add_argument("--out")
 
@@ -249,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--samples", type=int, default=512)
     pv.add_argument("--format", choices=["csv", "svg"], default="csv")
     pv.add_argument("--support-lines", help="comma-separated direction angles for dotted lines")
-    pv.add_argument("--tol", type=float)
     pv.add_argument("--out")
 
     pg = sub.add_parser("generate", help="write a matrix from a named family")
@@ -264,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("matrix")
     pf.add_argument("--claim", type=int)
     pf.add_argument("--samples", type=int)
-    pf.add_argument("--tol", type=float)
     pf.add_argument("--out")
     return p
 

@@ -73,6 +73,9 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _distinct_reals(rng, count, lo, hi, mingap):
+    # count values mingap apart span (count - 1) mingap
+    if count > (hi - lo) / mingap + 1:
+        raise InfeasibleSpecError(f"{count} values at least {mingap} apart do not fit in [{lo}, {hi}]")
     for _ in range(REJECTION_CAP):
         vals = np.sort(rng.uniform(lo, hi, size=count))
         if count < 2 or np.min(np.diff(vals)) >= mingap:
@@ -238,6 +241,9 @@ def _gen_pure_almost_normal(spec: FamilySpec, rng):
 
 
 def _random_distinct_points(rng, count, mingap):
+    # disjoint discs of radius mingap / 2 about the points fill part of the square grown by mingap / 2
+    if count * np.pi * (mingap / 2) ** 2 > (2 + mingap) ** 2:
+        raise InfeasibleSpecError(f"{count} points at least {mingap} apart do not fit in the square [-1, 1]^2")
     for _ in range(REJECTION_CAP):
         pts = rng.uniform(-1, 1, size=count) + 1j * rng.uniform(-1, 1, size=count)
         if count < 2:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -86,7 +86,8 @@ def normalise(a) -> Normalisation:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Thresholds used throughout; every one is relative, multiplied at the
+    """Thresholds used throughout: ``eq_tol`` is the one setting, the other
+    four are fixed class constants.  Every one is relative, multiplied at the
     point of use by a scale of the stage's own input and by nothing else, so
     a stage gives the same answer for cA as for A (c > 0).
 
@@ -94,22 +95,29 @@ class ToleranceConfig:
     ``max_orthonormal_boundary_set`` on a matrix) run on ``normalise``'s m,
     so every tolerance is relative to ||A - (tr A / n) I||; an exported stage
     function called on its own measures against ||input||_2
-    (``matrix_scale``).  boundary_tol times the diameter of W is the one bound
-    of "on the boundary" (``numrange.boundary_bound``) for every stage;
-    split_tol is the (much tighter) threshold used when a decision hinges on
-    an eigenvalue being *exactly* multiple.
+    (``matrix_scale``).  eq_tol decides the theorem routes' equalities
+    (normality, the dichotomy, balanced pairs, the canonical forms).
+    cluster_tol links eigenvalues to the top one in ``support`` and
+    ``boundary_generating_curve`` and ties the balanced route's entries;
+    gram_tol bounds a family's max |X*X - I| and is the edge slack of the
+    orthogonality graphs; boundary_tol times the diameter of W is the one
+    bound of "on the boundary" (``numrange.boundary_bound``); split_tol, much
+    tighter, decides that a top eigenvalue is *exactly* multiple.
     """
 
     eq_tol: float = 1e-8
-    cluster_tol: float = 1e-7
-    gram_tol: float = 1e-6
-    boundary_tol: float = 1e-8
-    split_tol: float = 1e-12
+    cluster_tol: ClassVar[float] = 1e-7
+    gram_tol: ClassVar[float] = 1e-6
+    boundary_tol: ClassVar[float] = 1e-8
+    split_tol: ClassVar[float] = 1e-12
 
     def __post_init__(self):
-        for name in ("eq_tol", "cluster_tol", "gram_tol", "boundary_tol", "split_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0 < self.eq_tol < math.inf:
+            raise ValueError("eq_tol must be positive and finite")
+
+    def to_dict(self) -> dict:
+        """All five thresholds by name, the setting first."""
+        return {name: getattr(self, name) for name in ("eq_tol", "cluster_tol", "gram_tol", "boundary_tol", "split_tol")}
 
 
 DEFAULT_TOL = ToleranceConfig()

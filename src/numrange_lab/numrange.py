@@ -69,11 +69,11 @@ def _top_cluster_basis(h, k, theta: float, link: float):
     return float(w[-1]), v[:, len(w) - m :], w
 
 
-def support(a, theta: float, tol: ToleranceConfig = DEFAULT_TOL) -> SupportSample:
+def support(a, theta: float) -> SupportSample:
     """Support value and boundary points of W(A) in direction theta: the
     images of the top cluster's basis, linked within cluster_tol ||A|| of p."""
     m = as_square_matrix(a)
-    p, basis, _ = _top_cluster_basis(*hermitian_parts(m), theta, tol.cluster_tol * matrix_scale(m))
+    p, basis, _ = _top_cluster_basis(*hermitian_parts(m), theta, ToleranceConfig.cluster_tol * matrix_scale(m))
     pts = [complex(x.conj() @ m @ x) for x in basis.T]
     return SupportSample(theta=float(theta), p=p, multiplicity=basis.shape[1], boundary_points=pts)
 
@@ -86,10 +86,10 @@ class SupportFunction:
     whose directions cover [0, pi): the member at theta + pi is the one at
     theta negated, so its spectrum is theta's negated and reversed.  An odd
     grid has no antipodal samples and solves all its members.
-    ``_memo`` holds the stages built on this sweep, per tolerance
-    (``top_gap_events`` and ``oracle.boundary_vector_field``), so the stages
-    of one classification share them; nothing in it refers back to the
-    SupportFunction."""
+    ``_memo`` holds the stages built on this sweep, one of each
+    (``top_gap_events``, ``oracle.boundary_cover`` and
+    ``oracle.boundary_vector_field``), so the stages of one classification
+    share them; nothing in it refers back to the SupportFunction."""
 
     def __init__(self, a, grid_size: int = 1024):
         self.a = as_square_matrix(a)
@@ -248,10 +248,10 @@ def boundary_residuals(m, X, thetas, sf: SupportFunction) -> np.ndarray:
     return np.abs(sf(thetas) - np.real(np.exp(-1j * thetas) * np.einsum("ji,jk,ki->i", X.conj(), m, X)))
 
 
-def boundary_bound(sf: SupportFunction, tol: ToleranceConfig) -> float:
+def boundary_bound(sf: SupportFunction) -> float:
     """The one bound of "on the boundary of W" for residuals, point defects
     and support gaps: boundary_tol times its diameter."""
-    return tol.boundary_tol * sf.diameter()
+    return ToleranceConfig.boundary_tol * sf.diameter()
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ class TopEvent:
     eigvals: np.ndarray
 
 
-def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
+def top_gap_events(sf: SupportFunction):
     """Locate directions where the top two eigenvalues of Re(e^{-i theta}A) meet.
 
     Grid scan of the gap, the larger of the pieces +-(lam_n - lam_{n-1}),
@@ -276,15 +276,15 @@ def top_gap_events(sf: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
     event only if the refined gap falls below split_tol * ||A||, which keeps
     merely-close eigenvalues (for example after a tiny arrowhead perturbation)
     from being mistaken for true multiplicity.  The list is memoised on
-    ``sf`` per ``tol``: the seeds and the search's candidates read one scan.
+    ``sf``: the seeds, the cover and the search's candidates read one scan.
     """
-    key = ("top_gap_events", tol)
+    key = "top_gap_events"
     if key in sf._memo:
         return sf._memo[key]
     if sf.a.shape[0] == 1:
         return []
     scale = matrix_scale(sf.a)
-    split = tol.split_tol * scale
+    split = ToleranceConfig.split_tol * scale
     h, k, thetas, grid_size = sf.h, sf.k, sf.thetas, sf.grid_size
     gaps = sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2]
 
@@ -402,12 +402,14 @@ class BoundaryCurve:
     on_boundary: np.ndarray  # boolean, same shape as points
 
 
-def boundary_generating_curve(a, samples: int = 512, tol: ToleranceConfig = DEFAULT_TOL) -> BoundaryCurve:
+def boundary_generating_curve(a, samples: int = 512) -> BoundaryCurve:
     """Sample all eigenvector branches x_j(theta)* A x_j(theta).
 
     Branches are continued across eigenvalue crossings by maximal eigenvector
     overlap with the previous direction, so each row traces one smooth branch
-    of the curve rather than the always-sorted eigenvalue ordering.
+    of the curve rather than the always-sorted eigenvalue ordering.  A
+    point is ``on_boundary`` when its eigenvalue is within cluster_tol ||A||
+    of the top one.
     """
     if samples < MIN_CURVE_SAMPLES:
         raise ValueError(f"need at least {MIN_CURVE_SAMPLES} samples")
@@ -417,7 +419,7 @@ def boundary_generating_curve(a, samples: int = 512, tol: ToleranceConfig = DEFA
     pts = np.zeros((n, samples), dtype=complex)
     vals = np.zeros((n, samples))
     onb = np.zeros((n, samples), dtype=bool)
-    link = tol.cluster_tol * matrix_scale(m)
+    link = ToleranceConfig.cluster_tol * matrix_scale(m)
     prev = None
     for s, (w, v) in enumerate(zip(*np.linalg.eigh(_pencil_at(*hermitian_parts(m), thetas)))):
         if prev is not None:
@@ -493,7 +495,7 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     diam = sf.diameter()
     seeds = []
 
-    events = top_gap_events(sf, tol=tol)
+    events = top_gap_events(sf)
     if len(events) > n * (n - 1) + 2:
         # globally degenerate top eigenspace: the whole range is a point or a
         # segment; report a single exceptional line rather than a grid of them
@@ -508,7 +510,7 @@ def detect_seeds(a, tol: ToleranceConfig = DEFAULT_TOL) -> list:
         witnesses.setdefault(lam, []).append(vec)
     for lam, vecs in witnesses.items():
         g = sf.grid_values - np.real(np.exp(-1j * sf.thetas) * lam)
-        if np.count_nonzero(g <= boundary_bound(sf, tol)) < 3:
+        if np.count_nonzero(g <= boundary_bound(sf)) < 3:
             continue
         if any(abs(z - lam) < 4 * POINT_LENGTH * diam for z in event_points):
             continue
@@ -546,7 +548,7 @@ def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig
     """
     b = as_square_matrix(block)
     n = b.shape[0]
-    btol = boundary_bound(ambient_support, tol)
+    btol = boundary_bound(ambient_support)
     if _is_normal(b, tol):
         contacts = []
         for z in np.linalg.eigvals(b):

@@ -34,24 +34,26 @@ The searches take a matrix or its SupportFunction, reusing a matching sweep.
 
 One pencil has one search graph: on a SupportFunction's own grid the event
 list, the cover, the candidate field and the clique table grown from it are
-built once per tolerance and kept with the SupportFunction, so the three-line
-search of ``classify.ka3_check`` and ``verify`` above its k share one event
-scan, one cover, one arc-node field and one graph, whose clique levels
-``verify`` extends.  Not shared: an escalated grid is a new SupportFunction
-with its own graph, a restricted search's field depends on its ambient and
-is built per call, and the ambient of a direct sum is a sweep of its own
-(``reduction.dirsum_gauwu``).
+built once and kept with the SupportFunction, so the three-line search of
+``classify.ka3_check`` and ``verify`` above its k share one event scan, one
+cover, one arc-node field and one graph, whose clique levels ``verify``
+extends.  The thresholds are the fixed ones of ``ToleranceConfig``, so no
+search takes a tolerance.  Not shared: an escalated grid is a new
+SupportFunction with its own graph, a restricted search's field depends on
+its ambient and is built per call, and the ambient of a direct sum is a
+sweep of its own (``reduction.dirsum_gauwu``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, SCALAR_GUARD, DimensionError, Normalisation, ToleranceConfig, _pencil_at,
-                     as_square_matrix, hermitian_parts, matrix_scale, normalise, safe_norm)
+from .linalg import (SCALAR_GUARD, DimensionError, Normalisation, ToleranceConfig, _pencil_at, as_square_matrix,
+                     hermitian_parts, matrix_scale, normalise, safe_norm)
 from .numrange import (SupportFunction, _pencil_derivatives, _refined_minima, _split_witness, _top_cluster_basis,
                        boundary_bound, boundary_residuals, relative_share, support_function, top_gap_events)
 from .results import Witness
@@ -60,6 +62,7 @@ MIN_GRID_SIZE = 64
 ARC_ROUNDS = 8  # cap on the bisection rounds of the arc-length grid, one stacked eigh each
 MAX_ARC_NODES = 1024  # bounds the graph's n_nodes^2 arrays on escalated and user-set grids
 CLIQUE_CHUNK = 1 << 20  # graph cells one clique-extension step holds at a time
+MAX_CLIQUES = 32768  # cliques kept per size; the largest level measured, on a 6x6 near-normal input, has 29,064
 TOP_GAP_FLOOR = 1e-12  # relative to ||A||: top gaps below it are raised to it in x'(theta)
 COVER_START = 64  # solved members of the first cover; with their half-turn mirrors, 128 directions
 COVER_RADIUS = 0.05  # a cell whose certified radius is larger, or unbounded, is bisected
@@ -70,7 +73,6 @@ COVER_NODES = 512  # cap on the cover's nodes, which bounds its node x node arra
 @dataclass(frozen=True)
 class SearchParams:
     grid_size: int = 1024
-    max_cliques: int = 32768  # cliques kept per size; the largest level measured, on a 6x6 near-normal input, has 29,064
     attempts_per_size: int = 24
     sweeps: int = 60  # iteration budget of one starting set's Levenberg-Marquardt loop
 
@@ -92,23 +94,47 @@ class Candidate:
     radius: float = 0.0  # arc of x(theta) this candidate stands for (free arc nodes)
 
 
-class Candidates(tuple):
-    """The search's candidates, in order, with the clique tables of their
-    orthogonality graph (``_cliques``), one per (floor, cap), each built on
-    first use and grown as larger cliques are asked for."""
-
-    def __new__(cls, items):
-        obj = super().__new__(cls, items)
-        obj.tables = {}
-        return obj
-
-
 @dataclass
 class BoundaryVectorField:
-    support: SupportFunction
-    candidates: Candidates
+    """The search's candidates of the matrix ``a``, in order, with the clique
+    table of their orthogonality graph (``cliques``), built on first use and
+    grown as larger cliques are asked for.  It holds the matrix rather than
+    its SupportFunction, whose memo keeps it."""
+
+    a: np.ndarray
+    candidates: list
     events: list
     turns: list  # (theta_lo, theta_hi) of the turns that the arc nodes leave uncovered
+
+    @cached_property
+    def _table(self) -> "_CliqueTable":
+        return _CliqueTable(self.candidates)
+
+    def cliques(self, largest: int):
+        """The candidates' orthogonality graph and its cliques.
+
+        Returns, per size 1, 2, ... up to ``largest`` while any exist, the
+        cliques as rows of ascending indices, sorted by their largest pair
+        measure, every size above 1 cut to the best MAX_CLIQUES; and the sizes
+        that were cut.
+
+        A pair's measure is its overlap |<x_i, x_j>|, or ||P_E x|| for a column
+        of a multi-dimensional pinned eigenspace E (columns of one E are
+        adjacent).  A pair is adjacent when its measure is at most the sum of
+        the radii plus gram_tol.  Each size extends the kept cliques of the
+        size below by their common neighbours of larger index, one AND per
+        member, on chunks of at most CLIQUE_CHUNK graph cells, cutting as it
+        goes.  Since a clique's measure is at least that of each of its
+        subcliques, every clique whose measure is below that of all cut
+        cliques is kept.
+
+        A level depends only on the level below and the graph, so a later call
+        for a larger size appends to the table and returns what a fresh build
+        would (the triple search builds sizes 1-3 and ``verify`` on the same
+        pencil extends them to 4).
+        """
+        self._table.grow(largest)
+        return self._table.levels[:largest], [s for s in self._table.capped if s <= largest]
 
 
 @dataclass(frozen=True)
@@ -162,7 +188,7 @@ class OracleResult:
     gram_residual: float
     boundary_residuals: np.ndarray
     floors: dict  # size -> best (failed) gram residual seen at that size
-    capped: list = field(default_factory=list)  # sizes whose clique list was cut to max_cliques
+    capped: list = field(default_factory=list)  # sizes whose clique list was cut to MAX_CLIQUES
     cover: Optional[Cover] = None  # the cover built for this result, proved or not
 
     @property
@@ -199,7 +225,7 @@ def _entry(a, grid_size: int):
     return SupportFunction(norm.m, grid_size), norm
 
 
-def boundary_cover(a, tol: ToleranceConfig = DEFAULT_TOL) -> Cover:
+def boundary_cover(a) -> Cover:
     """A certified cover of the top-eigenvector curve x(theta), which proves
     k(A) <= 2 when its orthogonality graph has no triangle.
 
@@ -228,18 +254,18 @@ def boundary_cover(a, tol: ToleranceConfig = DEFAULT_TOL) -> Cover:
     and the first ends the cover.  A multiple top eigenvalue
     (``top_gap_events``) would need a subspace node, so the cover declines
     at any event.  Every matrix of size n <= 2 has k = n.  The cover is
-    memoised on the SupportFunction per ``tol``.
+    memoised on the SupportFunction.
     """
     sf = a if isinstance(a, SupportFunction) else SupportFunction(a)
-    key = ("boundary_cover", tol)
+    key = "boundary_cover"
     if key not in sf._memo:
         n = sf.a.shape[0]
         if n <= 2:
             sf._memo[key] = Cover(n, "proved")
-        elif top_gap_events(sf, tol=tol):
+        elif top_gap_events(sf):
             sf._memo[key] = Cover(n, "event")
         else:
-            sf._memo[key] = _cover(sf.a, tol.gram_tol)
+            sf._memo[key] = _cover(sf.a)
     return sf._memo[key]
 
 
@@ -253,7 +279,7 @@ def _cell_radii(width, lam, lam2, along, across, slack):
     return np.where(s < 1, 2 * np.sin(np.arcsin(np.minimum(s, 1.0)) / 2) + slack, np.inf)
 
 
-def _cover(m, gram_tol: float) -> Cover:
+def _cover(m) -> Cover:
     """The cover of ``boundary_cover`` for an n >= 3 matrix without events."""
     n = m.shape[0]
     a0 = m - np.trace(m) / n * np.eye(n)
@@ -279,7 +305,7 @@ def _cover(m, gram_tol: float) -> Cover:
         if ok.any():
             rn, xn = r[ok], x[ok]
             both = np.concatenate([done_r, rn])
-            limit = rn[:, None] + both + rn[:, None] * both + gram_tol
+            limit = rn[:, None] + both + rn[:, None] * both + ToleranceConfig.gram_tol
             rows = np.abs(xn.conj() @ np.concatenate([done_x, xn]).T) - limit
             excess = np.block([[excess, rows[:, :len(done_r)].T], [rows]])
             done_t, done_d = np.concatenate([done_t, thetas[ok]]), np.concatenate([done_d, depth[ok]])
@@ -303,12 +329,7 @@ def _cover(m, gram_tol: float) -> Cover:
         rounds += 1
 
 
-def boundary_vector_field(
-    a,
-    grid_size: int = 1024,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    ambient: Optional[SupportFunction] = None,
-) -> BoundaryVectorField:
+def boundary_vector_field(a, grid_size: int = 1024, ambient: Optional[SupportFunction] = None) -> BoundaryVectorField:
     """Candidates of the search: pinned top eigenspaces and free arc nodes.
 
     Pinned are the columns of each event's top eigenspace, the top vectors
@@ -320,25 +341,24 @@ def boundary_vector_field(
     The nodes' radii cover x(theta) except at the events and inside
     ``turns``, the avoided crossings too narrow for the bisection.
 
-    Without ``ambient`` the field is memoised on the SupportFunction per
-    ``tol``, so the three-line search and ``verify`` on one pencil share its
-    candidates and their clique tables; a restricted search's field depends
-    on its ambient and is built afresh.
+    Without ``ambient`` the field is memoised on the SupportFunction, so
+    the three-line search and ``verify`` on one pencil share its candidates
+    and their clique table; a restricted search's field depends on its
+    ambient and is built afresh.
     """
     if grid_size < MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
     sf = support_function(a, grid_size)
     if sf.a.shape[0] == 1:
         raise DimensionError("a 1x1 matrix has no curve of top eigenvectors; its point is its one vector")
-    key = ("boundary_vector_field", tol)
-    if ambient is None and key in sf._memo:
-        return BoundaryVectorField(sf, *sf._memo[key])
+    if ambient is None and "boundary_vector_field" in sf._memo:
+        return sf._memo["boundary_vector_field"]
     m = sf.a
     n = m.shape[0]
     scale = matrix_scale(m)
-    split = tol.split_tol * scale
+    split = ToleranceConfig.split_tol * scale
 
-    events = top_gap_events(sf, tol=tol)
+    events = top_gap_events(sf)
     cands: list = []
     for ev in events:
         basis = ev.basis
@@ -355,7 +375,7 @@ def boundary_vector_field(
 
     usable = sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2] > split  # a multiple top eigenvalue is an event's
     if ambient is not None:
-        btol = boundary_bound(ambient, tol)
+        btol = boundary_bound(ambient)
         # when sf's directions are every r-th of the ambient grid (the default
         # restricted search sweeps 512 of its 1024), the ambient's sweep gives p there
         r, rest = divmod(ambient.grid_size, grid_size)
@@ -375,16 +395,16 @@ def boundary_vector_field(
                 cands.append(
                     Candidate(theta=float(t), vec=vv[:, -1], basis=vv[:, -1:], pinned=True)
                 )
-    nodes, turns = _arc_nodes(sf, usable, events, min(grid_size // 4, MAX_ARC_NODES), tol.gram_tol)
-    built = (Candidates(cands + nodes), events, turns)  # no reference to sf, which would keep it in a cycle
+    nodes, turns = _arc_nodes(sf, usable, events, min(grid_size // 4, MAX_ARC_NODES))
+    built = BoundaryVectorField(m, cands + nodes, events, turns)
     if ambient is None:
-        sf._memo[key] = built
-    return BoundaryVectorField(sf, *built)
+        sf._memo["boundary_vector_field"] = built
+    return built
 
 
-def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int, floor: float):
+def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int):
     """``count`` top vectors spaced evenly in arc length along x(theta), at
-    least ``floor`` apart (closer nodes are interchangeable to the edges),
+    least gram_tol apart (closer nodes are interchangeable to the edges),
     and the (theta_lo, theta_hi) steps left as turns.
 
     Arc length sums the phase-free chords sqrt(2 - 2|<x_s, x_s+1>|) between
@@ -405,7 +425,7 @@ def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int
     for rnd in range(ARC_ROUNDS + 1):
         chord = np.sqrt(np.maximum(2 - 2 * np.abs(np.sum(x.conj() * np.roll(x, -1, axis=0), axis=1)), 0.0))
         chord[jump] = 0.0
-        spacing = max(chord.sum() / count, floor)
+        spacing = max(chord.sum() / count, ToleranceConfig.gram_tol)
         wide = np.nonzero(chord > spacing)[0]
         if rnd == ARC_ROUNDS or not len(wide):
             break
@@ -425,7 +445,7 @@ def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int
     # the spacing and the arc lengths come from one cumulative sum, so that a
     # closed curve's one arc is count spacings long exactly for a power-of-two
     # count (every default and escalated grid), at any scale
-    spacing = max(arc[-1] / count, floor)
+    spacing = max(arc[-1] / count, ToleranceConfig.gram_tol)
     first, last = np.nonzero(np.concatenate([[True], jump[:-1]]))[0], np.nonzero(jump)[0]
     first, last = first[ok[first]], last[ok[first]]
     start, length = arc[first], arc[last] - arc[first]
@@ -446,9 +466,10 @@ def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int
     return nodes, turns
 
 
-def _graph(cands: Candidates, floor: float):
+def _graph(cands: list):
     """(measure, upper) of the candidates' orthogonality graph: the pair
-    measures and the adjacency above the diagonal (see ``_cliques``)."""
+    measures and the adjacency above the diagonal (see
+    ``BoundaryVectorField.cliques``)."""
     vecs = np.column_stack([c.vec for c in cands])
     measure, group, spaces = np.abs(vecs.conj().T @ vecs), np.arange(len(cands)), {}
     for i, c in enumerate(cands):
@@ -462,7 +483,7 @@ def _graph(cands: Candidates, floor: float):
     measure[same] = overlap
     radius = np.array([c.radius for c in cands])
     limit = np.add.outer(radius, radius)
-    limit += floor
+    limit += ToleranceConfig.gram_tol
     upper = measure <= limit
     upper |= same
     return measure, np.triu(upper, 1)
@@ -470,23 +491,22 @@ def _graph(cands: Candidates, floor: float):
 
 class _CliqueTable:
     """Clique levels of one orthogonality graph, grown one size at a time
-    (``_cliques``); it keeps only the graph and the levels."""
+    (``BoundaryVectorField.cliques``); it keeps only the graph and the levels."""
 
-    def __init__(self, cands: Candidates, floor: float, cap: int):
-        self.measure, self.upper = _graph(cands, floor)
-        self.cap = cap
+    def __init__(self, cands: list):
+        self.measure, self.upper = _graph(cands)
         self.levels, self.capped = [np.arange(len(cands), dtype=np.int32)[:, None]], []  # node indices < 2**31
         self.worst = np.zeros(len(cands))  # largest pair measure of each clique of the top level
         self.complete = False  # the size above the top level has no clique
 
     def _best(self, parts):
         level, worst = (np.concatenate(v) for v in zip(*parts))
-        order = np.argsort(worst, kind="stable")[:self.cap]
+        order = np.argsort(worst, kind="stable")[:MAX_CLIQUES]
         return level[order], worst[order]
 
     def grow(self, largest: int) -> None:
         """Append levels until ``largest`` or the first size without a clique."""
-        upper, measure, cap = self.upper, self.measure, self.cap
+        upper, measure = self.upper, self.measure
         chunk = max(1, CLIQUE_CHUNK // len(upper))
         while not self.complete and len(self.levels) < largest:
             level, worst = self.levels[-1], self.worst
@@ -502,45 +522,15 @@ class _CliqueTable:
                     w = np.maximum(w, measure[col[rows], cols])
                 parts.append((np.column_stack([part[rows], cols.astype(np.int32)]), w))
                 found += len(rows)
-                if sum(len(p[1]) for p in parts) > 2 * cap:
+                if sum(len(p[1]) for p in parts) > 2 * MAX_CLIQUES:
                     parts = [self._best(parts)]
             if not found:
                 self.complete = True
                 break
-            if found > cap:
+            if found > MAX_CLIQUES:
                 self.capped.append(level.shape[1] + 1)
             level, self.worst = self._best(parts)
             self.levels.append(level)
-
-
-def _cliques(cands: Candidates, floor: float, largest: int, cap: int):
-    """The candidates' orthogonality graph and its cliques.
-
-    Returns, per size 1, 2, ... up to ``largest`` while any exist, the
-    cliques as rows of ascending indices, sorted by their largest pair
-    measure, every size above 1 cut to the best ``cap``; and the sizes that
-    were cut.
-
-    A pair's measure is its overlap |<x_i, x_j>|, or ||P_E x|| for a column
-    of a multi-dimensional pinned eigenspace E (columns of one E are
-    adjacent).  A pair is adjacent when its measure is at most the sum of
-    the radii plus ``floor``.  Each size extends the kept cliques of the size
-    below by their common neighbours of larger index, one AND per member, on
-    chunks of at most CLIQUE_CHUNK graph cells, cutting as it goes.  Since a
-    clique's measure is at least that of each of its subcliques, every
-    clique whose measure is below that of all cut cliques is kept.
-
-    The graph is built once per (``floor``, ``cap``) and kept with its levels
-    in ``cands.tables``: a level depends only on the level below, the graph
-    and ``cap``, so a later call for a larger size appends to the table and
-    returns what a fresh build would (the triple search builds sizes 1-3 and
-    ``verify`` on the same pencil extends them to 4).
-    """
-    table = cands.tables.get((floor, cap))
-    if table is None:
-        table = cands.tables[floor, cap] = _CliqueTable(cands, floor, cap)
-    table.grow(largest)
-    return table.levels[:largest], [s for s in table.capped if s <= largest]
 
 
 def _top_vectors(h, k, thetas, ref, floor):
@@ -645,27 +635,29 @@ def _refine_set(m_mat, members: list, sf: SupportFunction, params: SearchParams)
     return res, X, thetas, boundary_residuals(m_mat, X, thetas, sf)
 
 
-def _search(m, cands: Candidates, support: SupportFunction, tol: ToleranceConfig, params: SearchParams,
-            sizes, accept: Optional[Callable] = None) -> OracleResult:
+def _search(field_: BoundaryVectorField, support: SupportFunction, params: SearchParams, sizes,
+            accept: Optional[Callable] = None) -> OracleResult:
     """Graph -> clique -> refine core shared by the full and the restricted search.
 
-    The starting sets of each size are the cliques of the candidates'
-    orthogonality graph (``_cliques``).  Largest size first, up to
-    ``attempts_per_size`` cliques of each size are refined in their order,
-    each passing over the cliques that share a node with it: a node stands
-    for its stretch of the curve, so the starts are node-disjoint.  The
+    The starting sets of each size are the cliques of the orthogonality graph
+    of the field's candidates (``BoundaryVectorField.cliques``).  Largest
+    size first, up to ``attempts_per_size`` cliques of each size are refined
+    in their order, each passing over the cliques that share a node with it:
+    a node stands for its stretch of the curve, so the starts are
+    node-disjoint.  The
     first size with a family whose Gram residual beats ``gram_tol`` and
     whose members lie on the boundary of ``support`` wins; its attempts stop
     at the first refinement that does not improve on its best family.
     Only the descending ``sizes`` are tried, so cliques are built up to the
-    first of them, or taken from the candidates' clique table when an earlier
+    first of them, or taken from the field's clique table when an earlier
     search on the same field built them; ``accept(vectors, thetas)`` can
     reject a family that passes.  With no family of these sizes the result
     has k_lower = 0.
     """
+    m, cands = field_.a, field_.candidates
     n = m.shape[0]
-    levels, capped = _cliques(cands, tol.gram_tol, sizes[0], params.max_cliques) if cands else ([], [])
-    btol = boundary_bound(support, tol)
+    levels, capped = field_.cliques(sizes[0]) if cands else ([], [])
+    btol = boundary_bound(support)
 
     floors: dict = {}
     for size in [s for s in sizes if s <= len(levels)]:
@@ -678,7 +670,7 @@ def _search(m, cands: Candidates, support: SupportFunction, tol: ToleranceConfig
             res, X, thetas, bres = _refine_set(m, [cands[i] for i in combo], support, params)
             if best is not None and res >= best[0]:
                 break  # a family is found and a further start no longer improves on it
-            ok = res <= tol.gram_tol and np.all(bres <= btol)
+            ok = res <= ToleranceConfig.gram_tol and np.all(bres <= btol)
             if ok and accept is not None:
                 ok = bool(accept(X, thetas))
             if ok:
@@ -694,11 +686,7 @@ def _search(m, cands: Candidates, support: SupportFunction, tol: ToleranceConfig
     return OracleResult(0, np.zeros((n, 0)), np.zeros(0), 0.0, np.zeros(0), floors, capped)
 
 
-def max_orthonormal_boundary_set(
-    a,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    params: SearchParams = SearchParams(),
-) -> OracleResult:
+def max_orthonormal_boundary_set(a, params: SearchParams = SearchParams()) -> OracleResult:
     """Constructive lower bound for the Gau-Wu number, exact when the cover
     proves k <= 2.
 
@@ -709,7 +697,7 @@ def max_orthonormal_boundary_set(
     ``params.attempts_per_size`` node-disjoint ones of each size are refined,
     and the largest family whose final Gram residual beats ``gram_tol`` wins,
     the pair when none does.  The result keeps its cover.  ``capped`` in the
-    result lists the clique sizes that ``params.max_cliques`` cut.  A
+    result lists the clique sizes that MAX_CLIQUES cut.  A
     matrix is normalised first (``_entry``), and the residuals are reported
     in its units.  A diameter of W below SCALAR_GUARD * n * eps times its
     radius means a scalar matrix up to rounding (``normalise`` makes one
@@ -720,11 +708,10 @@ def max_orthonormal_boundary_set(
     n = m.shape[0]
     if _is_point(sf):
         return in_caller_units(OracleResult(n, np.eye(n, dtype=complex), np.zeros(n), 0.0, np.zeros(n), {}), norm)
-    cover = boundary_cover(sf, tol)
+    cover = boundary_cover(sf)
     found = OracleResult(0, np.zeros((n, 0)), np.zeros(0), 0.0, np.zeros(0), {})
     if cover.k_upper is None:
-        field_ = boundary_vector_field(sf, grid_size=params.grid_size, tol=tol)
-        found = _search(m, field_.candidates, sf, tol, params, range(n, 1, -1))
+        found = _search(boundary_vector_field(sf, params.grid_size), sf, params, range(n, 1, -1))
     if not found.k_lower:
         pair = _split_witness(m, 0.0)  # the orthonormal pair every matrix has
         found = OracleResult(2, pair.vectors, pair.thetas, 0.0, boundary_residuals(m, pair.vectors, pair.thetas, sf),
@@ -738,12 +725,7 @@ def _is_point(sf: SupportFunction) -> bool:
     return sf.diameter() <= SCALAR_GUARD * sf.a.shape[0] * np.finfo(float).eps * sf.radius
 
 
-def restricted_max_set(
-    block,
-    ambient: SupportFunction,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    params: SearchParams = SearchParams(grid_size=512),
-):
+def restricted_max_set(block, ambient: SupportFunction, params: SearchParams = SearchParams(grid_size=512)):
     """Largest orthonormal family of the block landing on the ambient boundary.
 
     The arc nodes are restricted to directions where the block's supporting
@@ -755,27 +737,27 @@ def restricted_max_set(
     """
     m = as_square_matrix(block)
     if m.shape[0] == 1:
-        count, build = relative_share(m, ambient, tol)
+        count, build = relative_share(m, ambient)
         w = build()
         return count, w.vectors, w.thetas
-    field_ = boundary_vector_field(m, grid_size=params.grid_size, tol=tol, ambient=ambient)
-    found = _search(m, field_.candidates, ambient, tol, params, range(m.shape[0], 0, -1))
+    field_ = boundary_vector_field(m, params.grid_size, ambient)
+    found = _search(field_, ambient, params, range(m.shape[0], 0, -1))
     return found.k_lower, found.vectors, found.thetas
 
 
-def _checked(sf: SupportFunction, witness: Witness, claimed_k: int, tol: ToleranceConfig) -> Optional[OracleResult]:
+def _checked(sf: SupportFunction, witness: Witness, claimed_k: int) -> Optional[OracleResult]:
     """``check_witness`` on the matrix of ``sf``, in its units."""
     X, thetas = witness.vectors, witness.thetas
     if X.shape != (sf.a.shape[0], claimed_k) or thetas.shape != (claimed_k,):
         return None
     gram = float(np.max(np.abs(X.conj().T @ X - np.eye(claimed_k)), initial=0.0))
     bres = boundary_residuals(sf.a, X, thetas, sf)
-    if gram > tol.gram_tol or np.any(bres > boundary_bound(sf, tol)):
+    if gram > ToleranceConfig.gram_tol or np.any(bres > boundary_bound(sf)):
         return None
     return OracleResult(claimed_k, X, thetas, gram, bres, {})
 
 
-def check_witness(a, witness: Witness, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL) -> Optional[OracleResult]:
+def check_witness(a, witness: Witness, claimed_k: int) -> Optional[OracleResult]:
     """The witness as a search result when it reaches ``claimed_k``, else None.
 
     It reaches the claim when it is n x claimed_k, its Gram residual
@@ -786,7 +768,7 @@ def check_witness(a, witness: Witness, claimed_k: int, tol: ToleranceConfig = DE
     normalised first and the residuals are reported in its units.
     """
     sf, norm = _entry(a, 1024)
-    res = _checked(sf, witness, claimed_k, tol)
+    res = _checked(sf, witness, claimed_k)
     return None if res is None else in_caller_units(res, norm)
 
 
@@ -824,8 +806,7 @@ class VerifyReport:
         }
 
 
-def verify(a, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL, params: SearchParams = SearchParams(),
-           witness: Optional[Witness] = None) -> VerifyReport:
+def verify(a, claimed_k: int, params: SearchParams = SearchParams(), witness: Optional[Witness] = None) -> VerifyReport:
     """Check a claimed Gau-Wu value against the constructive search and the
     cover's upper bound.
 
@@ -848,14 +829,14 @@ def verify(a, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL, params: Search
     """
     sf, norm = _entry(a, params.grid_size)
     n = sf.a.shape[0]
-    if witness is not None and (reached := _checked(sf, witness, claimed_k, tol)) is not None:
+    if witness is not None and (reached := _checked(sf, witness, claimed_k)) is not None:
         sizes = tuple(range(n, claimed_k, -1))
         if sizes and claimed_k == 2:
-            reached = replace(reached, cover=boundary_cover(sf, tol))
+            reached = replace(reached, cover=boundary_cover(sf))
             if reached.k_upper == 2:
                 sizes = ()
         if sizes:
-            above = _search(sf.a, boundary_vector_field(sf, params.grid_size, tol).candidates, sf, tol, params, sizes)
+            above = _search(boundary_vector_field(sf, params.grid_size), sf, params, sizes)
             if above.k_lower:
                 return VerifyReport(False, "oracle-exceeds-claim", claimed_k, in_caller_units(above, norm), 0,
                                     "passed", sizes)
@@ -863,13 +844,13 @@ def verify(a, claimed_k: int, tol: ToleranceConfig = DEFAULT_TOL, params: Search
         return VerifyReport(True, "match", claimed_k, in_caller_units(reached, norm), 0, "passed", sizes)
     escalations = 0
     cur = params
-    res = max_orthonormal_boundary_set(sf, tol=tol, params=cur)
+    res = max_orthonormal_boundary_set(sf, cur)
     searched = () if _is_point(sf) or res.k_upper is not None else tuple(range(n, 1, -1))
     # a proved cover has k_upper = k_lower, below the claim here: no escalation reaches it
     while res.k_lower < claimed_k and escalations < 2 and res.k_upper is None:
         cur = cur.escalate()
         escalations += 1
-        res = max_orthonormal_boundary_set(sf, tol=tol, params=cur)
+        res = max_orthonormal_boundary_set(sf, cur)
     res = in_caller_units(res, norm)
     provenance = (None if witness is None else "failed", searched)
     if res.k_lower == claimed_k:

@@ -218,9 +218,9 @@ def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT
         own = n, "dichotomy", lambda: _split_witness(b, scan[0], scan[1:3])
     if own is not None:
         w = own[2]()
-        if np.all(boundary_residuals(b, w.vectors, w.thetas, ambient) <= boundary_bound(ambient, tol)):
+        if np.all(boundary_residuals(b, w.vectors, w.thetas, ambient) <= boundary_bound(ambient)):
             return own[0], own[1], lambda: w
-    k, vectors, thetas = restricted_max_set(b, ambient, tol=tol)
+    k, vectors, thetas = restricted_max_set(b, ambient)
     return k, "restricted-search", lambda: Witness(vectors, thetas)
 
 

@@ -32,7 +32,7 @@ from numrange_lab.generators import (
     perturb_unbalance,
 )
 from numrange_lab import oracle
-from numrange_lab.linalg import DEFAULT_TOL, AffineMap, affine_apply, matrix_scale, normalise, rotate
+from numrange_lab.linalg import AffineMap, affine_apply, matrix_scale, normalise, rotate
 from numrange_lab.numrange import FLAT_PORTION, SupportFunction, base_polynomial, detect_seeds
 from numrange_lab.oracle import SearchParams, boundary_vector_field, max_orthonormal_boundary_set
 from numrange_lab.reduction import commutant_dimension
@@ -97,7 +97,7 @@ def test_criterion_3_unbalanced_soundness():
         assert orc.k_lower == 2 == orc.k_upper, (i, fam, orc.k_lower, orc.k_upper)
         sf = SupportFunction(normalise(a).m, esc.grid_size)
         field = boundary_vector_field(sf, esc.grid_size)
-        found = oracle._search(sf.a, field.candidates, sf, DEFAULT_TOL, esc, range(n, 2, -1))
+        found = oracle._search(field, sf, esc, range(n, 2, -1))
         assert found.k_lower == 0, (i, fam, found.k_lower)
         floor = found.floors.get(3, np.inf)
         assert floor > 1e-4, (i, fam, floor)

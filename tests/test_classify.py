@@ -22,7 +22,7 @@ from numrange_lab.generators import FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import AffineMap, DimensionError, affine_apply, herm_part_at, normalise, rotate
 from numrange_lab.numrange import FLAT_PORTION, SupportFunction, detect_seeds, dichotomy_scan
 from numrange_lab import numrange, oracle
-from numrange_lab.oracle import max_orthonormal_boundary_set, verify
+from numrange_lab.oracle import check_witness, max_orthonormal_boundary_set, verify
 from numrange_lab.results import (
     METHOD_ARROWHEAD,
     METHOD_DICHOTOMY,
@@ -265,6 +265,19 @@ class TestClassifyPipeline:
         # eigh per Levenberg-Marquardt step
         classify(generate(FamilySpec(fam, seed=7001)))
         assert linalg_calls["eigh"] <= 4000
+
+    def test_triple_without_a_canonical_frame(self, monkeypatch):
+        # a triple on three distinct lines with no canonical frame still
+        # decides k = 3, under the search's label and with the triple as witness
+        a = generate(FamilySpec("k3-parallel-lines", seed=4000))
+        assert classify(a).method == METHOD_KA3
+        monkeypatch.setattr(sys.modules["numrange_lab.classify"], "_normalizing_affine", lambda thetas, ps: None)
+        res = classify(a)
+        assert (res.k, res.method) == (3, METHOD_ORACLE)
+        assert res.certificate["note"] == "triple on three distinct lines found; canonical form unavailable"
+        assert res.certificate["notes"] == ["supporting-line normals fit in a half plane; no bounded canonical frame"]
+        checked = check_witness(a, res.witness, 3)
+        assert checked is not None and checked.gram_residual <= 1e-6
 
     def test_oracle_confirmation_flag(self):
         res = classify(flat_portion_example(), confirm_with_oracle=True)

@@ -245,6 +245,30 @@ class TestGenerateAndVerify:
     def test_verify_mismatch_exit_1(self, worked_example_path, capsys):
         assert main(["verify", worked_example_path, "--claim", "4"]) == 1
 
+    @pytest.mark.parametrize("flag, fam, knob", [("--config", "ellipse-pair", "crossed"),
+                                                ("--edge", "k4-split-22", "reducible-zero-product")])
+    def test_generate_knob_reaches_the_family(self, flag, fam, knob, tmp_path, capsys):
+        out = tmp_path / "gen.json"
+        assert main(["generate", "--family", fam, "--seed", "3", flag, knob, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        a, meta, _ = load_matrix(out)
+        knobs = {flag[2:]: knob}
+        assert meta == {"family": fam, "seed": 3, "knobs": knobs}
+        assert a.tobytes() == np.asarray(generate(FamilySpec(fam, seed=3, knobs=knobs)), dtype=complex).tobytes()
+        assert not np.array_equal(a, generate(FamilySpec(fam, seed=3)))
+
+    def test_generate_unwritable_output_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "x.json"
+        assert main(["generate", "--family", "k4-split-31", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error:") and not out.exists()
+
+    @pytest.mark.parametrize("command", [["curve"], ["verify", "--claim", "2"]])
+    def test_unparsable_matrix_exit_2(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("nope")
+        assert main([command[0], str(bad), *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_generate_infeasible_exit_5(self, tmp_path):
         rc = main(["generate", "--family", "reducible-mixed", "--n", "5", "--out", str(tmp_path / "x.json")])
         assert rc == 5
@@ -286,6 +310,16 @@ class TestOutOfRangeInput:
     def test_tolerance_env_not_a_number(self, worked_example_path, monkeypatch, capsys):
         monkeypatch.setenv("NUMRANGE_TOL", "abc")
         self.check(["classify", worked_example_path], capsys)
+
+    @pytest.mark.parametrize("command", [["curve"], ["verify", "--claim", "3"]])
+    def test_only_classify_takes_a_tolerance(self, command, worked_example_path, monkeypatch, capsys):
+        # curve and verify read no tolerance: --tol is unknown to them, and
+        # NUMRANGE_TOL, which only classify reads, does not reach them
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], worked_example_path, *command[1:], "--tol", "1e-9"])
+        assert exc.value.code == 2 and "--tol" in capsys.readouterr().err
+        monkeypatch.setenv("NUMRANGE_TOL", "abc")
+        assert main([command[0], worked_example_path, *command[1:]]) == 0
 
     def test_verify_negative_samples(self, worked_example_path, capsys):
         self.check(["verify", worked_example_path, "--claim", "3", "--samples", "-5"], capsys)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from numrange_lab.generators import (
     flat_portion_example,
     perturb_unbalance,
 )
+from numrange_lab import generators
 from numrange_lab.reduction import commutant_dimension, decompose
 
 
@@ -141,3 +144,23 @@ class TestInfeasible:
     def test_small_n_rejected(self):
         with pytest.raises(InfeasibleSpecError):
             generate(FamilySpec("dichotomous-arrowhead-diag", n=2, seed=0))
+
+    def test_unplaceable_counts_fail_before_any_draw(self):
+        # disc packing: 262 points 0.15 apart cannot fit in [-1, 1]^2 grown by
+        # 0.075, and 202 reals 0.01 apart cannot fit in [-1, 1]
+        class NoDraws:
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("drew for a count no draw can place")
+
+        with pytest.raises(InfeasibleSpecError):
+            generators._random_distinct_points(NoDraws(), 262, 0.15)
+        with pytest.raises(InfeasibleSpecError):
+            generators._distinct_reals(NoDraws(), 202, -1.0, 1.0, 1e-2)
+
+    @pytest.mark.parametrize("fam, n", [("pure-almost-normal", 300), ("unbalanced-arrowhead", 300),
+                                        ("dichotomous-arrowhead-diag", 300)])
+    def test_large_n_fails_at_once(self, fam, n):
+        t0 = time.perf_counter()
+        with pytest.raises(InfeasibleSpecError):
+            generate(FamilySpec(fam, n=n, seed=0))
+        assert time.perf_counter() - t0 < 1.0

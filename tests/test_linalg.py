@@ -188,4 +188,14 @@ class TestToleranceConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_requires_finite(self, value):
         with pytest.raises(ValueError):
-            ToleranceConfig(split_tol=value)
+            ToleranceConfig(eq_tol=value)
+
+    def test_eq_tol_is_the_one_setting(self):
+        # the other four are class constants, read on the class or an instance
+        for name in ("cluster_tol", "gram_tol", "boundary_tol", "split_tol"):
+            with pytest.raises(TypeError):
+                ToleranceConfig(**{name: 1e-3})
+        tol = ToleranceConfig(eq_tol=1e-9)
+        assert tol.gram_tol == ToleranceConfig.gram_tol == 1e-6
+        assert tol.to_dict() == {"eq_tol": 1e-9, "cluster_tol": 1e-7, "gram_tol": 1e-6, "boundary_tol": 1e-8,
+                                 "split_tol": 1e-12}

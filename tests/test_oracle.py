@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
-from numrange_lab.linalg import DEFAULT_TOL, DimensionError, _pencil_at, hermitian_parts, normalise
+from numrange_lab.linalg import DimensionError, _pencil_at, hermitian_parts, normalise
 from numrange_lab.numrange import REFINE_STEPS, SupportFunction
 from numrange_lab import oracle
 from numrange_lab.oracle import (
@@ -11,9 +13,7 @@ from numrange_lab.oracle import (
     COVER_RADIUS,
     COVER_START,
     TOP_GAP_FLOOR,
-    Candidates,
     SearchParams,
-    _cliques,
     _top_vectors,
     boundary_cover,
     boundary_vector_field,
@@ -33,7 +33,7 @@ class TestField:
         for c in field.candidates:
             # every candidate realizes the support value in its direction
             z = complex(c.vec.conj() @ a @ c.vec)
-            p = field.support(float(c.theta))
+            p = SupportFunction(a)(float(c.theta))
             assert abs(np.real(np.exp(-1j * c.theta) * z) - p) < 1e-10
 
     def test_one_grid_sweep(self, stack_sizes):
@@ -141,32 +141,36 @@ class TestArcGraph:
         a = make()
         assert [len(boundary_vector_field(c * a).candidates) for c in (1e-200, 1.0, 1e20, 1e200)] == [count] * 4
 
-    def test_reports_capped_sizes(self):
+    def test_reports_capped_sizes(self, monkeypatch):
         a = generate(FamilySpec("k3-parallel-lines", seed=4000))
         assert max_orthonormal_boundary_set(a).capped == []
-        res = max_orthonormal_boundary_set(a, params=SearchParams(max_cliques=8))
+        monkeypatch.setattr(oracle, "MAX_CLIQUES", 8)
+        res = max_orthonormal_boundary_set(a)
         assert res.capped == [2]
         assert res.to_dict()["capped"] == [2]
         assert res.k_lower >= 2 and res.gram_residual <= 1e-6
         # the nodes themselves are never cut
-        cands = boundary_vector_field(a).candidates
-        levels, capped = _cliques(cands, 1e-6, 4, 8)
-        assert len(levels[0]) == len(cands) and capped == [2]
+        field = boundary_vector_field(a)
+        levels, capped = field.cliques(4)
+        assert len(levels[0]) == len(field.candidates) and capped == [2]
 
     def test_cap_keeps_every_clique_below_the_cut(self, monkeypatch):
         # a clique's measure bounds its subcliques', so every clique below the
         # largest measure kept at each cut size survives, in order, at the head
-        # of its size (here more than the 24 attempts)
-        cands = boundary_vector_field(near_normal(5032)).candidates
-        vecs = np.column_stack([c.vec for c in cands])
+        # of its size (here more than the 24 attempts); each table is built
+        # fresh on a copy of the field, since the field keeps its first one
+        field = boundary_vector_field(near_normal(5032))
+        vecs = np.column_stack([c.vec for c in field.candidates])
         overlap = np.abs(vecs.conj().T @ vecs)
 
         def measure(level):
             i, j = np.triu_indices(level.shape[1], 1)
             return overlap[level[:, i], level[:, j]].max(axis=1, initial=0.0)
 
-        full, _ = _cliques(cands, 1e-6, 6, 10**6)
-        cut, capped = _cliques(cands, 1e-6, 6, 4000)
+        monkeypatch.setattr(oracle, "MAX_CLIQUES", 10**6)
+        full, _ = replace(field).cliques(6)
+        monkeypatch.setattr(oracle, "MAX_CLIQUES", 4000)
+        cut, capped = replace(field).cliques(6)
         assert capped == [3, 4] and len(cut) == len(full)
         below = np.inf
         for size, (a, b) in enumerate(zip(full, cut), start=1):
@@ -174,28 +178,27 @@ class TestArcGraph:
                 below = min(below, measure(b).max())
             head = a[measure(a) < below]
             assert len(head) >= 24 and np.array_equal(b[: len(head)], head)
-        # extension in chunks of a few rows, merged and cut as it goes, on a
-        # fresh copy of the candidates (the first table is kept with them)
+        # extension in chunks of a few rows, merged and cut as it goes
         monkeypatch.setattr(oracle, "CLIQUE_CHUNK", 500)
-        chunked, capped_chunked = _cliques(Candidates(cands), 1e-6, 6, 4000)
+        chunked, capped_chunked = replace(field).cliques(6)
         assert capped_chunked == capped
         assert all(np.array_equal(a, b) for a, b in zip(chunked, cut))
 
-    def test_extended_table_matches_a_fresh_build(self):
+    def test_extended_table_matches_a_fresh_build(self, monkeypatch):
         # a table built to triples and then extended to 4 gives the levels and
         # cut sizes of one built straight to 4, here with levels 3 and 4 cut
-        cands = boundary_vector_field(near_normal(5032)).candidates
-        fresh, fresh_capped = _cliques(Candidates(cands), 1e-6, 4, 4000)
-        grown = Candidates(cands)
-        three, three_capped = _cliques(grown, 1e-6, 3, 4000)
+        monkeypatch.setattr(oracle, "MAX_CLIQUES", 4000)
+        grown = boundary_vector_field(near_normal(5032))
+        fresh, fresh_capped = replace(grown).cliques(4)
+        three, three_capped = grown.cliques(3)
         assert three_capped == [3] and len(three) == 3
-        four, four_capped = _cliques(grown, 1e-6, 4, 4000)
+        four, four_capped = grown.cliques(4)
         assert four_capped == fresh_capped == [3, 4]
         assert len(four) == len(fresh) == 4
         assert all(np.array_equal(a, b) for a, b in zip(four, fresh))
         assert all(a is b for a, b in zip(three, four))  # the first three levels are the ones built before
         # asking for fewer sizes afterwards reads the same prefix
-        again, again_capped = _cliques(grown, 1e-6, 3, 4000)
+        again, again_capped = grown.cliques(3)
         assert again_capped == [3] and all(a is b for a, b in zip(again, three))
 
     def test_split_double_vertex_keeps_five(self):
@@ -320,7 +323,7 @@ class TestVerify:
         rep = verify(a, 2)
         assert rep.match and rep.oracle.k_upper == 2 and rep.searched_sizes == ()
         sf = SupportFunction(normalise(a).m)
-        found = oracle._search(sf.a, boundary_vector_field(sf).candidates, sf, DEFAULT_TOL, SearchParams(), (4, 3))
+        found = oracle._search(boundary_vector_field(sf), sf, SearchParams(), (4, 3))
         assert found.k_lower == 0 and found.floors.get(3, np.inf) > 1e-4
 
     def test_wrong_high_claim_escalates_then_mismatch(self):

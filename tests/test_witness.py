@@ -182,9 +182,9 @@ class TestVerifyWithWitness:
         sizes = []
         search = oracle._search
 
-        def recording(m, cands, support, tol, params, sizes_asked, accept=None):
+        def recording(field, support, params, sizes_asked, accept=None):
             sizes.append(tuple(sizes_asked))
-            return search(m, cands, support, tol, params, sizes_asked, accept)
+            return search(field, support, params, sizes_asked, accept)
 
         monkeypatch.setattr(oracle, "_search", recording)
         rep = verify(a, 2, witness=w)
