@@ -80,7 +80,9 @@ def _distinct_reals(rng, count, lo, hi, mingap):
         vals = np.sort(rng.uniform(lo, hi, size=count))
         if count < 2 or np.min(np.diff(vals)) >= mingap:
             return rng.permutation(vals)
-    raise InfeasibleSpecError("could not draw distinct values")
+    # exact draw: sorted uniforms on the span left after the gaps, each moved up by its gaps
+    vals = np.sort(rng.uniform(lo, hi - (count - 1) * mingap, size=count)) + np.arange(count) * mingap
+    return rng.permutation(vals)
 
 
 def _unit_phase(rng):
@@ -251,7 +253,17 @@ def _random_distinct_points(rng, count, mingap):
         d = np.abs(pts[:, None] - pts[None, :])[~np.eye(count, dtype=bool)]
         if np.min(d) >= mingap:
             return pts
-    raise InfeasibleSpecError("could not place distinct points")
+    # one point at a time, each drawn until it keeps mingap from those placed
+    pts = np.zeros(0, dtype=complex)
+    while len(pts) < count:
+        for _ in range(REJECTION_CAP):
+            z = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+            if np.all(np.abs(pts - z) >= mingap):
+                pts = np.append(pts, z)
+                break
+        else:
+            raise InfeasibleSpecError("could not place distinct points")
+    return pts
 
 
 def _gen_unbalanced(spec: FamilySpec, rng):

@@ -173,12 +173,13 @@ def hermitian_parts(a) -> HermitianPair:
 def _pencil_at(h, k, theta):
     """cos(theta) H + sin(theta) K = Re(e^{-i theta} A) for A = H + iK, stacked
     on axis 0 for a 1-d array of theta; (K, -H) gives Im(e^{-i theta} A).
+    H and K may themselves be stacks of matrices.
 
     The scalar path has no shape dispatch: every scalar support value and
     eigenspace in the classifiers runs it.
     """
     if isinstance(theta, np.ndarray) and theta.ndim:
-        return np.cos(theta)[:, None, None] * h + np.sin(theta)[:, None, None] * k
+        return np.multiply.outer(np.cos(theta), h) + np.multiply.outer(np.sin(theta), k)
     return math.cos(theta) * h + math.sin(theta) * k
 
 

@@ -10,9 +10,11 @@ read that sweep, and the functions here and in ``oracle`` that take a matrix
 also take its SupportFunction (``support_function``).  A sweep solves half a
 turn: B(theta + pi) = -B(theta), so the spectrum at theta + pi is the spectrum
 at theta negated and reversed, and its top vector is the bottom vector at
-theta; an even grid solves only its directions in [0, pi).  Every minimum in
-theta of a function of these eigenvalues is refined off the grid by one
-lockstep Newton solver (``_refined_minima``) on their analytic derivatives.
+theta; an even grid solves only its directions in [0, pi).  A matrix of
+diagonal blocks is swept block by block.  Every minimum in theta of a
+function of these eigenvalues is refined off the grid by one lockstep Newton
+solver (``_refined_minima``) on their analytic derivatives, unless the grid
+already meets the bound that decides (``_grid_contact``).
 """
 
 from __future__ import annotations
@@ -86,6 +88,10 @@ class SupportFunction:
     whose directions cover [0, pi): the member at theta + pi is the one at
     theta negated, so its spectrum is theta's negated and reversed.  An odd
     grid has no antipodal samples and solves all its members.
+    A matrix of contiguous diagonal blocks (``_diagonal_blocks``), such as a
+    direct sum's ``assembled()``, has as spectra the sorted union of its
+    blocks', each size stacked in ``_groups`` and solved by ``_block_eigen``;
+    one block larger than 2x2 is solved whole, as is ``top_vectors``.
     ``_memo`` holds the stages built on this sweep, one of each
     (``top_gap_events``, ``oracle.boundary_cover`` and
     ``oracle.boundary_vector_field``), so the stages of one classification
@@ -97,15 +103,28 @@ class SupportFunction:
         self.grid_size = int(grid_size)
         self.thetas = np.linspace(0.0, TWO_PI, self.grid_size, endpoint=False)
         self._solved = self.grid_size // 2 if self.grid_size % 2 == 0 else self.grid_size
-        w = np.linalg.eigvalsh(_pencil_at(self.h, self.k, self.thetas[: self._solved]))
+        sizes = _diagonal_blocks(self.a)
+        starts = np.cumsum(sizes) - sizes
+        self._groups = None if sizes[0] > 2 and len(sizes) == 1 else [
+            tuple(np.stack([x[s : s + m, s : s + m] for s in starts[sizes == m]]) for x in (self.h, self.k))
+            for m in sorted(set(sizes.tolist()))]
+        w = self._eigen(self.thetas[: self._solved])
         self.grid_eigvals = np.concatenate([w, -w[:, ::-1]])[: self.grid_size]
         self.grid_values = self.grid_eigvals[:, -1]
         self.radius = float(np.max(np.abs(self.grid_eigvals)))
         self._memo: dict = {}
 
+    def _eigen(self, theta, floor=None):
+        """``_block_eigen`` of the whole pencil, or the union of its blocks', ascending."""
+        if self._groups is None:
+            return _block_eigen(self.h, self.k, theta, floor)
+        out = np.concatenate([w.reshape(w.shape[:-2] + (-1,)) for w in
+                              (_block_eigen(h, k, theta, floor) for h, k in self._groups)], axis=-1)
+        return np.sort(out, axis=-1) if floor is None else np.take_along_axis(out, np.argsort(out[0])[None], axis=-1)
+
     def __call__(self, theta):
         """p(theta): a float for a scalar theta, an array for a 1-d array."""
-        w = np.linalg.eigvalsh(_pencil_at(self.h, self.k, theta))
+        w = self._eigen(theta)
         return float(w[-1]) if w.ndim == 1 else w[:, -1]
 
     @cached_property
@@ -124,11 +143,7 @@ class SupportFunction:
         -lam_i + 2 sum_j |C_ij| (|C_ij| R_ij) over the pairs at least MIXED_GAP *
         radius apart (that order neither over- nor underflows at any scale);
         rounding mixes closer pairs, which cross like blocks."""
-        floor = MIXED_GAP * (self.radius or 1.0)
-        w, _, c, r = _pencil_derivatives(self.h, self.k, thetas, floor)
-        r[np.abs(r) >= 1 / floor] = 0.0
-        ac = np.abs(c)
-        return np.stack([w, np.diagonal(c, axis1=1, axis2=2).real, 2 * np.sum(ac * (ac * r), axis=2) - w])
+        return self._eigen(thetas, MIXED_GAP * (self.radius or 1.0))
 
     def diameter(self) -> float:
         """Largest width over the grid: p(theta) + p(theta + pi) is the spread
@@ -144,15 +159,56 @@ def support_function(a, grid_size: int = 1024) -> SupportFunction:
     return SupportFunction(a.a if isinstance(a, SupportFunction) else a, grid_size)
 
 
+def _diagonal_blocks(a) -> np.ndarray:
+    """Sizes of the contiguous diagonal blocks of ``a``: one ends before index i
+    when a[:i, i:] and a[i:, :i] are exactly zero (one pass, as ``decompose`` cuts)."""
+    if a[0, -1] != 0 or a[-1, 0] != 0:  # the corners lie across every cut
+        return np.array([a.shape[0]])
+    nonzero = (a != 0) | (a.T != 0)
+    across = np.cumsum(np.cumsum(nonzero[:, ::-1], axis=1)[:, ::-1], axis=0)
+    return np.diff(np.flatnonzero(np.diagonal(across, 1) == 0) + 1, prepend=0, append=a.shape[0])
+
+
+def _block_eigen(h, k, theta, floor=None):
+    """Ascending eigenvalues of the pencil members at ``theta`` (a float or a
+    1-d array) of the (stacked) matrices (h, k); with a ``floor``, the (3, ...)
+    stack of them and their derivatives as ``SupportFunction.branches`` says.
+    1x1 and 2x2 take the closed form (a + d) / 2 -+ r, r = |delta| for
+    delta = ((a - d) / 2, b): r' = u . delta' with u = delta / r, and
+    r'' = |delta'_perp|^2 / r - r, delta'_perp (across u) being |C_12|."""
+    if h.shape[-1] > 2 and floor is None:
+        return np.linalg.eigvalsh(_pencil_at(h, k, theta))
+    if h.shape[-1] > 2:
+        w, _, c, r = _pencil_derivatives(h, k, theta, floor)
+        r[np.abs(r) >= 1 / floor] = 0.0
+        ac = np.abs(c)
+        return np.stack([w, np.diagonal(c, axis1=-2, axis2=-1).real, 2 * np.sum(ac * (ac * r), axis=-1) - w])
+    b, db = _pencil_at(h, k, theta), _pencil_at(k, -h, theta)
+    if h.shape[-1] == 1:
+        w = b[..., 0].real
+        return w if floor is None else np.stack([w, db[..., 0].real, -w])
+    (a, d, off), (da, dd, doff) = ((x[..., 0, 0].real / 2, x[..., 1, 1].real / 2, x[..., 0, 1]) for x in (b, db))
+    r = np.hypot(a - d, np.abs(off))
+    w = np.stack([a + d - r, a + d + r], axis=-1)
+    if floor is None:
+        return w
+    unit = np.where(r > 0, r, 1.0)
+    ua, uoff = (a - d) / unit, off / unit
+    slope = ua * (da - dd) + (uoff.conj() * doff).real
+    across = np.hypot(da - dd - slope * ua, np.abs(doff - slope * uoff))
+    bend = np.where(2 * r > floor, across * (across / unit), 0.0)
+    return np.stack([w, np.stack([da + dd - slope, da + dd + slope], axis=-1), np.stack([-bend, bend], axis=-1) - w])
+
+
 def _pencil_derivatives(h, k, thetas, floor):
     """(w, V, C, R) for the pencil members B at the 1-d ``thetas``, from one
     stacked eigh: the eigenpairs, C = V* B' V with B' = -sin(t) H + cos(t) K,
     and R_ij = 1 / (w_i - w_j) (0 for i = j), each gap raised to ``floor`` in
     size; the perturbation theory (Kato) of both derivatives needs them."""
     w, v = np.linalg.eigh(_pencil_at(h, k, thetas))
-    c = v.conj().swapaxes(1, 2) @ _pencil_at(k, -h, thetas) @ v
-    below = np.tri(w.shape[1], k=-1)  # w ascends, so w_i >= w_j below the diagonal
-    return w, v, c, (below - below.T) / np.maximum(np.abs(w[:, :, None] - w[:, None, :]), floor)
+    c = v.conj().swapaxes(-1, -2) @ _pencil_at(k, -h, thetas) @ v
+    below = np.tri(w.shape[-1], k=-1)  # w ascends, so w_i >= w_j below the diagonal
+    return w, v, c, (below - below.T) / np.maximum(np.abs(w[..., :, None] - w[..., None, :]), floor)
 
 
 def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float, count=None, eligible=None):
@@ -205,10 +261,22 @@ def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float,
     return list(zip(best_t.tolist(), (unit * best_f).tolist()))
 
 
-def _refined_min(pieces: Callable, thetas, values, step: float, scale: float, eligible=None):
-    """The best pair of ``_refined_minima`` over the 6 lowest grid minima;
-    (None, inf) when nothing was refined."""
+def _refined_min(pieces: Callable, thetas, values, step: float, scale: float, lipschitz: float, level: float):
+    """``_grid_contact`` if the grid decides, else the best pair of
+    ``_refined_minima`` over the 6 lowest grid minima that can reach ``level``
+    (``_reachable``, the objective ``lipschitz``-Lipschitz); (None, inf) if none."""
+    on_grid = _grid_contact(thetas, values, level)
+    if on_grid is not None:
+        return on_grid
+    eligible = _reachable(values, lipschitz, step, level)
     return min(_refined_minima(pieces, thetas, values, step, scale, 6, eligible), key=lambda r: r[1], default=(None, np.inf))
+
+
+def _grid_contact(thetas, values, level: float):
+    """(theta, value) of the lowest sample if it meets a finite ``level``, else
+    None: refinement would start there and only go lower, to the same decision."""
+    i = int(np.argmin(values))
+    return (float(thetas[i]), float(values[i])) if values[i] <= level < np.inf else None
 
 
 def _reachable(values, lipschitz: float, step: float, level: float):
@@ -221,7 +289,7 @@ def _reachable(values, lipschitz: float, step: float, level: float):
 def _point_defect(support_fn: SupportFunction, z: complex, level: float):
     """(theta, ``point_boundary_defect``) refined where the defect can reach
     ``level``: the contact direction and the defect there; (None, inf) when
-    nowhere."""
+    nowhere; unrefined where a grid direction meets a finite ``level``."""
     proj = np.real(np.exp(-1j * support_fn.thetas) * z)
     g = support_fn.grid_values - proj
 
@@ -232,8 +300,7 @@ def _point_defect(support_fn: SupportFunction, z: complex, level: float):
 
     step, scale = TWO_PI / support_fn.grid_size, max(support_fn.radius, abs(z))
     # p is w(A)-Lipschitz; 2 (radius + |z|) covers radius <= w(A) <= radius / cos(step / 2) and rounding
-    eligible = _reachable(g, 2 * (support_fn.radius + abs(z)), step, level)
-    theta, defect = _refined_min(pieces, support_fn.thetas, g, step, scale, eligible)
+    theta, defect = _refined_min(pieces, support_fn.thetas, g, step, scale, 2 * (support_fn.radius + abs(z)), level)
     return theta, float(defect)
 
 
@@ -544,7 +611,7 @@ def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig
     of the refined direction.  It contributes 1 when the ellipse merely
     touches it (the top eigenvector there), 0 otherwise.  A 2x2 block is
     swept on every other direction of the ambient grid, whose size must be
-    even.
+    even.  A contact the grid shows is taken there; only the rest is refined.
     """
     b = as_square_matrix(block)
     n = b.shape[0]
@@ -575,11 +642,10 @@ def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig
             gap = amb - mine[:, :, -1:]
             return np.concatenate([gap, mine[:, :, :1] - amb], axis=2) if antipodal else gap
 
-        t, val = _refined_min(pieces, grid, pair, step, scale, _reachable(pair, lipschitz, step, btol))
+        t, val = _refined_min(pieces, grid, pair, step, scale, lipschitz, btol)
         if val <= btol:
             return 2, lambda: _split_witness(b, t)
-        t, val = _refined_min(lambda t: pieces(t, antipodal=False), grid, g, step, scale,
-                              _reachable(g, lipschitz, step, btol))
+        t, val = _refined_min(lambda t: pieces(t, antipodal=False), grid, g, step, scale, lipschitz, btol)
         if val <= btol:
             return 1, lambda: Witness(np.linalg.eigh(_pencil_at(own.h, own.k, t))[1][:, -1:], [t])
         return 0, lambda: Witness(np.zeros((2, 0)), [])

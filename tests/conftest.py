@@ -96,6 +96,21 @@ def linalg_calls(monkeypatch):
 
 
 @pytest.fixture
+def solve_widths(monkeypatch):
+    """Per function, a Counter of the matrix widths of np.linalg.eigh, eigvalsh
+    and svd calls, stacked or not; svd counts the wider of its two sides."""
+    widths = {"eigh": Counter(), "eigvalsh": Counter(), "svd": Counter()}
+    for name, counter in widths.items():
+
+        def counting(a, *args, _orig=getattr(np.linalg, name), _counter=counter, **kwargs):
+            _counter[max(np.shape(a)[-2:])] += 1
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return widths
+
+
+@pytest.fixture
 def support_builds(monkeypatch):
     """Counts of SupportFunction constructions, by grid size."""
     counts = Counter()

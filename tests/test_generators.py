@@ -157,6 +157,25 @@ class TestInfeasible:
         with pytest.raises(InfeasibleSpecError):
             generators._distinct_reals(NoDraws(), 202, -1.0, 1.0, 1e-2)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spaced_draws_past_the_rejection_budget(self, seed):
+        # pure-almost-normal at n = 34 (33 points 0.15 apart) exhausts the
+        # whole-set draws on 4 of these seeds and dichotomous-arrowhead-diag at
+        # n = 50 (50 reals 0.01 apart) on all 5; the samplers then place
+        # points one at a time and draw the reals exactly
+        ah = arrowhead_from_dense(generate(FamilySpec("pure-almost-normal", n=34, seed=seed)))
+        d = np.abs(ah.diag[:, None] - ah.diag[None, :])[~np.eye(33, dtype=bool)]
+        assert np.min(d) >= 0.15 and np.max(np.abs(ah.diag.real)) <= 1 and np.max(np.abs(ah.diag.imag)) <= 1
+        a = generate(FamilySpec("dichotomous-arrowhead-diag", n=50, seed=seed))
+        cert = dichotomy_check(arrowhead_from_dense(a))
+        assert a.shape == (50, 50) and cert is not None and cert.case == "a"
+
+    def test_exact_real_draw_fills_the_bound(self):
+        # 201 reals 0.01 apart fit [-1, 1] only evenly spaced: no whole draw
+        # succeeds, and the exact draw lands on that spacing up to rounding
+        vals = np.sort(generators._distinct_reals(np.random.default_rng(0), 201, -1.0, 1.0, 1e-2))
+        assert -1.0 <= vals[0] and vals[-1] <= 1.0 and np.min(np.diff(vals)) >= 1e-2 - 1e-15
+
     @pytest.mark.parametrize("fam, n", [("pure-almost-normal", 300), ("unbalanced-arrowhead", 300),
                                         ("dichotomous-arrowhead-diag", 300)])
     def test_large_n_fails_at_once(self, fam, n):

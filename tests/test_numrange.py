@@ -112,6 +112,46 @@ class TestSupport:
         residual = np.linalg.norm(np.einsum("tij,tj->ti", b, x) - p[:, None] * x, axis=1)
         assert np.max(residual) <= self.HALF_TURN_TOL
 
+    @pytest.mark.parametrize("c", [1.0, 1e-200, 1e200])
+    def test_block_sweep_matches_a_dense_one(self, c):
+        # blocks of sizes 1, 2 and 3, among them c I (which the sweep cuts
+        # into two 1x1 blocks) and a normal 2x2 whose eigenvalues cross; values
+        # and slopes off the grid are compared with the whole matrix's eigh
+        rng = rng_for(9300)
+        u = random_unitary(rng, 2)
+        blocks = [random_matrix(rng, 1), random_matrix(rng, 2), random_matrix(rng, 3), (0.3 + 0.2j) * np.eye(2),
+                  u @ np.diag([1, 1j]) @ u.conj().T, random_matrix(rng, 3), random_matrix(rng, 2)]
+        sf = SupportFunction(c * _block_sum(*blocks))
+        assert [len(h) for h, _ in sf._groups] == [3, 3, 2]
+        tol = 8 * np.finfo(float).eps * sf.radius
+        assert np.max(np.abs(sf.grid_eigvals - np.linalg.eigvalsh(_pencil_at(sf.h, sf.k, sf.thetas)))) <= tol
+        t = rng.uniform(0, TWO_PI, 64)
+        floor = numrange.MIXED_GAP * sf.radius
+        dense = numrange._block_eigen(sf.h, sf.k, t, floor)
+        assert np.max(np.abs(sf.branches(t)[:2] - dense[:2])) <= tol
+        assert np.max(np.abs(sf(t) - dense[0][:, -1])) <= tol and abs(sf(t[0]) - dense[0][0, -1]) <= tol
+        # the closed form of a 2x2 block c I itself, whose two eigenvalues coincide
+        h, k = c * 0.3 * np.eye(2, dtype=complex), c * 0.2 * np.eye(2, dtype=complex)
+        value, slope = c * (0.3 * np.cos(t) + 0.2 * np.sin(t)), c * (0.2 * np.cos(t) - 0.3 * np.sin(t))
+        want = np.stack([value, slope, -value])[:, :, None, None]
+        assert np.max(np.abs(numrange._block_eigen(h[None], k[None], t, floor) - want)) <= 8 * np.finfo(float).eps * c
+
+    def test_matrix_without_a_cut_keeps_the_dense_sweep(self):
+        # a tridiagonal pattern has zero corners but no contiguous cut; its
+        # sweep, support values and branches are the whole matrix's, bit for bit
+        a = np.triu(np.tril(random_matrix(rng_for(9310), 6), 1), -1)
+        sf, t = SupportFunction(a, 64), rng_for(9311).uniform(0, TWO_PI, 16)
+        assert sf._groups is None
+        w = np.linalg.eigvalsh(_pencil_at(sf.h, sf.k, sf.thetas[:32]))
+        assert np.array_equal(sf.grid_eigvals, np.concatenate([w, -w[:, ::-1]]))
+        assert np.array_equal(sf(t), np.linalg.eigvalsh(_pencil_at(sf.h, sf.k, t))[:, -1])
+        floor = numrange.MIXED_GAP * sf.radius
+        w, _, c, r = numrange._pencil_derivatives(sf.h, sf.k, t, floor)
+        r[np.abs(r) >= 1 / floor] = 0.0
+        ac = np.abs(c)
+        dense = np.stack([w, np.diagonal(c, axis1=1, axis2=2).real, 2 * np.sum(ac * (ac * r), axis=2) - w])
+        assert np.array_equal(sf.branches(t), dense)
+
     def test_odd_grid_solves_every_direction(self, stack_sizes):
         sf = SupportFunction(random_matrix(rng_for(9200), 5), 65)
         assert sf.grid_eigvals.shape == (65, 5) and sf.top_vectors.shape == (65, 5)
@@ -332,8 +372,9 @@ class TestKprime:
 
     def test_block_reads_the_ambient_sweep(self, stack_sizes):
         # the block's 512 directions are every other one of the ambient's 1024
-        # grid, so the ambient support there is read, not recomputed; each
-        # sweep solves half its grid, the ambient's 512 and the block's 256
+        # grid, so the ambient support there is read, not recomputed; the
+        # block's own sweep of a 2x2 is in closed form, so no grid-sized stack
+        # is solved at all
         b1 = np.array([[0, 2], [0, 0]], dtype=complex)
         b2 = np.array([[0.9, 1.1], [0, 0.9]], dtype=complex)
         amb = np.zeros((4, 4), dtype=complex)
@@ -341,32 +382,40 @@ class TestKprime:
         sf = SupportFunction(amb)
         stack_sizes["eigvalsh"].clear()
         assert kprime_relative(b2, sf) == 1
-        assert stack_sizes["eigvalsh"][256] == 1 and stack_sizes["eigvalsh"][512] == 0
+        assert stack_sizes["eigvalsh"][256] == 0 and stack_sizes["eigvalsh"][512] == 0
         assert np.array_equal(sf.grid_values[512:], -sf.grid_eigvals[:512, 0])
         direct = sf(SupportFunction(b2, 512).thetas)
         assert np.max(np.abs(direct - sf.grid_values[::2])) <= 8 * np.finfo(float).eps * sf.radius
 
     @staticmethod
-    def _shares(blocks, ambient, monkeypatch, masked):
-        """Each block's share, with or without the Lipschitz skip, and the
-        number of grid minima the skip left out."""
-        skipped = []
+    def _shares(blocks, ambient, monkeypatch, masked, on_grid=True):
+        """Each block's share, with or without the Lipschitz skip and the
+        contacts decided on the grid, the number of grid minima the skip left
+        out and the number of contacts the grid decided."""
+        skipped, decided = [], []
 
         def reachable(values, *args, _orig=numrange._reachable):
             keep = _orig(values, *args) if masked else np.ones(np.shape(values), dtype=bool)
             skipped.append(np.count_nonzero(~keep))
             return keep
 
+        def grid_contact(*args, _orig=numrange._grid_contact):
+            contact = _orig(*args) if on_grid else None
+            decided.append(contact is not None)
+            return contact
+
         with monkeypatch.context() as mp:
             mp.setattr(numrange, "_reachable", reachable)
+            mp.setattr(numrange, "_grid_contact", grid_contact)
             sf = SupportFunction(ambient)
-            return [kprime_relative(b, sf) for b in blocks], sum(skipped)
+            return [kprime_relative(b, sf) for b in blocks], sum(skipped), sum(decided)
 
     @pytest.mark.parametrize("n", [5, 8, 12, 16, 20])
     def test_skip_keeps_every_share_of_seeded_direct_sums(self, monkeypatch, n):
         # discs, ellipses and scalars as in the benchmark's direct sums: the
-        # skip leaves out grid minima but no share changes
-        skipped = 0
+        # skip leaves out grid minima and the grid decides some contacts, but
+        # neither changes a share
+        skipped = decided = 0
         for seed in range(4):
             rng = rng_for(8000 + 10 * n + seed)
             blocks, size = [], 0
@@ -379,10 +428,11 @@ class TestKprime:
                     blocks.append(np.array([[2 * c]]))
                 size += len(blocks[-1])
             ambient = _block_sum(*blocks)
-            got, skips = self._shares(blocks, ambient, monkeypatch, masked=True)
+            got, skips, on_grid = self._shares(blocks, ambient, monkeypatch, masked=True)
             assert got == self._shares(blocks, ambient, monkeypatch, masked=False)[0]
-            skipped += skips
-        assert skipped > 0
+            assert got == self._shares(blocks, ambient, monkeypatch, masked=True, on_grid=False)[0]
+            skipped, decided = skipped + skips, decided + on_grid
+        assert skipped > 0 and decided > 0
 
     @pytest.mark.parametrize("c", [1.0, 1e-200, 1e200])
     def test_skip_keeps_contacts_between_grid_directions(self, monkeypatch, c):
@@ -398,6 +448,18 @@ class TestKprime:
             ambient = _block_sum(*blocks)
             for masked in (True, False):
                 assert self._shares(blocks, ambient, monkeypatch, masked)[0] == [1, 1, 1, 1], (theta, masked)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-200, 1e200])
+    def test_point_defect_refines_between_grid_directions(self, c):
+        # a scalar on the long edge of the triangle above, whose outer normal
+        # lies halfway between two of the 1,024 grid directions: the grid
+        # misses the contact by about 1e-2 c, and point_boundary_defect, which
+        # has no level to decide against, still refines it to rounding
+        rot = np.exp(1j * (100 + 0.5) * TWO_PI / 1024)
+        z = c * rot * (1 + 0.3j)
+        sf = SupportFunction(np.diag(c * rot * np.array([1 + 4j, 1 - 4j, -1, 1 + 0.3j])))
+        assert np.min(sf.grid_values - np.real(np.exp(-1j * sf.thetas) * z)) > 1e-3 * c
+        assert abs(numrange.point_boundary_defect(sf, z)) <= 8 * np.finfo(float).eps * sf.radius
 
     def test_rejects_large_non_normal_block(self):
         rng = rng_for(12)

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -426,6 +429,21 @@ class TestDirsum:
             monkeypatch.setattr(reduction, "block_kprime", lambda b, ambient, tol, s=share: (s, "patched", None))
             with pytest.raises(reduction.ShareTotalError, match=f"add up to {total}, outside \\[2, 4\\]"):
                 dirsum_gauwu(dec)
+
+    def test_direct_sum_solves_no_wider_than_its_blocks(self, monkeypatch, solve_widths):
+        # the ambient is swept block by block and every share reads its block
+        # only, so on the benchmark's n = 64 sum of discs and scalars no
+        # eigensolver or SVD call of the shares or their witness is wider than
+        # a block; the sweeps of 1x1 and 2x2 blocks need no solver at all
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        dec = decompose(importlib.import_module("workloads").direct_sum(64, 0))
+        for counter in solve_widths.values():
+            counter.clear()
+        res = dirsum_gauwu(dec)
+        assert res.k == 9 and not any(solve_widths.values())
+        assert res.witness.vectors.shape == (64, 9)
+        widths = [w for counter in solve_widths.values() for w in counter]
+        assert widths and max(widths) <= max(b.shape[0] for b in dec.blocks) == 2
 
     def test_requires_two_blocks(self):
         with pytest.raises(ValueError):
