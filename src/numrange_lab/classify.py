@@ -499,12 +499,16 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
     A scalar matrix (``normalise`` gives scale 0) has k = n as a direct sum
     of 1x1 blocks.  Arrowhead matrices other than 4x4 go through the
     structured routes; then unitarily reducible matrices through block
-    additivity.  An irreducible matrix of any size has k = n when
-    ``dichotomy_scan`` accepts it (every basis adapted to the idempotent lies
-    on its two supporting lines); other irreducible 4x4 ones go through the
-    stages of the paper (``_irreducible4``); anything else requires the
-    search route (``allow_oracle_only``), ``max_orthonormal_boundary_set``,
-    which is exact when its cover proves k <= 2 and a lower bound otherwise.
+    additivity.  A dichotomous arrowhead that ``irreducible_dichotomous_check``
+    finds reducible is still decomposed, but ``dirsum_gauwu`` reuses the
+    dichotomy instead of sweeping the ambient, and the certificate adds it
+    as "dichotomy" (theta and "h_values" in the coordinates of A).  An
+    irreducible matrix of any size has k = n when ``dichotomy_scan`` accepts
+    it (every basis adapted to the idempotent lies on its two supporting
+    lines); other irreducible 4x4 ones go through the stages of the paper
+    (``_irreducible4``); anything else requires the search route
+    (``allow_oracle_only``), ``max_orthonormal_boundary_set``, which is exact
+    when its cover proves k <= 2 and a lower bound otherwise.
     Each stage runs at most once and keeps what it found in ``result.work``.
     """
     norm = normalise(a)
@@ -520,7 +524,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
                            certificate={"note": "scalar matrix: n blocks of size 1", "normalisation": norm.to_dict()},
                            build_witness=lambda: Witness(np.eye(n), np.zeros(n)))
 
-    result, pencil, work = None, m, {}
+    result, pencil, work, known = None, m, {}, None
     try:
         ah = arrowhead_from_dense(m, tol) if n != 4 else None
     except NotArrowheadError:
@@ -548,10 +552,15 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
                         certificate={"route": "dichotomous-irreducible", "theta": cert.theta, "reason": reason},
                         build_witness=lambda: _split_witness(m, cert.theta, (cert.h0, cert.h1)),
                     )
+                else:
+                    known = (cert.theta, cert.h0, cert.h1)
     if result is None:
         dec = work["decomposition"] = decompose(m)
         if len(dec.blocks) > 1:
-            result = dirsum_gauwu(dec, tol)
+            result = dirsum_gauwu(dec, tol, _dichotomy=known)
+            if known is not None:  # the whole's dichotomy, in the coordinates of A
+                result.certificate["dichotomy"] = {"theta": known[0],
+                                                   "h_values": [norm.level(h, known[0]) for h in known[1:]]}
         elif (scan := dichotomy_scan(m, tol)) is not None:
             theta, h0, h1, proj = scan
             upper = int(round(np.trace(proj).real))

@@ -211,7 +211,8 @@ def _pencil_derivatives(h, k, thetas, floor):
     return w, v, c, (below - below.T) / np.maximum(np.abs(w[..., :, None] - w[..., None, :]), floor)
 
 
-def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float, count=None, eligible=None):
+def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float, count=None, eligible=None,
+                    lipschitz=np.inf):
     """Refine, each within one ``step``, the ``count`` lowest cyclic local
     minima of ``values`` sampled at ``thetas`` (all when ``count`` is None),
     skipping those where the grid mask ``eligible`` is False; returns the
@@ -221,7 +222,11 @@ def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float,
     second derivatives ``pieces(t)`` gives as one (3, len(t), P) array.  All
     brackets step together to a candidate, clipped to the bracket, among the
     active piece's Newton step and each pair of pieces' crossing (a kink),
-    judged by the largest piece's Taylor model.  A candidate on the edge
+    judged by the largest piece's Taylor model.  Each step first drops the
+    pieces that lie, in every bracket, more than 2 L d below the top, with d
+    the distance to the bracket's far end and L the pieces' ``lipschitz``
+    bound: such a piece stays below the top throughout, so it is never the
+    objective there and no kink of it matters.  A candidate on the edge
     bisects; the active slope shrinks the bracket.  A bracket stops once the
     predicted decrease is at most 8 eps * ``scale``, which ends flat arcs.
     The pieces are taken in units of ``scale``, so that no product of the
@@ -240,6 +245,9 @@ def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float,
         if not len(live):
             break
         tl, (f, d1, d2) = t[live], pieces(t[live]) / unit
+        reach = 2 * lipschitz * np.maximum(tl - lo[live], hi[live] - tl) / unit
+        keep = ~np.all(f.max(axis=1, keepdims=True) - f > reach[:, None], axis=0)
+        f, d1, d2 = f[:, keep], d1[:, keep], d2[:, keep]
         rows, act = np.arange(len(live)), np.argmax(f, axis=1)
         top, slope, curv = f[rows, act], d1[rows, act], d2[rows, act]
         best_t[live], best_f[live] = np.where(top < best_f[live], tl, best_t[live]), np.minimum(top, best_f[live])
@@ -269,7 +277,8 @@ def _refined_min(pieces: Callable, thetas, values, step: float, scale: float, li
     if on_grid is not None:
         return on_grid
     eligible = _reachable(values, lipschitz, step, level)
-    return min(_refined_minima(pieces, thetas, values, step, scale, 6, eligible), key=lambda r: r[1], default=(None, np.inf))
+    return min(_refined_minima(pieces, thetas, values, step, scale, 6, eligible, lipschitz), key=lambda r: r[1],
+               default=(None, np.inf))
 
 
 def _grid_contact(thetas, values, level: float):
@@ -598,7 +607,7 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
     return relative_share(block, ambient_support, tol)[0]
 
 
-def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
+def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL, _normal=None):
     """(share, make_witness) of a normal or 2x2 block against the ambient
     boundary; ``make_witness()`` returns the block's ``Witness`` of that size,
     made from the contacts the count found.
@@ -612,11 +621,12 @@ def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig
     touches it (the top eigenvector there), 0 otherwise.  A 2x2 block is
     swept on every other direction of the ambient grid, whose size must be
     even.  A contact the grid shows is taken there; only the rest is refined.
+    ``_normal`` is the caller's ``_is_normal`` verdict on the block, if it has one.
     """
     b = as_square_matrix(block)
     n = b.shape[0]
     btol = boundary_bound(ambient_support)
-    if _is_normal(b, tol):
+    if _is_normal(b, tol) if _normal is None else _normal:
         contacts = []
         for z in np.linalg.eigvals(b):
             t, defect = _point_defect(ambient_support, z, btol)

@@ -212,7 +212,7 @@ def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT
     n = b.shape[0]
     normal = _is_normal(b, tol)
     if normal or n == 2:
-        share, build = relative_share(b, ambient, tol)
+        share, build = relative_share(b, ambient, tol, _normal=normal)
         return share, "normal-spectrum-contact" if normal else "antipodal-contact", build
     if own is None and (scan := dichotomy_scan(b, tol)) is not None:
         own = n, "dichotomy", lambda: _split_witness(b, scan[0], scan[1:3])
@@ -224,7 +224,7 @@ def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT
     return k, "restricted-search", lambda: Witness(vectors, thetas)
 
 
-def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
+def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL, _dichotomy=None) -> GauWuResult:
     """Gau-Wu number of a direct sum as the sum of per-block boundary shares.
 
     Vectors from different blocks are automatically orthogonal, and tied
@@ -232,18 +232,23 @@ def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
     per-block counts add up; so do the block witnesses, mapped back through
     ``dec.unitary``.  k lies in [2, n], so a total outside it means that a
     share is wrong, and it raises ``ShareTotalError``.
+
+    ``classify_any`` passes ``_dichotomy``, (theta, h0, h1), when it has
+    already proved the whole matrix dichotomous: Re(e^{-i theta} B) of each
+    block then has only the eigenvalues h0 and h1, so every share is the
+    block's size with its split witness, and no ambient is swept.
     """
     if len(dec.blocks) < 2:
         raise ValueError("need at least two blocks")
-    ambient_m = dec.assembled()
-    ambient = SupportFunction(ambient_m, grid_size=1024)
-    contributions, builds = [], []
-    total = 0
-    for idx, b in enumerate(dec.blocks):
-        kp, how, build = block_kprime(b, ambient, tol)
-        contributions.append({"block": idx, "size": b.shape[0], "kprime": int(kp), "method": how})
-        builds.append(build)
-        total += kp
+    if _dichotomy is None:
+        ambient = SupportFunction(dec.assembled(), grid_size=1024)
+        shares = [block_kprime(b, ambient, tol) for b in dec.blocks]
+    else:
+        theta, h0, h1 = _dichotomy
+        shares = [(b.shape[0], "dichotomy", lambda b=b: _split_witness(b, theta, (h0, h1))) for b in dec.blocks]
+    contributions = [{"block": idx, "size": b.shape[0], "kprime": int(kp), "method": how}
+                     for idx, (b, (kp, how, _)) in enumerate(zip(dec.blocks, shares))]
+    total = sum(c["kprime"] for c in contributions)
     n = dec.n
     cert = {
         "blocks": contributions,
@@ -255,4 +260,4 @@ def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
                               f"outside [2, {n}]: some share is wrong")
     columns = np.split(dec.unitary, np.cumsum(cert["block_sizes"])[:-1], axis=1)
     return GauWuResult(k=int(total), n=n, method=METHOD_DIRECT_SUM, certificate=cert,
-                       build_witness=lambda: joined([(q, build()) for q, build in zip(columns, builds)]))
+                       build_witness=lambda: joined([(q, share[2]()) for q, share in zip(columns, shares)]))

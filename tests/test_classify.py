@@ -333,6 +333,15 @@ class TestOneSupportFunction:
                                 ("_refined_minima", "top_gap_events")]
         assert support_builds == {1024: 1}
 
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_dichotomous_sum_builds_none(self, n, support_builds):
+        # the arrowhead route's dichotomy of the whole gives every block its
+        # size, so no ambient is swept
+        res = classify_any(generate(FamilySpec("reducible-aligned", n=n, seed=0)))
+        assert (res.k, res.method) == (n, METHOD_DIRECT_SUM)
+        assert {b["method"] for b in res.certificate["blocks"]} == {"dichotomy"}
+        assert support_builds == {}
+
 
 class TestInvariance:
     @pytest.mark.parametrize(

@@ -461,6 +461,29 @@ class TestKprime:
         assert np.min(sf.grid_values - np.real(np.exp(-1j * sf.thetas) * z)) > 1e-3 * c
         assert abs(numrange.point_boundary_defect(sf, z)) <= 8 * np.finfo(float).eps * sf.radius
 
+    def test_pair_model_keeps_only_pieces_near_the_top(self, monkeypatch):
+        # two equal discs whose outer common tangents have normals between grid
+        # directions, among 28 small discs and scalars inside their hull: each
+        # disc's antipodal pair is refined against 2n = 92 ambient pieces, and
+        # only the few within 2 L d of the top enter the pairwise kink model
+        rng = rng_for(3)
+        disc = np.array([[0, 2], [0, 0]], dtype=complex)
+        centres = 0.2 * (rng.uniform(-1, 1, 28) + 1j * rng.uniform(-1, 1, 28))
+        blocks = [disc, disc + 1.2 * np.exp(0.123j)] + [np.array([[c, 0.3], [0, c]]) for c in centres[:14]]
+        blocks += [np.array([[1.5 * c]]) for c in centres[14:]]
+        sf = SupportFunction(_block_sum(*blocks))
+        widths = []
+
+        def counting(k, *args, _orig=np.triu_indices):
+            widths.append(k)
+            return _orig(k, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(numrange.np, "triu_indices", counting)
+            shares = [kprime_relative(b, sf) for b in blocks[:2]]
+        assert shares == [2, 2]
+        assert widths and max(widths) <= 8 and 2 * sf.a.shape[0] == 92
+
     def test_rejects_large_non_normal_block(self):
         rng = rng_for(12)
         block = random_matrix(rng, 3)
@@ -759,16 +782,20 @@ class TestRefinerAgainstGolden:
 
         x = np.linalg.eigh(np.cos(0.7) * sf.h + np.sin(0.7) * sf.k)[1][:, -1]
         points = [*np.linalg.eigvals(a), np.trace(a) / len(a), complex(x.conj() @ a @ x), (1 + 1j) / 2]
-        cases = [(gap_pieces, lambda t: np.diff(eigs(t)[:, -2:], axis=1)[:, 0], np.diff(sf.grid_eigvals[:, -2:], axis=1)[:, 0])]
+        cases = [(gap_pieces, lambda t: np.diff(eigs(t)[:, -2:], axis=1)[:, 0], np.diff(sf.grid_eigvals[:, -2:], axis=1)[:, 0],
+                  2 * scale)]
         for z in points:
             cases.append((lambda t, z=z: sf.branches(t) - line(t, z)[:, :, None],
-                          lambda t, z=z: eigs(t)[:, -1] - line(t, z)[0], sf.grid_values - line(sf.thetas, z)[0]))
-        for pieces, objective, values in cases:
-            got = _refined_minima(pieces, sf.thetas, values, step, sf.radius)
+                          lambda t, z=z: eigs(t)[:, -1] - line(t, z)[0], sf.grid_values - line(sf.thetas, z)[0],
+                          2 * (sf.radius + abs(z))))
+        for pieces, objective, values, lipschitz in cases:
             want = _reference_minima(objective, sf.thetas, values, step)
-            assert len(got) == len(want) > 0
-            for (_, f_got), (_, f_want) in zip(got, want):
-                assert abs(f_got - f_want) <= 1e-12 * scale
+            # with the pieces' Lipschitz bound, those far below the top are left out of the model
+            for bound in (np.inf, lipschitz):
+                got = _refined_minima(pieces, sf.thetas, values, step, sf.radius, lipschitz=bound)
+                assert len(got) == len(want) > 0
+                for (_, f_got), (_, f_want) in zip(got, want):
+                    assert abs(f_got - f_want) <= 1e-12 * scale
 
 
 class TestRefinerCost:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bounded, commutant_dimension_by_commutators, random_matrix, random_unitary, rng_for
-from numrange_lab import reduction
+from numrange_lab import numrange, reduction
 from numrange_lab.classify import classify, classify_any
 from numrange_lab.generators import ALL_FAMILIES, FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import reducing_eigenvectors
@@ -399,9 +399,28 @@ class TestDirsum:
             raise AssertionError("restricted search called")
 
         monkeypatch.setattr(reduction, "restricted_max_set", refuse)
-        res = classify_any(generate(FamilySpec("reducible-aligned", n=n, seed=0)))
-        assert (res.k, res.method) == (n, METHOD_DIRECT_SUM)
-        assert max(res.certificate["blocks"], key=lambda b: b["size"])["method"] == "dichotomy"
+        a = generate(FamilySpec("reducible-aligned", n=n, seed=0))
+        # classify_any passes on the arrowhead route's dichotomy of the whole;
+        # dirsum_gauwu alone has none, so block_kprime's scan decides the block
+        for res in (classify_any(a), dirsum_gauwu(decompose(a))):
+            assert (res.k, res.method) == (n, METHOD_DIRECT_SUM)
+            assert max(res.certificate["blocks"], key=lambda b: b["size"])["method"] == "dichotomy"
+
+    def test_one_normality_test_per_block(self, monkeypatch):
+        # block_kprime hands its verdict to relative_share, which would
+        # otherwise test the same block again
+        calls = []
+
+        def counting(b, tol, _orig=reduction._is_normal):
+            calls.append(b.shape[0])
+            return _orig(b, tol)
+
+        monkeypatch.setattr(reduction, "_is_normal", counting)
+        monkeypatch.setattr(numrange, "_is_normal", counting)
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        dec = decompose(importlib.import_module("workloads").direct_sum(20, 0))
+        dirsum_gauwu(dec)
+        assert sorted(calls) == sorted(b.shape[0] for b in dec.blocks)
 
     @pytest.mark.parametrize("seed, beyond", [(0, 2), (1, 3), (2, 2), (3, 2), (4, 2), (5, 2)])
     def test_dichotomy_share_needs_both_ambient_lines(self, seed, beyond):

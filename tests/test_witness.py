@@ -90,6 +90,8 @@ ROUTES = {
                              {"antipodal-contact"}),
     "share-dichotomy": (_dichotomous_block_in_strip, {}, METHOD_DIRECT_SUM, {"dichotomy"}),
     "share-restricted-search": (_tangent_contact, {}, METHOD_DIRECT_SUM, {"restricted-search"}),
+    "dichotomous-sum": (lambda: generate(FamilySpec("reducible-aligned", n=8, seed=0)), {}, METHOD_DIRECT_SUM,
+                        {"dichotomy"}),
 }
 
 VARIANTS = {
