@@ -25,9 +25,9 @@ from .linalg import (
     matrix_scale,
     safe_norm,
 )
-from .numrange import IDEMPOTENT_TOL, SupportFunction, _split_witness, _two_level_form, dichotomy_scan
-from .reduction import block_kprime
-from .results import METHOD_ARROWHEAD, GauWuResult, Witness, joined
+from .numrange import IDEMPOTENT_TOL, _split_witness, _two_level_form, dichotomy_scan
+from .reduction import BlockDecomposition, dirsum_gauwu
+from .results import METHOD_ARROWHEAD, GauWuResult, Witness
 
 
 class NotArrowheadError(StructureError):
@@ -667,40 +667,29 @@ def gauwu_balanced(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> G
 
 
 def gauwu_with_zero_pairs(ah: ArrowheadMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> GauWuResult:
-    """Balanced arrowhead with some fully zero pairs: the direct sum of the
-    diagonal entries at the zero pairs and the live sub-arrowhead, each share
-    from ``reduction.block_kprime`` against the whole matrix's range, the
-    sub-arrowhead's from its own ``gauwu_balanced`` k and witness (``sub_method``
-    "balanced", or "restricted-search" when that witness misses the boundary).
-    The witness is the boundary scalars' e_j and the sub-arrowhead's block
-    witness."""
-    n = ah.n
+    """Balanced arrowhead with some fully zero pairs: the direct sum, by the
+    permutation (zero-pair indices, live indices, n - 1), of the diagonal
+    entries at the zero pairs and the live sub-arrowhead, whose k is
+    ``reduction.dirsum_gauwu``'s sum of block shares.  The sub-arrowhead
+    brings its own ``gauwu_balanced`` k and witness (``sub_method``
+    "balanced", or "restricted-search" when that witness misses the
+    boundary).  The certificate reads the shares: the scalars on the
+    boundary and the sub-arrowhead's share; the witness is the direct sum's."""
     theta, prof = _balanced_theta(ah, tol)
     if not prof.zero.any():
         return gauwu_balanced(ah, tol)
-    dense = ah.to_dense()
-    zero_idx = np.nonzero(prof.zero)[0]
-    live_idx = np.nonzero(~prof.zero)[0]
-    ambient = SupportFunction(dense, grid_size=1024)
-    scalar_shares = {int(j): block_kprime(dense[j : j + 1, j : j + 1], ambient, tol) for j in zero_idx}
-    scalars_on_boundary = [j for j, share in scalar_shares.items() if share[0]]
-
+    zero_idx, live_idx = np.nonzero(prof.zero)[0], np.nonzero(~prof.zero)[0]
     # _balanced_theta needs a nonzero pair, so the sub-arrowhead has n >= 2
     sub = ArrowheadMatrix(ah.diag[live_idx], ah.col[live_idx], ah.row[live_idx], ah.corner)
     own = gauwu_balanced(sub, tol)
-    k1, how, sub_witness = block_kprime(sub.to_dense(), ambient, tol, own=(own.k, "balanced", lambda: own.witness))
-    cert = {
-        "route": "balanced-with-zero-pairs",
-        "theta": theta,
-        "zero_pair_indices": zero_idx.tolist(),
-        "scalars_on_boundary": scalars_on_boundary,
-        "sub_share": int(k1),
-        "sub_method": how,
-    }
-    eye = np.eye(n)
-    return GauWuResult(k=int(k1) + len(scalars_on_boundary), n=n, method=METHOD_ARROWHEAD, certificate=cert,
-                       build_witness=lambda: joined([(eye[:, [j]], scalar_shares[j][2]()) for j in scalars_on_boundary]
-                                                    + [(eye[:, np.append(live_idx, n - 1)], sub_witness())]))
+    dec = BlockDecomposition(unitary=np.eye(ah.n)[:, np.concatenate([zero_idx, live_idx, [ah.n - 1]])],
+                             blocks=[np.array([[z]]) for z in ah.diag[zero_idx]] + [sub.to_dense()], margin={})
+    res = dirsum_gauwu(dec, tol, _own={len(zero_idx): (own.k, "balanced", lambda: own.witness)})
+    *scalars, last = res.certificate["blocks"]
+    cert = {"route": "balanced-with-zero-pairs", "theta": theta, "zero_pair_indices": zero_idx.tolist(),
+            "scalars_on_boundary": [int(j) for j, c in zip(zero_idx, scalars) if c["kprime"]],
+            "sub_share": last["kprime"], "sub_method": last["method"]}
+    return GauWuResult(k=res.k, n=ah.n, method=METHOD_ARROWHEAD, certificate=cert, build_witness=res.build_witness)
 
 
 def _hull_boundary_indices(points, tol: ToleranceConfig):

@@ -145,6 +145,12 @@ class SupportFunction:
         rounding mixes closer pairs, which cross like blocks."""
         return self._eigen(thetas, MIXED_GAP * (self.radius or 1.0))
 
+    def on_grid_of(self, other: "SupportFunction") -> np.ndarray:
+        """p on the grid of ``other``: read off this sweep when the grids nest
+        (other's directions are every r-th of these), else evaluated there."""
+        r, rest = divmod(self.grid_size, other.grid_size)
+        return self.grid_values[::r] if r and not rest else self(other.thetas)
+
     def diameter(self) -> float:
         """Largest width over the grid: p(theta) + p(theta + pi) is the spread
         of the pencil member at theta, as p(theta + pi) = -lambda_min(theta)."""
@@ -619,8 +625,9 @@ def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig
     C^2 map to center-symmetric point pairs): the top and bottom eigenvectors
     of the refined direction.  It contributes 1 when the ellipse merely
     touches it (the top eigenvector there), 0 otherwise.  A 2x2 block is
-    swept on every other direction of the ambient grid, whose size must be
-    even.  A contact the grid shows is taken there; only the rest is refined.
+    swept on the largest even grid of at most half the ambient's directions,
+    read there by ``SupportFunction.on_grid_of``.  A contact the grid shows
+    is taken there; only the rest is refined.
     ``_normal`` is the caller's ``_is_normal`` verdict on the block, if it has one.
     """
     b = as_square_matrix(block)
@@ -634,13 +641,12 @@ def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig
                 contacts.append((z, t))
         return len(contacts), lambda: _normal_witness(b, contacts, tol)
     if n == 2:
-        # the block's grid is every other ambient direction, so the ambient's
-        # own sweep gives p_ambient there
-        own = SupportFunction(b, grid_size=ambient_support.grid_size // 2)
+        # an even grid, so that each direction has its antipode (512 of 1,024 nest)
+        own = SupportFunction(b, grid_size=2 * (ambient_support.grid_size // 4))
         grid = own.thetas
-        g = ambient_support.grid_values[::2] - own.grid_values
+        g = ambient_support.on_grid_of(own) - own.grid_values
         half = len(grid) // 2
-        pair = np.maximum(g[:half], g[half : 2 * half])
+        pair = np.maximum(g[:half], g[half:])
         step, scale = TWO_PI / len(grid), ambient_support.radius
         # g and pair are (w(A) + w(B))-Lipschitz, the factor 2 as in ``_point_defect``
         lipschitz = 2 * (ambient_support.radius + own.radius)

@@ -376,10 +376,8 @@ def boundary_vector_field(a, grid_size: int = 1024, ambient: Optional[SupportFun
     usable = sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2] > split  # a multiple top eigenvalue is an event's
     if ambient is not None:
         btol = boundary_bound(ambient)
-        # when sf's directions are every r-th of the ambient grid (the default
-        # restricted search sweeps 512 of its 1024), the ambient's sweep gives p there
-        r, rest = divmod(ambient.grid_size, grid_size)
-        g = (ambient.grid_values[::r] if r and not rest else ambient(sf.thetas)) - sf.grid_values
+        # the default restricted search sweeps 512 of the ambient's 1024 directions
+        g = ambient.on_grid_of(sf) - sf.grid_values
         usable &= g <= btol
 
         def pieces(t):

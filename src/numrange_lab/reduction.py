@@ -224,7 +224,8 @@ def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT
     return k, "restricted-search", lambda: Witness(vectors, thetas)
 
 
-def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL, _dichotomy=None) -> GauWuResult:
+def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL, _dichotomy=None,
+                 _own=None) -> GauWuResult:
     """Gau-Wu number of a direct sum as the sum of per-block boundary shares.
 
     Vectors from different blocks are automatically orthogonal, and tied
@@ -237,27 +238,26 @@ def dirsum_gauwu(dec: BlockDecomposition, tol: ToleranceConfig = DEFAULT_TOL, _d
     already proved the whole matrix dichotomous: Re(e^{-i theta} B) of each
     block then has only the eigenvalues h0 and h1, so every share is the
     block's size with its split witness, and no ambient is swept.
+    ``_own`` maps a block's index to its ``block_kprime`` ``own``, as
+    ``arrowhead.gauwu_with_zero_pairs`` passes the live sub-arrowhead's.
     """
     if len(dec.blocks) < 2:
         raise ValueError("need at least two blocks")
     if _dichotomy is None:
         ambient = SupportFunction(dec.assembled(), grid_size=1024)
-        shares = [block_kprime(b, ambient, tol) for b in dec.blocks]
+        own = _own or {}
+        shares = [block_kprime(b, ambient, tol, own=own[i]) if i in own else block_kprime(b, ambient, tol)
+                  for i, b in enumerate(dec.blocks)]
     else:
         theta, h0, h1 = _dichotomy
         shares = [(b.shape[0], "dichotomy", lambda b=b: _split_witness(b, theta, (h0, h1))) for b in dec.blocks]
     contributions = [{"block": idx, "size": b.shape[0], "kprime": int(kp), "method": how}
                      for idx, (b, (kp, how, _)) in enumerate(zip(dec.blocks, shares))]
     total = sum(c["kprime"] for c in contributions)
-    n = dec.n
-    cert = {
-        "blocks": contributions,
-        "block_sizes": [b.shape[0] for b in dec.blocks],
-        "margin": dec.margin,
-    }
-    if not 2 <= total <= n:
+    cert = {"blocks": contributions, "block_sizes": [b.shape[0] for b in dec.blocks], "margin": dec.margin}
+    if not 2 <= total <= dec.n:
         raise ShareTotalError(f"block shares {[c['kprime'] for c in contributions]} add up to {total}, "
-                              f"outside [2, {n}]: some share is wrong")
+                              f"outside [2, {dec.n}]: some share is wrong")
     columns = np.split(dec.unitary, np.cumsum(cert["block_sizes"])[:-1], axis=1)
-    return GauWuResult(k=int(total), n=n, method=METHOD_DIRECT_SUM, certificate=cert,
+    return GauWuResult(k=int(total), n=dec.n, method=METHOD_DIRECT_SUM, certificate=cert,
                        build_witness=lambda: joined([(q, share[2]()) for q, share in zip(columns, shares)]))

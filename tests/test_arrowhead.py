@@ -28,7 +28,7 @@ from numrange_lab.arrowhead import (
 from numrange_lab.classify import classify_any
 from numrange_lab.generators import FamilySpec, generate
 from numrange_lab.linalg import DEFAULT_TOL, herm_part_at, matrix_scale, reducing_eigenvectors, safe_norm
-from numrange_lab.oracle import max_orthonormal_boundary_set
+from numrange_lab.oracle import check_witness, max_orthonormal_boundary_set
 from numrange_lab.reduction import commutant_dimension, decompose, dirsum_gauwu
 from numrange_lab.results import METHOD_ARROWHEAD
 
@@ -725,6 +725,40 @@ class TestGauwuZeroPairs:
                 if len(searches) > before:
                     searched.add((n, i))
         assert searched == {(5, 9), (6, 8)}
+
+    @pytest.mark.parametrize("n", [12, 24, 32])
+    def test_route_solves_no_wider_than_the_live_sub_arrowhead(self, n, monkeypatch, solve_widths):
+        # the split is a direct sum swept block by block: the zero-pair
+        # scalars in closed form, the sub-arrowhead whole
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        ah = arrowhead_from_dense(importlib.import_module("workloads").zero_pair_arrowhead(numrange_lab, n, 0))
+        live = n - len(gauwu_with_zero_pairs(ah).certificate["zero_pair_indices"])
+        for counter in solve_widths.values():
+            counter.clear()
+        res = gauwu_with_zero_pairs(ah)
+        assert res.witness.vectors.shape == (n, res.k)
+        widths = [w for counter in solve_widths.values() for w in counter]
+        assert live < n and max(widths) <= live
+
+    @pytest.mark.parametrize("c", [1.0, 1e-200, 1e200])
+    def test_split_moves_with_a_permutation_of_the_indices(self, c, monkeypatch):
+        # conjugating by a permutation of the first n - 1 indices keeps the
+        # arrowhead form: k and the sub-arrowhead's share stay, the zero pairs
+        # and the scalars on the boundary move with it, and the witness holds
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        a = c * importlib.import_module("workloads").zero_pair_arrowhead(numrange_lab, 13, 1)
+        base = classify_any(a)
+        assert base.certificate["scalars_on_boundary"] == [1, 3]
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(12)
+            x = a[np.ix_(np.append(perm, 12), np.append(perm, 12))]
+            res = classify_any(x)
+            moved = {key: sorted(np.argsort(perm)[base.certificate[key]].tolist())
+                     for key in ("zero_pair_indices", "scalars_on_boundary")}
+            assert res.method == METHOD_ARROWHEAD and res.k == base.k == 8
+            assert {key: res.certificate[key] for key in moved} == moved
+            assert [res.certificate[key] for key in ("sub_share", "sub_method")] == [6, "balanced"]
+            assert check_witness(x, res.witness, res.k) is not None
 
 
 class TestGauwuUnbalanced:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import balanced_arrowhead, random_matrix, random_unitary, rng_for
-from numrange_lab import numrange, oracle
+from numrange_lab import generators, numrange, oracle
 from numrange_lab.classify import classify_any
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import _pencil_at, rotate
@@ -22,10 +22,13 @@ from numrange_lab.numrange import (
     _refined_minima,
     _two_level_form,
     base_polynomial,
+    boundary_bound,
     boundary_generating_curve,
+    boundary_residuals,
     detect_seeds,
     dichotomy_scan,
     kprime_relative,
+    relative_share,
     support,
 )
 
@@ -386,6 +389,28 @@ class TestKprime:
         assert np.array_equal(sf.grid_values[512:], -sf.grid_eigvals[:512, 0])
         direct = sf(SupportFunction(b2, 512).thetas)
         assert np.max(np.abs(direct - sf.grid_values[::2])) <= 8 * np.finfo(float).eps * sf.radius
+
+    def test_share_of_a_2x2_block_on_any_ambient_grid(self):
+        # the block's grid stays even, so each direction keeps its antipode, and
+        # it reads the ambient where the grids do not nest: on 200 sums of a
+        # disc and a random 2x2 block, every share is the one of the 1,024 grid
+        # and every witness column lies on the ambient boundary
+        rng = np.random.default_rng(1)
+        grids = (510, 1022, 1023, 1024, 1026, 4096)
+        for _ in range(200):
+            disc = generators._disk_block(complex(*rng.uniform(-1, 1, 2)), rng.uniform(0.2, 1.0))
+            blocks = (disc, rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
+            ambient = _block_sum(*blocks)
+            expected = [kprime_relative(b, SupportFunction(ambient)) for b in blocks]
+            for grid in grids:
+                sf = SupportFunction(ambient, grid)
+                for i, b in enumerate(blocks):
+                    share, build = relative_share(b, sf)
+                    assert share == expected[i], grid
+                    x = np.zeros((4, share), dtype=complex)
+                    x[2 * i : 2 * i + 2] = build().vectors
+                    if share:
+                        assert np.all(boundary_residuals(ambient, x, build().thetas, sf) <= boundary_bound(sf))
 
     @staticmethod
     def _shares(blocks, ambient, monkeypatch, masked, on_grid=True):
