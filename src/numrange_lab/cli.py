@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 
@@ -17,7 +18,7 @@ from . import __version__
 from .classify import UnsupportedDimensionError, classify_any
 from .generators import ALL_FAMILIES, FamilySpec, InfeasibleSpecError, generate
 from .linalg import ToleranceConfig
-from .matrixio import MatrixParseError, Report, file_digest, load_matrix, save_matrix
+from .matrixio import MatrixParseError, file_digest, load_matrix, save_matrix
 from .numrange import MIN_CURVE_SAMPLES, SupportFunction, boundary_generating_curve
 from .oracle import MIN_GRID_SIZE, SearchParams, verify
 
@@ -77,7 +78,6 @@ def cmd_classify(args) -> int:
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    n = a.shape[0]
     try:
         result = classify_any(a, tol, allow_oracle_only=args.oracle, confirm_with_oracle=args.verify)
     except UnsupportedDimensionError as exc:
@@ -87,22 +87,54 @@ def cmd_classify(args) -> int:
     seeds = work.get("seeds")
     dec = work.get("decomposition")
     summary = result.to_dict()
-    report = Report(
-        digest=file_digest(args.matrix),
-        n=n,
-        result=summary,
-        dichotomy=work.get("dichotomy"),
-        seeds=None if seeds is None else [
+    report = {
+        "version": __version__,
+        "input_digest": file_digest(args.matrix),
+        "n": a.shape[0],
+        "conversion_error": conv_err,
+        "result": summary,
+        "dichotomy": work.get("dichotomy"),
+        "seeds": None if seeds is None else [
             {"kind": s.kind, "theta": float(s.theta), "segment": [[z.real, z.imag] for z in s.segment]} for s in seeds
         ],
-        decomposition=None if dec is None else {"block_sizes": [b.shape[0] for b in dec.blocks]},
-        oracle=summary["certificate"].get("oracle"),
-        normalisation=summary["certificate"]["normalisation"],
-        tolerances=tol.to_dict(),
-        conversion_error=conv_err,
-    )
-    text = report.to_json() + "\n" if args.format == "json" else report.to_text()
+        "decomposition": None if dec is None else {"block_sizes": [b.shape[0] for b in dec.blocks]},
+        "oracle": summary["certificate"].get("oracle"),
+        # A = shift I + scale m, m the matrix the stages ran on
+        "normalisation": summary["certificate"]["normalisation"],
+        "tolerances": tol.to_dict(),
+    }
+    text = json.dumps(report, indent=1) + "\n" if args.format == "json" else _report_text(report)
     return _emit(text, args.out)
+
+
+def _report_text(report: dict) -> str:
+    """The text form of the JSON report of ``cmd_classify``."""
+    result, oracle = report["result"], report["oracle"]
+    lines = [
+        f"numrange-lab {report['version']}",
+        f"input sha256: {report['input_digest'][:16]}...  (n = {report['n']})",
+        f"k(A) = {result['k']}   via {result['method']}",
+    ]
+    if result.get("oracle_confirmed") is not None:
+        lines.append(f"oracle confirmed: {result['oracle_confirmed']}")
+    if oracle and "k_lower_source" in oracle:
+        sizes = ", ".join(str(s) for s in oracle["searched_sizes"]) or "none"
+        bound = f"; k <= {oracle['k_upper']} proved by the cover" if oracle.get("k_upper") else ""
+        lines.append(f"oracle: {oracle['k_lower']} vectors from the {oracle['k_lower_source']}; "
+                     f"witness {oracle['witness_check'] or 'not given'}; sizes searched: {sizes}{bound}")
+    if report["dichotomy"]:
+        lines.append(
+            "dichotomy: case {case} at theta = {theta:.12g} (levels {h0:.12g}, {h1:.12g})".format(**report["dichotomy"])
+        )
+    if report["seeds"] is not None:
+        lines.append(f"seeds: {len(report['seeds'])}")
+        for s in report["seeds"]:
+            lines.append(f"  - {s['kind']} at theta = {s['theta']:.6g}")
+    if report["decomposition"]:
+        lines.append(f"blocks: {report['decomposition']['block_sizes']}")
+    if report["conversion_error"]:
+        lines.append(f"rational-to-float conversion error: {report['conversion_error']:.3e}")
+    return "\n".join(lines) + "\n"
 
 
 def _svg_document(a, curve, support_thetas) -> str:

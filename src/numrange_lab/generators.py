@@ -19,37 +19,6 @@ class InfeasibleSpecError(ValueError):
     """Rejection sampling exhausted its attempt budget."""
 
 
-FAMILY_DIAG_DICHOTOMOUS = "dichotomous-arrowhead-diag"
-FAMILY_COUPLED_DICHOTOMOUS = "dichotomous-arrowhead-coupled"
-FAMILY_K4_22 = "k4-split-22"
-FAMILY_K4_31 = "k4-split-31"
-FAMILY_K3_PARALLEL = "k3-parallel-lines"
-FAMILY_K3_NONPARALLEL = "k3-nonparallel-lines"
-FAMILY_PURE_ALMOST_NORMAL = "pure-almost-normal"
-FAMILY_UNBALANCED = "unbalanced-arrowhead"
-FAMILY_ELLIPSE_PAIR = "ellipse-pair"
-FAMILY_ELLIPSE_SCALARS = "ellipse-with-scalars"
-FAMILY_REDUCIBLE_ALIGNED = "reducible-aligned"
-FAMILY_REDUCIBLE_MIXED = "reducible-mixed"
-
-_FAMILY_IDS = {
-    FAMILY_DIAG_DICHOTOMOUS: 1,
-    FAMILY_COUPLED_DICHOTOMOUS: 2,
-    FAMILY_K4_22: 3,
-    FAMILY_K4_31: 4,
-    FAMILY_K3_PARALLEL: 5,
-    FAMILY_K3_NONPARALLEL: 6,
-    FAMILY_PURE_ALMOST_NORMAL: 7,
-    FAMILY_UNBALANCED: 8,
-    FAMILY_ELLIPSE_PAIR: 9,
-    FAMILY_ELLIPSE_SCALARS: 10,
-    FAMILY_REDUCIBLE_ALIGNED: 11,
-    FAMILY_REDUCIBLE_MIXED: 12,
-}
-
-ALL_FAMILIES = tuple(_FAMILY_IDS)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -58,12 +27,12 @@ class FamilySpec:
     knobs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in _FAMILY_IDS:
-            raise ValueError(f"unknown family {self.family!r}; known: {sorted(_FAMILY_IDS)}")
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; known: {sorted(_FAMILIES)}")
 
 
 def _rng(spec: FamilySpec) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(spec.seed), _FAMILY_IDS[spec.family]]))
+    return np.random.default_rng(np.random.SeedSequence([int(spec.seed), _FAMILIES[spec.family][0]]))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -93,8 +62,6 @@ def _maybe_conjugate(a, rng, knobs):
     if knobs.get("conjugate", True):
         u = random_unitary(rng, a.shape[0])
         a = u.conj().T @ a @ u
-    if knobs.get("rotate", False):
-        a = np.exp(1j * rng.uniform(0, 2 * np.pi)) * a
     return a
 
 
@@ -321,13 +288,8 @@ def _gen_k4_22(spec: FamilySpec, rng):
         k[2:, 2:] = k2
         k[:2, 2:] = np.diag([s1, s2])
         k[2:, :2] = np.diag([s1, s2])
-        a = h + 1j * k
         theta0 = knobs.get("theta", rng.uniform(0, np.pi))
-        a = np.exp(1j * theta0) * a
-        if knobs.get("conjugate", True):
-            u = random_unitary(rng, 4)
-            a = u.conj().T @ a @ u
-        return a, {"theta": theta0 % np.pi}
+        return _maybe_conjugate(np.exp(1j * theta0) * (h + 1j * k), rng, knobs), {"theta": theta0 % np.pi}
     raise InfeasibleSpecError("2+2 sampling failed")
 
 
@@ -346,13 +308,8 @@ def _gen_k4_31(spec: FamilySpec, rng):
     k[3, 3] = k4
     k[:3, 3] = b
     k[3, :3] = b
-    a = h + 1j * k
     theta0 = knobs.get("theta", rng.uniform(0, np.pi))
-    a = np.exp(1j * theta0) * a
-    if knobs.get("conjugate", True):
-        u = random_unitary(rng, 4)
-        a = u.conj().T @ a @ u
-    return a, {"theta": theta0 % np.pi}
+    return _maybe_conjugate(np.exp(1j * theta0) * (h + 1j * k), rng, knobs), {"theta": theta0 % np.pi}
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +341,7 @@ def _gen_k3_parallel(spec: FamilySpec, rng):
         for ii, gi in enumerate(idx):
             for jj, gj in enumerate(idx):
                 k[gi, gj] = kb[ii, jj]
-        a = h + 1j * k
-        if spec.knobs.get("conjugate", True):
-            u = random_unitary(rng, 4)
-            a = u.conj().T @ a @ u
-        return a
+        return _maybe_conjugate(h + 1j * k, rng, spec.knobs)
     raise InfeasibleSpecError("parallel-form sampling failed")
 
 
@@ -433,11 +386,7 @@ def _gen_k3_nonparallel(spec: FamilySpec, rng):
             continue
         if np.linalg.eigvalsh(level * np.eye(3) - third)[0] < margin:
             continue
-        a = h + 1j * k
-        if spec.knobs.get("conjugate", True):
-            u = random_unitary(rng, 4)
-            a = u.conj().T @ a @ u
-        return a
+        return _maybe_conjugate(h + 1j * k, rng, spec.knobs)
     raise InfeasibleSpecError("nonparallel-form sampling failed")
 
 
@@ -470,8 +419,8 @@ def _gen_ellipse_pair(spec: FamilySpec, rng):
     a = np.zeros((4, 4), dtype=complex)
     a[:2, :2] = b1
     a[2:, 2:] = b2
-    phase = _unit_phase(rng) if spec.knobs.get("rotate", True) else 1.0
-    a = phase * a
+    if spec.knobs.get("rotate", True):
+        a = _unit_phase(rng) * a
     return _maybe_conjugate(a, rng, spec.knobs)
 
 
@@ -493,8 +442,8 @@ def _gen_ellipse_scalars(spec: FamilySpec, rng):
     a[:2, :2] = disk
     a[2, 2] = z1
     a[3, 3] = z2
-    phase = _unit_phase(rng) if spec.knobs.get("rotate", True) else 1.0
-    a = phase * a
+    if spec.knobs.get("rotate", True):
+        a = _unit_phase(rng) * a
     return _maybe_conjugate(a, rng, spec.knobs)
 
 
@@ -503,46 +452,42 @@ def _gen_ellipse_scalars(spec: FamilySpec, rng):
 # ---------------------------------------------------------------------------
 
 
+# name -> (seed-stream id, generator); a generator returns the matrix, or the
+# pair (matrix, construction metadata) when it has metadata
+_FAMILIES = {
+    "dichotomous-arrowhead-diag": (1, _gen_diag_dichotomous),
+    "dichotomous-arrowhead-coupled": (2, _gen_coupled_dichotomous),
+    "k4-split-22": (3, _gen_k4_22),
+    "k4-split-31": (4, _gen_k4_31),
+    "k3-parallel-lines": (5, _gen_k3_parallel),
+    "k3-nonparallel-lines": (6, _gen_k3_nonparallel),
+    "pure-almost-normal": (7, _gen_pure_almost_normal),
+    "unbalanced-arrowhead": (8, _gen_unbalanced),
+    "ellipse-pair": (9, _gen_ellipse_pair),
+    "ellipse-with-scalars": (10, _gen_ellipse_scalars),
+    "reducible-aligned": (11, _gen_reducible_aligned),
+    "reducible-mixed": (12, _gen_reducible_mixed),
+}
+
+ALL_FAMILIES = tuple(_FAMILIES)
+
+
+def _build(spec: FamilySpec):
+    """(matrix, metadata) for ``spec``; private, so that bench/tracer.py, which
+    wraps public names only, books the whole generation to ``generate``."""
+    out = _FAMILIES[spec.family][1](spec, _rng(spec))
+    return out if isinstance(out, tuple) else (out, {})
+
+
 def generate(spec: FamilySpec) -> np.ndarray:
     """Deterministic matrix for the requested family; same spec, same bits."""
-    rng = _rng(spec)
-    fam = spec.family
-    if fam == FAMILY_DIAG_DICHOTOMOUS:
-        return _gen_diag_dichotomous(spec, rng)
-    if fam == FAMILY_COUPLED_DICHOTOMOUS:
-        return _gen_coupled_dichotomous(spec, rng)
-    if fam == FAMILY_K4_22:
-        return _gen_k4_22(spec, rng)[0]
-    if fam == FAMILY_K4_31:
-        return _gen_k4_31(spec, rng)[0]
-    if fam == FAMILY_K3_PARALLEL:
-        return _gen_k3_parallel(spec, rng)
-    if fam == FAMILY_K3_NONPARALLEL:
-        return _gen_k3_nonparallel(spec, rng)
-    if fam == FAMILY_PURE_ALMOST_NORMAL:
-        return _gen_pure_almost_normal(spec, rng)
-    if fam == FAMILY_UNBALANCED:
-        return _gen_unbalanced(spec, rng)
-    if fam == FAMILY_ELLIPSE_PAIR:
-        return _gen_ellipse_pair(spec, rng)
-    if fam == FAMILY_ELLIPSE_SCALARS:
-        return _gen_ellipse_scalars(spec, rng)
-    if fam == FAMILY_REDUCIBLE_ALIGNED:
-        return _gen_reducible_aligned(spec, rng)
-    if fam == FAMILY_REDUCIBLE_MIXED:
-        return _gen_reducible_mixed(spec, rng)
-    raise ValueError(f"unhandled family {fam!r}")
+    return _build(spec)[0]
 
 
 def generate_with_info(spec: FamilySpec):
     """Like generate() but also returns construction metadata when available
     (currently the dichotomy angle of the k4 families)."""
-    rng = _rng(spec)
-    if spec.family == FAMILY_K4_22:
-        return _gen_k4_22(spec, rng)
-    if spec.family == FAMILY_K4_31:
-        return _gen_k4_31(spec, rng)
-    return generate(spec), {}
+    return _build(spec)
 
 
 def flat_portion_example() -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Matrix files and analysis reports.
+"""Matrix files.
 
 The canonical matrix format is JSON: {"n": n, "entries": [[re, im], ...]} in
 row-major order.  Entry components may be numbers or exact rational strings
@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-
-VERSION = "0.1.0"
 
 
 class MatrixParseError(ValueError):
@@ -32,7 +29,10 @@ def _component(value):
             exact = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise MatrixParseError(f"bad numeric string {value!r}") from exc
-        approx = float(exact)
+        try:
+            approx = float(exact)
+        except OverflowError:
+            raise MatrixParseError(f"numeric string {value!r} is not finite as a float") from None
         return approx, abs(float(Fraction(approx) - exact))
     raise MatrixParseError(f"entry component {value!r} is neither number nor string")
 
@@ -86,63 +86,3 @@ def save_matrix(path, a, metadata: Optional[dict] = None):
 def file_digest(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
-
-
-@dataclass
-class Report:
-    digest: str
-    n: int
-    result: dict
-    dichotomy: Optional[dict] = None
-    seeds: Optional[list] = None
-    decomposition: Optional[dict] = None
-    oracle: Optional[dict] = None
-    normalisation: Optional[dict] = None  # A = shift I + scale m, m the matrix the stages ran on
-    tolerances: dict = field(default_factory=dict)
-    conversion_error: float = 0.0
-    version: str = VERSION
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "input_digest": self.digest,
-                "n": self.n,
-                "conversion_error": self.conversion_error,
-                "result": self.result,
-                "dichotomy": self.dichotomy,
-                "seeds": self.seeds,
-                "decomposition": self.decomposition,
-                "oracle": self.oracle,
-                "normalisation": self.normalisation,
-                "tolerances": self.tolerances,
-            },
-            indent=1,
-        )
-
-    def to_text(self) -> str:
-        lines = [
-            f"numrange-lab {self.version}",
-            f"input sha256: {self.digest[:16]}...  (n = {self.n})",
-            f"k(A) = {self.result['k']}   via {self.result['method']}",
-        ]
-        if self.result.get("oracle_confirmed") is not None:
-            lines.append(f"oracle confirmed: {self.result['oracle_confirmed']}")
-        if self.oracle and "k_lower_source" in self.oracle:
-            sizes = ", ".join(str(s) for s in self.oracle["searched_sizes"]) or "none"
-            bound = f"; k <= {self.oracle['k_upper']} proved by the cover" if self.oracle.get("k_upper") else ""
-            lines.append(f"oracle: {self.oracle['k_lower']} vectors from the {self.oracle['k_lower_source']}; "
-                         f"witness {self.oracle['witness_check'] or 'not given'}; sizes searched: {sizes}{bound}")
-        if self.dichotomy:
-            lines.append(
-                "dichotomy: case {case} at theta = {theta:.12g} (levels {h0:.12g}, {h1:.12g})".format(**self.dichotomy)
-            )
-        if self.seeds is not None:
-            lines.append(f"seeds: {len(self.seeds)}")
-            for s in self.seeds:
-                lines.append(f"  - {s['kind']} at theta = {s['theta']:.6g}")
-        if self.decomposition:
-            lines.append(f"blocks: {self.decomposition['block_sizes']}")
-        if self.conversion_error:
-            lines.append(f"rational-to-float conversion error: {self.conversion_error:.3e}")
-        return "\n".join(lines) + "\n"

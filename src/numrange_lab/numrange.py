@@ -118,7 +118,7 @@ class SupportFunction:
         """``_block_eigen`` of the whole pencil, or the union of its blocks', ascending."""
         if self._groups is None:
             return _block_eigen(self.h, self.k, theta, floor)
-        out = np.concatenate([w.reshape(w.shape[:-2] + (-1,)) for w in
+        out = np.concatenate([w.reshape(w.shape[:-2] + (w.shape[-2] * w.shape[-1],)) for w in
                               (_block_eigen(h, k, theta, floor) for h, k in self._groups)], axis=-1)
         return np.sort(out, axis=-1) if floor is None else np.take_along_axis(out, np.argsort(out[0])[None], axis=-1)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numrange_lab
 from numrange_lab import reduction
 from numrange_lab.arrowhead import (
     ArrowheadMatrix,
+    CertificateMismatchError,
     _aberth_secular_roots,
     _row_norms,
     _hull_boundary_indices,
@@ -560,6 +562,44 @@ class TestDichotomy:
             assert np.linalg.norm(proj @ proj - proj) < 1e-8 * n
 
 
+def _dichotomous(kdiag, m, kcorner, p, exceptional=None, t=0.3, theta=0.4, h0=-0.5, h1=0.8):
+    """e^{i theta} (h0 I + (h1 - h0) P + i K): P the projection with 0/1
+    diagonal ``p`` (corner last) or, at an ``exceptional`` index i, P[i, i] =
+    t coupled to the corner; K the Hermitian arrowhead (kdiag, m, kcorner)."""
+    n = len(kdiag) + 1
+    proj = np.diag(np.asarray(p, dtype=complex))
+    if exceptional is not None:
+        proj[exceptional, exceptional], proj[-1, -1] = t, 1 - t
+        proj[exceptional, -1] = proj[-1, exceptional] = np.sqrt(t * (1 - t))
+    k = np.diag(np.append(np.asarray(kdiag, dtype=complex), kcorner))
+    k[:-1, -1] = m
+    k[-1, :-1] = np.conj(m)
+    return np.exp(1j * theta) * (h0 * np.eye(n) + (h1 - h0) * proj + 1j * k)
+
+
+_ALPHA = np.sqrt(0.3 * 0.7)  # the coupling of P at t = 0.3
+# (label, matrix, verdict text) for the branches no family reaches; in the
+# coupled inputs index 0 is exceptional with real ratio m_0 / alpha
+_BRANCH_INPUTS = [
+    ("distinct", _dichotomous([0.1, -0.4, 0.6], [0.5, 0.3j, -0.7], 0.2, [0, 1, 0, 1]), "distinct couplings"),
+    ("repeated-diagonal", _dichotomous([0.1, 0.1, 0.6], [0.5, 0.3j, -0.7], 0.2, [0, 0, 1, 1]), "repeated diagonal"),
+    ("zero-pair", _dichotomous([0.1, -0.4, 0.6], [0.5, 0, -0.7], 0.2, [0, 1, 0, 1]), "zero off-diagonal pair"),
+    # the others share p = 1, and lam = k_0 + (1 - t) ratio lands on k_1
+    ("aligned-collision", _dichotomous([0.1, 0.1 + 0.7 * 0.6, -0.5], [0.6 * _ALPHA, 0.4, 0.5j], 0.2, [0, 1, 1, 0], 0),
+     "resonance value collides"),
+    ("aligned", _dichotomous([0.1, 0.7, -0.5], [0.6 * _ALPHA, 0.4, 0.5j], 0.2, [0, 1, 1, 0], 0), "no resonance"),
+    ("mixed-n5", _dichotomous([0.1, 0.7, -0.5, 0.3], [0.6 * _ALPHA, 0.4, 0.5j, 0.3], 0.2, [0, 0, 1, 0, 0], 0),
+     "reducible only at n = 4"),
+    ("mixed-level", _dichotomous([0.1, 0.7, -0.5], [0.6 * _ALPHA, 0.4, 0.5j], 0.2, [0, 0, 1, 0], 0),
+     "level interpolation fails"),
+    # k_0 = (1 - t) k_1 + t k_2, and m_0 = (k_2 - k_1) alpha cancels m_comb
+    ("mixed-degenerate", _dichotomous([0.7 * 0.7 - 0.3 * 0.5, 0.7, -0.5], [-1.2 * _ALPHA, 0.4, 0.5j], 0.2,
+                                      [0, 0, 1, 0], 0), "degenerate branch balance fails"),
+    ("mixed-nonsingular", _dichotomous([0.7 * 0.7 - 0.3 * 0.5, 0.7, -0.5], [0.6 * _ALPHA, 0.4, 0.5j], 0.2,
+                                       [0, 0, 1, 0], 0), "bordered block nonsingular"),
+]
+
+
 class TestIrreducibleDichotomous:
     def test_case_a_irreducible(self):
         for seed in range(5):
@@ -606,6 +646,22 @@ class TestIrreducibleDichotomous:
             irr, reason = irreducible_dichotomous_check(ah, cert)
             assert irr, reason
             assert commutant_dimension(a) == 1
+
+    @pytest.mark.parametrize("label, a, branch", _BRANCH_INPUTS, ids=[c[0] for c in _BRANCH_INPUTS])
+    def test_branch_verdict_matches_commutant(self, label, a, branch):
+        # one input per verdict branch; the verdict is irreducibility, which
+        # the commutant decides independently
+        ah = arrowhead_from_dense(a)
+        cert = dichotomy_check(ah)
+        irr, reason = irreducible_dichotomous_check(ah, cert)
+        assert branch in reason
+        assert irr == (commutant_dimension(a) == 1), reason
+
+    def test_wrong_certificate_raises(self):
+        ah = arrowhead_from_dense(_BRANCH_INPUTS[0][1])
+        cert = dichotomy_check(ah)
+        with pytest.raises(CertificateMismatchError, match="fails to reconstruct"):
+            irreducible_dichotomous_check(ah, dataclasses.replace(cert, h1=cert.h1 + 0.5))
 
 
 class TestGauwuBalanced:

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import balanced_arrowhead, near_normal4, random_matrix, rng_for
+import numrange_lab
 from numrange_lab import arrowhead, cli, numrange, oracle, reduction
 from numrange_lab.classify import classify_any
 from numrange_lab.cli import build_parser, main
@@ -72,6 +75,30 @@ class TestMatrixIO:
             load_matrix(path)
         assert main(["classify", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"n": 1, "entries": [["3/x", 0]]}', "bad numeric string '3/x'"),
+            ('{"n": 1, "entries": [["1/0", 0]]}', "bad numeric string '1/0'"),
+            ('{"entries": [[1, 0]]}', "needs 'n' and 'entries'"),
+            ('{"n": 1}', "needs 'n' and 'entries'"),
+            ('{"n": 1, "entries": [[1, 0, 0]]}', "entry 0 must be an [re, im] pair"),
+            ('{"n": 2, "entries": [[1, 0], [0, 0], 5, [1, 0]]}', "entry 2 must be an [re, im] pair"),
+            ('{"n": 1, "entries": [[NaN, 0]]}', "entry 0 is not finite"),
+            ('{"n": 1, "entries": [[0, 1e400]]}', "entry 0 is not finite"),
+            ('{"n": 1, "entries": [["1e400", 0]]}', "numeric string '1e400' is not finite as a float"),
+        ],
+        ids=["bad-string", "zero-denominator", "no-n", "no-entries", "triple", "scalar-entry", "nan", "inf",
+             "string-overflow"],
+    )
+    def test_rejection_names_the_problem(self, tmp_path, text, problem, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and problem in err
 
 
 class TestClassifyCommand:
@@ -428,6 +455,21 @@ class TestReportReadsTheRoute:
         assert doc["decomposition"] == {"block_sizes": [4]}
         assert doc["seeds"] is None
 
+    def test_dichotomy_route_text(self, tmp_path, capsys):
+        a = generate(FamilySpec("k4-split-22", seed=3000))
+        dich = _report(tmp_path, a, capsys)["dichotomy"]
+        text = _report(tmp_path, a, capsys, fmt="text")
+        levels = f"(levels {dich['h0']:.12g}, {dich['h1']:.12g})"
+        assert f"dichotomy: case 2+2 at theta = {dich['theta']:.12g} {levels}\n" in text
+
+    def test_conversion_error_text(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"n": 2, "entries": [["1/3", 0], [0, 0], [0, 0], ["2/7", "1/9"]]}))
+        assert main(["classify", str(path)]) == 0
+        err = load_matrix(path)[2]
+        assert err > 0
+        assert capsys.readouterr().out.endswith(f"rational-to-float conversion error: {err:.3e}\n")
+
     def test_tolerances_and_normalisation(self, tmp_path, capsys):
         doc = _report(tmp_path, flat_portion_example(), capsys)
         assert doc["tolerances"] == {"eq_tol": 1e-8, "cluster_tol": 1e-7, "gram_tol": 1e-6, "boundary_tol": 1e-8,
@@ -459,3 +501,30 @@ class TestReportReadsTheRoute:
         text = _report(tmp_path, a, capsys, fmt="text")
         assert "k(A) = " in text
         assert not any(word in text for word in ("dichotomy", "seeds", "blocks"))
+
+
+# one classification per family, searched as well, and one CLI report; prints
+# the numpy.ma modules loaded by then
+_FOOTPRINT_SCRIPT = """
+import os, sys
+from numrange_lab import cli
+from numrange_lab.classify import classify_any
+from numrange_lab.generators import ALL_FAMILIES, FamilySpec, generate
+from numrange_lab.matrixio import save_matrix
+for fam in ALL_FAMILIES:
+    classify_any(generate(FamilySpec(fam, seed=0)), confirm_with_oracle=True)
+path = os.path.join(sys.argv[1], "m.json")
+save_matrix(path, generate(FamilySpec("k4-split-22", seed=0)))
+assert cli.main(["classify", path, "--verify", "--format", "json", "--out", path + ".out"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_classification_and_report_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma, which np.unique, np.median and np.percentile import, added
+    # 1.2 MB to the peak RSS of a classification process
+    src = os.path.dirname(os.path.dirname(numrange_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

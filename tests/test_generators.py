@@ -33,6 +33,14 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             FamilySpec("no-such-family")
 
+    @pytest.mark.parametrize("fam", ["ellipse-pair", "ellipse-with-scalars"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_naming_a_default_knob_changes_nothing(self, fam, seed):
+        # rotate and conjugate both default to True
+        base = generate(FamilySpec(fam, seed=seed))
+        for knobs in ({"rotate": True}, {"conjugate": True}, {"rotate": True, "conjugate": True}):
+            assert np.array_equal(generate(FamilySpec(fam, seed=seed, knobs=knobs)), base), knobs
+
 
 class TestFamilyPredicates:
     def test_diag_dichotomous(self):

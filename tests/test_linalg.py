@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_matrix, random_unitary, rng_for
+from numrange_lab.classify import classify, classify_any
 from numrange_lab.generators import flat_portion_example
 from numrange_lab.linalg import (
     AffineMap,
     DimensionError,
     NonInvertibleMapError,
+    StructureError,
     ToleranceConfig,
     _pencil_at,
     affine_apply,
@@ -49,6 +51,14 @@ class TestHermitianParts:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             hermitian_parts(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), complex(1, np.nan)])
+    @pytest.mark.parametrize("route", [classify, classify_any])
+    def test_classify_rejects_non_finite_entries(self, route, bad):
+        a = flat_portion_example()
+        a[1, 2] = bad
+        with pytest.raises(StructureError, match="entries must be finite"):
+            route(a)
 
 
 class TestPencilMember:

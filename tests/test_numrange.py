@@ -139,6 +139,16 @@ class TestSupport:
         want = np.stack([value, slope, -value])[:, :, None, None]
         assert np.max(np.abs(numrange._block_eigen(h[None], k[None], t, floor) - want)) <= 8 * np.finfo(float).eps * c
 
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 2), (1, 3), (2, 1, 3)])
+    def test_block_sweep_of_no_directions(self, sizes):
+        # an empty theta axis gives empty values and branches, as the dense
+        # sweep does, and a 0-column witness has no residuals
+        a = _block_sum(*(random_matrix(rng_for(9320 + m), m) for m in sizes))
+        sf, n, none = SupportFunction(a, 64), sum(sizes), np.zeros(0)
+        assert sf._groups is not None
+        assert sf(none).shape == (0,) and sf.branches(none).shape == (3, 0, n)
+        assert boundary_residuals(a, np.zeros((n, 0), dtype=complex), none, sf).shape == (0,)
+
     def test_matrix_without_a_cut_keeps_the_dense_sweep(self):
         # a tridiagonal pattern has zero corners but no contiguous cut; its
         # sweep, support values and branches are the whole matrix's, bit for bit
