@@ -471,18 +471,6 @@ class DichotomyCertificate:
     alpha: Optional[complex] = None
     p_values: Optional[dict] = None  # index -> 0/1 for the projection diagonal
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "theta": self.theta,
-            "h0": self.h0,
-            "h1": self.h1,
-            "exceptional_index": self.exceptional_index,
-            "t": self.t,
-            "alpha": None if self.alpha is None else [self.alpha.real, self.alpha.imag],
-            "p_values": self.p_values,
-        }
-
 
 @dataclass
 class PairProfile:

@@ -509,7 +509,8 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
     (``_irreducible4``); anything else requires the search route
     (``allow_oracle_only``), ``max_orthonormal_boundary_set``, which is exact
     when its cover proves k <= 2 and a lower bound otherwise.
-    Each stage runs at most once and keeps what it found in ``result.work``.
+    Each stage runs at most once and keeps what it found in ``result.work``;
+    an arrowhead's ``dichotomy_check`` is its one dichotomy scan.
     """
     norm = normalise(a)
     m = norm.m
@@ -524,7 +525,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
                            certificate={"note": "scalar matrix: n blocks of size 1", "normalisation": norm.to_dict()},
                            build_witness=lambda: Witness(np.eye(n), np.zeros(n)))
 
-    result, pencil, work, known = None, m, {}, None
+    result, pencil, work, known, undichotomous = None, m, {}, None, False
     try:
         ah = arrowhead_from_dense(m, tol) if n != 4 else None
     except NotArrowheadError:
@@ -543,6 +544,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
                 pass
         if result is None:
             cert = dichotomy_check(ah, tol)  # n >= 3 here, so the check applies
+            undichotomous = cert is None  # arrowhead_from_dense took the entries off its pattern as zero
             if cert is not None:
                 work["dichotomy"] = _dichotomy_work(norm, cert.case, cert.theta, cert.h0, cert.h1)
                 irr, reason = irreducible_dichotomous_check(ah, cert, tol)
@@ -561,7 +563,7 @@ def classify_any(a, tol: ToleranceConfig = DEFAULT_TOL, allow_oracle_only: bool 
             if known is not None:  # the whole's dichotomy, in the coordinates of A
                 result.certificate["dichotomy"] = {"theta": known[0],
                                                    "h_values": [norm.level(h, known[0]) for h in known[1:]]}
-        elif (scan := dichotomy_scan(m, tol)) is not None:
+        elif not undichotomous and (scan := dichotomy_scan(m, tol)) is not None:
             theta, h0, h1, proj = scan
             upper = int(round(np.trace(proj).real))
             work["dichotomy"] = _dichotomy_work(norm, f"{n - upper}+{upper}", theta, h0, h1)

@@ -212,24 +212,15 @@ class AffineMap:
         if abs((self.a / abs(self.a) * np.conj(self.b / abs(self.b))).real) <= DEFAULT_TOL.split_tol:
             raise NonInvertibleMapError("b/a must not be purely imaginary")
 
-    def planar(self):
-        """Real 2x2 matrix and shift of the induced map on (x, y)."""
-        m = np.array(
-            [
-                [np.real(self.a), -np.imag(self.b)],
-                [np.imag(self.a), np.real(self.b)],
-            ]
-        )
-        v = np.array([np.real(self.c), np.imag(self.c)])
-        return m, v
-
     def apply_point(self, z):
         z = np.asarray(z, dtype=complex)
         return self.a * z.real + 1j * self.b * z.imag + self.c
 
 
 def affine_from_planar(m, v=(0.0, 0.0)) -> AffineMap:
-    """Inverse of AffineMap.planar()."""
+    """The AffineMap whose action on (x, y) is (x, y) -> m (x, y) + v, for a
+    real 2x2 ``m`` whose columns are the images of 1 and i: a = m00 + i m10,
+    b = m11 - i m01 and c = v0 + i v1."""
     m = np.asarray(m, dtype=float)
     return AffineMap(
         a=m[0, 0] + 1j * m[1, 0],

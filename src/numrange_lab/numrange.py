@@ -12,9 +12,12 @@ turn: B(theta + pi) = -B(theta), so the spectrum at theta + pi is the spectrum
 at theta negated and reversed, and its top vector is the bottom vector at
 theta; an even grid solves only its directions in [0, pi).  A matrix of
 diagonal blocks is swept block by block.  Every minimum in theta of a
-function of these eigenvalues is refined off the grid by one lockstep Newton
-solver (``_refined_minima``) on their analytic derivatives, unless the grid
-already meets the bound that decides (``_grid_contact``).
+function of these eigenvalues is refined off the grid by one rule
+(``_refined_minima``): the function's Lipschitz bound picks the grid minima
+that can reach the level that decides and prunes its pieces, and one
+lockstep Newton solver refines those minima on their analytic derivatives,
+unless the grid already meets the level (``_grid_contact``).  A block's gap
+to the boundary of an ambient range has one definition (``_ambient_gap``).
 """
 
 from __future__ import annotations
@@ -217,12 +220,17 @@ def _pencil_derivatives(h, k, thetas, floor):
     return w, v, c, (below - below.T) / np.maximum(np.abs(w[..., :, None] - w[..., None, :]), floor)
 
 
-def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float, count=None, eligible=None,
-                    lipschitz=np.inf):
+def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float, lipschitz: float, level: float,
+                    count=None):
     """Refine, each within one ``step``, the ``count`` lowest cyclic local
-    minima of ``values`` sampled at ``thetas`` (all when ``count`` is None),
-    skipping those where the grid mask ``eligible`` is False; returns the
-    refined (argmin, fmin) pairs in order of grid value.
+    minima of ``values`` sampled at ``thetas`` (all when ``count`` is None)
+    that can reach ``level``; returns the refined (argmin, fmin) pairs in
+    order of grid value.  One bound L = ``lipschitz`` on the slope of the
+    objective and of its pieces decides both which minima are refined and
+    which pieces each step keeps (Shubert, SIAM J. Numer. Anal. 9, 1972).  A
+    refined value is the objective within one ``step`` of its sample, where it
+    exceeds value - L step, so only minima with value - L step <= ``level``
+    are refined.
 
     The objective is the largest of smooth pieces, whose values and first and
     second derivatives ``pieces(t)`` gives as one (3, len(t), P) array.  All
@@ -230,19 +238,17 @@ def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float,
     active piece's Newton step and each pair of pieces' crossing (a kink),
     judged by the largest piece's Taylor model.  Each step first drops the
     pieces that lie, in every bracket, more than 2 L d below the top, with d
-    the distance to the bracket's far end and L the pieces' ``lipschitz``
-    bound: such a piece stays below the top throughout, so it is never the
-    objective there and no kink of it matters.  A candidate on the edge
-    bisects; the active slope shrinks the bracket.  A bracket stops once the
-    predicted decrease is at most 8 eps * ``scale``, which ends flat arcs.
-    The pieces are taken in units of ``scale``, so that no product of the
-    models over- or underflows.
+    the distance to the bracket's far end: such a piece stays below the top
+    throughout, so it is never the objective there and no kink of it matters.
+    A candidate on the edge bisects; the active slope shrinks the bracket.  A
+    bracket stops once the predicted decrease is at most 8 eps * ``scale``,
+    which ends flat arcs.  The pieces are taken in units of ``scale``, so
+    that no product of the models over- or underflows.
     """
     unit = scale or 1.0
     idxs = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
+    idxs = idxs[values[idxs] - lipschitz * step <= level]
     idxs = idxs[np.argsort(values[idxs])][:count]
-    if eligible is not None:
-        idxs = idxs[eligible[idxs]]
     t = np.array(thetas[idxs], dtype=float)
     lo, hi = t - step, t + step
     best_t, best_f = t.copy(), np.full(len(t), np.inf)
@@ -277,13 +283,12 @@ def _refined_minima(pieces: Callable, thetas, values, step: float, scale: float,
 
 def _refined_min(pieces: Callable, thetas, values, step: float, scale: float, lipschitz: float, level: float):
     """``_grid_contact`` if the grid decides, else the best pair of
-    ``_refined_minima`` over the 6 lowest grid minima that can reach ``level``
-    (``_reachable``, the objective ``lipschitz``-Lipschitz); (None, inf) if none."""
+    ``_refined_minima`` over the 6 lowest grid minima that can reach ``level``;
+    (None, inf) if none."""
     on_grid = _grid_contact(thetas, values, level)
     if on_grid is not None:
         return on_grid
-    eligible = _reachable(values, lipschitz, step, level)
-    return min(_refined_minima(pieces, thetas, values, step, scale, 6, eligible, lipschitz), key=lambda r: r[1],
+    return min(_refined_minima(pieces, thetas, values, step, scale, lipschitz, level, 6), key=lambda r: r[1],
                default=(None, np.inf))
 
 
@@ -292,13 +297,6 @@ def _grid_contact(thetas, values, level: float):
     None: refinement would start there and only go lower, to the same decision."""
     i = int(np.argmin(values))
     return (float(thetas[i]), float(values[i])) if values[i] <= level < np.inf else None
-
-
-def _reachable(values, lipschitz: float, step: float, level: float):
-    """Grid mask of the brackets that can refine to ``level``: a refined value is
-    the objective within one ``step`` of its sample, where an L-Lipschitz objective
-    exceeds value - L step (Shubert, SIAM J. Numer. Anal. 9, 1972)."""
-    return values - lipschitz * step <= level
 
 
 def _point_defect(support_fn: SupportFunction, z: complex, level: float):
@@ -390,7 +388,7 @@ def top_gap_events(sf: SupportFunction):
         return np.concatenate([gap, -gap], axis=2)
 
     # each eigenvalue of the pencil is ||A||-Lipschitz in theta (Weyl), so the gap is 2 ||A||-Lipschitz
-    for t, g in _refined_minima(pieces, thetas, gaps, step, scale, eligible=_reachable(gaps, 2 * scale, step, split)):
+    for t, g in _refined_minima(pieces, thetas, gaps, step, scale, 2 * scale, split):
         if g > split:
             continue
         t = float(np.mod(t, TWO_PI))
@@ -610,64 +608,70 @@ def kprime_relative(block, ambient_support: SupportFunction, tol: ToleranceConfi
     """Max count of orthonormal vectors of the block whose images lie on the
     ambient boundary (the block's share in a direct-sum decomposition); the
     count of ``relative_share``."""
-    return relative_share(block, ambient_support, tol)[0]
+    share = relative_share(block, ambient_support, tol)
+    if share is None:
+        raise UnsupportedBlockError("the share of a block neither normal nor 2x2 needs the restricted search")
+    return share[0]
 
 
-def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL, _normal=None):
-    """(share, make_witness) of a normal or 2x2 block against the ambient
-    boundary; ``make_witness()`` returns the block's ``Witness`` of that size,
-    made from the contacts the count found.
+def _ambient_gap(own: SupportFunction, ambient: SupportFunction):
+    """(g, pieces, lipschitz): the gap g = p_ambient - p_own on the grid of
+    ``own``, which is >= 0 and 0 where own's supporting line touches the
+    ambient boundary; ``pieces(t)`` for ``_refined_minima``, the ambient's
+    branches less own's top one (p_ambient is the largest, kinked where
+    branches cross), with ``antipodal=True`` also own's bottom branch less
+    the ambient's, the gap at t + pi (B(t + pi) = -B(t)); and 2 (w(A) + w(B)),
+    a bound on their slopes, the factor 2 as in ``_point_defect``."""
+    def pieces(t, antipodal=False):
+        amb, mine = ambient.branches(t), own.branches(t)
+        gap = amb - mine[:, :, -1:]
+        return np.concatenate([gap, mine[:, :, :1] - amb], axis=2) if antipodal else gap
 
-    Normal blocks contribute every eigenvalue (with multiplicity) sitting on
-    the ambient boundary, each witnessed by its eigenvector in its contact
-    direction.  A non-normal 2x2 block contributes 2 when an antipodal pair of
-    its elliptical boundary touches the ambient boundary (orthonormal pairs of
-    C^2 map to center-symmetric point pairs): the top and bottom eigenvectors
-    of the refined direction.  It contributes 1 when the ellipse merely
-    touches it (the top eigenvector there), 0 otherwise.  A 2x2 block is
-    swept on the largest even grid of at most half the ambient's directions,
-    read there by ``SupportFunction.on_grid_of``.  A contact the grid shows
-    is taken there; only the rest is refined.
-    ``_normal`` is the caller's ``_is_normal`` verdict on the block, if it has one.
+    return ambient.on_grid_of(own) - own.grid_values, pieces, 2 * (ambient.radius + own.radius)
+
+
+def relative_share(block, ambient_support: SupportFunction, tol: ToleranceConfig = DEFAULT_TOL):
+    """(share, method, make_witness) of a normal or 2x2 block against the
+    ambient boundary, None for any other block; ``make_witness()`` returns
+    the block's ``Witness`` of that size, made from the contacts the count
+    found.
+
+    Normal blocks ("normal-spectrum-contact") contribute every eigenvalue
+    (with multiplicity) sitting on the ambient boundary, each witnessed by
+    its eigenvector in its contact direction.  A non-normal 2x2 block
+    ("antipodal-contact") contributes 2 when an antipodal pair of its
+    elliptical boundary touches the ambient boundary (orthonormal pairs of
+    C^2 map to center-symmetric point pairs): the top and bottom
+    eigenvectors of the refined direction.  It contributes 1 when the
+    ellipse merely touches it (the top eigenvector there), 0 otherwise.  A
+    2x2 block is swept on the largest even grid of at most half the
+    ambient's directions, and its gap to the ambient is ``_ambient_gap``'s.
+    A contact the grid shows is taken there; only the rest is refined.
     """
     b = as_square_matrix(block)
-    n = b.shape[0]
     btol = boundary_bound(ambient_support)
-    if _is_normal(b, tol) if _normal is None else _normal:
+    if _is_normal(b, tol):
         contacts = []
         for z in np.linalg.eigvals(b):
             t, defect = _point_defect(ambient_support, z, btol)
             if defect <= btol:
                 contacts.append((z, t))
-        return len(contacts), lambda: _normal_witness(b, contacts, tol)
-    if n == 2:
-        # an even grid, so that each direction has its antipode (512 of 1,024 nest)
-        own = SupportFunction(b, grid_size=2 * (ambient_support.grid_size // 4))
-        grid = own.thetas
-        g = ambient_support.on_grid_of(own) - own.grid_values
-        half = len(grid) // 2
-        pair = np.maximum(g[:half], g[half:])
-        step, scale = TWO_PI / len(grid), ambient_support.radius
-        # g and pair are (w(A) + w(B))-Lipschitz, the factor 2 as in ``_point_defect``
-        lipschitz = 2 * (ambient_support.radius + own.radius)
-
-        def pieces(t, antipodal=True):
-            # p_ambient is its largest branch, kinked where branches cross; the
-            # gap at t + pi comes from the bottom branches at t, as B(t + pi) = -B(t)
-            amb, mine = ambient_support.branches(t), own.branches(t)
-            gap = amb - mine[:, :, -1:]
-            return np.concatenate([gap, mine[:, :, :1] - amb], axis=2) if antipodal else gap
-
-        t, val = _refined_min(pieces, grid, pair, step, scale, lipschitz, btol)
-        if val <= btol:
-            return 2, lambda: _split_witness(b, t)
-        t, val = _refined_min(lambda t: pieces(t, antipodal=False), grid, g, step, scale, lipschitz, btol)
-        if val <= btol:
-            return 1, lambda: Witness(np.linalg.eigh(_pencil_at(own.h, own.k, t))[1][:, -1:], [t])
-        return 0, lambda: Witness(np.zeros((2, 0)), [])
-    raise UnsupportedBlockError(
-        f"relative count for a non-normal {n}x{n} block needs the restricted search"
-    )
+        return len(contacts), "normal-spectrum-contact", lambda: _normal_witness(b, contacts, tol)
+    if b.shape[0] != 2:
+        return None
+    # an even grid, so that each direction has its antipode (512 of 1,024 nest)
+    own = SupportFunction(b, grid_size=2 * (ambient_support.grid_size // 4))
+    g, pieces, lipschitz = _ambient_gap(own, ambient_support)
+    half = len(g) // 2
+    step, scale = TWO_PI / len(g), ambient_support.radius
+    t, val = _refined_min(lambda t: pieces(t, antipodal=True), own.thetas, np.maximum(g[:half], g[half:]), step,
+                          scale, lipschitz, btol)
+    if val <= btol:
+        return 2, "antipodal-contact", lambda: _split_witness(b, t)
+    t, val = _refined_min(pieces, own.thetas, g, step, scale, lipschitz, btol)
+    if val <= btol:
+        return 1, "antipodal-contact", lambda: Witness(np.linalg.eigh(_pencil_at(own.h, own.k, t))[1][:, -1:], [t])
+    return 0, "antipodal-contact", lambda: Witness(np.zeros((2, 0)), [])
 
 
 def _normal_witness(b, contacts, tol: ToleranceConfig) -> Witness:

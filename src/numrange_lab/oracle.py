@@ -40,8 +40,9 @@ cover, one arc-node field and one graph, whose clique levels ``verify``
 extends.  The thresholds are the fixed ones of ``ToleranceConfig``, so no
 search takes a tolerance.  Not shared: an escalated grid is a new
 SupportFunction with its own graph, a restricted search's field depends on
-its ambient and is built per call, and the ambient of a direct sum is a
-sweep of its own (``reduction.dirsum_gauwu``).
+its ambient and is built per call (``restricted_max_set``, from the same
+``_field`` as ``boundary_vector_field``), and the ambient of a direct sum is
+a sweep of its own (``reduction.dirsum_gauwu``).
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ import numpy as np
 
 from .linalg import (SCALAR_GUARD, DimensionError, Normalisation, ToleranceConfig, _pencil_at, as_square_matrix,
                      hermitian_parts, matrix_scale, normalise, safe_norm)
-from .numrange import (SupportFunction, _pencil_derivatives, _refined_minima, _split_witness, _top_cluster_basis,
-                       boundary_bound, boundary_residuals, relative_share, support_function, top_gap_events)
+from .numrange import (SupportFunction, _ambient_gap, _pencil_derivatives, _refined_minima, _split_witness,
+                       _top_cluster_basis, boundary_bound, boundary_residuals, relative_share, support_function,
+                       top_gap_events)
 from .results import Witness
 
 MIN_GRID_SIZE = 64
@@ -329,35 +331,33 @@ def _cover(m) -> Cover:
         rounds += 1
 
 
-def boundary_vector_field(a, grid_size: int = 1024, ambient: Optional[SupportFunction] = None) -> BoundaryVectorField:
+def boundary_vector_field(a, grid_size: int = 1024) -> BoundaryVectorField:
     """Candidates of the search: pinned top eigenspaces and free arc nodes.
 
-    Pinned are the columns of each event's top eigenspace, the top vectors
-    opposite each event and, with ``ambient``, the refined contacts with the
-    ambient boundary that the grid straddles.  Free are ``grid_size // 4``
-    arc nodes, at most MAX_ARC_NODES (``_arc_nodes``); with ``ambient``,
-    only on directions where the matrix's supporting line touches the
-    ambient boundary (the restricted search used for blocks of a direct sum).
-    The nodes' radii cover x(theta) except at the events and inside
-    ``turns``, the avoided crossings too narrow for the bisection.
-
-    Without ``ambient`` the field is memoised on the SupportFunction, so
-    the three-line search and ``verify`` on one pencil share its candidates
-    and their clique table; a restricted search's field depends on its
-    ambient and is built afresh.
+    Pinned are the columns of each event's top eigenspace and the top vectors
+    opposite each event.  Free are ``grid_size // 4`` arc nodes, at most
+    MAX_ARC_NODES (``_arc_nodes``), whose radii cover x(theta) except at the
+    events and inside ``turns``, the avoided crossings too narrow for the
+    bisection.  The field is memoised on the SupportFunction, so the
+    three-line search and ``verify`` on one pencil share its candidates and
+    their clique table.
     """
-    if grid_size < MIN_GRID_SIZE:
-        raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
     sf = support_function(a, grid_size)
-    if sf.a.shape[0] == 1:
-        raise DimensionError("a 1x1 matrix has no curve of top eigenvectors; its point is its one vector")
-    if ambient is None and "boundary_vector_field" in sf._memo:
-        return sf._memo["boundary_vector_field"]
-    m = sf.a
-    n = m.shape[0]
-    scale = matrix_scale(m)
-    split = ToleranceConfig.split_tol * scale
+    if "boundary_vector_field" not in sf._memo:
+        sf._memo["boundary_vector_field"] = _field(sf)
+    return sf._memo["boundary_vector_field"]
 
+
+def _field(sf: SupportFunction, usable=True, contacts=()) -> BoundaryVectorField:
+    """The field of ``sf``: the event candidates, the pinned ``contacts`` and
+    the arc nodes on the ``usable`` grid directions (a mask, all when True)
+    whose top eigenvalue is simple (a multiple one is an event's)."""
+    if sf.grid_size < MIN_GRID_SIZE:
+        raise ValueError(f"grid_size must be at least {MIN_GRID_SIZE}")
+    n = sf.a.shape[0]
+    if n == 1:
+        raise DimensionError("a 1x1 matrix has no curve of top eigenvectors; its point is its one vector")
+    split = ToleranceConfig.split_tol * matrix_scale(sf.a)
     events = top_gap_events(sf)
     cands: list = []
     for ev in events:
@@ -372,32 +372,9 @@ def boundary_vector_field(a, grid_size: int = 1024, ambient: Optional[SupportFun
             _, basis, _ = _top_cluster_basis(sf.h, sf.k, anti, 4 * split)
             for j in range(basis.shape[1]):
                 cands.append(Candidate(theta=anti, vec=basis[:, j].copy(), basis=basis, pinned=basis.shape[1] > 1))
-
-    usable = sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2] > split  # a multiple top eigenvalue is an event's
-    if ambient is not None:
-        btol = boundary_bound(ambient)
-        # the default restricted search sweeps 512 of the ambient's 1024 directions
-        g = ambient.on_grid_of(sf) - sf.grid_values
-        usable &= g <= btol
-
-        def pieces(t):
-            # p of the ambient is its largest branch, kinked where branches cross
-            return ambient.branches(t) - sf.branches(t)[:, :, -1:]
-
-        # refine tangency contacts that the grid straddles
-        step = 2 * np.pi / grid_size
-        near = (g > btol) & (g <= max(0.05 * scale, 100 * btol))
-        for t, val in _refined_minima(pieces, sf.thetas, g, step, ambient.radius, 8, eligible=near):
-            if val <= btol:
-                _, vv = np.linalg.eigh(_pencil_at(sf.h, sf.k, t))
-                cands.append(
-                    Candidate(theta=float(t), vec=vv[:, -1], basis=vv[:, -1:], pinned=True)
-                )
-    nodes, turns = _arc_nodes(sf, usable, events, min(grid_size // 4, MAX_ARC_NODES))
-    built = BoundaryVectorField(m, cands + nodes, events, turns)
-    if ambient is None:
-        sf._memo["boundary_vector_field"] = built
-    return built
+    usable = usable & (sf.grid_eigvals[:, -1] - sf.grid_eigvals[:, -2] > split)
+    nodes, turns = _arc_nodes(sf, usable, events, min(sf.grid_size // 4, MAX_ARC_NODES))
+    return BoundaryVectorField(sf.a, cands + list(contacts) + nodes, events, turns)
 
 
 def _arc_nodes(sf: SupportFunction, usable: np.ndarray, events: list, count: int):
@@ -726,20 +703,32 @@ def _is_point(sf: SupportFunction) -> bool:
 def restricted_max_set(block, ambient: SupportFunction, params: SearchParams = SearchParams(grid_size=512)):
     """Largest orthonormal family of the block landing on the ambient boundary.
 
-    The arc nodes are restricted to directions where the block's supporting
-    line touches the boundary of the ambient range, and refined members are
-    checked against the ambient boundary; may return 0 (blocks buried in the
-    interior contribute nothing).  A 1x1 block counts 1 when its point lies
-    on the ambient boundary and 0 otherwise (``relative_share``).  Returns
-    (count, vectors, thetas).
+    The search's field (``_field``) has its arc nodes only on the grid
+    directions where the block's supporting line touches the ambient
+    boundary, the gap g of ``numrange._ambient_gap`` within ``boundary_bound``,
+    and pins the refined contacts that the grid leaves out: the 8 lowest
+    grid minima of g that can reach the bound, once the samples already in
+    the arcs are set to +inf (the arcs' ends and the tangencies that the grid
+    straddles).  Refined members are checked against the ambient boundary;
+    may return 0 (blocks buried in the interior contribute nothing).  A 1x1
+    block counts 1 when its point lies on the ambient boundary and 0
+    otherwise (``relative_share``).  Returns (count, vectors, thetas).
     """
     m = as_square_matrix(block)
     if m.shape[0] == 1:
-        count, build = relative_share(m, ambient)
+        share, _, build = relative_share(m, ambient)
         w = build()
-        return count, w.vectors, w.thetas
-    field_ = boundary_vector_field(m, params.grid_size, ambient)
-    found = _search(field_, ambient, params, range(m.shape[0], 0, -1))
+        return share, w.vectors, w.thetas
+    sf = SupportFunction(m, params.grid_size)
+    g, pieces, lipschitz = _ambient_gap(sf, ambient)
+    btol = boundary_bound(ambient)
+    contacts = []
+    for t, val in _refined_minima(pieces, sf.thetas, np.where(g <= btol, np.inf, g), 2 * np.pi / sf.grid_size,
+                                  ambient.radius, lipschitz, btol, 8):
+        if val <= btol:
+            top = np.linalg.eigh(_pencil_at(sf.h, sf.k, t))[1][:, -1:]
+            contacts.append(Candidate(theta=float(t), vec=top[:, 0], basis=top, pinned=True))
+    found = _search(_field(sf, g <= btol, contacts), ambient, params, range(m.shape[0], 0, -1))
     return found.k_lower, found.vectors, found.thetas
 
 

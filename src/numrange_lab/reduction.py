@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, _is_normal, as_square_matrix, hermitian_parts, matrix_scale
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, hermitian_parts, matrix_scale
 from .numrange import SupportFunction, _split_witness, boundary_bound, boundary_residuals, dichotomy_scan, relative_share
 from .oracle import restricted_max_set
 from .results import METHOD_DIRECT_SUM, GauWuResult, Witness, joined
@@ -201,21 +201,20 @@ def block_kprime(block, ambient: SupportFunction, tol: ToleranceConfig = DEFAULT
     ambient range; ``make_witness()`` returns the block's ``Witness`` of that
     size in the block's coordinates.
 
-    Normal and 2x2 blocks take both from ``relative_share``.  A larger block
-    B has its own exact result: ``own``, (k(B), method, make_witness) from the
-    caller's theorem route, else (size, "dichotomy", split witness) when
-    ``dichotomy_scan`` splits it.  W(B) lies in W(A), so the share is at most
-    k(B), and it is k(B) when every column of that witness lies on the ambient
-    boundary (``boundary_residuals`` within ``boundary_bound``).  Otherwise
-    the restricted search gives the count and vectors."""
+    Normal and 2x2 blocks take all three from ``relative_share``.  Any
+    other block B has its own exact result: ``own``, (k(B), method,
+    make_witness) from the caller's theorem route, else (size, "dichotomy",
+    split witness) when ``dichotomy_scan`` splits it.  W(B) lies in W(A), so
+    the share is at most k(B), and it is k(B) when every column of that
+    witness lies on the ambient boundary (``boundary_residuals`` within
+    ``boundary_bound``).  Otherwise the restricted search gives the count
+    and vectors."""
     b = as_square_matrix(block)
-    n = b.shape[0]
-    normal = _is_normal(b, tol)
-    if normal or n == 2:
-        share, build = relative_share(b, ambient, tol, _normal=normal)
-        return share, "normal-spectrum-contact" if normal else "antipodal-contact", build
+    share = relative_share(b, ambient, tol)
+    if share is not None:
+        return share
     if own is None and (scan := dichotomy_scan(b, tol)) is not None:
-        own = n, "dichotomy", lambda: _split_witness(b, scan[0], scan[1:3])
+        own = b.shape[0], "dichotomy", lambda: _split_witness(b, scan[0], scan[1:3])
     if own is not None:
         w = own[2]()
         if np.all(boundary_residuals(b, w.vectors, w.thetas, ambient) <= boundary_bound(ambient)):

@@ -29,7 +29,8 @@ from numrange_lab.arrowhead import (
 )
 from numrange_lab.classify import classify_any
 from numrange_lab.generators import FamilySpec, generate
-from numrange_lab.linalg import DEFAULT_TOL, herm_part_at, matrix_scale, reducing_eigenvectors, safe_norm
+from numrange_lab.linalg import (DEFAULT_TOL, StructureError, herm_part_at, matrix_scale, reducing_eigenvectors,
+                                 safe_norm)
 from numrange_lab.oracle import check_witness, max_orthonormal_boundary_set
 from numrange_lab.reduction import commutant_dimension, decompose, dirsum_gauwu
 from numrange_lab.results import METHOD_ARROWHEAD
@@ -43,6 +44,10 @@ def _count_restricted_searches(monkeypatch) -> list:
 
 
 class TestFromDense:
+    def test_arrow_data_of_unequal_lengths_raise(self):
+        with pytest.raises(StructureError, match="equal length"):
+            ArrowheadMatrix([1.0, 2.0], [1.0], [1.0, 0.5], 0.0)
+
     def test_any_2x2_is_arrowhead(self):
         a = random_matrix(rng_for(0), 2)
         ah = arrowhead_from_dense(a)
@@ -665,6 +670,27 @@ class TestIrreducibleDichotomous:
 
 
 class TestGauwuBalanced:
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_constant_rotated_diagonal_is_a_segment(self, n):
+        # balanced pairs with psi = 2 theta + pi make Re(e^{-i theta} A) diagonal,
+        # and a constant rotated diagonal makes it c I: W(A) is a segment, and
+        # the standard basis at theta is a witness of k = n
+        rng = rng_for(n)
+        theta = 0.6
+        vals = np.exp(1j * theta) * (0.4 + 1j * rng.uniform(-1, 1, n))
+        beta = rng.uniform(0, 2 * np.pi, n - 1)
+        rho = rng.uniform(0.3, 1, n - 1)
+        col, row = rho * np.exp(1j * beta), rho * np.exp(1j * (2 * theta + np.pi - beta))
+        ah = ArrowheadMatrix(vals[:-1], col, row, vals[-1])
+        res = gauwu_balanced(ah)
+        assert (res.k, res.method) == (n, METHOD_ARROWHEAD)
+        assert "segment" in res.certificate["note"] and abs(res.certificate["theta"] - theta) < 1e-12
+        assert check_witness(ah.to_dense(), res.witness, n) is not None
+
+    def test_without_a_nonzero_pair_no_angle_is_fixed(self):
+        with pytest.raises(NotApplicableError, match="no nonzero pair"):
+            gauwu_balanced(ArrowheadMatrix([1.0, 2.0j], [0.0, 0.0], [0.0, 0.0], 0.5))
+
     def test_simple_extremes_give_two(self):
         # three distinct levels: simple max and min, so exactly a pair
         ah = ArrowheadMatrix(
@@ -818,6 +844,12 @@ class TestGauwuZeroPairs:
 
 
 class TestGauwuUnbalanced:
+    def test_needs_three_rows_and_a_distinct_diagonal(self):
+        with pytest.raises(NotApplicableError, match="n >= 3"):
+            gauwu_unbalanced_two(ArrowheadMatrix([1.0], [1.0], [0.0], 0.0))
+        with pytest.raises(NotApplicableError, match="distinct"):
+            gauwu_unbalanced_two(ArrowheadMatrix([1.0, 1.0, 2j], [1.0, 0.5, 0.3], [0.0, 0.0, 0.0], 0.0))
+
     def test_pure_almost_normal(self):
         for seed in range(4):
             a = generate(FamilySpec("pure-almost-normal", seed=seed))

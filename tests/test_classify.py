@@ -21,7 +21,7 @@ from numrange_lab.reduction import commutant_dimension, decompose, dirsum_gauwu
 from numrange_lab.generators import FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import AffineMap, DimensionError, affine_apply, herm_part_at, normalise, rotate
 from numrange_lab.numrange import FLAT_PORTION, SupportFunction, detect_seeds, dichotomy_scan
-from numrange_lab import numrange, oracle
+from numrange_lab import arrowhead, numrange, oracle, reduction
 from numrange_lab.oracle import check_witness, max_orthonormal_boundary_set, verify
 from numrange_lab.results import (
     METHOD_ARROWHEAD,
@@ -156,6 +156,10 @@ class TestKA3Check:
         # starts no refinement (a search over every size refined 24 pairs)
         assert ka3_check(generate(FamilySpec(fam, seed=seed))) is None
         assert refinements == {}
+
+    def test_other_sizes_raise(self):
+        with pytest.raises(DimensionError, match="4x4"):
+            ka3_check(random_matrix(rng_for(2), 5))
 
     def test_scalar_matrix_has_no_triple(self):
         # every vector lands on the one point, so no three lines are distinct
@@ -329,7 +333,7 @@ class TestOneSupportFunction:
         res = classify(generate(FamilySpec("k3-parallel-lines", seed=4000)), confirm_with_oracle=True)
         assert (res.k, res.method, res.oracle_confirmed) == (3, METHOD_KA3, True)
         assert res.certificate["oracle"]["searched_sizes"] == [4]
-        assert sorted(runs) == [("_arc_nodes", "boundary_vector_field"), ("_graph", "__init__"),
+        assert sorted(runs) == [("_arc_nodes", "_field"), ("_graph", "__init__"),
                                 ("_refined_minima", "top_gap_events")]
         assert support_builds == {1024: 1}
 
@@ -459,6 +463,27 @@ def bumped_dichotomous(fam, n, seed, factor):
 class TestOneDichotomyRule:
     """Every size decides a dichotomy by ``dichotomy_scan``; arrowheads read
     the case off its idempotent."""
+
+    def test_rejected_arrowhead_is_scanned_once(self, monkeypatch):
+        # complex Gaussian arrowheads that no arrowhead route takes: the scan
+        # inside dichotomy_check rejects each, and the route after decompose
+        # reuses that verdict instead of scanning the matrix again
+        calls, scan = [], numrange.dichotomy_scan
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scan(*args, **kwargs)
+
+        for module in (arrowhead, sys.modules["numrange_lab.classify"], reduction):
+            monkeypatch.setattr(module, "dichotomy_scan", counting)
+        rng = np.random.default_rng(3)
+        for n in range(5, 9):
+            for _ in range(5):
+                z = [rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1) for _ in range(3)]
+                calls.clear()
+                with pytest.raises(UnsupportedDimensionError):
+                    classify_any(ArrowheadMatrix(*z, 0.3).to_dense())
+                assert len(calls) == 1, n
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_narrow_coupled_arrowhead_reaches_n(self, n):

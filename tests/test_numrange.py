@@ -415,7 +415,8 @@ class TestKprime:
             for grid in grids:
                 sf = SupportFunction(ambient, grid)
                 for i, b in enumerate(blocks):
-                    share, build = relative_share(b, sf)
+                    share, method, build = relative_share(b, sf)
+                    assert method == "antipodal-contact"
                     assert share == expected[i], grid
                     x = np.zeros((4, share), dtype=complex)
                     x[2 * i : 2 * i + 2] = build().vectors
@@ -424,15 +425,17 @@ class TestKprime:
 
     @staticmethod
     def _shares(blocks, ambient, monkeypatch, masked, on_grid=True):
-        """Each block's share, with or without the Lipschitz skip and the
-        contacts decided on the grid, the number of grid minima the skip left
-        out and the number of contacts the grid decided."""
+        """Each block's share, with or without the Lipschitz skip (and the
+        pruning of pieces by the same bound) and the contacts decided on the
+        grid, the number of grid minima the skip left out and the number of
+        contacts the grid decided."""
         skipped, decided = [], []
 
-        def reachable(values, *args, _orig=numrange._reachable):
-            keep = _orig(values, *args) if masked else np.ones(np.shape(values), dtype=bool)
-            skipped.append(np.count_nonzero(~keep))
-            return keep
+        def refined(pieces, thetas, values, step, scale, lipschitz, level, count=None,
+                    _orig=numrange._refined_minima):
+            minima = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
+            skipped.append(np.count_nonzero(minima & (values - lipschitz * step > level)) if masked else 0)
+            return _orig(pieces, thetas, values, step, scale, lipschitz if masked else np.inf, level, count)
 
         def grid_contact(*args, _orig=numrange._grid_contact):
             contact = _orig(*args) if on_grid else None
@@ -440,7 +443,7 @@ class TestKprime:
             return contact
 
         with monkeypatch.context() as mp:
-            mp.setattr(numrange, "_reachable", reachable)
+            mp.setattr(numrange, "_refined_minima", refined)
             mp.setattr(numrange, "_grid_contact", grid_contact)
             sf = SupportFunction(ambient)
             return [kprime_relative(b, sf) for b in blocks], sum(skipped), sum(decided)
@@ -683,21 +686,23 @@ class TestRefinedMinima:
 
     def test_known_minima_in_grid_order(self):
         thetas, values, step = self.grid()
-        got = _refined_minima(self.pieces, thetas, values, step, 1.0)
+        # every well is 2 pi-Lipschitz, and each minimum can reach an infinite level
+        got = _refined_minima(self.pieces, thetas, values, step, 1.0, 2 * np.pi, np.inf)
         assert len(got) == 3
         for (t, val), (c, a) in zip(got, sorted(self.WELLS, key=lambda w: w[1])):
             assert abs(np.angle(np.exp(1j * (t - c)))) < 1e-7
             assert abs(val - a) < 1e-13
 
-    def test_count_then_eligible(self):
+    def test_count_among_minima_that_reach_the_level(self):
         thetas, values, step = self.grid()
-        lowest_two = _refined_minima(self.pieces, thetas, values, step, 1.0, count=2)
+        lowest_two = _refined_minima(self.pieces, thetas, values, step, 1.0, 2 * np.pi, np.inf, count=2)
         assert [round(v, 9) for _, v in lowest_two] == [-0.5, 0.1]
-        # the mask filters the count lowest minima; it does not reach past them
-        eligible = np.abs(np.angle(np.exp(1j * (thetas - 4.0)))) > 0.5
-        got = _refined_minima(self.pieces, thetas, values, step, 1.0, count=2, eligible=eligible)
-        assert [round(v, 9) for _, v in got] == [0.1]
-        assert _refined_minima(self.pieces, thetas, values, step, 1.0, eligible=np.zeros(64, dtype=bool)) == []
+        # with slope 1, a minimum whose sample lies more than one step above
+        # the level cannot reach it: the 0.1 well's sample lies 0.0022 too high
+        assert [round(v, 9) for _, v in _refined_minima(self.pieces, thetas, values, step, 1.0, 1.0, 0.0)] == [-0.5]
+        got = _refined_minima(self.pieces, thetas, values, step, 1.0, 1.0, 0.2, count=3)
+        assert [round(v, 9) for _, v in got] == [-0.5, 0.1]
+        assert _refined_minima(self.pieces, thetas, values, step, 1.0, 1.0, -1.0) == []
 
 
 def _block_sum(*blocks):
@@ -825,9 +830,10 @@ class TestRefinerAgainstGolden:
                           2 * (sf.radius + abs(z))))
         for pieces, objective, values, lipschitz in cases:
             want = _reference_minima(objective, sf.thetas, values, step)
-            # with the pieces' Lipschitz bound, those far below the top are left out of the model
+            # with the pieces' Lipschitz bound, those far below the top are left
+            # out of the model; an infinite level refines every minimum
             for bound in (np.inf, lipschitz):
-                got = _refined_minima(pieces, sf.thetas, values, step, sf.radius, lipschitz=bound)
+                got = _refined_minima(pieces, sf.thetas, values, step, sf.radius, bound, np.inf)
                 assert len(got) == len(want) > 0
                 for (_, f_got), (_, f_want) in zip(got, want):
                     assert abs(f_got - f_want) <= 1e-12 * scale
@@ -855,7 +861,7 @@ class TestRefinerCost:
         # x(theta + pi) both land on the boundary: its share is 2
         k = classify_any(a).k
         assert k == 4
-        assert set(worst) == {"top_gap_events", "boundary_vector_field", "_refined_min"}
+        assert set(worst) == {"top_gap_events", "restricted_max_set", "_refined_min"}
         assert max(worst.values()) <= 16
         assert k == oracle.max_orthonormal_boundary_set(a).k_lower
 

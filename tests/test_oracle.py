@@ -44,17 +44,18 @@ class TestField:
         assert set(stack_sizes["eigvalsh"]) == {512}
         assert sum(stack_sizes["eigh"].values()) - 1 <= REFINE_STEPS
 
-    def test_restricted_field_reads_the_ambient_sweep(self, stack_sizes):
+    def test_restricted_field_reads_the_ambient_sweep(self, monkeypatch, stack_sizes):
         # the field's 512 directions are every other one of the ambient's 1024,
-        # so its only eigvalsh stack is its own half-turn sweep of 256
+        # so until it is searched its only eigvalsh stack is its own half-turn
+        # sweep of 256
         rng = rng_for(41)
         b = random_matrix(rng, 3)
         amb = np.zeros((5, 5), dtype=complex)
         amb[:3, :3], amb[3:, 3:] = b, random_matrix(rng, 2)
         ambient = SupportFunction(amb)
         stack_sizes["eigvalsh"].clear()
-        assert boundary_vector_field(b, 512, ambient=ambient).candidates
-        assert stack_sizes["eigvalsh"] == {256: 1}
+        field_ = restricted_field(monkeypatch, b, ambient, lambda: dict(stack_sizes["eigvalsh"]))
+        assert field_.candidates and field_.seen == {256: 1}
 
     def test_hermitian_extreme_vectors(self):
         a = np.diag([0.1, 0.4, 0.7, 1.0]).astype(complex)
@@ -471,6 +472,21 @@ class TestCover:
         assert np.max(np.abs(x.conj().T @ x - np.eye(2))) < 1e-12
 
 
+def restricted_field(monkeypatch, block, ambient, observe=lambda: None):
+    """The field that ``restricted_max_set(block, ambient)`` searches, with
+    ``observe()`` as it stood when the search began in ``seen``."""
+    fields, search = [], oracle._search
+
+    def recording(field_, *args):
+        field_.seen = observe()
+        fields.append(field_)
+        return search(field_, *args)
+
+    monkeypatch.setattr(oracle, "_search", recording)
+    restricted_max_set(block, ambient)
+    return fields[0]
+
+
 def tangent_contact(seed, theta0=0.7371):
     """(B, A): a random 3x3 B and A = B + diag(z0 + 3r iu, z0 - 3r iu, z0 - 8r u)
     with u = e^{i theta0}, z0 the boundary point of W(B) in direction theta0
@@ -490,11 +506,23 @@ class TestAmbientContact:
     """The field refines the contacts with the ambient boundary that the grid
     straddles and pins the block's top vector there."""
 
-    def test_contact_pinned_off_the_grid(self):
+    def test_contact_pinned_off_the_grid(self, monkeypatch):
         b, a = tangent_contact(0)
-        field_ = boundary_vector_field(b, 512, ambient=SupportFunction(a))
+        field_ = restricted_field(monkeypatch, b, SupportFunction(a))
         pinned = [c.theta for c in field_.candidates if c.pinned]
         assert len(pinned) == 1 and abs(pinned[0] - 0.7371) < 1e-9
+
+    def test_block_owning_an_arc_still_pins_its_contact(self, monkeypatch):
+        # without the point behind B, W(B) also owns an arc of the ambient
+        # boundary, where its gap is exactly 0 (on 47 of its 512 grid
+        # directions); those samples take no contact slot, so the tangency at
+        # theta0 is pinned beside the arc's two refined ends, and the share is 2
+        b, a = tangent_contact(0)
+        ambient = SupportFunction(a[:5, :5])
+        field_ = restricted_field(monkeypatch, b, ambient)
+        pinned = sorted(c.theta for c in field_.candidates if c.pinned)
+        assert len(pinned) == 3 and abs(pinned[0] - 0.7371) < 1e-9
+        assert restricted_max_set(b, ambient)[0] == 2
 
     def test_contact_counts_for_the_block(self):
         b, a = tangent_contact(0)

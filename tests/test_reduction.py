@@ -12,7 +12,7 @@ from numrange_lab.classify import classify, classify_any
 from numrange_lab.generators import ALL_FAMILIES, FamilySpec, generate, flat_portion_example
 from numrange_lab.linalg import reducing_eigenvectors
 from numrange_lab.numrange import SupportFunction, dichotomy_scan
-from numrange_lab.oracle import max_orthonormal_boundary_set, verify
+from numrange_lab.oracle import check_witness, max_orthonormal_boundary_set, verify
 from numrange_lab.reduction import (
     block_kprime,
     commutant_dimension,
@@ -336,7 +336,41 @@ class TestReducingEigenvectors:
         assert reducing_eigenvectors(flat_portion_example()) == []
 
 
+def _random_sum(s):
+    """Sum s of the random direct-sum corpus: a complex Gaussian 3x3 or 4x4
+    block scaled by U(0.3, 2), then 1-3 blocks, each with probability 1/2 a
+    disc [[c, r], [0, c]] (c uniform in [-2, 2]^2, r in [0.2, 2]) and
+    otherwise a scalar uniform in [-3, 3]^2, conjugated by a QR unitary; all
+    drawn from default_rng(9000 + s)."""
+    rng = np.random.default_rng(9000 + s)
+    m = int(rng.integers(3, 5))
+    blocks = [(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * rng.uniform(0.3, 2)]
+    for _ in range(int(rng.integers(1, 4))):
+        if rng.uniform() < 0.5:
+            c = complex(*rng.uniform(-2, 2, 2))
+            blocks.append(np.array([[c, rng.uniform(0.2, 2)], [0, c]]))
+        else:
+            blocks.append(np.array([[complex(*rng.uniform(-3, 3, 2))]]))
+    a = _block_sum(blocks)
+    q = np.linalg.qr(rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))[0]
+    return q.conj().T @ a @ q
+
+
 class TestDirsum:
+    @pytest.mark.parametrize("s, n", [(34, 6), (554, 8)])
+    def test_restricted_share_reaches_a_contact_off_the_grid(self, s, n):
+        # the Gaussian block owns an arc of the ambient boundary about half a
+        # turn long, whose zero gap samples once took every contact slot; its
+        # refined ends, nearly antipodal, are now pinned, and one end's top
+        # vector and an arc node near the other polish to an orthonormal pair:
+        # the block's share is 2 and the sum reaches k = 4, which the search
+        # confirms and the witness proves
+        a = _random_sum(s)
+        res = classify_any(a, confirm_with_oracle=True)
+        assert (res.n, res.k, res.method, res.oracle_confirmed) == (n, 4, METHOD_DIRECT_SUM, True)
+        assert [b["kprime"] for b in res.certificate["blocks"] if b["method"] == "restricted-search"] == [2]
+        assert check_witness(a, res.witness, 4) is not None
+
     def _conj(self, a, seed):
         u = random_unitary(rng_for(seed), a.shape[0])
         return u.conj().T @ a @ u
@@ -407,15 +441,15 @@ class TestDirsum:
             assert max(res.certificate["blocks"], key=lambda b: b["size"])["method"] == "dichotomy"
 
     def test_one_normality_test_per_block(self, monkeypatch):
-        # block_kprime hands its verdict to relative_share, which would
-        # otherwise test the same block again
+        # relative_share tests each block once, and block_kprime takes its
+        # verdict (None for a block that is neither normal nor 2x2) instead of
+        # testing the block itself
         calls = []
 
-        def counting(b, tol, _orig=reduction._is_normal):
+        def counting(b, tol, _orig=numrange._is_normal):
             calls.append(b.shape[0])
             return _orig(b, tol)
 
-        monkeypatch.setattr(reduction, "_is_normal", counting)
         monkeypatch.setattr(numrange, "_is_normal", counting)
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
         dec = decompose(importlib.import_module("workloads").direct_sum(20, 0))

@@ -21,6 +21,7 @@ from numrange_lab.results import (
     METHOD_KA3,
     METHOD_ORACLE,
     METHOD_SEED3,
+    GauWuResult,
     Witness,
 )
 
@@ -100,6 +101,18 @@ VARIANTS = {
     "huge": lambda a: 1e200 * a,
     "rotated": lambda a: np.exp(0.7j) * a + (0.3 - 0.2j) * np.eye(a.shape[0]),
 }
+
+
+class TestResultChecks:
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="unknown method 'Guess'"):
+            GauWuResult(k=2, n=3, method="Guess")
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (4, 3), (0, 1), (2, 1)])
+    def test_k_outside_its_range_raises(self, k, n):
+        # k lies in [2, n], or is 1 for a 1x1 matrix
+        with pytest.raises(ValueError, match=f"k={k} outside"):
+            GauWuResult(k=k, n=n, method=METHOD_ORACLE)
 
 
 class TestEveryRouteWitness:
